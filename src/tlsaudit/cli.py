@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", required=True, help="output JSONL path")
     p_scan.add_argument("--policy", help="probe policy JSON file")
     p_scan.add_argument("--asn-table", help="CSV of prefix,asn,as_name rows")
-    p_scan.add_argument("--checkpoint", help="checkpoint file for resume")
     p_scan.add_argument("--trace-dir", help="directory for per-site traces")
     p_scan.add_argument("--seed", type=int, help="politeness jitter seed")
     p_scan.add_argument("--i-understand-scanning-ethics", action="store_true",
@@ -115,7 +114,6 @@ def cmd_scan(args) -> int:
 
     options = pipeline.ScanOptions(
         allow_non_loopback=args.ethics,
-        checkpoint_path=args.checkpoint,
         trace_dir=args.trace_dir,
         asn_table=asn_table,
     )

@@ -100,10 +100,6 @@ class Configuration:
             **kw,
         )
 
-    def flags_consistent_with(self, db: CipherDb) -> bool:
-        return (self.component_flags == compute_component_flags(db, self.supported_suites)
-                and self.kex_flags == compute_kex_flags(db, self.supported_suites))
-
     def to_json(self) -> dict:
         return {
             "versions": sorted(v.label for v in self.versions),

@@ -7,6 +7,13 @@ derivation is unnecessary; resumption and GET probes run the message flow
 to completion. Record protection is not implemented: the engine reads
 configuration evidence off the plaintext flight, which is sufficient for
 the bundled endpoints and keeps remote load minimal.
+
+One driver, ``_Connection.read_until``, reads every server record and folds
+it into that connection's state until the caller has what it needs or an
+alert arrives. A handshake runs it for the server flight, the server's
+finished flight and the HTTP response; the Heartbleed probe for the flight
+and the heartbeat echo. SSLv2 has its own record format, so its probe reads
+the one reply itself.
 """
 from __future__ import annotations
 
@@ -130,16 +137,16 @@ class HeartbleedResult:
             raise ValueError("vulnerable result requires heartbeat ack and leaked bytes")
 
 
-def _split_target(target: str) -> tuple[str, int]:
+def split_target(target: str) -> tuple[str, int]:
+    """``host:port`` as (host, port); anything else is (target, 443)."""
     host, _, port = target.rpartition(":")
-    if not host:
-        return target, 443
-    return host, int(port)
+    if host and port.isdigit():
+        return host, int(port)
+    return target, 443
 
 
 def _connect(target: str, timeout: float) -> socket.socket:
-    host, port = _split_target(target)
-    return socket.create_connection((host, port), timeout=timeout)
+    return socket.create_connection(split_target(target), timeout=timeout)
 
 
 def _sig_alg_of(der: bytes) -> str:
@@ -155,6 +162,99 @@ def _sig_alg_of(der: bytes) -> str:
     return "OTHER"
 
 
+@dataclass
+class _Connection:
+    """What the server's records on one connection have shown so far."""
+
+    sock: socket.socket
+    db: CipherDb
+    server_hello: Optional[ServerHello] = None
+    cert_alg: Optional[str] = None
+    kex: Optional[ServerKexInfo] = None
+    artifacts: SessionArtifacts = field(default_factory=SessionArtifacts)
+    resumed: bool = False
+    hello_done: bool = False
+    finished: bool = False
+    alert: Optional[bytes] = None
+    app_data: bytes = b""
+    heartbeat: Optional[bytes] = None
+
+    @property
+    def acked_extensions(self) -> set[str]:
+        if self.server_hello is None:
+            return set()
+        return {EXTENSION_NAMES[code] for code in self.server_hello.extensions
+                if code in EXTENSION_NAMES}
+
+    def read_until(self, done) -> bool:
+        """Read server records into this state until ``done(self)`` holds.
+
+        Returns False when an alert (now or earlier) stops the read first.
+        """
+        while not done(self):
+            if self.alert is not None:
+                return False
+            ctype, _ver, payload = wire.read_record(self.sock)
+            if ctype == ContentType.ALERT:
+                self.alert = payload
+            elif ctype == ContentType.CHANGE_CIPHER_SPEC:
+                if self.server_hello is None:
+                    raise WireError("change_cipher_spec before server hello")
+                if not self.hello_done:
+                    # abbreviated handshake: server skipped straight to its
+                    # finished flight
+                    self.resumed = True
+            elif ctype == ContentType.HANDSHAKE:
+                for hs_type, body in wire.iter_handshake_messages(payload):
+                    self._on_message(hs_type, body)
+            elif ctype == ContentType.APPLICATION_DATA and self.finished:
+                self.app_data += payload
+            elif ctype == ContentType.HEARTBEAT and self.server_hello is not None:
+                self.heartbeat = payload
+            else:
+                raise WireError(f"unexpected record type {ctype}")
+        return True
+
+    def _on_message(self, hs_type: int, body: bytes) -> None:
+        if hs_type == HsType.SERVER_HELLO:
+            self.server_hello = ServerHello.parse(body)
+        elif hs_type == HsType.CERTIFICATE:
+            chain = wire.parse_certificate(body)
+            if chain:
+                self.cert_alg = _sig_alg_of(chain[0])
+        elif hs_type == HsType.SERVER_KEY_EXCHANGE:
+            if self.server_hello is None:
+                raise WireError("key exchange before server hello")
+            info = self.db.get(self.server_hello.suite)
+            is_ffdhe = info is not None and info.kex == Kex.DHE
+            ske = ServerKeyExchange.parse_for_suite(body, is_ffdhe)
+            if ske.group_kind == "FFDHE":
+                prime = ske.dh_prime.lstrip(b"\x00")
+                self.kex = ServerKexInfo(
+                    "FFDHE",
+                    dh_prime_bits=int.from_bytes(prime, "big").bit_length(),
+                    dh_prime_bytes=prime,
+                )
+            else:
+                self.kex = ServerKexInfo("ECDHE", named_curve=ske.named_curve)
+        elif hs_type == HsType.NEW_SESSION_TICKET:
+            nst = NewSessionTicket.parse(body)
+            self.artifacts.ticket = nst.ticket
+            self.artifacts.ticket_lifetime_hint_s = nst.lifetime_hint_s
+        elif hs_type == HsType.SERVER_HELLO_DONE:
+            self.hello_done = True
+        elif hs_type == HsType.FINISHED:
+            self.finished = True
+
+
+def _flight_done(conn: _Connection) -> bool:
+    # the rest of a 1.3 flight is encrypted; the selection is all the
+    # evidence a probe needs
+    return (conn.hello_done or conn.finished
+            or (conn.server_hello is not None
+                and conn.server_hello.selected_version == Version.TLS1_3))
+
+
 class HandshakeEngine:
     """Stateless per call; safe to use from many workers concurrently."""
 
@@ -164,7 +264,7 @@ class HandshakeEngine:
 
     # -- offer construction ------------------------------------------------
 
-    def _client_hello(self, offer: HandshakeOffer) -> ClientHello:
+    def _hello_record(self, offer: HandshakeOffer) -> bytes:
         extensions: dict[int, bytes] = {}
         if offer.sni_name:
             name = offer.sni_name.encode("idna")
@@ -188,7 +288,7 @@ class HandshakeEngine:
         if offer.supported_versions:
             body = b"".join(struct.pack(">H", v.value) for v in offer.supported_versions)
             extensions[ExtType.SUPPORTED_VERSIONS] = wire.vec8(body)
-        return ClientHello(
+        hello = ClientHello(
             version=offer.max_version if offer.max_version != Version.TLS1_3 else Version.TLS1_2,
             random=os.urandom(32),
             session_id=offer.resumption_session_id,
@@ -196,6 +296,8 @@ class HandshakeEngine:
             compression=list(offer.compression_methods),
             extensions=extensions,
         )
+        record_version = Version.SSLv3 if offer.max_version == Version.SSLv3 else Version.TLS1_0
+        return wire.record(ContentType.HANDSHAKE, record_version, hello.encode())
 
     # -- core exchange -----------------------------------------------------
 
@@ -229,76 +331,16 @@ class HandshakeEngine:
         return outcome
 
     def _run(self, sock: socket.socket, offer: HandshakeOffer) -> HandshakeOutcome:
-        hello = self._client_hello(offer)
-        record_version = Version.SSLv3 if offer.max_version == Version.SSLv3 else Version.TLS1_0
-        sock.sendall(wire.record(ContentType.HANDSHAKE, record_version, hello.encode()))
-
-        server_hello: Optional[ServerHello] = None
-        cert_alg: Optional[str] = None
-        kex_info: Optional[ServerKexInfo] = None
-        artifacts = SessionArtifacts()
-        resumed = False
-        hello_done = False
-        server_finished = False
-
-        while True:
-            ctype, _ver, payload = wire.read_record(sock)
-            if ctype == ContentType.ALERT:
-                if len(payload) >= 2 and payload[1] == AlertDescription.CLOSE_NOTIFY:
-                    break
-                return HandshakeOutcome(
-                    ProbeStatus.TLS_ALERT,
-                    alert_code=payload[1] if len(payload) >= 2 else None,
-                )
-            if ctype == ContentType.CHANGE_CIPHER_SPEC:
-                if server_hello is None:
-                    raise WireError("change_cipher_spec before server hello")
-                if not hello_done:
-                    # abbreviated handshake: server skipped straight to its
-                    # finished flight
-                    resumed = True
-                continue
-            if ctype != ContentType.HANDSHAKE:
-                raise WireError(f"unexpected record type {ctype} in handshake")
-            for hs_type, body in wire.iter_handshake_messages(payload):
-                if hs_type == HsType.SERVER_HELLO:
-                    server_hello = ServerHello.parse(body)
-                elif hs_type == HsType.CERTIFICATE:
-                    chain = wire.parse_certificate(body)
-                    if chain:
-                        cert_alg = _sig_alg_of(chain[0])
-                elif hs_type == HsType.SERVER_KEY_EXCHANGE:
-                    if server_hello is None:
-                        raise WireError("key exchange before server hello")
-                    info = self.db.get(server_hello.suite)
-                    is_ffdhe = info is not None and info.kex == Kex.DHE
-                    ske = ServerKeyExchange.parse_for_suite(body, is_ffdhe)
-                    if ske.group_kind == "FFDHE":
-                        prime = ske.dh_prime.lstrip(b"\x00")
-                        kex_info = ServerKexInfo(
-                            "FFDHE",
-                            dh_prime_bits=int.from_bytes(prime, "big").bit_length(),
-                            dh_prime_bytes=prime,
-                        )
-                    else:
-                        kex_info = ServerKexInfo("ECDHE", named_curve=ske.named_curve)
-                elif hs_type == HsType.NEW_SESSION_TICKET:
-                    nst = NewSessionTicket.parse(body)
-                    artifacts.ticket = nst.ticket
-                    artifacts.ticket_lifetime_hint_s = nst.lifetime_hint_s
-                elif hs_type == HsType.SERVER_HELLO_DONE:
-                    hello_done = True
-                elif hs_type == HsType.FINISHED:
-                    server_finished = True
-            if hello_done or server_finished:
-                break
-            if (server_hello is not None
-                    and server_hello.selected_version == Version.TLS1_3):
-                # the rest of the 1.3 flight is encrypted; the selection is
-                # all the evidence this probe needs
-                break
+        sock.sendall(self._hello_record(offer))
+        conn = _Connection(sock, self.db)
+        if not conn.read_until(_flight_done):
+            code = conn.alert[1] if len(conn.alert) >= 2 else None
+            if code != AlertDescription.CLOSE_NOTIFY:
+                return HandshakeOutcome(ProbeStatus.TLS_ALERT, alert_code=code)
+        server_hello = conn.server_hello
         if server_hello is None:
             raise WireError("no server hello received")
+        resumed = conn.resumed
 
         selected_version = server_hello.selected_version
         if server_hello.suite not in offer.suites:
@@ -309,20 +351,13 @@ class HandshakeEngine:
                 offer.min_version <= selected_version <= offer.max_version):
             raise WireError(f"server selected out-of-range version {selected_version.label}")
 
-        acked = {
-            EXTENSION_NAMES[code]
-            for code in server_hello.extensions
-            if code in EXTENSION_NAMES
-        }
         if server_hello.session_id:
-            artifacts.session_id = server_hello.session_id
+            conn.artifacts.session_id = server_hello.session_id
 
         http_result = None
         needs_completion = offer.complete or offer.http_get or resumed
         if needs_completion and selected_version != Version.TLS1_3:
-            http_result, artifacts, server_finished = self._finish(
-                sock, selected_version, resumed, server_finished, artifacts, offer
-            )
+            http_result = self._finish(conn, selected_version, offer)
         else:
             # evidence collected; abort without Finished
             try:
@@ -344,84 +379,43 @@ class HandshakeEngine:
             selected_version=selected_version,
             selected_suite=server_hello.suite,
             selected_compression=server_hello.compression,
-            acknowledged_extensions=acked,
-            certificate_sig_alg=cert_alg,
-            server_key_exchange=kex_info,
-            session_artifacts=artifacts,
+            acknowledged_extensions=conn.acked_extensions,
+            certificate_sig_alg=conn.cert_alg,
+            server_key_exchange=conn.kex,
+            session_artifacts=conn.artifacts,
             resumed=bool(resumed_final),
             http=http_result,
         )
 
-    def _finish(self, sock, version: Version, resumed: bool,
-                server_finished: bool, artifacts: SessionArtifacts,
-                offer: HandshakeOffer):
-        """Complete the message flow (no record protection is applied)."""
+    def _finish(self, conn: _Connection, version: Version,
+                offer: HandshakeOffer) -> Optional[HttpResult]:
+        """Complete the message flow (no record protection is applied), then
+        send the GET when the offer asks for one."""
         flight = b""
-        if not resumed:
+        if not conn.resumed:
             cke = wire.handshake_message(HsType.CLIENT_KEY_EXCHANGE,
                                          wire.vec16(os.urandom(48)))
             flight += wire.record(ContentType.HANDSHAKE, version, cke)
         flight += wire.record(ContentType.CHANGE_CIPHER_SPEC, version, b"\x01")
         fin = wire.handshake_message(HsType.FINISHED, os.urandom(12))
         flight += wire.record(ContentType.HANDSHAKE, version, fin)
-        sock.sendall(flight)
+        conn.sock.sendall(flight)
 
-        # read the server's finished flight (full handshake) incl. any ticket
-        while not server_finished and not resumed:
-            ctype, _ver, payload = wire.read_record(sock)
-            if ctype == ContentType.CHANGE_CIPHER_SPEC:
-                continue
-            if ctype == ContentType.ALERT:
-                raise WireError(f"alert during finish: {payload!r}")
-            if ctype != ContentType.HANDSHAKE:
-                raise WireError(f"unexpected record {ctype} during finish")
-            for hs_type, body in wire.iter_handshake_messages(payload):
-                if hs_type == HsType.NEW_SESSION_TICKET:
-                    nst = NewSessionTicket.parse(body)
-                    artifacts.ticket = nst.ticket
-                    artifacts.ticket_lifetime_hint_s = nst.lifetime_hint_s
-                elif hs_type == HsType.FINISHED:
-                    server_finished = True
+        # the server's finished flight (full handshake) incl. any ticket
+        if not conn.read_until(lambda c: c.finished or c.resumed):
+            raise WireError(f"alert during finish: {conn.alert!r}")
+        if not offer.http_get:
+            return None
 
-        http_result = None
-        if offer.http_get:
-            host = offer.sni_name or _split_target_host(sock)
-            request = (f"GET / HTTP/1.1\r\nHost: {host}\r\n"
-                       "Connection: close\r\n\r\n").encode()
-            sock.sendall(wire.record(ContentType.APPLICATION_DATA, version, request))
-            http_result = self._read_http(sock)
-        return http_result, artifacts, server_finished
-
-    def _read_http(self, sock) -> HttpResult:
-        raw = b""
-        while True:
-            try:
-                ctype, _ver, payload = wire.read_record(sock)
-            except WireError:
-                break
-            if ctype == ContentType.APPLICATION_DATA:
-                raw += payload
-            elif ctype == ContentType.ALERT:
-                break
-        if not raw.startswith(b"HTTP/"):
-            raise WireError("no HTTP response over TLS")
-        head, _, body = raw.partition(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
+        host = offer.sni_name or _peer_host(conn.sock)
+        request = (f"GET / HTTP/1.1\r\nHost: {host}\r\n"
+                   "Connection: close\r\n\r\n").encode()
+        conn.sock.sendall(wire.record(ContentType.APPLICATION_DATA, version, request))
         try:
-            status_code = int(lines[0].split()[1])
-        except (IndexError, ValueError):
-            raise WireError(f"bad HTTP status line {lines[0]!r}") from None
-        server_header = None
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "server":
-                server_header = value.strip()
-                break
-        return HttpResult(
-            status_code=status_code,
-            server_header=server_header,
-            body_hash=hashlib.sha256(body).hexdigest(),
-        )
+            conn.read_until(lambda c: False)  # the response ends at an alert
+        except WireError:
+            pass  # or where the server closes the connection
+        return _parse_http(conn.app_data)
 
     # -- retry wrapper (the caller-visible API) ----------------------------
 
@@ -486,49 +480,26 @@ class HandshakeEngine:
             sock = _connect(target, timeout)
         except OSError as exc:
             return HeartbleedResult(False, False, error=str(exc))
+        conn = _Connection(sock, self.db)
         try:
-            hello = self._client_hello(offer)
-            sock.sendall(wire.record(ContentType.HANDSHAKE, Version.TLS1_0,
-                                     hello.encode()))
-            acked = False
-            version = Version.TLS1_2
-            while True:
-                ctype, _ver, payload = wire.read_record(sock)
-                if ctype == ContentType.ALERT:
-                    return HeartbleedResult(False, False, error="alert")
-                if ctype != ContentType.HANDSHAKE:
-                    continue
-                done = False
-                for hs_type, body in wire.iter_handshake_messages(payload):
-                    if hs_type == HsType.SERVER_HELLO:
-                        sh = ServerHello.parse(body)
-                        version = sh.selected_version
-                        acked = ExtType.HEARTBEAT in sh.extensions
-                    elif hs_type == HsType.SERVER_HELLO_DONE:
-                        done = True
-                if done:
-                    break
-            if not acked:
-                return HeartbleedResult(False, False)
-            payload_sent = os.urandom(16)
-            claimed = len(payload_sent) + HEARTBLEED_OVERREAD_CAP
-            hb = wire.encode_heartbeat(wire.HEARTBEAT_REQUEST, claimed, payload_sent)
-            sock.sendall(wire.record(ContentType.HEARTBEAT, version, hb))
-            while True:
-                ctype, _ver, data = wire.read_record(sock)
-                if ctype == ContentType.HEARTBEAT:
-                    break
-                if ctype == ContentType.ALERT:
-                    return HeartbleedResult(True, False, error="alert")
-            _mtype, _claimed, rest = wire.parse_heartbeat(data)
-            returned = len(rest)
-            leaked = max(0, returned - len(payload_sent) - 16)  # minus padding
-            del data, rest
-            return HeartbleedResult(True, leaked > 0, evidence_len=leaked)
+            sock.sendall(self._hello_record(offer))
+            if conn.read_until(_flight_done) and "heartbeat" in conn.acked_extensions:
+                payload_sent = os.urandom(16)
+                claimed = len(payload_sent) + HEARTBLEED_OVERREAD_CAP
+                hb = wire.encode_heartbeat(wire.HEARTBEAT_REQUEST, claimed, payload_sent)
+                sock.sendall(wire.record(ContentType.HEARTBEAT,
+                                         conn.server_hello.selected_version, hb))
+                if conn.read_until(lambda c: c.heartbeat is not None):
+                    returned = len(wire.parse_heartbeat(conn.heartbeat)[2])
+                    conn.heartbeat = None
+                    leaked = max(0, returned - len(payload_sent) - 16)  # minus padding
+                    return HeartbleedResult(True, leaked > 0, evidence_len=leaked)
+            error = None if conn.alert is None else "alert"
         except (socket.timeout, WireError, OSError) as exc:
-            return HeartbleedResult(True, False, error=f"no echo: {exc}")
+            error = f"no echo: {exc}"
         finally:
             sock.close()
+        return HeartbleedResult("heartbeat" in conn.acked_extensions, False, error=error)
 
     def resume(self, target: str, artifacts: SessionArtifacts, method: str,
                suites: list[int], timeout: Optional[float] = None) -> HandshakeOutcome:
@@ -555,8 +526,30 @@ class HandshakeEngine:
         return self.probe(target, offer, timeout)
 
 
-def _split_target_host(sock) -> str:
+def _peer_host(sock) -> str:
     try:
         return sock.getpeername()[0]
     except OSError:
         return "localhost"
+
+
+def _parse_http(raw: bytes) -> HttpResult:
+    if not raw.startswith(b"HTTP/"):
+        raise WireError("no HTTP response over TLS")
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    try:
+        status_code = int(lines[0].split()[1])
+    except (IndexError, ValueError):
+        raise WireError(f"bad HTTP status line {lines[0]!r}") from None
+    server_header = None
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "server":
+            server_header = value.strip()
+            break
+    return HttpResult(
+        status_code=status_code,
+        server_header=server_header,
+        body_hash=hashlib.sha256(body).hexdigest(),
+    )

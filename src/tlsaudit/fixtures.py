@@ -159,14 +159,6 @@ def fixture_certificate(kind: str) -> bytes:
 
 # -- the endpoint ------------------------------------------------------------
 
-def _spec_allows(db: CipherDb, spec: FixtureSpec, suite_id: int,
-                 at_version: Version) -> bool:
-    info = db.get(suite_id)
-    if info is None:
-        return False
-    return info.min_version <= at_version
-
-
 class FixtureEndpoint:
     """Live endpoint handle; also records a capture log for assertions."""
 
@@ -306,7 +298,7 @@ class FixtureEndpoint:
         version = max(tls_versions, key=lambda v: v.value)
 
         usable = [s for s in spec.suites
-                  if s in hello.suites and _spec_allows(db, spec, s, version)]
+                  if s in hello.suites and db[s].min_version <= version]
         if not usable:
             sock.sendall(wire.alert(AlertDescription.HANDSHAKE_FAILURE))
             return

@@ -34,7 +34,6 @@ class ProbePolicy:
     timeout_s: float = 5.0
     delay_min_s: float = 0.0
     delay_max_s: float = 2.0
-    retry: int = 1
     seed: Optional[int] = None
 
     @classmethod
@@ -43,7 +42,6 @@ class ProbePolicy:
             timeout_s=obj.get("timeout_ms", 5000) / 1000.0,
             delay_min_s=obj.get("delay_min_ms", 0) / 1000.0,
             delay_max_s=obj.get("delay_max_ms", 2000) / 1000.0,
-            retry=obj.get("retry", 1),
             seed=obj.get("seed"),
         )
 
@@ -270,11 +268,13 @@ class SiteProber:
         if "heartbeat" in acked:
             self._pace()
             heartbleed = self.engine.heartbleed_probe(target, offer_suites)
+            summary = {"acknowledged": heartbleed.heartbeat_acknowledged,
+                       "vulnerable": heartbleed.vulnerable,
+                       "evidence_len": heartbleed.evidence_len}
+            if heartbleed.error is not None:
+                summary["error"] = heartbleed.error
             trace.entries.append(TraceEntry(
-                "heartbleed", {"heartbeat_overread": True},
-                {"acknowledged": heartbleed.heartbeat_acknowledged,
-                 "vulnerable": heartbleed.vulnerable,
-                 "evidence_len": heartbleed.evidence_len}))
+                "heartbleed", {"heartbeat_overread": True}, summary))
         return acked, heartbleed
 
     def probe_compression(self, target: str, trace: ProbeTrace,

@@ -2,8 +2,9 @@
 
 Drives the single-site prober across an ordered target list, annotates each
 result with server software, OS hint, and ASN, and appends one self-contained
-JSON line per target to the output sink. A newline-delimited checkpoint of
-completed domains makes interrupted scans resumable.
+JSON line per target to the output sink. The sink is its own checkpoint:
+a rerun skips the domains it already holds, so an interrupted scan resumes
+where it left off.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .configuration import Configuration
+from .engine import split_target
 from .grading import DEFAULT_POLICY, GradeReport, GradingPolicy, grade
 from .orchestrator import ProbePolicy, SiteProber
 from .registry import CipherDb
@@ -35,7 +37,6 @@ class PipelineError(ValueError):
 
 class Eligibility(Enum):
     GRADED = "GRADED"
-    UNGRADEABLE = "UNGRADEABLE"
     EXCLUDED = "EXCLUDED"
 
 
@@ -46,10 +47,7 @@ class Target:
 
     @property
     def host_port(self) -> tuple[str, int]:
-        host, _, port = self.domain.rpartition(":")
-        if host and port.isdigit():
-            return host, int(port)
-        return self.domain, 443
+        return split_target(self.domain)
 
 
 @dataclass
@@ -259,18 +257,29 @@ def _is_loopback(address: str) -> bool:
         return False
 
 
-def read_checkpoint(path) -> set[str]:
-    p = Path(path)
-    if not p.exists():
-        return set()
-    return {line.strip() for line in p.read_text(encoding="utf-8").splitlines()
-            if line.strip()}
+def _recorded_domains(out: Path) -> set[str]:
+    """Domains already recorded in ``out``. A final line without its newline
+    is a record torn by a crash mid-write; it is cut off, so that target is
+    scanned again."""
+    done: set[str] = set()
+    if not out.exists():
+        return done
+    with open(out, "r+b") as fh:
+        end = 0
+        for line in fh:
+            if not line.endswith(b"\n"):
+                logger.warning("%s: torn final record cut off", out)
+                fh.truncate(end)
+                break
+            end += len(line)
+            if line.strip():
+                done.add(json.loads(line)["domain"])
+    return done
 
 
 @dataclass
 class ScanOptions:
     allow_non_loopback: bool = False
-    checkpoint_path: Optional[str] = None
     trace_dir: Optional[str] = None
     asn_table: list = field(default_factory=list)
     grading_policy: GradingPolicy = DEFAULT_POLICY
@@ -332,36 +341,26 @@ def run_scan(targets: Iterable[Target], policy: ProbePolicy, db: CipherDb,
              out_path, options: Optional[ScanOptions] = None) -> list[ScanRecord]:
     """Scan every target, appending one JSON line per record to ``out_path``.
 
-    Records are flushed as they complete. When a checkpoint path is set,
-    completed domains are skipped on rerun and appended as they finish, so an
-    interrupted scan resumes where it left off.
+    Records are flushed as they complete. Domains already recorded in
+    ``out_path`` are skipped, so a rerun of an interrupted scan resumes where
+    it left off and writes each record exactly once.
     """
     options = options or ScanOptions()
-    done = (read_checkpoint(options.checkpoint_path)
-            if options.checkpoint_path else set())
     prober = SiteProber(db, policy)
     records: list[ScanRecord] = []
 
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    checkpoint_fh = (open(options.checkpoint_path, "a", encoding="utf-8")
-                     if options.checkpoint_path else None)
-    try:
-        with open(out, "a", encoding="utf-8") as sink:
-            for target in targets:
-                if target.domain in done:
-                    logger.info("%s: in checkpoint, skipped", target.domain)
-                    continue
-                record = scan_one(prober, db, target, options)
-                sink.write(json.dumps(record.to_json()) + "\n")
-                sink.flush()
-                if checkpoint_fh is not None:
-                    checkpoint_fh.write(target.domain + "\n")
-                    checkpoint_fh.flush()
-                records.append(record)
-    finally:
-        if checkpoint_fh is not None:
-            checkpoint_fh.close()
+    done = _recorded_domains(out)
+    with open(out, "a", encoding="utf-8") as sink:
+        for target in targets:
+            if target.domain in done:
+                logger.info("%s: already recorded, skipped", target.domain)
+                continue
+            record = scan_one(prober, db, target, options)
+            sink.write(json.dumps(record.to_json()) + "\n")
+            sink.flush()
+            records.append(record)
     return records
 
 

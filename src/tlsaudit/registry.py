@@ -7,7 +7,7 @@ registry naming conventions). All lookups after load are read-only.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -266,22 +266,6 @@ def browser_union(db: CipherDb) -> list[int]:
     if not union:
         raise RegistryError("empty registry has no browser union")
     return sort_offer(db, union)
-
-
-Predicate = dict
-
-
-def suites_matching(db: CipherDb, predicate: Predicate) -> set[int]:
-    """Suites whose fields equal every (field, value) pair in `predicate`."""
-    valid = {f.name for f in fields(CipherSuiteInfo)}
-    for key in predicate:
-        if key not in valid:
-            raise RegistryError(f"unknown predicate field {key!r}")
-    out = set()
-    for sid, info in db.suites.items():
-        if all(getattr(info, k) == v for k, v in predicate.items()):
-            out.add(sid)
-    return out
 
 
 def cert_compatible(db: CipherDb, cert_auth: Auth,

@@ -46,8 +46,6 @@ def grade_distribution(records: Iterable[ScanRecord]) -> dict:
         "graded": total,
         "excluded": sum(1 for r in records
                         if r.eligibility is Eligibility.EXCLUDED),
-        "ungradeable": sum(1 for r in records
-                           if r.eligibility is Eligibility.UNGRADEABLE),
     }
 
 

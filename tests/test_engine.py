@@ -1,6 +1,9 @@
+import socket
+import threading
+
 import pytest
 
-from tlsaudit import fixtures
+from tlsaudit import fixtures, wire
 from tlsaudit.engine import (HandshakeEngine, HandshakeOffer, HeartbleedResult,
                              OfferError, ProbeStatus)
 from tlsaudit.registry import Version
@@ -72,6 +75,13 @@ def test_tcp_failure_status(engine):
     assert outcome.retried  # transport failures are retried exactly once
 
 
+def test_unsplittable_target_is_tcp_failure(engine):
+    outcome = engine.probe("localhost:https", HandshakeOffer(
+        max_version=Version.TLS1_2, min_version=Version.SSLv3,
+        suites=[0xC02F]))
+    assert outcome.status is ProbeStatus.TCP_FAILURE
+
+
 def test_http_get(engine, endpoint):
     outcome = engine.http_get_over_tls(endpoint.target, "", [0xC02F, 0x002F])
     assert outcome.status is ProbeStatus.NEGOTIATED
@@ -138,6 +148,36 @@ def test_heartbleed_probe_patched(db, engine):
         result = engine.heartbleed_probe(ep.target, [0xC02F])
     assert result.heartbeat_acknowledged
     assert not result.vulnerable
+
+
+def _never_answers(conn):
+    while conn.recv(4096):  # until the client gives up and closes
+        pass
+
+
+def _closes_after_hello(conn):
+    wire.read_record(conn)
+
+
+@pytest.mark.parametrize("server", [_never_answers, _closes_after_hello],
+                         ids=["silent", "closes_after_hello"])
+def test_heartbleed_probe_without_server_hello(db, server):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                server(conn)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()
+        result = HandshakeEngine(db, timeout=0.5).heartbleed_probe(
+            f"{host}:{port}", [0xC02F])
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert not result.heartbeat_acknowledged
+    assert not result.vulnerable
+    assert result.error
 
 
 def test_heartbleed_result_invariant():

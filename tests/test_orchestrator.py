@@ -1,7 +1,8 @@
 import pytest
 
 from tlsaudit import fixtures
-from tlsaudit.orchestrator import ProbePolicy, SiteProber
+from tlsaudit.engine import HandshakeOutcome, HeartbleedResult, ProbeStatus
+from tlsaudit.orchestrator import ProbePolicy, ProbeTrace, SiteProber
 from tlsaudit.registry import Version
 
 RICH_SPEC = fixtures.FixtureSpec(
@@ -99,6 +100,22 @@ def test_uncommon_prime_detected(db, fast_policy):
         config, _trace = SiteProber(db, fast_policy).probe_site(ep.target)
     assert config.dh_prime_bits == 1024
     assert config.dh_group_common is False
+
+
+def test_heartbleed_error_reaches_trace(db, fast_policy, monkeypatch):
+    prober = SiteProber(db, fast_policy)
+    monkeypatch.setattr(prober.engine, "probe", lambda target, offer: HandshakeOutcome(
+        ProbeStatus.NEGOTIATED, acknowledged_extensions={"heartbeat"}))
+    results = iter([HeartbleedResult(True, False, error="no echo: timed out"),
+                    HeartbleedResult(True, False)])
+    monkeypatch.setattr(prober.engine, "heartbleed_probe",
+                        lambda target, suites: next(results))
+    for extra in ({"error": "no echo: timed out"}, {}):
+        trace = ProbeTrace()
+        prober.probe_extensions("127.0.0.1:1", trace, [0xC02F])
+        assert trace.entries[-1].kind == "heartbleed"
+        assert trace.entries[-1].outcome == {
+            "acknowledged": True, "vulnerable": False, "evidence_len": 0, **extra}
 
 
 def test_policy_json_round_trip():

@@ -142,7 +142,7 @@ def test_run_scan_over_fixtures(db, fast_policy, tmp_path):
                     for n, ep in enumerate(endpoints)]
                    + [Target(4, "no-such-host.invalid")])
         out = tmp_path / "scan.jsonl"
-        options = ScanOptions(checkpoint_path=str(tmp_path / "ckpt"))
+        options = ScanOptions()
         records = run_scan(targets, fast_policy, db, out, options)
     finally:
         for ep in endpoints:
@@ -164,6 +164,19 @@ def test_run_scan_over_fixtures(db, fast_policy, tmp_path):
     again = run_scan(targets, fast_policy, db, out, options)
     assert again == []
     assert len(pipeline.load_records(out)) == len(targets)
+
+
+def test_run_scan_cuts_torn_tail_and_resumes(db, fast_policy, tmp_path):
+    # closed loopback ports: each site is excluded after its baseline
+    targets = [Target(1, "127.0.0.1:1"), Target(2, "127.0.0.1:2")]
+    out = tmp_path / "scan.jsonl"
+    run_scan(targets[:1], fast_policy, db, out)
+    with open(out, "a", encoding="utf-8") as fh:  # a crash mid-write
+        fh.write('{"schema_version": 1, "domain": "127.0.0.1:2", "ra')
+    again = run_scan(targets, fast_policy, db, out)
+    assert [r.domain for r in again] == ["127.0.0.1:2"]
+    assert [r.domain for r in pipeline.load_records(out)] == [
+        "127.0.0.1:1", "127.0.0.1:2"]
 
 
 def test_scan_refuses_non_loopback_without_flag(db, fast_policy, tmp_path):
