@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path

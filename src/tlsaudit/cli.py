@@ -104,7 +104,7 @@ def cmd_scan(args) -> int:
             print(f"error: bad policy file: {exc}", file=sys.stderr)
             return EXIT_INPUT
 
-    asn_table = []
+    asn_table = None
     if args.asn_table:
         try:
             asn_table = pipeline.load_asn_table(args.asn_table)

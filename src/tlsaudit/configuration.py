@@ -2,10 +2,10 @@
 grader and report modules consume."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .registry import AEAD_MODES, CipherDb, CipherFamily, CipherMode, Kex, Mac, Version
+from .registry import AEAD_MODES, CipherDb, CipherFamily, CipherMode, Kex, Version
 
 COMPONENT_FLAG_NAMES = (
     "DES", "TRIPLE_DES", "RC4", "IDEA", "SEED", "CAMELLIA", "ARIA", "CHACHA",

@@ -496,7 +496,8 @@ class HandshakeEngine:
                     return HeartbleedResult(True, leaked > 0, evidence_len=leaked)
             error = None if conn.alert is None else "alert"
         except (socket.timeout, WireError, OSError) as exc:
-            error = f"no echo: {exc}"
+            stage = "no server hello" if conn.server_hello is None else "no echo"
+            error = f"{stage}: {exc}"
         finally:
             sock.close()
         return HeartbleedResult("heartbeat" in conn.acked_extensions, False, error=error)

@@ -5,19 +5,22 @@ A FixtureSpec fully prescribes an endpoint's observable behavior;
 from it. Legacy behaviors no modern stack will speak (SSLv2, TLS
 compression, heartbeat over-read) are emulated at the record layer: only
 the bytes the scanner inspects are produced.
+
+Each server flight goes out in one write, as the engine's client flights
+do and as real TLS stacks do; split writes would stall every completed
+handshake on Nagle's algorithm against the peer's delayed ACK.
 """
 from __future__ import annotations
 
 import csv
 import datetime
-import json
 import logging
 import os
 import random
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
 
@@ -373,14 +376,11 @@ class FixtureEndpoint:
     def _send_abbreviated(self, sock, version, suite, compression,
                           session_id, acked) -> None:
         self._log({"event": "abbreviated", "suite": f"0x{suite:04X}"})
-        flight = ServerHello(version=version, random=os.urandom(32),
-                             session_id=session_id, suite=suite,
-                             compression=compression, extensions=acked).encode()
-        sock.sendall(wire.record(ContentType.HANDSHAKE, version, flight))
-        sock.sendall(wire.record(ContentType.CHANGE_CIPHER_SPEC, version, b"\x01"))
-        sock.sendall(wire.record(
-            ContentType.HANDSHAKE, version,
-            wire.handshake_message(HsType.FINISHED, os.urandom(12))))
+        hello = ServerHello(version=version, random=os.urandom(32),
+                            session_id=session_id, suite=suite,
+                            compression=compression, extensions=acked).encode()
+        sock.sendall(wire.record(ContentType.HANDSHAKE, version, hello)
+                     + _finished_records(version))
         self._drain_client(sock, version)
 
     def _serve_post_hello(self, sock, version: Version, hello: ClientHello,
@@ -410,16 +410,14 @@ class FixtureEndpoint:
                 continue
             return
         # server's finished flight, with a ticket first when negotiated
+        flight = b""
         if ticket_wanted and self.spec.tickets is not None:
             token = os.urandom(48)
             self._tickets.add(token)
-            sock.sendall(wire.record(
+            flight = wire.record(
                 ContentType.HANDSHAKE, version,
-                NewSessionTicket(self.spec.tickets, token).encode()))
-        sock.sendall(wire.record(ContentType.CHANGE_CIPHER_SPEC, version, b"\x01"))
-        sock.sendall(wire.record(
-            ContentType.HANDSHAKE, version,
-            wire.handshake_message(HsType.FINISHED, os.urandom(12))))
+                NewSessionTicket(self.spec.tickets, token).encode())
+        sock.sendall(flight + _finished_records(version))
         self._drain_client(sock, version)
 
     def _drain_client(self, sock, version: Version) -> None:
@@ -472,6 +470,13 @@ class FixtureEndpoint:
             ContentType.HEARTBEAT, version,
             wire.encode_heartbeat(wire.HEARTBEAT_RESPONSE, len(echo), echo)))
         return True
+
+
+def _finished_records(version: Version) -> bytes:
+    """The ChangeCipherSpec and Finished records that close a server flight."""
+    return (wire.record(ContentType.CHANGE_CIPHER_SPEC, version, b"\x01")
+            + wire.record(ContentType.HANDSHAKE, version,
+                          wire.handshake_message(HsType.FINISHED, os.urandom(12))))
 
 
 def spawn(spec: FixtureSpec, db: CipherDb) -> FixtureEndpoint:
@@ -676,8 +681,13 @@ def row_fixture_spec(db: CipherDb, row: dict) -> FixtureSpec:
 
 
 def random_spec(rng: random.Random, db: CipherDb) -> FixtureSpec:
-    """Seeded random spec; always probeable (≥2 suites, TLS 1.2 present,
-    every version covered by at least one usable suite)."""
+    """Seeded random spec: ≥2 suites, TLS 1.2 present, every version covered
+    by at least one usable suite.
+
+    Not every spec is probeable: about one in ten shares no suite with the
+    browser union, so it refuses the scanner's baseline offer and the site is
+    excluded with TLS_ALERT, while ``projection`` still returns its
+    configuration."""
     cert_kind = rng.choice(["RSA", "ECDSA"])
     auth = Auth.RSA if cert_kind == "RSA" else Auth.ECDSA
     pool = cert_compatible(db, auth, at_version=Version.TLS1_2)

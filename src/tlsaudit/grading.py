@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import total_ordering
-from typing import Optional
 
 from .configuration import Configuration
 from .registry import CipherDb, Kex, Version

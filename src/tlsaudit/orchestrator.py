@@ -197,9 +197,11 @@ class SiteProber:
             last = outcome.selected_version
         # the two out-of-ladder checks
         self._pace()
-        v2, _err = self.engine.sslv2_probe(target)
-        trace.entries.append(TraceEntry("sslv2_probe", {"sslv2": True},
-                                        {"supported": v2}))
+        v2, err = self.engine.sslv2_probe(target)
+        outcome = {"supported": v2}
+        if err is not None:
+            outcome["error"] = err
+        trace.entries.append(TraceEntry("sslv2_probe", {"sslv2": True}, outcome))
         if v2:
             versions.add(Version.SSLv2)
         self._pace()

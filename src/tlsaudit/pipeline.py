@@ -15,7 +15,7 @@ import ipaddress
 import json
 import logging
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
@@ -195,9 +195,53 @@ def parse_server_header(value: Optional[str]) -> dict:
 
 # -- ASN annotation -------------------------------------------------------------
 
-def load_asn_table(path) -> list[tuple[ipaddress._BaseNetwork, int, str]]:
-    """Load a ``prefix,asn,as_name`` CSV into (network, asn, name) rows."""
-    table = []
+class AsnTable:
+    """Longest-prefix-match index of an ASN table.
+
+    One dict per (IP version, prefix length) maps each network address, as
+    an integer, to its ``(asn, name)``. A lookup probes the lengths present,
+    longest first: at most 33 dicts for IPv4 and 129 for IPv6. Iterating
+    yields ``(network, asn, name)`` rows.
+    """
+
+    def __init__(self):
+        # (version, prefix length) -> {network: (asn, name)}
+        self._buckets: dict[tuple[int, int], dict[int, tuple[int, str]]] = {}
+        # version -> [(prefix length, network mask, bucket)], longest first
+        self._levels: dict[int, list[tuple[int, int, dict]]] = {4: [], 6: []}
+
+    def add(self, network: ipaddress._BaseNetwork, asn: int, name: str) -> None:
+        """Index one row. A prefix already present keeps its earlier row."""
+        key = (network.version, network.prefixlen)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = {}
+            levels = self._levels[network.version]
+            levels.append((network.prefixlen, int(network.netmask), bucket))
+            levels.sort(key=lambda level: level[0], reverse=True)
+        bucket.setdefault(int(network.network_address), (asn, name))
+
+    def lookup(self, ip: ipaddress._BaseAddress) -> Optional[tuple[int, str]]:
+        value = int(ip)
+        for _plen, mask, bucket in self._levels[ip.version]:
+            hit = bucket.get(value & mask)
+            if hit is not None:
+                return hit
+        return None
+
+    def __iter__(self):
+        for version, levels in self._levels.items():
+            network_type = (ipaddress.IPv4Network if version == 4
+                            else ipaddress.IPv6Network)
+            for plen, _mask, bucket in levels:
+                for address, (asn, name) in bucket.items():
+                    yield network_type((address, plen)), asn, name
+
+
+def load_asn_table(path) -> AsnTable:
+    """Load a ``prefix,asn,as_name`` CSV into an ``AsnTable``. Malformed rows
+    and prefixes with host bits set are skipped with a warning."""
+    table = AsnTable()
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().lower() == "prefix":
@@ -212,24 +256,20 @@ def load_asn_table(path) -> list[tuple[ipaddress._BaseNetwork, int, str]]:
             except ValueError as exc:
                 logger.warning("asn table line %d: %s, skipped", lineno, exc)
                 continue
-            table.append((network, asn, row[2].strip()))
+            table.add(network, asn, row[2].strip())
     return table
 
 
-def annotate_asn(address: str, table) -> Optional[dict]:
+def annotate_asn(address: str, table: AsnTable) -> Optional[dict]:
     """Longest-prefix match of ``address`` over a loaded ASN table."""
     try:
         ip = ipaddress.ip_address(address)
     except ValueError:
         return None
-    best = None
-    for network, asn, name in table:
-        if ip.version == network.version and ip in network:
-            if best is None or network.prefixlen > best[0].prefixlen:
-                best = (network, asn, name)
-    if best is None:
+    hit = table.lookup(ip)
+    if hit is None:
         return None
-    return {"number": best[1], "name": best[2]}
+    return {"number": hit[0], "name": hit[1]}
 
 
 # -- scan driver ----------------------------------------------------------------
@@ -281,7 +321,7 @@ def _recorded_domains(out: Path) -> set[str]:
 class ScanOptions:
     allow_non_loopback: bool = False
     trace_dir: Optional[str] = None
-    asn_table: list = field(default_factory=list)
+    asn_table: Optional[AsnTable] = None
     grading_policy: GradingPolicy = DEFAULT_POLICY
 
 
@@ -311,7 +351,8 @@ def scan_one(prober: SiteProber, db: CipherDb, target: Target,
                               encoding="utf-8")
         trace_ref = str(trace_path)
 
-    asn = annotate_asn(address, options.asn_table) if options.asn_table else None
+    asn = (annotate_asn(address, options.asn_table)
+           if options.asn_table is not None else None)
     if config is None:
         return ScanRecord(domain=target.domain, rank=target.rank,
                           address=address,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 
 class RegistryError(ValueError):

@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from typing import Iterable, Optional
 
 from .configuration import Configuration
-from .grading import Category, Grade, GradeReport, downgrade_table
+from .grading import Category, Grade, downgrade_table
 from .pipeline import Eligibility, ScanRecord
 
 GRADE_ORDER = (Grade.A, Grade.B, Grade.C, Grade.F)

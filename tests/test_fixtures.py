@@ -1,9 +1,12 @@
 import random
+import threading
 
 import pytest
 
-from tlsaudit import fixtures
+from tlsaudit import fixtures, wire
+from tlsaudit.engine import HandshakeEngine, HandshakeOffer, ProbeStatus
 from tlsaudit.registry import Version
+from tlsaudit.wire import ContentType
 
 
 def test_spec_json_round_trip(db, rng):
@@ -115,3 +118,62 @@ def test_representative_rows_grade_like_the_table(db):
     grades = {row["grade"] for row in rows}
     # the published top-AS table carries no F rows
     assert grades == {"A", "B", "C"}
+
+
+class _RecordingSocket:
+    """Passes every call to ``sock`` and keeps each ``sendall`` payload."""
+
+    def __init__(self, sock, writes: list):
+        self._sock = sock
+        self.writes = writes
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _content_types(data: bytes) -> list[int]:
+    reader, types = wire.Reader(data), []
+    while reader.remaining():
+        types.append(reader.u8())
+        reader.u16()
+        reader.vec16()
+    return types
+
+
+@pytest.mark.parametrize("method", ["TICKET", "SESSION_ID"])
+def test_each_server_flight_is_one_write(db, method):
+    spec = fixtures.FixtureSpec(
+        versions=frozenset({Version.TLS1_2}), suites=(0xC02F,),
+        server_preference=True, session_id_cache=True, tickets=300)
+    connections: list[list[bytes]] = []
+    lock = threading.Lock()
+    engine = HandshakeEngine(db, timeout=3.0)
+    with fixtures.spawn(spec, db) as ep:
+        serve = ep._serve
+
+        def recording_serve(sock):
+            writes: list[bytes] = []
+            with lock:
+                connections.append(writes)
+            serve(_RecordingSocket(sock, writes))
+
+        ep._serve = recording_serve
+        full = engine.handshake(ep.target, HandshakeOffer(
+            max_version=Version.TLS1_2, min_version=Version.TLS1_2,
+            suites=[0xC02F], extensions={"session_ticket"}, complete=True))
+        resumed = engine.resume(ep.target, full.session_artifacts, method,
+                                [0xC02F])
+    assert full.status == ProbeStatus.NEGOTIATED and not full.resumed
+    assert resumed.status == ProbeStatus.NEGOTIATED and resumed.resumed
+    handshake, ccs = ContentType.HANDSHAKE, ContentType.CHANGE_CIPHER_SPEC
+    full_writes, abbreviated_writes = connections
+    # ServerHello..ServerHelloDone, then NewSessionTicket + CCS + Finished
+    assert [_content_types(w) for w in full_writes] == [
+        [handshake], [handshake, ccs, handshake]]
+    # ServerHello + CCS + Finished
+    assert [_content_types(w) for w in abbreviated_writes] == [
+        [handshake, ccs, handshake]]

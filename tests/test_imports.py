@@ -1,0 +1,33 @@
+"""Every module-level import in the package is used.
+
+No linter ships with the project, so this parses each source file and
+compares the names its top-level imports bind with the names the module
+reads anywhere in its body.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tlsaudit"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(bound.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unused_imports(tree) == []

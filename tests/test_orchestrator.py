@@ -1,3 +1,6 @@
+import socket
+import threading
+
 import pytest
 
 from tlsaudit import fixtures
@@ -116,6 +119,33 @@ def test_heartbleed_error_reaches_trace(db, fast_policy, monkeypatch):
         assert trace.entries[-1].kind == "heartbleed"
         assert trace.entries[-1].outcome == {
             "acknowledged": True, "vulnerable": False, "evidence_len": 0, **extra}
+
+
+def test_sslv2_error_reaches_trace(db, probed, monkeypatch):
+    _config, trace = probed
+    assert [e.outcome for e in trace.entries if e.kind == "sslv2_probe"] == [
+        {"supported": False}]
+
+    prober = SiteProber(db, ProbePolicy(timeout_s=0.5, delay_max_s=0.0))
+    monkeypatch.setattr(prober.engine, "tls13_probe", lambda target, suites: False)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def serve():  # accept, then never answer until the client closes
+            conn, _ = listener.accept()
+            with conn:
+                while conn.recv(4096):
+                    pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()
+        trace = ProbeTrace()
+        versions = prober.version_walk(f"{host}:{port}", trace, Version.SSLv3,
+                                       [0x002F])
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert versions == {Version.SSLv3}
+    assert [e.outcome for e in trace.entries if e.kind == "sslv2_probe"] == [
+        {"supported": False, "error": "TIMEOUT"}]
 
 
 def test_policy_json_round_trip():

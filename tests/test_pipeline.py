@@ -3,6 +3,8 @@ import json
 import logging
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tlsaudit import fixtures, pipeline
 from tlsaudit.grading import grade
@@ -103,6 +105,66 @@ def test_annotate_asn_matches_brute_force(tmp_path):
         else:
             _plen, asn, name = max(candidates)
             assert got == {"number": asn, "name": name}
+
+
+_BITS = {4: 32, 6: 128}
+_NETWORK = {4: ipaddress.IPv4Network, 6: ipaddress.IPv6Network}
+_ADDRESS = {4: ipaddress.IPv4Address, 6: ipaddress.IPv6Address}
+
+
+@st.composite
+def _asn_tables(draw):
+    """Rows (version, network, prefix length) cut from a few anchor addresses,
+    so prefixes nest and repeat, plus addresses near and away from them."""
+    anchors = [(v, a % 2 ** _BITS[v]) for v, a in draw(st.lists(
+        st.tuples(st.sampled_from((4, 6)), st.integers(0, 2 ** 128 - 1)),
+        min_size=1, max_size=4))]
+    rows = []
+    for version, anchor in draw(st.lists(st.sampled_from(anchors), max_size=30)):
+        bits = _BITS[version]
+        plen = draw(st.one_of(st.sampled_from((0, 8, 16, 24, bits - 1, bits)),
+                              st.integers(0, bits)))
+        rows.append((version, anchor >> (bits - plen) << (bits - plen), plen))
+    addresses = []
+    for version, anchor in anchors:
+        flip = draw(st.integers(0, 2 ** _BITS[version] - 1))
+        shift = draw(st.integers(0, _BITS[version]))
+        addresses += [(version, anchor), (version, anchor ^ (flip >> shift))]
+    addresses += [(v, a % 2 ** _BITS[v]) for v, a in draw(st.lists(
+        st.tuples(st.sampled_from((4, 6)), st.integers(0, 2 ** 128 - 1)),
+        max_size=4))]
+    return rows, addresses
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_asn_tables())
+def test_asn_table_matches_brute_force_property(tmp_path, case):
+    rows, addresses = case
+    path = tmp_path / "asn.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("prefix,asn,as_name\n")
+        for n, (version, network, plen) in enumerate(rows):
+            fh.write(f"{_NETWORK[version]((network, plen))},{64512 + n % 3},row{n}\n")
+    table = load_asn_table(path)
+
+    first = {}  # (version, network, plen) -> its earliest row number
+    for n, row in enumerate(rows):
+        first.setdefault(row, n)
+    assert sorted(str(net) for net, _asn, _name in table) == sorted(
+        str(_NETWORK[v]((net, plen))) for v, net, plen in first)
+
+    for version, value in addresses:
+        best = None  # longest match; the earlier row wins on equal length
+        for n, (v, network, plen) in enumerate(rows):
+            shift = _BITS[v] - plen
+            if (v == version and value >> shift == network >> shift
+                    and (best is None or plen > rows[best][2])):
+                best = n
+        address = str(_ADDRESS[version](value))
+        expected = (None if best is None
+                    else {"number": 64512 + best % 3, "name": f"row{best}"})
+        assert annotate_asn(address, table) == expected
 
 
 # -- record invariants --------------------------------------------------------
