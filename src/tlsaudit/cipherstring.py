@@ -15,9 +15,9 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
+from . import grading
 from .configuration import Configuration
 from .registry import (
     Auth, CipherDb, CipherFamily, CipherMode, CipherSuiteInfo, Kex, Mac,
@@ -230,13 +230,10 @@ BUNDLED_PROFILES = (
 )
 
 
-def load_profile(source: Union[str, Path]) -> LibraryProfile:
-    name = str(source)
-    if name in BUNDLED_PROFILES:
-        raw = json.loads(resources.files("tlsaudit.data")
-                         .joinpath(f"profiles/{name}.json").read_text())
-    else:
-        raw = json.loads(Path(source).read_text())
+def load_profile(name: str) -> LibraryProfile:
+    """One of the ``BUNDLED_PROFILES``, by name."""
+    raw = json.loads(resources.files("tlsaudit.data")
+                     .joinpath(f"profiles/{name}.json").read_text())
     return LibraryProfile(
         name=raw["name"],
         versions=frozenset(Version.from_label(v) for v in raw["versions"]),
@@ -244,10 +241,8 @@ def load_profile(source: Union[str, Path]) -> LibraryProfile:
     )
 
 
-def load_all_profiles(profiles_dir: Optional[Union[str, Path]] = None) -> list[LibraryProfile]:
-    if profiles_dir is None:
-        return [load_profile(n) for n in BUNDLED_PROFILES]
-    return [load_profile(p) for p in sorted(Path(profiles_dir).glob("*.json"))]
+def load_all_profiles() -> list[LibraryProfile]:
+    return [load_profile(n) for n in BUNDLED_PROFILES]
 
 
 def union_profile(profiles) -> LibraryProfile:
@@ -367,8 +362,7 @@ def apply_to_default(rec: Recommendation, default: Configuration,
     if rec.dh_params_bits is not None:
         dh_bits = rec.dh_params_bits
         dh_common = False  # operator-generated parameters
-    from .registry import Kex as _Kex
-    has_dhe = any(db[s].kex == _Kex.DHE for s in suites if s in db)
+    has_dhe = any(db[s].kex == Kex.DHE for s in suites if s in db)
     if not has_dhe:
         dh_bits, dh_common = None, None
     preferred = sort_offer(db, suites)[0]
@@ -395,7 +389,6 @@ def grade_recommendation(rec: Recommendation, defaults, db: CipherDb,
     ``defaults`` is a list of (label, Configuration, LibraryProfile).
     Returns (per-default reports, summary {best, worst}).
     """
-    from . import grading
     per_default = {}
     for label, default, profile in defaults:
         try:

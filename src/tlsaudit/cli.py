@@ -8,6 +8,7 @@ Subcommands: ``scan`` (the only one that opens sockets), ``grade``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -59,10 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSONL of labeled configurations to check")
     p_rec.add_argument("--defaults", action="store_true",
                        help="grade against the bundled stock defaults")
-    p_rec.add_argument("--defaults-dir",
-                       help="directory of labeled default configuration JSON")
-    p_rec.add_argument("--profiles-dir",
-                       help="directory of library profile JSON files")
     p_rec.add_argument("--out", help="output JSONL (default stdout)")
 
     p_rep = sub.add_parser("report", help="aggregate scan records")
@@ -103,6 +100,8 @@ def cmd_scan(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: bad policy file: {exc}", file=sys.stderr)
             return EXIT_INPUT
+        if args.seed is not None:
+            policy = dataclasses.replace(policy, seed=args.seed)
 
     asn_table = None
     if args.asn_table:
@@ -160,17 +159,8 @@ def cmd_grade(args) -> int:
     return EXIT_INPUT if errors else EXIT_OK
 
 
-def _load_defaults(args, db):
-    """Resolve the (label, Configuration, LibraryProfile) defaults list."""
-    if args.defaults_dir:
-        defaults = []
-        for path in sorted(Path(args.defaults_dir).glob("*.json")):
-            obj = json.loads(path.read_text(encoding="utf-8"))
-            profile = cipherstring.load_profile(obj["profile"])
-            defaults.append((obj["label"],
-                             Configuration.from_json(obj["configuration"]),
-                             profile))
-        return defaults
+def _load_defaults(db):
+    """The bundled (label, Configuration, LibraryProfile) defaults list."""
     return [(label, config, cipherstring.load_profile(profile_name))
             for label, config, profile_name
             in fixtures.ubuntu_default_configurations(db)]
@@ -178,11 +168,10 @@ def _load_defaults(args, db):
 
 def cmd_check_rec(args) -> int:
     db = load_registry()
-    if not args.configs and not args.defaults and not args.defaults_dir:
-        print("error: need --configs, --defaults, or --defaults-dir",
-              file=sys.stderr)
+    if not args.configs and not args.defaults:
+        print("error: need --configs or --defaults", file=sys.stderr)
         return EXIT_INPUT
-    profiles = cipherstring.load_all_profiles(args.profiles_dir)
+    profiles = cipherstring.load_all_profiles()
 
     configs = []
     if args.configs:
@@ -200,9 +189,7 @@ def cmd_check_rec(args) -> int:
             print(f"error: bad configs file: {exc}", file=sys.stderr)
             return EXIT_INPUT
 
-    defaults = None
-    if args.defaults or args.defaults_dir:
-        defaults = _load_defaults(args, db)
+    defaults = _load_defaults(db) if args.defaults else None
 
     results = []
     try:

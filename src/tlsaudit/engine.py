@@ -88,9 +88,7 @@ class HandshakeOffer:
 @dataclass
 class ServerKexInfo:
     group_kind: str
-    dh_prime_bits: Optional[int] = None
     dh_prime_bytes: Optional[bytes] = None
-    named_curve: Optional[int] = None
 
 
 @dataclass
@@ -229,14 +227,10 @@ class _Connection:
             is_ffdhe = info is not None and info.kex == Kex.DHE
             ske = ServerKeyExchange.parse_for_suite(body, is_ffdhe)
             if ske.group_kind == "FFDHE":
-                prime = ske.dh_prime.lstrip(b"\x00")
                 self.kex = ServerKexInfo(
-                    "FFDHE",
-                    dh_prime_bits=int.from_bytes(prime, "big").bit_length(),
-                    dh_prime_bytes=prime,
-                )
+                    "FFDHE", dh_prime_bytes=ske.dh_prime.lstrip(b"\x00"))
             else:
-                self.kex = ServerKexInfo("ECDHE", named_curve=ske.named_curve)
+                self.kex = ServerKexInfo("ECDHE")
         elif hs_type == HsType.NEW_SESSION_TICKET:
             nst = NewSessionTicket.parse(body)
             self.artifacts.ticket = nst.ticket
@@ -301,13 +295,11 @@ class HandshakeEngine:
 
     # -- core exchange -----------------------------------------------------
 
-    def handshake(self, target: str, offer: HandshakeOffer,
-                  timeout: Optional[float] = None) -> HandshakeOutcome:
+    def handshake(self, target: str, offer: HandshakeOffer) -> HandshakeOutcome:
         offer.validate()
-        timeout = timeout if timeout is not None else self.timeout
         start = time.monotonic()
         try:
-            sock = _connect(target, timeout)
+            sock = _connect(target, self.timeout)
         except socket.timeout:
             return HandshakeOutcome(ProbeStatus.TIMEOUT, error="connect timeout",
                                     elapsed_s=time.monotonic() - start)
@@ -419,27 +411,24 @@ class HandshakeEngine:
 
     # -- retry wrapper (the caller-visible API) ----------------------------
 
-    def probe(self, target: str, offer: HandshakeOffer,
-              timeout: Optional[float] = None) -> HandshakeOutcome:
+    def probe(self, target: str, offer: HandshakeOffer) -> HandshakeOutcome:
         """handshake() with exactly one retry on non-TLS transport errors.
 
         A TLS alert is signal, not noise, and is never retried.
         """
-        outcome = self.handshake(target, offer, timeout)
+        outcome = self.handshake(target, offer)
         if outcome.status in (ProbeStatus.TCP_FAILURE, ProbeStatus.TIMEOUT):
-            retry = self.handshake(target, offer, timeout)
+            retry = self.handshake(target, offer)
             retry.retried = True
             return retry
         return outcome
 
     # -- special probes ----------------------------------------------------
 
-    def sslv2_probe(self, target: str,
-                    timeout: Optional[float] = None) -> tuple[bool, Optional[str]]:
+    def sslv2_probe(self, target: str) -> tuple[bool, Optional[str]]:
         """(supported, error annotation). Errors are absence of proof only."""
-        timeout = timeout if timeout is not None else self.timeout
         try:
-            sock = _connect(target, timeout)
+            sock = _connect(target, self.timeout)
         except socket.timeout:
             return False, "TIMEOUT"
         except OSError as exc:
@@ -455,29 +444,26 @@ class HandshakeEngine:
         finally:
             sock.close()
 
-    def tls13_probe(self, target: str, suites: list[int],
-                    timeout: Optional[float] = None) -> bool:
+    def tls13_probe(self, target: str, suites: list[int]) -> bool:
         offer = HandshakeOffer(
             max_version=Version.TLS1_2,
             min_version=Version.TLS1_2,
             suites=[0x1301, 0x1302, 0x1303] + list(suites),
             supported_versions=[Version.TLS1_3, Version.TLS1_2],
         )
-        outcome = self.handshake(target, offer, timeout)
+        outcome = self.handshake(target, offer)
         return (outcome.status == ProbeStatus.NEGOTIATED
                 and outcome.selected_version == Version.TLS1_3)
 
-    def heartbleed_probe(self, target: str, suites: list[int],
-                         timeout: Optional[float] = None) -> HeartbleedResult:
+    def heartbleed_probe(self, target: str, suites: list[int]) -> HeartbleedResult:
         """Active over-read check, capped at 16 KB; leaked bytes are measured
         and discarded, never persisted."""
-        timeout = timeout if timeout is not None else self.timeout
         offer = HandshakeOffer(
             max_version=Version.TLS1_2, min_version=Version.SSLv3,
             suites=list(suites), extensions={"heartbeat"},
         )
         try:
-            sock = _connect(target, timeout)
+            sock = _connect(target, self.timeout)
         except OSError as exc:
             return HeartbleedResult(False, False, error=str(exc))
         conn = _Connection(sock, self.db)
@@ -503,7 +489,7 @@ class HandshakeEngine:
         return HeartbleedResult("heartbeat" in conn.acked_extensions, False, error=error)
 
     def resume(self, target: str, artifacts: SessionArtifacts, method: str,
-               suites: list[int], timeout: Optional[float] = None) -> HandshakeOutcome:
+               suites: list[int]) -> HandshakeOutcome:
         if method not in ("SESSION_ID", "TICKET"):
             raise ValueError(f"unknown resumption method {method}")
         offer = HandshakeOffer(
@@ -515,16 +501,16 @@ class HandshakeEngine:
         else:
             offer.extensions.add("session_ticket")
             offer.resumption_ticket = artifacts.ticket or os.urandom(48)
-        return self.probe(target, offer, timeout)
+        return self.probe(target, offer)
 
-    def http_get_over_tls(self, target: str, sni_name: str, suites: list[int],
-                          timeout: Optional[float] = None) -> HandshakeOutcome:
+    def http_get_over_tls(self, target: str, sni_name: str,
+                          suites: list[int]) -> HandshakeOutcome:
         offer = HandshakeOffer(
             max_version=Version.TLS1_2, min_version=Version.SSLv3,
             suites=list(suites), sni_name=sni_name,
             extensions={"renegotiation_info"}, http_get=True, complete=True,
         )
-        return self.probe(target, offer, timeout)
+        return self.probe(target, offer)
 
 
 def _peer_host(sock) -> str:

@@ -32,7 +32,7 @@ from cryptography.x509.oid import NameOID
 from . import wire
 from .configuration import Configuration
 from .registry import (
-    Auth, CipherDb, CipherFamily, CipherMode, Kex, Mac, Version,
+    KEX_RANK, Auth, CipherDb, CipherFamily, CipherMode, Kex, Mac, Version,
     cert_compatible, sort_offer,
 )
 from .wire import (
@@ -542,8 +542,6 @@ def projection(spec: FixtureSpec, db: CipherDb) -> Configuration:
 
 # -- bundled corpus -----------------------------------------------------------
 
-_KEX_RANK = {Kex.ECDHE: 0, Kex.DHE: 1, Kex.RSA: 2, Kex.OTHER: 3}
-
 _FAMILY_COLUMNS = {
     "rc4": CipherFamily.RC4, "des": CipherFamily.DES,
     "3des": CipherFamily.TRIPLE_DES, "aria": CipherFamily.ARIA,
@@ -576,7 +574,7 @@ def representative_suites(db: CipherDb, row: dict) -> list[int]:
          and not (i.is_aead and not truthy("aead"))
          and not (i.cipher_family == CipherFamily.AES
                   and i.cipher_mode == CipherMode.GCM and not truthy("aes_gcm"))),
-        key=lambda i: (not i.is_aead, _KEX_RANK[i.kex], i.id))
+        key=lambda i: (not i.is_aead, KEX_RANK[i.kex], i.id))
     suites: list[int] = []
 
     def need(pred, what):
@@ -604,7 +602,7 @@ def representative_suites(db: CipherDb, row: dict) -> list[int]:
     for kex in allowed_kex:
         need(lambda i, k=kex: i.kex == k, kex.value)
     return sorted(suites, key=lambda s: (not db[s].is_aead,
-                                         _KEX_RANK[db[s].kex], s))
+                                         KEX_RANK[db[s].kex], s))
 
 
 def row_configuration(db: CipherDb, row: dict) -> Configuration:

@@ -1,9 +1,10 @@
 """Seven-category configuration rubric.
 
 Every category maps a Configuration onto A/B/C/F and the overall grade is
-the minimum across categories. The policy knobs (forbidden component sets,
-DH thresholds, ticket lifetime bands) live in ``DEFAULT_POLICY`` so the
-rubric can be audited and tightened without touching control flow.
+the minimum across categories. The rubric is fixed: its thresholds
+(component sets that cap the cipher category, DH group sizes, ticket
+lifetime bands) are the module constants below, so one place shows every
+number a grade depends on.
 """
 from __future__ import annotations
 
@@ -42,24 +43,17 @@ class Category(Enum):
     VULNERABILITIES = "vulnerabilities"
 
 
-@dataclass(frozen=True)
-class GradingPolicy:
-    # ciphers/MAC: supporting anything in these sets caps the category
-    cap_f_components: frozenset = frozenset({"DES", "NULL", "EXPORT"})
-    cap_c_components: frozenset = frozenset({"RC4", "MD5"})
-    cap_b_components: frozenset = frozenset({"CAMELLIA", "ARIA", "IDEA", "SEED"})
-    # 3DES is deliberately absent from every set; flip this to cap it at C
-    penalize_triple_des: bool = False
-    # DH group size thresholds (bits)
-    dh_fail_below: int = 768
-    dh_weak_at_or_below: int = 1024
-    dh_strong_at_least: int = 2048
-    # ticket lifetime bands (seconds)
-    ticket_b_from: int = 86400
-    ticket_c_above: int = 604800
-
-
-DEFAULT_POLICY = GradingPolicy()
+# ciphers/MAC: supporting anything in these sets caps the category. 3DES is
+# deliberately in none of them and stays uncapped.
+CAP_F_COMPONENTS = ("DES", "NULL", "EXPORT")
+CAP_C_COMPONENTS = ("RC4", "MD5")
+CAP_B_COMPONENTS = ("CAMELLIA", "ARIA", "IDEA", "SEED")
+# DH group size thresholds (bits)
+DH_FAIL_BELOW = 768
+DH_WEAK_AT_OR_BELOW = 1024
+# ticket lifetime bands (seconds)
+TICKET_B_FROM = 86400
+TICKET_C_ABOVE = 604800
 
 
 @dataclass(frozen=True)
@@ -109,8 +103,7 @@ def derive_vulnerabilities(config: Configuration) -> VulnFlags:
     )
 
 
-def grade_protocol(config: Configuration,
-                   policy: GradingPolicy = DEFAULT_POLICY) -> Grade:
+def grade_protocol(config: Configuration) -> Grade:
     versions = config.versions
     if Version.SSLv2 in versions:
         return Grade.F
@@ -121,18 +114,17 @@ def grade_protocol(config: Configuration,
     return Grade.A
 
 
-def grade_key_exchange(config: Configuration,
-                       policy: GradingPolicy = DEFAULT_POLICY) -> Grade:
+def grade_key_exchange(config: Configuration) -> Grade:
     bits = config.dh_prime_bits
     if config.kex_flags["DHE"]:
         if bits is None:
             # group never observed; can't vouch for its size
             return Grade.B
-        if bits < policy.dh_fail_below:
+        if bits < DH_FAIL_BELOW:
             return Grade.F
-        if bits <= policy.dh_weak_at_or_below:
+        if bits <= DH_WEAK_AT_OR_BELOW:
             # commonality decides B vs C at 1024; 768 is always C territory
-            if bits < policy.dh_weak_at_or_below or config.dh_group_common:
+            if bits < DH_WEAK_AT_OR_BELOW or config.dh_group_common:
                 return Grade.C
             return Grade.B
         return Grade.B
@@ -142,22 +134,18 @@ def grade_key_exchange(config: Configuration,
     return Grade.B
 
 
-def grade_ciphers_mac(config: Configuration,
-                      policy: GradingPolicy = DEFAULT_POLICY) -> Grade:
+def grade_ciphers_mac(config: Configuration) -> Grade:
     flags = config.component_flags
-    if any(flags[name] for name in policy.cap_f_components):
+    if any(flags[name] for name in CAP_F_COMPONENTS):
         return Grade.F
-    if any(flags[name] for name in policy.cap_c_components):
+    if any(flags[name] for name in CAP_C_COMPONENTS):
         return Grade.C
-    if policy.penalize_triple_des and flags["TRIPLE_DES"]:
-        return Grade.C
-    if any(flags[name] for name in policy.cap_b_components) or not flags["AEAD"]:
+    if any(flags[name] for name in CAP_B_COMPONENTS) or not flags["AEAD"]:
         return Grade.B
     return Grade.A
 
 
-def grade_preferred(config: Configuration, db: CipherDb,
-                    policy: GradingPolicy = DEFAULT_POLICY) -> Grade:
+def grade_preferred(config: Configuration, db: CipherDb) -> Grade:
     if not config.server_preference:
         return Grade.B
     info = db.get(config.preferred_suite)
@@ -168,25 +156,22 @@ def grade_preferred(config: Configuration, db: CipherDb,
     return Grade.B
 
 
-def grade_compression(config: Configuration,
-                      policy: GradingPolicy = DEFAULT_POLICY) -> Grade:
+def grade_compression(config: Configuration) -> Grade:
     return Grade.C if config.tls_compression else Grade.A
 
 
-def grade_ticket_lifetime(config: Configuration,
-                          policy: GradingPolicy = DEFAULT_POLICY) -> Grade:
+def grade_ticket_lifetime(config: Configuration) -> Grade:
     hint = config.ticket_lifetime_hint_s
     if not config.session_tickets or hint is None:
         return Grade.A
-    if hint < policy.ticket_b_from:
+    if hint < TICKET_B_FROM:
         return Grade.A
-    if hint > policy.ticket_c_above:
+    if hint > TICKET_C_ABOVE:
         return Grade.C
     return Grade.B
 
 
-def grade_vulnerabilities(flags: VulnFlags,
-                          policy: GradingPolicy = DEFAULT_POLICY) -> Grade:
+def grade_vulnerabilities(flags: VulnFlags) -> Grade:
     if flags.heartbleed:
         return Grade.F
     if flags.crime or flags.poodle or flags.freak:
@@ -194,17 +179,16 @@ def grade_vulnerabilities(flags: VulnFlags,
     return Grade.A
 
 
-def grade(config: Configuration, db: CipherDb,
-          policy: GradingPolicy = DEFAULT_POLICY) -> GradeReport:
+def grade(config: Configuration, db: CipherDb) -> GradeReport:
     vulns = derive_vulnerabilities(config)
     per = {
-        Category.PROTOCOL: grade_protocol(config, policy),
-        Category.KEY_EXCHANGE: grade_key_exchange(config, policy),
-        Category.CIPHERS_MAC: grade_ciphers_mac(config, policy),
-        Category.PREFERRED: grade_preferred(config, db, policy),
-        Category.COMPRESSION: grade_compression(config, policy),
-        Category.TICKET_LIFETIME: grade_ticket_lifetime(config, policy),
-        Category.VULNERABILITIES: grade_vulnerabilities(vulns, policy),
+        Category.PROTOCOL: grade_protocol(config),
+        Category.KEY_EXCHANGE: grade_key_exchange(config),
+        Category.CIPHERS_MAC: grade_ciphers_mac(config),
+        Category.PREFERRED: grade_preferred(config, db),
+        Category.COMPRESSION: grade_compression(config),
+        Category.TICKET_LIFETIME: grade_ticket_lifetime(config),
+        Category.VULNERABILITIES: grade_vulnerabilities(vulns),
     }
     overall = min(per.values())
     reasons = {

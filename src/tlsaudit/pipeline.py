@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .configuration import Configuration
 from .engine import split_target
-from .grading import DEFAULT_POLICY, GradeReport, GradingPolicy, grade
+from .grading import GradeReport, grade
 from .orchestrator import ProbePolicy, SiteProber
 from .registry import CipherDb
 
@@ -322,7 +322,6 @@ class ScanOptions:
     allow_non_loopback: bool = False
     trace_dir: Optional[str] = None
     asn_table: Optional[AsnTable] = None
-    grading_policy: GradingPolicy = DEFAULT_POLICY
 
 
 def scan_one(prober: SiteProber, db: CipherDb, target: Target,
@@ -362,7 +361,7 @@ def scan_one(prober: SiteProber, db: CipherDb, target: Target,
                           started_at=started, finished_at=finished)
 
     software = parse_server_header(trace.server_header)
-    report = grade(config, db, options.grading_policy)
+    report = grade(config, db)
     return ScanRecord(
         domain=target.domain, rank=target.rank, address=address,
         eligibility=Eligibility.GRADED,

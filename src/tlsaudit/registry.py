@@ -136,9 +136,8 @@ class CipherSuiteInfo:
 class CipherDb:
     """Immutable id -> suite map; safe for unrestricted concurrent reads."""
 
-    def __init__(self, suites: Iterable[CipherSuiteInfo], source_version: str = ""):
+    def __init__(self, suites: Iterable[CipherSuiteInfo]):
         self.suites: dict[int, CipherSuiteInfo] = {}
-        self.source_version = source_version
         for s in suites:
             if s.id in self.suites:
                 raise RegistryError(f"duplicate suite id 0x{s.id:04X}")
@@ -205,7 +204,7 @@ def load_registry(source: Union[str, Path, None] = None) -> CipherDb:
         except (KeyError, ValueError) as exc:
             raise RegistryError(f"{label}:{lineno}: malformed row ({exc})") from exc
     try:
-        return CipherDb(suites, source_version=label)
+        return CipherDb(suites)
     except RegistryError as exc:
         raise RegistryError(f"{label}: {exc}") from exc
 
@@ -231,19 +230,21 @@ _BROWSER_LISTS = {
 }
 
 
+KEX_RANK = {Kex.ECDHE: 0, Kex.DHE: 1, Kex.RSA: 2, Kex.OTHER: 3}
+_FAMILY_RANK = {
+    CipherFamily.AES: 0, CipherFamily.CHACHA: 0, CipherFamily.CAMELLIA: 1,
+    CipherFamily.ARIA: 1, CipherFamily.SEED: 2, CipherFamily.IDEA: 2,
+    CipherFamily.TRIPLE_DES: 3, CipherFamily.RC4: 4, CipherFamily.DES: 5,
+    CipherFamily.NULL: 6, CipherFamily.OTHER: 6,
+}
+
+
 def offer_sort_key(info: CipherSuiteInfo):
     """Deterministic preference order: more secure first, then id."""
-    kex_rank = {Kex.ECDHE: 0, Kex.DHE: 1, Kex.RSA: 2, Kex.OTHER: 3}
-    fam_rank = {
-        CipherFamily.AES: 0, CipherFamily.CHACHA: 0, CipherFamily.CAMELLIA: 1,
-        CipherFamily.ARIA: 1, CipherFamily.SEED: 2, CipherFamily.IDEA: 2,
-        CipherFamily.TRIPLE_DES: 3, CipherFamily.RC4: 4, CipherFamily.DES: 5,
-        CipherFamily.NULL: 6, CipherFamily.OTHER: 6,
-    }
     return (
         0 if info.is_aead else 1,
-        kex_rank[info.kex],
-        fam_rank[info.cipher_family],
+        KEX_RANK[info.kex],
+        _FAMILY_RANK[info.cipher_family],
         1 if info.is_export else 0,
         info.id,
     )

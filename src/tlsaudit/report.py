@@ -199,31 +199,28 @@ def _records_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-_CSV_EMITTERS = {
-    "dist": _distribution_csv,
-    "cdf-asn": _cdf_csv,
-    "cdf-config": _cdf_csv,
-    "downgrades": _downgrades_csv,
-    "dominance": _dominance_csv,
-    "records": _records_csv,
+# report kind -> (builder over the record list, CSV emitter)
+_KINDS = {
+    "dist": (grade_distribution, _distribution_csv),
+    "cdf-asn": (lambda records: cdf_by_group_rank(records, "asn"), _cdf_csv),
+    "cdf-config": (lambda records: cdf_by_group_rank(records, "config"),
+                   _cdf_csv),
+    "downgrades": (downgrades, _downgrades_csv),
+    "dominance": (dominance, _dominance_csv),
+    "records": (per_record_rows, _records_csv),
 }
 
 
+def _kind(which: str):
+    try:
+        return _KINDS[which]
+    except KeyError:
+        raise ValueError(f"unknown report kind {which!r}") from None
+
+
 def build(records: Iterable[ScanRecord], which: str):
-    records = list(records)
-    if which == "dist":
-        return grade_distribution(records)
-    if which == "cdf-asn":
-        return cdf_by_group_rank(records, "asn")
-    if which == "cdf-config":
-        return cdf_by_group_rank(records, "config")
-    if which == "downgrades":
-        return downgrades(records)
-    if which == "dominance":
-        return dominance(records)
-    if which == "records":
-        return per_record_rows(records)
-    raise ValueError(f"unknown report kind {which!r}")
+    builder, _ = _kind(which)
+    return builder(list(records))
 
 
 def emit(which: str, data, fmt: str, out_path) -> None:
@@ -231,10 +228,7 @@ def emit(which: str, data, fmt: str, out_path) -> None:
     if fmt == "json":
         text = json.dumps(data, indent=1, sort_keys=False) + "\n"
     elif fmt == "csv":
-        try:
-            text = _CSV_EMITTERS[which](data)
-        except KeyError:
-            raise ValueError(f"unknown report kind {which!r}")
+        text = _kind(which)[1](data)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -164,6 +164,25 @@ def _recv_exact(sock, n: int) -> bytes:
     return buf
 
 
+def _encode_extensions(extensions: dict[int, bytes]) -> bytes:
+    """The hello extension block; empty when there are no extensions."""
+    if not extensions:
+        return b""
+    return vec16(b"".join(struct.pack(">H", t) + vec16(v)
+                          for t, v in extensions.items()))
+
+
+def _parse_extensions(r: Reader) -> dict[int, bytes]:
+    """The extension block that ends a hello, if ``r`` has one left."""
+    extensions: dict[int, bytes] = {}
+    if r.remaining():
+        er = Reader(r.vec16())
+        while er.remaining():
+            etype = er.u16()
+            extensions[etype] = er.vec16()
+    return extensions
+
+
 @dataclass
 class ClientHello:
     version: Version
@@ -179,11 +198,7 @@ class ClientHello:
         body += vec8(self.session_id)
         body += vec16(b"".join(struct.pack(">H", s) for s in self.suites))
         body += vec8(bytes(self.compression))
-        if self.extensions:
-            ext = b"".join(
-                struct.pack(">H", t) + vec16(v) for t, v in self.extensions.items()
-            )
-            body += vec16(ext)
+        body += _encode_extensions(self.extensions)
         return handshake_message(HsType.CLIENT_HELLO, body)
 
     @classmethod
@@ -198,13 +213,8 @@ class ClientHello:
             for i in range(0, len(suites_raw), 2)
         ]
         compression = list(r.vec8())
-        extensions: dict[int, bytes] = {}
-        if r.remaining():
-            er = Reader(r.vec16())
-            while er.remaining():
-                etype = er.u16()
-                extensions[etype] = er.vec16()
-        return cls(version, rand, session_id, suites, compression, extensions)
+        return cls(version, rand, session_id, suites, compression,
+                   _parse_extensions(r))
 
 
 @dataclass
@@ -221,11 +231,7 @@ class ServerHello:
         body += self.random
         body += vec8(self.session_id)
         body += struct.pack(">HB", self.suite, self.compression)
-        if self.extensions:
-            ext = b"".join(
-                struct.pack(">H", t) + vec16(v) for t, v in self.extensions.items()
-            )
-            body += vec16(ext)
+        body += _encode_extensions(self.extensions)
         return handshake_message(HsType.SERVER_HELLO, body)
 
     @classmethod
@@ -236,13 +242,8 @@ class ServerHello:
         session_id = r.vec8()
         suite = r.u16()
         compression = r.u8()
-        extensions: dict[int, bytes] = {}
-        if r.remaining():
-            er = Reader(r.vec16())
-            while er.remaining():
-                etype = er.u16()
-                extensions[etype] = er.vec16()
-        return cls(version, rand, session_id, suite, compression, extensions)
+        return cls(version, rand, session_id, suite, compression,
+                   _parse_extensions(r))
 
     @property
     def selected_version(self) -> Version:
@@ -284,15 +285,15 @@ class ServerKeyExchange:
         return cls(group_kind="ECDHE", named_curve=curve)
 
 
-def encode_dhe_ske(prime: bytes, generator: int = 2) -> bytes:
+def encode_dhe_ske(prime: bytes) -> bytes:
     public = os.urandom(len(prime))
-    body = vec16(prime) + vec16(bytes([generator])) + vec16(public)
+    body = vec16(prime) + vec16(b"\x02") + vec16(public)  # generator 2
     return handshake_message(HsType.SERVER_KEY_EXCHANGE, body)
 
 
-def encode_ecdhe_ske(named_curve: int = 0x0017) -> bytes:
+def encode_ecdhe_ske() -> bytes:
     point = b"\x04" + os.urandom(64)
-    body = bytes([3]) + struct.pack(">H", named_curve) + vec8(point)
+    body = bytes([3]) + struct.pack(">H", 0x0017) + vec8(point)  # secp256r1
     return handshake_message(HsType.SERVER_KEY_EXCHANGE, body)
 
 
@@ -347,10 +348,9 @@ HEARTBEAT_REQUEST = 1
 HEARTBEAT_RESPONSE = 2
 
 
-def encode_heartbeat(msg_type: int, claimed_length: int, payload: bytes,
-                     padding_len: int = 16) -> bytes:
+def encode_heartbeat(msg_type: int, claimed_length: int, payload: bytes) -> bytes:
     return (bytes([msg_type]) + struct.pack(">H", claimed_length) + payload
-            + os.urandom(padding_len))
+            + os.urandom(16))  # the minimum padding
 
 
 def parse_heartbeat(data: bytes) -> tuple[int, int, bytes]:
@@ -369,8 +369,8 @@ SSLV2_SERVER_HELLO = 4
 SSLV2_CIPHER_KINDS = [0x010080, 0x020080, 0x040080, 0x050080, 0x060040, 0x0700C0]
 
 
-def encode_sslv2_client_hello(challenge: Optional[bytes] = None) -> bytes:
-    challenge = challenge or os.urandom(16)
+def encode_sslv2_client_hello() -> bytes:
+    challenge = os.urandom(16)
     specs = b"".join(
         bytes([(k >> 16) & 0xFF, (k >> 8) & 0xFF, k & 0xFF])
         for k in SSLV2_CIPHER_KINDS

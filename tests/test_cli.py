@@ -1,4 +1,6 @@
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,39 @@ def test_cmd_scan_ethics_refusal(tmp_path, capsys):
     assert cli.main(["scan", "--targets", str(targets),
                      "--out", str(out)]) == 2
     assert "ethics" in capsys.readouterr().err
+
+
+def test_cmd_scan_seed_applies_over_policy_file(tmp_path, monkeypatch):
+    targets = tmp_path / "targets.csv"
+    targets.write_text("1,localhost\n")
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text(json.dumps({"timeout_ms": 2500, "delay_max_ms": 0,
+                                       "seed": 3}))
+    seen = []
+    monkeypatch.setattr(cli.pipeline, "run_scan",
+                        lambda targets, policy, *rest: seen.append(policy))
+    base = ["scan", "--targets", str(targets), "--out",
+            str(tmp_path / "o.jsonl"), "--policy", str(policy_file)]
+    assert cli.main(base + ["--seed", "42"]) == 0
+    assert cli.main(base) == 0
+    assert [p.seed for p in seen] == [42, 3]
+    assert all(p.timeout_s == 2.5 and p.delay_max_s == 0.0 for p in seen)
+
+
+def test_every_long_option_is_in_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    parsers = [cli._build_parser()]
+    options = set()
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            options.update(o for o in action.option_strings
+                           if o.startswith("--") and o != "--help")
+    assert options
+    assert sorted(o for o in options if o not in readme) == []
 
 
 def test_cmd_scan_bad_targets(tmp_path):

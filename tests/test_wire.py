@@ -79,7 +79,7 @@ def test_ske_round_trips():
     ske = wire.ServerKeyExchange.parse_for_suite(body, kex_is_ffdhe=True)
     assert ske.group_kind == "FFDHE" and ske.dh_prime == prime
 
-    _, body = next(wire.iter_handshake_messages(wire.encode_ecdhe_ske(0x0017)))
+    _, body = next(wire.iter_handshake_messages(wire.encode_ecdhe_ske()))
     ske = wire.ServerKeyExchange.parse_for_suite(body, kex_is_ffdhe=False)
     assert ske.group_kind == "ECDHE" and ske.named_curve == 0x0017
 
