@@ -77,8 +77,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+def _write_jsonl(path, objects) -> None:
+    """One JSON line per object, to ``path`` or, when it is None, stdout."""
+    out = open(path, "w", encoding="utf-8") if path else sys.stdout
+    try:
+        for obj in objects:
+            out.write(json.dumps(obj) + "\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def cmd_scan(args) -> int:
@@ -127,7 +134,7 @@ def cmd_scan(args) -> int:
 def cmd_grade(args) -> int:
     db = load_registry()
     errors = 0
-    lines_out = []
+    graded = []
     try:
         text = Path(args.infile).read_text(encoding="utf-8")
     except OSError as exc:
@@ -148,14 +155,8 @@ def cmd_grade(args) -> int:
         out_obj = {"grade_report": result}
         if label is not None:
             out_obj["label"] = label
-        lines_out.append(json.dumps(out_obj))
-    out = _open_out(args.out)
-    try:
-        for line in lines_out:
-            out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        graded.append(out_obj)
+    _write_jsonl(args.out, graded)
     return EXIT_INPUT if errors else EXIT_OK
 
 
@@ -229,13 +230,7 @@ def cmd_check_rec(args) -> int:
             }
         results.append(entry)
 
-    out = _open_out(args.out)
-    try:
-        for entry in results:
-            out.write(json.dumps(entry) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_jsonl(args.out, results)
     return EXIT_OK
 
 

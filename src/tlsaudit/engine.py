@@ -59,9 +59,10 @@ class OfferError(ValueError):
 
 @dataclass
 class HandshakeOffer:
-    max_version: Version
-    min_version: Version
     suites: list[int]
+    # every probe but the version walk and TLS 1.3 offers this range
+    max_version: Version = Version.TLS1_2
+    min_version: Version = Version.SSLv3
     extensions: set[str] = field(default_factory=set)
     compression_methods: list[int] = field(default_factory=lambda: [Compression.NULL])
     sni_name: str = ""
@@ -446,7 +447,6 @@ class HandshakeEngine:
 
     def tls13_probe(self, target: str, suites: list[int]) -> bool:
         offer = HandshakeOffer(
-            max_version=Version.TLS1_2,
             min_version=Version.TLS1_2,
             suites=[0x1301, 0x1302, 0x1303] + list(suites),
             supported_versions=[Version.TLS1_3, Version.TLS1_2],
@@ -458,10 +458,7 @@ class HandshakeEngine:
     def heartbleed_probe(self, target: str, suites: list[int]) -> HeartbleedResult:
         """Active over-read check, capped at 16 KB; leaked bytes are measured
         and discarded, never persisted."""
-        offer = HandshakeOffer(
-            max_version=Version.TLS1_2, min_version=Version.SSLv3,
-            suites=list(suites), extensions={"heartbeat"},
-        )
+        offer = HandshakeOffer(suites=list(suites), extensions={"heartbeat"})
         try:
             sock = _connect(target, self.timeout)
         except OSError as exc:
@@ -492,10 +489,7 @@ class HandshakeEngine:
                suites: list[int]) -> HandshakeOutcome:
         if method not in ("SESSION_ID", "TICKET"):
             raise ValueError(f"unknown resumption method {method}")
-        offer = HandshakeOffer(
-            max_version=Version.TLS1_2, min_version=Version.SSLv3,
-            suites=list(suites), complete=True,
-        )
+        offer = HandshakeOffer(suites=list(suites), complete=True)
         if method == "SESSION_ID":
             offer.resumption_session_id = artifacts.session_id or os.urandom(32)
         else:
@@ -506,7 +500,6 @@ class HandshakeEngine:
     def http_get_over_tls(self, target: str, sni_name: str,
                           suites: list[int]) -> HandshakeOutcome:
         offer = HandshakeOffer(
-            max_version=Version.TLS1_2, min_version=Version.SSLv3,
             suites=list(suites), sni_name=sni_name,
             extensions={"renegotiation_info"}, http_get=True, complete=True,
         )

@@ -9,6 +9,10 @@ the bytes the scanner inspects are produced.
 Each server flight goes out in one write, as the engine's client flights
 do and as real TLS stacks do; split writes would stall every completed
 handshake on Nagle's algorithm against the peer's delayed ACK.
+
+After its hello flight the server reads every client record in one loop,
+``FixtureEndpoint._serve_records``, full and abbreviated handshakes alike; a
+record the handshake does not allow at that point ends the connection.
 """
 from __future__ import annotations
 
@@ -87,7 +91,10 @@ class FixtureSpec:
         if Version.SSLv2 in self.versions and not self.sslv2_emulation:
             raise FixtureError("SSLv2 in versions requires sslv2_emulation")
 
-    def resolved_prime(self) -> Optional[bytes]:
+    def resolved_prime(self) -> bytes:
+        """The DH prime the endpoint sends; modp2048 when none is set."""
+        if self.ffdhe_prime is None:
+            return named_prime("modp2048")
         if isinstance(self.ffdhe_prime, str):
             return named_prime(self.ffdhe_prime)
         return self.ffdhe_prime
@@ -181,8 +188,7 @@ class FixtureEndpoint:
                 raise FixtureError(f"spec suite 0x{suite_id:04X} not in registry")
             if info.min_version == Version.TLS1_3:
                 continue  # 1.3 selection is emulated from the versions set
-            expected = Auth.RSA if spec.cert_kind == "RSA" else Auth.ECDSA
-            if info.auth != expected:
+            if info.auth != Auth(spec.cert_kind):
                 raise FixtureError(
                     f"suite {info.name} incompatible with {spec.cert_kind} certificate")
 
@@ -351,15 +357,14 @@ class FixtureEndpoint:
         flight += wire.encode_certificate([self.cert_der])
         info = db[suite]
         if info.kex == Kex.DHE:
-            prime = spec.resolved_prime() or named_prime("modp2048")
-            flight += wire.encode_dhe_ske(prime)
+            flight += wire.encode_dhe_ske(spec.resolved_prime())
         elif info.kex == Kex.ECDHE:
             flight += wire.encode_ecdhe_ske()
         flight += wire.handshake_message(HsType.SERVER_HELLO_DONE, b"")
         sock.sendall(wire.record(ContentType.HANDSHAKE, version, flight))
 
-        self._serve_post_hello(sock, version, hello, ticket_wanted=(
-            ExtType.SESSION_TICKET in acked))
+        self._serve_records(sock, version, finished=False,
+                            ticket_wanted=ExtType.SESSION_TICKET in acked)
 
     def _send_tls13_hello(self, sock: socket.socket, hello: ClientHello) -> None:
         suite = next((s for s in (0x1301, 0x1302, 0x1303) if s in hello.suites),
@@ -381,65 +386,45 @@ class FixtureEndpoint:
                             compression=compression, extensions=acked).encode()
         sock.sendall(wire.record(ContentType.HANDSHAKE, version, hello)
                      + _finished_records(version))
-        self._drain_client(sock, version)
+        self._serve_records(sock, version, finished=True)
 
-    def _serve_post_hello(self, sock, version: Version, hello: ClientHello,
-                          ticket_wanted: bool) -> None:
-        """Everything after the server's first flight: the client may abort,
-        finish the handshake, poke heartbeat, or send a GET."""
-        client_finished = False
+    def _serve_records(self, sock, version: Version, finished: bool,
+                       ticket_wanted: bool = False) -> None:
+        """Every client record after the server's hello flight, until the
+        connection ends. Before the client's Finished: skip ChangeCipherSpec,
+        answer heartbeats, and on Finished send the server's finished flight,
+        with a ticket first when negotiated. After it: answer heartbeats and
+        the first GET or HEAD. An alert, a read error or a record out of
+        place ends the connection."""
         while True:
             try:
                 ctype, _ver, payload = wire.read_record(sock)
             except (WireError, socket.timeout, OSError):
                 return
-            if ctype == ContentType.ALERT:
-                return
-            if ctype == ContentType.CHANGE_CIPHER_SPEC:
-                continue
             if ctype == ContentType.HEARTBEAT:
                 if not self._answer_heartbeat(sock, version, payload):
                     return
-                continue
-            if ctype == ContentType.HANDSHAKE:
-                for hs_type, _body in wire.iter_handshake_messages(payload):
-                    if hs_type == HsType.FINISHED:
-                        client_finished = True
-                if client_finished:
-                    break
-                continue
-            return
-        # server's finished flight, with a ticket first when negotiated
-        flight = b""
-        if ticket_wanted and self.spec.tickets is not None:
-            token = os.urandom(48)
-            self._tickets.add(token)
-            flight = wire.record(
-                ContentType.HANDSHAKE, version,
-                NewSessionTicket(self.spec.tickets, token).encode())
-        sock.sendall(flight + _finished_records(version))
-        self._drain_client(sock, version)
-
-    def _drain_client(self, sock, version: Version) -> None:
-        """Post-handshake: HTTP requests and heartbeats until close."""
-        while True:
-            try:
-                ctype, _ver, payload = wire.read_record(sock)
-            except (WireError, socket.timeout, OSError):
-                return
-            if ctype == ContentType.ALERT:
-                return
-            if ctype == ContentType.HEARTBEAT:
-                if not self._answer_heartbeat(sock, version, payload):
-                    return
-                continue
-            if ctype == ContentType.APPLICATION_DATA:
-                if payload.startswith(b"GET") or payload.startswith(b"HEAD"):
+            elif not finished and ctype == ContentType.CHANGE_CIPHER_SPEC:
+                pass
+            elif not finished and ctype == ContentType.HANDSHAKE:
+                hs_types = [t for t, _body in wire.iter_handshake_messages(payload)]
+                if HsType.FINISHED in hs_types:
+                    finished = True
+                    flight = b""
+                    if ticket_wanted:
+                        token = os.urandom(48)
+                        self._tickets.add(token)
+                        flight = wire.record(
+                            ContentType.HANDSHAKE, version,
+                            NewSessionTicket(self.spec.tickets, token).encode())
+                    sock.sendall(flight + _finished_records(version))
+            elif finished and ctype == ContentType.APPLICATION_DATA:
+                if payload.startswith((b"GET", b"HEAD")):
                     self._log({"event": "http_request"})
                     self._send_http_response(sock, version)
                     return
-                continue
-            return
+            else:
+                return
 
     def _send_http_response(self, sock, version: Version) -> None:
         head = (f"HTTP/1.1 200 OK\r\nServer: {self.spec.server_header}\r\n"
@@ -493,8 +478,7 @@ def enumerable_suites(spec: FixtureSpec, db: CipherDb) -> list[int]:
     if not tls_versions:
         return []
     at = max(tls_versions, key=lambda v: v.value)
-    auth = Auth.RSA if spec.cert_kind == "RSA" else Auth.ECDSA
-    offerable = set(cert_compatible(db, auth, at_version=Version.TLS1_2))
+    offerable = set(cert_compatible(db, Auth(spec.cert_kind)))
     return sort_offer(db, [s for s in spec.suites
                            if s in offerable and db[s].min_version <= at])
 
@@ -513,8 +497,7 @@ def projection(spec: FixtureSpec, db: CipherDb) -> Configuration:
     dh_bits: Optional[int] = None
     dh_common: Optional[bool] = None
     if has_dhe:
-        prime = spec.resolved_prime() or named_prime("modp2048")
-        stripped = prime.lstrip(b"\x00")
+        stripped = spec.resolved_prime().lstrip(b"\x00")
         dh_bits = int.from_bytes(stripped, "big").bit_length()
         dh_common = prime_is_common(stripped)
 
@@ -605,30 +588,6 @@ def representative_suites(db: CipherDb, row: dict) -> list[int]:
                                          KEX_RANK[db[s].kex], s))
 
 
-def row_configuration(db: CipherDb, row: dict) -> Configuration:
-    """Configuration for a published table row; unlisted fields default to
-    secure values."""
-    truthy = lambda k: row.get(k, "0") == "1"
-    suites = representative_suites(db, row)
-    versions = frozenset(v for v, col in _VERSION_COLUMNS if truthy(col))
-    dh_raw = row.get("dh_group", "-")
-    bits = int(dh_raw) if dh_raw not in ("-", "") else None
-    tickets = truthy("session_ticket")
-    return Configuration.assemble(
-        db, frozenset(suites), suites[0],
-        versions=versions,
-        server_preference=truthy("server_pref"),
-        session_id_resumption=truthy("session_id"),
-        session_tickets=tickets,
-        ticket_lifetime_hint_s=300 if tickets else None,
-        dh_prime_bits=bits if truthy("ke_dhe") else None,
-        dh_group_common=(bits in (1024, 2048)) if (bits and truthy("ke_dhe")) else None,
-        tls_compression=False,
-        heartbleed_vulnerable=truthy("heartbleed"),
-        cert_sig_alg="RSA",
-    )
-
-
 def _read_bundled_csv(name: str) -> list[dict]:
     text = resources.files("tlsaudit.data").joinpath(name).read_text()
     return list(csv.DictReader(text.splitlines()))
@@ -678,6 +637,12 @@ def row_fixture_spec(db: CipherDb, row: dict) -> FixtureSpec:
     )
 
 
+def row_configuration(db: CipherDb, row: dict) -> Configuration:
+    """Configuration for a published table row: the projection of the row's
+    fixture, so the row that is graded is the row that is served."""
+    return projection(row_fixture_spec(db, row), db)
+
+
 def random_spec(rng: random.Random, db: CipherDb) -> FixtureSpec:
     """Seeded random spec: ≥2 suites, TLS 1.2 present, every version covered
     by at least one usable suite.
@@ -687,8 +652,7 @@ def random_spec(rng: random.Random, db: CipherDb) -> FixtureSpec:
     excluded with TLS_ALERT, while ``projection`` still returns its
     configuration."""
     cert_kind = rng.choice(["RSA", "ECDSA"])
-    auth = Auth.RSA if cert_kind == "RSA" else Auth.ECDSA
-    pool = cert_compatible(db, auth, at_version=Version.TLS1_2)
+    pool = cert_compatible(db, Auth(cert_kind))
     legacy = [s for s in pool if db[s].min_version <= Version.SSLv3]
     count = rng.randint(2, min(12, len(pool)))
     chosen = {rng.choice(legacy)}  # guarantee a suite usable at old versions

@@ -152,7 +152,6 @@ class SiteProber:
         """Modern-browser emulation plus a GET; both must succeed for the
         site to be eligible."""
         offer = HandshakeOffer(
-            max_version=Version.TLS1_2, min_version=Version.SSLv3,
             suites=browser_union(self.db), sni_name=sni_name,
             extensions={"renegotiation_info"},
         )
@@ -181,10 +180,7 @@ class SiteProber:
         last = baseline_version
         while last > Version.SSLv3:
             older = [v for v in _WALK_LADDER if v < last]
-            if not older:
-                break
-            offer = HandshakeOffer(max_version=older[-1], min_version=Version.SSLv3,
-                                   suites=offer_suites)
+            offer = HandshakeOffer(suites=offer_suites, max_version=older[-1])
             outcome = self._probe(trace, "version_walk", target, offer)
             if outcome.status != ProbeStatus.NEGOTIATED:
                 break
@@ -213,40 +209,35 @@ class SiteProber:
         return versions
 
     def enumerate_ciphers(self, target: str, trace: ProbeTrace,
-                          cert_sig_alg: str) -> tuple[list[int], bool]:
-        """Elimination loop; returns (selection-ordered supported suites,
-        completed cleanly). Always |supported|+1 handshakes when clean."""
-        auth = Auth.ECDSA if cert_sig_alg == "ECDSA" else Auth.RSA
-        remaining = cert_compatible(self.db, auth, at_version=Version.TLS1_2)
+                          offer_suites: list[int]) -> list[int]:
+        """Elimination loop over ``offer_suites``; returns the supported
+        suites in selection order. Always |supported|+1 handshakes unless a
+        transport failure cuts it short, which marks the trace partial."""
+        remaining = offer_suites
         supported: list[int] = []
         while remaining:
-            offer = HandshakeOffer(max_version=Version.TLS1_2,
-                                   min_version=Version.SSLv3,
-                                   suites=list(remaining))
-            outcome = self._probe(trace, "enumerate", target, offer)
+            outcome = self._probe(trace, "enumerate", target,
+                                  HandshakeOffer(suites=list(remaining)))
             if outcome.status == ProbeStatus.NEGOTIATED:
                 suite = outcome.selected_suite
                 supported.append(suite)
                 remaining = [s for s in remaining if s != suite]
                 continue
-            if outcome.status == ProbeStatus.TLS_ALERT:
-                return supported, True
-            # transport failure survived the retry: give up on the loop
-            trace.partial = True
-            return supported, False
-        return supported, True
+            if outcome.status != ProbeStatus.TLS_ALERT:
+                # transport failure survived the retry: give up on the loop
+                trace.partial = True
+            break
+        return supported
 
     def probe_preference(self, target: str, trace: ProbeTrace,
                          supported: list[int]) -> bool:
         """Two opposite-order offers; preference holds iff the server picks
         the same suite both times and it is not simply our first listing."""
         order = sort_offer(self.db, supported)
-        first = self._probe(trace, "preference", target, HandshakeOffer(
-            max_version=Version.TLS1_2, min_version=Version.SSLv3,
-            suites=order))
-        second = self._probe(trace, "preference", target, HandshakeOffer(
-            max_version=Version.TLS1_2, min_version=Version.SSLv3,
-            suites=list(reversed(order))))
+        first = self._probe(trace, "preference", target,
+                            HandshakeOffer(suites=order))
+        second = self._probe(trace, "preference", target,
+                             HandshakeOffer(suites=list(reversed(order))))
         if (first.status != ProbeStatus.NEGOTIATED
                 or second.status != ProbeStatus.NEGOTIATED):
             return False
@@ -259,7 +250,6 @@ class SiteProber:
     def probe_extensions(self, target: str, trace: ProbeTrace,
                          offer_suites: list[int]) -> tuple[set[str], Optional[HeartbleedResult]]:
         offer = HandshakeOffer(
-            max_version=Version.TLS1_2, min_version=Version.SSLv3,
             suites=offer_suites, extensions=set(_EXTENSION_PROBE_SET),
             sni_name="probe.invalid",
         )
@@ -282,7 +272,6 @@ class SiteProber:
     def probe_compression(self, target: str, trace: ProbeTrace,
                           offer_suites: list[int]) -> bool:
         offer = HandshakeOffer(
-            max_version=Version.TLS1_2, min_version=Version.SSLv3,
             suites=offer_suites,
             compression_methods=[Compression.DEFLATE, Compression.LZS,
                                  Compression.NULL],
@@ -295,9 +284,8 @@ class SiteProber:
                          offer_suites: list[int]) -> dict:
         # mechanism 1: session id. Establish, then replay the id (or a
         # synthetic one, keeping the handshake budget constant).
-        est = self._probe(trace, "resume_establish_id", target, HandshakeOffer(
-            max_version=Version.TLS1_2, min_version=Version.SSLv3,
-            suites=offer_suites, complete=True))
+        est = self._probe(trace, "resume_establish_id", target,
+                          HandshakeOffer(suites=offer_suites, complete=True))
         artifacts = est.session_artifacts or SessionArtifacts()
         self._pace()
         res = self.engine.resume(target, artifacts, "SESSION_ID", offer_suites)
@@ -308,7 +296,6 @@ class SiteProber:
 
         # mechanism 2: tickets
         est_t = self._probe(trace, "resume_establish_ticket", target, HandshakeOffer(
-            max_version=Version.TLS1_2, min_version=Version.SSLv3,
             suites=offer_suites, extensions={"session_ticket"}, complete=True))
         t_artifacts = est_t.session_artifacts or SessionArtifacts()
         self._pace()
@@ -343,11 +330,11 @@ class SiteProber:
         trace.server_header = baseline["server_header"]
         cert_sig_alg = baseline["cert_sig_alg"] or "RSA"
         auth = Auth.ECDSA if cert_sig_alg == "ECDSA" else Auth.RSA
-        offer_suites = cert_compatible(self.db, auth, at_version=Version.TLS1_2)
+        offer_suites = cert_compatible(self.db, auth)
 
         versions = self.version_walk(target, trace,
                                      baseline["baseline_version"], offer_suites)
-        supported, clean = self.enumerate_ciphers(target, trace, cert_sig_alg)
+        supported = self.enumerate_ciphers(target, trace, offer_suites)
         if not supported:
             trace.eligible = False
             trace.exclusion_reason = "NO_SUITES"

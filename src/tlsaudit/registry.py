@@ -269,17 +269,16 @@ def browser_union(db: CipherDb) -> list[int]:
     return sort_offer(db, union)
 
 
-def cert_compatible(db: CipherDb, cert_auth: Auth,
-                    at_version: Version = Version.TLS1_2) -> list[int]:
+def cert_compatible(db: CipherDb, cert_auth: Auth) -> list[int]:
     """Engine-offerable suites for a certificate key type, preference-ordered.
 
     The full first-offer list for cipher enumeration: everything the engine
-    can negotiate that the presented certificate can authenticate.
+    can negotiate at TLS 1.2 that the presented certificate can authenticate.
     """
     out = [
         sid for sid, info in db.suites.items()
         if info.auth == cert_auth
         and not info.unsupported_by_engine
-        and info.min_version <= at_version <= info.max_version
+        and info.min_version <= Version.TLS1_2 <= info.max_version
     ]
     return sort_offer(db, out)

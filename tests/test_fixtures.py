@@ -1,4 +1,5 @@
 import random
+import socket
 import threading
 
 import pytest
@@ -177,3 +178,53 @@ def test_each_server_flight_is_one_write(db, method):
     # ServerHello + CCS + Finished
     assert [_content_types(w) for w in abbreviated_writes] == [
         [handshake, ccs, handshake]]
+
+
+_HS, _CCS = ContentType.HANDSHAKE, ContentType.CHANGE_CIPHER_SPEC
+_APP, _HB = ContentType.APPLICATION_DATA, ContentType.HEARTBEAT
+_FINISHED = (_HS, wire.handshake_message(wire.HsType.FINISHED, bytes(12)))
+_HEARTBEAT = (_HB, wire.encode_heartbeat(wire.HEARTBEAT_REQUEST, 4, b"ping"))
+_CLOSED = "closed"
+
+
+# (resume?, [(record sent or None, content types of the reply or _CLOSED)]);
+# a reply of [] means the server answers nothing and keeps the connection.
+@pytest.mark.parametrize("resume, steps", [
+    (False, [((_APP, b"GET / HTTP/1.1\r\n\r\n"), _CLOSED)]),
+    (True, [((_CCS, b"\x01"), _CLOSED)]),
+    (False, [(_HEARTBEAT, [_HB]), ((_CCS, b"\x01"), []),
+             (_FINISHED, [_CCS, _HS]), (_HEARTBEAT, [_HB])]),
+    (False, [(_FINISHED, [_CCS, _HS]), ((_APP, b"POST / HTTP/1.1\r\n\r\n"), []),
+             ((_APP, b"GET / HTTP/1.1\r\n\r\n"), [_APP]), (None, _CLOSED)]),
+], ids=["app-data-before-finished", "ccs-after-abbreviated-hello",
+        "heartbeat-before-and-after-finished", "non-get-ignored-then-get"])
+def test_server_record_loop_reactions(db, resume, steps):
+    spec = fixtures.FixtureSpec(
+        versions=frozenset({Version.TLS1_2}), suites=(0xC02F,),
+        server_preference=True, session_id_cache=True,
+        heartbeat=fixtures.HEARTBEAT_PATCHED)
+    tls12 = Version.TLS1_2
+    with fixtures.spawn(spec, db) as ep:
+        session_id = b""
+        if resume:
+            full = HandshakeEngine(db, timeout=3.0).handshake(
+                ep.target, HandshakeOffer(
+                    max_version=tls12, min_version=tls12, suites=[0xC02F],
+                    complete=True))
+            session_id = full.session_artifacts.session_id
+        hello = wire.ClientHello(
+            version=tls12, random=bytes(32), session_id=session_id,
+            suites=[0xC02F], compression=[0],
+            extensions={wire.ExtType.HEARTBEAT: b"\x01"})
+        with socket.create_connection((ep.host, ep.port), timeout=3.0) as sock:
+            sock.sendall(wire.record(_HS, tls12, hello.encode()))
+            # the server's first flight: one record, or three when abbreviated
+            flight = [wire.read_record(sock)[0] for _ in range(3 if resume else 1)]
+            assert flight == ([_HS, _CCS, _HS] if resume else [_HS])
+            for sent, reply in steps:
+                if sent is not None:
+                    sock.sendall(wire.record(sent[0], tls12, sent[1]))
+                if reply == _CLOSED:
+                    assert sock.recv(1) == b""
+                else:
+                    assert [wire.read_record(sock)[0] for _ in reply] == reply

@@ -49,8 +49,8 @@ def test_sort_offer_is_deterministic(db):
 
 
 def test_cert_compatible_filters_by_auth(db):
-    rsa = cert_compatible(db, Auth.RSA, at_version=Version.TLS1_2)
-    ecdsa = cert_compatible(db, Auth.ECDSA, at_version=Version.TLS1_2)
+    rsa = cert_compatible(db, Auth.RSA)
+    ecdsa = cert_compatible(db, Auth.ECDSA)
     assert rsa and ecdsa
     assert not set(rsa) & set(ecdsa) - {s for s in rsa if db[s].auth is Auth.OTHER}
     assert all(db[s].auth is not Auth.ECDSA for s in rsa)
