@@ -6,6 +6,10 @@ Grammar: ``expr := term (sep term)*``, ``sep := ':' | ',' | ' '``,
 case-sensitive. ``@STRENGTH``/``@SECLEVEL=n`` are accepted and ignored
 with a warning: they reorder or restrict at runtime but never change the
 support set we reason about.
+
+``KEYWORDS`` predicates are evaluated once per ``CipherDb``: each keyword's
+set of matching suite ids, and each profile's preference-sorted universe,
+is built on first use and kept on the db.
 """
 from __future__ import annotations
 
@@ -185,19 +189,31 @@ def parse_cipher_string(text: str) -> CipherExpr:
     return CipherExpr(terms=terms, ignored_directives=ignored)
 
 
-def _term_matches(term: Term, info: CipherSuiteInfo) -> bool:
-    return all(KEYWORDS[kw](info) for kw in term.keywords)
+def _keyword_set(db: CipherDb, keyword: str) -> frozenset[int]:
+    """Ids of the suites in ``db`` that ``KEYWORDS[keyword]`` matches."""
+    pred = KEYWORDS[keyword]
+    return db.derived(("keyword", keyword), lambda: frozenset(
+        sid for sid, info in db.suites.items() if pred(info)))
+
+
+def _universe(db: CipherDb, library_profile) -> tuple[int, ...]:
+    """The profile's suites that ``db`` knows, preference-sorted."""
+    suites = frozenset(library_profile)
+    return db.derived(("universe", suites), lambda: tuple(
+        sort_offer(db, [s for s in suites if s in db])))
 
 
 def expand(expr: CipherExpr, db: CipherDb, library_profile) -> list[int]:
     """Ordered suite list under the standard semantics: include-terms append
     in preference order, EXCLUDE bans permanently, REMOVE deletes,
     PROMOTE moves matches to the front. Output ⊆ library_profile."""
-    universe = sort_offer(db, [s for s in library_profile if s in db])
+    universe = _universe(db, library_profile)
     current: list[int] = []
     banned: set[int] = set()
     for term in expr.terms:
-        matches = [s for s in universe if _term_matches(term, db[s])]
+        selected = frozenset.intersection(
+            *(_keyword_set(db, kw) for kw in term.keywords))
+        matches = [s for s in universe if s in selected]
         if term.modifier == Modifier.NONE:
             for s in matches:
                 if s not in banned and s not in current:

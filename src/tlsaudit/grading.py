@@ -13,7 +13,7 @@ from enum import Enum
 from functools import total_ordering
 
 from .configuration import Configuration
-from .registry import CipherDb, Kex, Version
+from .registry import CipherDb, Kex, Version, enum_decoder
 
 
 @total_ordering
@@ -42,6 +42,9 @@ class Category(Enum):
     TICKET_LIFETIME = "ticket_lifetime"
     VULNERABILITIES = "vulnerabilities"
 
+
+_grade_of = enum_decoder(Grade)
+_category_of = enum_decoder(Category)
 
 # ciphers/MAC: supporting anything in these sets caps the category. 3DES is
 # deliberately in none of them and stays uncapped.
@@ -85,12 +88,13 @@ class GradeReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GradeReport":
-        per = {Category(c): Grade(g) for c, g in obj["categories"].items()}
+        per = {_category_of(c): _grade_of(g)
+               for c, g in obj["categories"].items()}
         reasons = {
-            Grade(g): [Category(c) for c in cats]
+            _grade_of(g): [_category_of(c) for c in cats]
             for g, cats in obj.get("reasons", {}).items()
         }
-        return cls(per_category=per, overall=Grade(obj["overall"]),
+        return cls(per_category=per, overall=_grade_of(obj["overall"]),
                    downgrade_reasons=reasons)
 
 

@@ -24,7 +24,7 @@ from .configuration import Configuration
 from .engine import split_target
 from .grading import GradeReport, grade
 from .orchestrator import ProbePolicy, SiteProber
-from .registry import CipherDb
+from .registry import CipherDb, enum_decoder
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +38,9 @@ class PipelineError(ValueError):
 class Eligibility(Enum):
     GRADED = "GRADED"
     EXCLUDED = "EXCLUDED"
+
+
+_eligibility_of = enum_decoder(Eligibility)
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class ScanRecord:
             address=obj.get("address"),
             started_at=obj.get("started_at"),
             finished_at=obj.get("finished_at"),
-            eligibility=Eligibility(obj["eligibility"]),
+            eligibility=_eligibility_of(obj["eligibility"]),
             server_software=obj.get("server_software"),
             os_hint=obj.get("os_hint"),
             asn=obj.get("asn"),
@@ -195,6 +198,9 @@ def parse_server_header(value: Optional[str]) -> dict:
 
 # -- ASN annotation -------------------------------------------------------------
 
+_ADDRESS_BITS = {4: 32, 6: 128}
+
+
 class AsnTable:
     """Longest-prefix-match index of an ASN table.
 
@@ -210,16 +216,21 @@ class AsnTable:
         # version -> [(prefix length, network mask, bucket)], longest first
         self._levels: dict[int, list[tuple[int, int, dict]]] = {4: [], 6: []}
 
-    def add(self, network: ipaddress._BaseNetwork, asn: int, name: str) -> None:
-        """Index one row. A prefix already present keeps its earlier row."""
-        key = (network.version, network.prefixlen)
+    def add(self, version: int, network: int, prefixlen: int, asn: int,
+            name: str) -> None:
+        """Index one row: ``network`` is the prefix's address as an integer,
+        with no host bits set. A prefix already present keeps its earlier
+        row."""
+        key = (version, prefixlen)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = {}
-            levels = self._levels[network.version]
-            levels.append((network.prefixlen, int(network.netmask), bucket))
+            width = _ADDRESS_BITS[version]
+            mask = (1 << width) - (1 << (width - prefixlen))
+            levels = self._levels[version]
+            levels.append((prefixlen, mask, bucket))
             levels.sort(key=lambda level: level[0], reverse=True)
-        bucket.setdefault(int(network.network_address), (asn, name))
+        bucket.setdefault(network, (asn, name))
 
     def lookup(self, ip: ipaddress._BaseAddress) -> Optional[tuple[int, str]]:
         value = int(ip)
@@ -238,6 +249,32 @@ class AsnTable:
                     yield network_type((address, plen)), asn, name
 
 
+def parse_prefix(text: str) -> tuple[int, int, int]:
+    """``(IP version, network as an integer, prefix length)`` of a prefix,
+    accepting exactly what ``ipaddress.ip_network(text)`` accepts.
+
+    The common ``address/length`` form, with a length of at most three
+    ASCII digits and no host bits set, is read with ``socket.inet_pton``.
+    Anything else, errors included, goes through ``ipaddress.ip_network``,
+    so its ValueError is the one raised.
+    """
+    address, slash, length = text.partition("/")
+    if slash and len(length) <= 3 and length.isascii() and length.isdigit():
+        version, family = ((6, socket.AF_INET6) if ":" in address
+                           else (4, socket.AF_INET))
+        prefixlen, width = int(length), _ADDRESS_BITS[version]
+        try:
+            network = int.from_bytes(socket.inet_pton(family, address), "big")
+        except (OSError, ValueError):
+            pass  # not an address inet_pton reads: ipaddress decides below
+        else:
+            if (prefixlen <= width
+                    and not network & ((1 << (width - prefixlen)) - 1)):
+                return version, network, prefixlen
+    parsed = ipaddress.ip_network(text)
+    return parsed.version, int(parsed.network_address), parsed.prefixlen
+
+
 def load_asn_table(path) -> AsnTable:
     """Load a ``prefix,asn,as_name`` CSV into an ``AsnTable``. Malformed rows
     and prefixes with host bits set are skipped with a warning."""
@@ -251,12 +288,12 @@ def load_asn_table(path) -> AsnTable:
                                lineno, row)
                 continue
             try:
-                network = ipaddress.ip_network(row[0].strip())
+                version, network, prefixlen = parse_prefix(row[0].strip())
                 asn = int(row[1])
             except ValueError as exc:
                 logger.warning("asn table line %d: %s, skipped", lineno, exc)
                 continue
-            table.add(network, asn, row[2].strip())
+            table.add(version, network, prefixlen, asn, row[2].strip())
     return table
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Callable, Hashable, Iterable, Optional, Union
 
 
 class RegistryError(ValueError):
@@ -81,10 +81,10 @@ class Version(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "Version":
-        for v, lab in _VERSION_LABELS.items():
-            if lab == label:
-                return v
-        raise RegistryError(f"unknown protocol version {label!r}")
+        try:
+            return _VERSION_BY_LABEL[label]
+        except (KeyError, TypeError):
+            raise RegistryError(f"unknown protocol version {label!r}") from None
 
     def __lt__(self, other):
         if not isinstance(other, Version):
@@ -105,6 +105,22 @@ _VERSION_LABELS = {
     Version.TLS1_2: "TLS1.2",
     Version.TLS1_3: "TLS1.3",
 }
+_VERSION_BY_LABEL = {label: v for v, label in _VERSION_LABELS.items()}
+
+
+def enum_decoder(enum_cls: type[Enum]) -> Callable[[object], Enum]:
+    """``enum_cls(value)`` through a value -> member dict. A value that is not
+    in the dict goes to ``enum_cls(value)``, so a member passes through and
+    an unknown value raises the enum's own ValueError."""
+    members = {member.value: member for member in enum_cls}
+
+    def decode(value):
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum_cls(value)
+    return decode
+
 
 AEAD_MODES = frozenset({CipherMode.GCM, CipherMode.CCM, CipherMode.POLY1305})
 
@@ -134,7 +150,12 @@ class CipherSuiteInfo:
 
 
 class CipherDb:
-    """Immutable id -> suite map; safe for unrestricted concurrent reads."""
+    """Immutable id -> suite map; safe for unrestricted concurrent reads.
+
+    Values derived from the suites alone (offer lists, keyword match sets)
+    are built on first use and kept on the instance through ``derived``, so
+    they live exactly as long as the db.
+    """
 
     def __init__(self, suites: Iterable[CipherSuiteInfo]):
         self.suites: dict[int, CipherSuiteInfo] = {}
@@ -142,6 +163,17 @@ class CipherDb:
             if s.id in self.suites:
                 raise RegistryError(f"duplicate suite id 0x{s.id:04X}")
             self.suites[s.id] = s
+        self._derived: dict = {}
+
+    def derived(self, key: Hashable, build: Callable[[], object]):
+        """``build()``'s value, computed once per db and key. ``build`` must
+        depend on the suites alone, and no caller may mutate the value,
+        since every caller shares it. Two threads may both build on a first
+        miss; both get the first value stored."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            return self._derived.setdefault(key, build())
 
     def __len__(self) -> int:
         return len(self.suites)
@@ -250,23 +282,37 @@ def offer_sort_key(info: CipherSuiteInfo):
     )
 
 
+def _offer_ranks(db: CipherDb) -> dict[int, int]:
+    """Each suite id's position in the db sorted by ``offer_sort_key``."""
+    ordered = sorted(db.suites.values(), key=offer_sort_key)
+    return {info.id: rank for rank, info in enumerate(ordered)}
+
+
 def sort_offer(db: CipherDb, suite_ids: Iterable[int]) -> list[int]:
-    return sorted(suite_ids, key=lambda sid: offer_sort_key(db[sid]))
+    ranks = db.derived("offer_ranks", lambda: _offer_ranks(db))
+    try:
+        return sorted(suite_ids, key=ranks.__getitem__)
+    except KeyError as exc:
+        db[exc.args[0]]  # raises the db's "not in registry" KeyError
+        raise
 
 
 def browser_union(db: CipherDb) -> list[int]:
-    """Deduplicated union of the four browser lists, preference-ordered."""
-    union: set[int] = set()
-    for name, ids in _BROWSER_LISTS.items():
-        for sid in ids:
-            if sid not in db:
-                raise RegistryError(
-                    f"suite 0x{sid:04X} from {name} missing from registry"
-                )
-            union.add(sid)
-    if not union:
-        raise RegistryError("empty registry has no browser union")
-    return sort_offer(db, union)
+    """Deduplicated union of the four browser lists, preference-ordered.
+    Built once per db; each call returns a fresh list."""
+    def build() -> tuple[int, ...]:
+        union: set[int] = set()
+        for name, ids in _BROWSER_LISTS.items():
+            for sid in ids:
+                if sid not in db:
+                    raise RegistryError(
+                        f"suite 0x{sid:04X} from {name} missing from registry"
+                    )
+                union.add(sid)
+        if not union:
+            raise RegistryError("empty registry has no browser union")
+        return tuple(sort_offer(db, union))
+    return list(db.derived("browser_union", build))
 
 
 def cert_compatible(db: CipherDb, cert_auth: Auth) -> list[int]:
@@ -274,11 +320,13 @@ def cert_compatible(db: CipherDb, cert_auth: Auth) -> list[int]:
 
     The full first-offer list for cipher enumeration: everything the engine
     can negotiate at TLS 1.2 that the presented certificate can authenticate.
+    Built once per db and key type; each call returns a fresh list.
     """
-    out = [
-        sid for sid, info in db.suites.items()
-        if info.auth == cert_auth
-        and not info.unsupported_by_engine
-        and info.min_version <= Version.TLS1_2 <= info.max_version
-    ]
-    return sort_offer(db, out)
+    def build() -> tuple[int, ...]:
+        return tuple(sort_offer(db, [
+            sid for sid, info in db.suites.items()
+            if info.auth == cert_auth
+            and not info.unsupported_by_engine
+            and info.min_version <= Version.TLS1_2 <= info.max_version
+        ]))
+    return list(db.derived(("cert_compatible", cert_auth), build))

@@ -66,16 +66,15 @@ def cdf_by_group_rank(records: Iterable[ScanRecord],
     Groups are ranked by descending total site count (ties by group id);
     each grade's series is monotone and ends at 1.0 when the grade occurs.
     """
-    graded = [r for r in _graded(records)
-              if _group_of(r, group_key) is not None]
-    group_totals: Counter = Counter(_group_of(r, group_key) for r in graded)
+    grouped = [(r.grade_report.overall, group) for r in _graded(records)
+               if (group := _group_of(r, group_key)) is not None]
+    group_totals: Counter = Counter(group for _g, group in grouped)
     ranked = sorted(group_totals, key=lambda g: (-group_totals[g], g))
 
     per_grade_group: dict[Grade, Counter] = defaultdict(Counter)
     grade_totals: Counter = Counter()
-    for r in graded:
-        g = r.grade_report.overall
-        per_grade_group[g][_group_of(r, group_key)] += 1
+    for g, group in grouped:
+        per_grade_group[g][group] += 1
         grade_totals[g] += 1
 
     series: dict[str, list[tuple[int, float]]] = {}
@@ -95,18 +94,17 @@ def cdf_by_group_rank(records: Iterable[ScanRecord],
 def dominance(records: Iterable[ScanRecord]) -> dict:
     """Per-configuration site counts and the five most dominant
     configurations within each AS."""
-    graded = _graded(records)
-    config_counts: Counter = Counter(config_key(r.configuration)
-                                     for r in graded)
+    keyed = [(r, config_key(r.configuration)) for r in _graded(records)]
+    config_counts: Counter = Counter(key for _r, key in keyed)
     ordered = sorted(config_counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
     per_as: dict[str, Counter] = defaultdict(Counter)
     as_names: dict[str, str] = {}
-    for r in graded:
+    for r, key in keyed:
         if r.asn is None:
             continue
         asn = str(r.asn["number"])
-        per_as[asn][config_key(r.configuration)] += 1
+        per_as[asn][key] += 1
         as_names.setdefault(asn, r.asn.get("name", ""))
 
     top5 = {}

@@ -3,10 +3,13 @@ import re
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlsaudit import cipherstring as cs
 from tlsaudit.registry import (Auth, CipherFamily, CipherMode, Kex, Mac,
-                               Version, sort_offer)
+                               Version, browser_union, cert_compatible,
+                               sort_offer)
 
 # -- parsing ----------------------------------------------------------------
 
@@ -205,6 +208,62 @@ def test_expansion_matches_oracle(db, profile_name):
         want = oracle_expand(text, db, profile.suites)
         assert got == want, (profile_name, text)
         assert set(got) <= profile.suites
+
+
+_KEYWORD_NAMES = sorted(cs.KEYWORDS)
+
+_cipher_terms = st.builds(
+    lambda modifier, keywords: modifier + "+".join(keywords),
+    st.sampled_from(("", "", "!", "-", "+")),
+    st.lists(st.sampled_from(_KEYWORD_NAMES), min_size=1, max_size=3))
+
+_cipher_strings = st.builds(
+    lambda terms, directive, sep: sep.join(terms + directive),
+    st.lists(_cipher_terms, min_size=1, max_size=8),
+    st.sampled_from(([], [], ["@STRENGTH"])),
+    st.sampled_from((":", ",", " ")))
+
+
+@st.composite
+def _suite_sets(draw, db):
+    """A bundled profile, their union, or a random subset of the registry
+    with an id the registry does not know."""
+    profiles = [cs.load_profile(name).suites for name in cs.BUNDLED_PROFILES]
+    kind = draw(st.sampled_from(("profile", "union", "subset")))
+    if kind == "profile":
+        return draw(st.sampled_from(profiles))
+    if kind == "union":
+        return cs.union_profile(cs.load_all_profiles()).suites
+    return frozenset(draw(st.lists(st.sampled_from(sorted(db.suites)),
+                                   max_size=40))) | {0xFEFE}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_expansion_matches_oracle_property(db, data):
+    text = data.draw(_cipher_strings)
+    suites = data.draw(_suite_sets(db))
+    got = cs.expand(cs.parse_cipher_string(text), db, suites)
+    assert got == oracle_expand(text, db, suites), text
+    assert set(got) <= suites
+
+
+@pytest.mark.parametrize("call", [
+    lambda db: cert_compatible(db, Auth.RSA),
+    lambda db: cert_compatible(db, Auth.ECDSA),
+    lambda db: browser_union(db),
+    lambda db: cs.expand(cs.parse_cipher_string("ALL:+AESGCM"), db,
+                         cs.load_profile("openssl-1.1.1").suites),
+], ids=["cert_compatible-rsa", "cert_compatible-ecdsa", "browser_union",
+        "expand"])
+def test_returned_offer_lists_are_the_callers_own(db, call):
+    first = call(db)
+    want = list(first)
+    first.reverse()
+    first.append(0xFEFE)
+    assert call(db) == want
+    first.clear()
+    assert call(db) == want
 
 
 def test_frozen_expansions(db):

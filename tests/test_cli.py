@@ -136,6 +136,18 @@ def test_cmd_check_rec_malformed_string(tmp_path, capsys):
     assert "offset" in capsys.readouterr().err
 
 
+def test_cmd_check_rec_unknown_protocol(tmp_path, capsys):
+    recs = tmp_path / "recs.jsonl"
+    recs.write_text(json.dumps({"protocols": ["TLS1.2"]}) + "\n"
+                    + json.dumps({"protocols": ["TLS1.2", "TLSv9"]}) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["check-rec", "--recs", str(recs), "--defaults",
+                     "--out", str(out)]) == 1
+    assert ("recs line 2: unknown protocol version 'TLSv9'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cmd_check_rec_needs_a_config_source(tmp_path):
     recs = tmp_path / "recs.jsonl"
     recs.write_text(json.dumps({"cipher_string": "HIGH"}) + "\n")

@@ -10,7 +10,8 @@ from tlsaudit import fixtures, pipeline
 from tlsaudit.grading import grade
 from tlsaudit.pipeline import (Eligibility, PipelineError, ScanOptions,
                                ScanRecord, Target, annotate_asn, load_asn_table,
-                               load_targets, parse_server_header, run_scan)
+                               load_targets, parse_prefix, parse_server_header,
+                               run_scan)
 from tlsaudit.registry import Version
 
 
@@ -167,6 +168,86 @@ def test_asn_table_matches_brute_force_property(tmp_path, case):
         assert annotate_asn(address, table) == expected
 
 
+def _prefix_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_prefix(text):
+    network = ipaddress.ip_network(text)
+    return network.version, int(network.network_address), network.prefixlen
+
+
+_PREFIX_EXAMPLES = (
+    "10.0.0.0/8", "10.0.0.1/8", "010.0.0.0/8", "10.0.0.0/08", "10.0.0.0/008",
+    "10.0.0.0/0008", "0.0.0.0/0", "10.0.0.0/32", "10.0.0.0/33",
+    "::/0", "::/128", "::/129", "2001:db8::/32", "2001:db8::1/32",
+    "2001:0db8:0000::/48", "::ffff:10.0.0.0/104", "fe80::%1/64",
+    " 10.0.0.0/8", "10.0.0.0/8 ", "10.0.0.0 /8", "10.0.0.0/+8",
+    "10.0.0.0/-8", "10.0.0.0/\u0668", "10.0.0.0/\u00b2", "10.0.0.0/255.0.0.0",
+    "10.0.0.0/0.255.255.255", "2001:db8::/ffff::", "10.0.0.1", "::1",
+    "10.0.0.0/", "/8", "10.0.0.0//8", "10.0.0.0/8/8", "", "bogus",
+    "10.0.0.0\x00/8", "1.2.3/24", "1:2:3:4:5:6:7:8:9/64",
+    "10.0.0.0/" + "9" * 5000,  # more digits than int() converts
+)
+
+
+@pytest.mark.parametrize("text", _PREFIX_EXAMPLES,
+                         ids=lambda text: ascii(text[:24]))
+def test_parse_prefix_matches_ipaddress_examples(text):
+    assert (_prefix_outcome(parse_prefix, text)
+            == _prefix_outcome(_reference_prefix, text))
+
+
+@st.composite
+def _prefix_texts(draw):
+    """Prefix strings near the valid forms: host bits set or cleared,
+    out-of-range lengths, zero padding, signs, spaces, masks and noise."""
+    version = draw(st.sampled_from((4, 6)))
+    bits = _BITS[version]
+    plen = draw(st.integers(0, bits + 2))
+    value = draw(st.integers(0, 2 ** bits - 1))
+    if draw(st.booleans()):
+        shift = max(bits - plen, 0)
+        value = value >> shift << shift
+    address = str(_ADDRESS[version](value))
+    length = str(plen)
+    edit = draw(st.sampled_from(("none", "pad-length", "pad-octet", "sign",
+                                 "space", "netmask", "hostmask", "bare",
+                                 "scope", "noise")))
+    if edit == "pad-length":
+        length = "0" * draw(st.integers(1, 3)) + length
+    elif edit == "pad-octet":
+        address = "0" + address
+    elif edit == "sign":
+        length = draw(st.sampled_from("+-")) + length
+    elif edit == "space":
+        return draw(st.sampled_from((" {}/{}", "{}/{} ", "{} /{}", "{}/ {}"))
+                    ).format(address, length)
+    elif edit == "netmask":
+        mask = (2 ** bits - 1) ^ (2 ** (bits - min(plen, bits)) - 1)
+        length = str(_ADDRESS[version](mask))
+    elif edit == "hostmask":
+        length = str(_ADDRESS[version](2 ** (bits - min(plen, bits)) - 1))
+    elif edit == "bare":
+        return address
+    elif edit == "scope":
+        address += "%" + draw(st.sampled_from(("1", "eth0", "")))
+    elif edit == "noise":
+        return draw(st.text(alphabet="0123456789abcdef:./%+- \u0668\u00b2",
+                            max_size=24))
+    return f"{address}/{length}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(_prefix_texts())
+def test_parse_prefix_matches_ipaddress_property(text):
+    assert (_prefix_outcome(parse_prefix, text)
+            == _prefix_outcome(_reference_prefix, text))
+
+
 # -- record invariants --------------------------------------------------------
 
 def test_record_invariants(db, rng):
@@ -192,6 +273,59 @@ def test_record_json_round_trip(db, rng):
     assert again.domain == record.domain
     assert again.configuration.to_json() == config.to_json()
     assert again.grade_report.overall == record.grade_report.overall
+
+
+def _set_overall(obj, value):
+    obj["grade_report"]["overall"] = value
+
+
+def _set_category(obj, value):
+    obj["grade_report"]["categories"][value] = "A"
+
+
+def _set_category_grade(obj, value):
+    obj["grade_report"]["categories"]["protocol"] = value
+
+
+def _set_reason_grade(obj, value):
+    obj["grade_report"]["reasons"][value] = ["protocol"]
+
+
+def _set_reason_category(obj, value):
+    obj["grade_report"]["reasons"]["B"] = [value]
+
+
+def _set_eligibility(obj, value):
+    obj["eligibility"] = value
+
+
+def _set_version(obj, value):
+    obj["configuration"]["versions"] = [value]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_overall, "'Z' is not a valid Grade"),
+    (_set_category, "'Z' is not a valid Category"),
+    (_set_category_grade, "'Z' is not a valid Grade"),
+    (_set_reason_grade, "'Z' is not a valid Grade"),
+    (_set_reason_category, "'Z' is not a valid Category"),
+    (_set_eligibility, "'Z' is not a valid Eligibility"),
+    (_set_version, "unknown protocol version 'Z'"),
+])
+def test_load_records_names_the_line_of_an_unknown_value(db, rng, tmp_path,
+                                                          edit, message):
+    from helpers import random_configuration
+    config = random_configuration(rng, db)
+    good = ScanRecord(domain="a.test", eligibility=Eligibility.GRADED,
+                      configuration=config,
+                      grade_report=grade(config, db)).to_json()
+    bad = json.loads(json.dumps(good))
+    edit(bad, "Z")
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(PipelineError) as err:
+        pipeline.load_records(path)
+    assert f"{path}:2: bad record: {message}" == str(err.value)
 
 
 # -- scan driver --------------------------------------------------------------

@@ -20,8 +20,9 @@ def test_registry_loads_and_indexes(db):
 def test_version_labels_round_trip():
     for v in Version:
         assert Version.from_label(v.label) is v
-    with pytest.raises(RegistryError):
-        Version.from_label("TLSv9")
+    for label in ("TLSv9", "tls1.2", "", None, ["TLS1.2"]):
+        with pytest.raises(RegistryError, match="unknown protocol version"):
+            Version.from_label(label)
 
 
 def test_version_ordering():
