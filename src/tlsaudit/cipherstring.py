@@ -8,8 +8,9 @@ with a warning: they reorder or restrict at runtime but never change the
 support set we reason about.
 
 ``KEYWORDS`` predicates are evaluated once per ``CipherDb``: each keyword's
-set of matching suite ids, and each profile's preference-sorted universe,
-is built on first use and kept on the db.
+set of matching suite ids, each profile's preference-sorted universe, and
+each cipher string's expansion over the profile union that ``consistent``
+checks against, is built on first use and kept on the db.
 """
 from __future__ import annotations
 
@@ -327,12 +328,16 @@ class Recommendation:
 def consistent(config: Configuration, rec: Recommendation, db: CipherDb,
                profiles=None) -> bool:
     """Upper-bound semantics: evaluated over the union of library profiles,
-    since we cannot know which library the site runs."""
-    profiles = profiles if profiles is not None else load_all_profiles()
-    union = union_profile(profiles)
+    since we cannot know which library the site runs. The union, and each
+    cipher string's expansion over it, are built once per db."""
+    profiles = tuple(profiles if profiles is not None else load_all_profiles())
+    union = db.derived(("union", profiles), lambda: union_profile(profiles))
     if rec.cipher_expr is not None:
-        allowed = set(expand(rec.cipher_expr, db, union.suites))
-        supported = set(config.supported_suites)
+        expr = rec.cipher_expr
+        allowed = db.derived(
+            ("allowed", tuple(expr.terms), union.suites),
+            lambda: frozenset(expand(expr, db, union.suites)))
+        supported = config.supported_suites
         if not (supported & allowed):
             return False
         if not supported <= allowed:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import cipherstring, fixtures, pipeline, report as report_mod
-from .configuration import ConfigError, Configuration
+from .configuration import Configuration
 from .grading import grade
 from .orchestrator import ProbePolicy
 from .registry import load_registry
@@ -135,6 +135,8 @@ def cmd_grade(args) -> int:
     db = load_registry()
     errors = 0
     graded = []
+    # a corpus repeats a few configurations many times; grade each once
+    reports: dict[Configuration, dict] = {}
     try:
         text = Path(args.infile).read_text(encoding="utf-8")
     except OSError as exc:
@@ -147,8 +149,10 @@ def cmd_grade(args) -> int:
             obj = json.loads(line)
             label = obj.get("label")
             config = Configuration.from_json(obj.get("configuration", obj))
-            result = grade(config, db).to_json()
-        except (ValueError, KeyError, ConfigError) as exc:
+            result = reports.get(config)
+            if result is None:
+                result = reports[config] = grade(config, db).to_json()
+        except (ValueError, KeyError, TypeError) as exc:
             print(f"line {lineno}: invalid record: {exc}", file=sys.stderr)
             errors += 1
             continue
@@ -186,7 +190,7 @@ def cmd_check_rec(args) -> int:
                 configs.append((obj.get("label", f"config-{lineno}"),
                                 Configuration.from_json(
                                     obj.get("configuration", obj))))
-        except (OSError, ValueError, KeyError, ConfigError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error: bad configs file: {exc}", file=sys.stderr)
             return EXIT_INPUT
 

@@ -2,7 +2,7 @@
 grader and report modules consume."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .registry import AEAD_MODES, CipherDb, CipherFamily, CipherMode, Kex, Version
@@ -13,6 +13,8 @@ COMPONENT_FLAG_NAMES = (
     "NULL", "EXPORT",
 )
 KEX_FLAG_NAMES = ("RSA", "DHE", "ECDHE")
+_COMPONENT_FLAG_SET = frozenset(COMPONENT_FLAG_NAMES)
+_KEX_FLAG_SET = frozenset(KEX_FLAG_NAMES)
 
 
 def compute_component_flags(db: CipherDb, suites) -> dict[str, bool]:
@@ -52,12 +54,26 @@ class ConfigError(ValueError):
     """Configuration violates its own invariants."""
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class Configuration:
+    """A recovered configuration, used as a value: equal configurations
+    hash alike, so callers may key dicts and sets on them and do the work a
+    configuration determines (its grade, its report key) once per distinct
+    one. With the field types ``from_json`` reads from ``to_json`` output,
+    two configurations are equal exactly when their ``to_json()`` forms are.
+
+    No field is assigned after ``__post_init__``; that is what makes the
+    hash safe without ``frozen=True`` (which would slow every construction).
+    ``component_flags`` and ``kex_flags`` still take part in ``==`` but are
+    left out of the hash, because dicts cannot be hashed; they follow from
+    ``supported_suites``, which is hashed, so leaving them out costs at most
+    a collision.
+    """
+
     versions: frozenset[Version]
     supported_suites: frozenset[int]
-    component_flags: dict[str, bool]
-    kex_flags: dict[str, bool]
+    component_flags: dict[str, bool] = field(hash=False)
+    kex_flags: dict[str, bool] = field(hash=False)
     preferred_suite: int
     server_preference: bool
     extensions: frozenset[str] = frozenset()
@@ -82,12 +98,15 @@ class Configuration:
             raise ConfigError("ticket lifetime hint without session tickets")
         if self.dh_group_common is not None and self.dh_prime_bits is None:
             raise ConfigError("dh_group_common set without dh_prime_bits")
-        missing = set(COMPONENT_FLAG_NAMES) - set(self.component_flags)
+        missing = _COMPONENT_FLAG_SET - self.component_flags.keys()
         if missing:
             raise ConfigError(f"missing component flags: {sorted(missing)}")
-        missing = set(KEX_FLAG_NAMES) - set(self.kex_flags)
+        missing = _KEX_FLAG_SET - self.kex_flags.keys()
         if missing:
             raise ConfigError(f"missing kex flags: {sorted(missing)}")
+        # a field value read from JSON may be a list or an object; fail here,
+        # where loaders report the line, not at the first dict lookup
+        hash(self)
 
     @classmethod
     def assemble(cls, db: CipherDb, suites, preferred_suite: int, **kw) -> "Configuration":

@@ -23,9 +23,13 @@ class Grade(Enum):
     C = "C"
     F = "F"
 
+    # members are singletons, so identity agrees with ==; this hash runs in
+    # C, where Enum's own hashes the member name in Python
+    __hash__ = object.__hash__
+
     @property
     def rank(self) -> int:
-        return {"A": 3, "B": 2, "C": 1, "F": 0}[self.value]
+        return _GRADE_RANK[self]
 
     def __lt__(self, other):
         if not isinstance(other, Grade):
@@ -41,6 +45,11 @@ class Category(Enum):
     COMPRESSION = "compression"
     TICKET_LIFETIME = "ticket_lifetime"
     VULNERABILITIES = "vulnerabilities"
+
+    __hash__ = object.__hash__  # as for Grade
+
+
+_GRADE_RANK = {Grade.A: 3, Grade.B: 2, Grade.C: 1, Grade.F: 0}
 
 
 _grade_of = enum_decoder(Grade)

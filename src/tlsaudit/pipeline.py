@@ -450,6 +450,6 @@ def load_records(path) -> list[ScanRecord]:
                 continue
             try:
                 records.append(ScanRecord.from_json(json.loads(line)))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad record: {exc}")
     return records

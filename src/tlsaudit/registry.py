@@ -75,6 +75,10 @@ class Version(Enum):
     TLS1_2 = 0x0303
     TLS1_3 = 0x0304
 
+    # members are singletons, so identity agrees with ==; this hash runs in
+    # C, where Enum's own hashes the member name in Python
+    __hash__ = object.__hash__
+
     @property
     def label(self) -> str:
         return _VERSION_LABELS[self]
@@ -152,9 +156,10 @@ class CipherSuiteInfo:
 class CipherDb:
     """Immutable id -> suite map; safe for unrestricted concurrent reads.
 
-    Values derived from the suites alone (offer lists, keyword match sets)
-    are built on first use and kept on the instance through ``derived``, so
-    they live exactly as long as the db.
+    Values derived from the suites (offer lists, keyword match sets,
+    cipher-string expansions over a profile) are built on first use and kept
+    on the instance through ``derived``, so they live exactly as long as the
+    db.
     """
 
     def __init__(self, suites: Iterable[CipherSuiteInfo]):
@@ -167,9 +172,9 @@ class CipherDb:
 
     def derived(self, key: Hashable, build: Callable[[], object]):
         """``build()``'s value, computed once per db and key. ``build`` must
-        depend on the suites alone, and no caller may mutate the value,
-        since every caller shares it. Two threads may both build on a first
-        miss; both get the first value stored."""
+        depend on the suites and the key alone, and no caller may mutate the
+        value, since every caller shares it. Two threads may both build on a
+        first miss; both get the first value stored."""
         try:
             return self._derived[key]
         except KeyError:

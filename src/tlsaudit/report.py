@@ -3,6 +3,8 @@ configuration dominance, and downgrade-reason tables.
 
 All operations are pure folds over an immutable record list; outputs are
 deterministic (ties broken lexicographically) so emitted files are stable.
+A fold that groups by configuration computes ``config_key`` once per
+distinct configuration, in a dict that lives for that one fold.
 """
 
 from __future__ import annotations
@@ -49,13 +51,26 @@ def grade_distribution(records: Iterable[ScanRecord]) -> dict:
     }
 
 
-def _group_of(record: ScanRecord, group_key: str) -> Optional[str]:
+def _config_keys(records: list[ScanRecord]) -> list[str]:
+    """``config_key`` of each record's configuration, computed once per
+    distinct configuration."""
+    keys: dict[Configuration, str] = {}
+    out = []
+    for r in records:
+        key = keys.get(r.configuration)
+        if key is None:
+            key = keys[r.configuration] = config_key(r.configuration)
+        out.append(key)
+    return out
+
+
+def _groups(graded: list[ScanRecord], group_key: str) -> list[Optional[str]]:
+    """Each record's group id under ``group_key``; None for no group."""
     if group_key == "asn":
-        if record.asn is None:
-            return None
-        return str(record.asn["number"])
+        return [None if r.asn is None else str(r.asn["number"])
+                for r in graded]
     if group_key == "config":
-        return config_key(record.configuration)
+        return _config_keys(graded)
     raise ValueError(f"unknown group key {group_key!r}")
 
 
@@ -66,8 +81,10 @@ def cdf_by_group_rank(records: Iterable[ScanRecord],
     Groups are ranked by descending total site count (ties by group id);
     each grade's series is monotone and ends at 1.0 when the grade occurs.
     """
-    grouped = [(r.grade_report.overall, group) for r in _graded(records)
-               if (group := _group_of(r, group_key)) is not None]
+    graded = _graded(records)
+    grouped = [(r.grade_report.overall, group)
+               for r, group in zip(graded, _groups(graded, group_key))
+               if group is not None]
     group_totals: Counter = Counter(group for _g, group in grouped)
     ranked = sorted(group_totals, key=lambda g: (-group_totals[g], g))
 
@@ -94,7 +111,8 @@ def cdf_by_group_rank(records: Iterable[ScanRecord],
 def dominance(records: Iterable[ScanRecord]) -> dict:
     """Per-configuration site counts and the five most dominant
     configurations within each AS."""
-    keyed = [(r, config_key(r.configuration)) for r in _graded(records)]
+    graded = _graded(records)
+    keyed = list(zip(graded, _config_keys(graded)))
     config_counts: Counter = Counter(key for _r, key in keyed)
     ordered = sorted(config_counts.items(), key=lambda kv: (-kv[1], kv[0]))
 

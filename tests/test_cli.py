@@ -45,6 +45,33 @@ def test_cmd_grade_missing_file(tmp_path):
     assert cli.main(["grade", "--in", str(tmp_path / "nope.jsonl")]) == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("versions", None), ("supported_suites", None), ("cert_sig_alg", ["rsa"]),
+])
+def test_cmd_grade_repeated_lines_around_a_wrongly_typed_one(
+        db, tmp_path, capsys, field, value):
+    configs = [config for _label, config, _profile
+               in fixtures.ubuntu_default_configurations(db)[:2]]
+    a, b = (config.to_json() for config in configs)
+    bad = dict(a, **{field: value})
+    lines = [{"label": "a1", "configuration": a}, b,
+             {"label": "bad", "configuration": bad},
+             {"label": "a2", "configuration": a}, "", {"configuration": b},
+             a]
+    infile = tmp_path / "configs.jsonl"
+    infile.write_text("".join((json.dumps(obj) if obj else "") + "\n"
+                              for obj in lines))
+    out = tmp_path / "grades.jsonl"
+    assert cli.main(["grade", "--in", str(infile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("line 3: invalid record: ")
+    ra, rb = (grade(config, db).to_json() for config in configs)
+    assert [json.loads(line) for line in out.read_text().splitlines()] == [
+        {"grade_report": ra, "label": "a1"}, {"grade_report": rb},
+        {"grade_report": ra, "label": "a2"}, {"grade_report": rb},
+        {"grade_report": ra}]
+
+
 def test_cmd_scan_fixture_targets(db, tmp_path):
     specs = fixtures.bundled_corpus(db, seed=9)[:2]
     endpoints = [fixtures.spawn(s, db) for s in specs]
@@ -148,6 +175,20 @@ def test_cmd_check_rec_unknown_protocol(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cmd_check_rec_wrongly_typed_config(db, tmp_path, capsys):
+    recs = tmp_path / "recs.jsonl"
+    recs.write_text(json.dumps({"cipher_string": "HIGH"}) + "\n")
+    config = fixtures.ubuntu_default_configurations(db)[0][1].to_json()
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps(config) + "\n"
+                       + json.dumps(dict(config, versions=None)) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["check-rec", "--recs", str(recs), "--configs",
+                     str(configs), "--out", str(out)]) == 1
+    assert "error: bad configs file: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_check_rec_needs_a_config_source(tmp_path):
     recs = tmp_path / "recs.jsonl"
     recs.write_text(json.dumps({"cipher_string": "HIGH"}) + "\n")
@@ -181,6 +222,27 @@ def test_cmd_report_dist(db, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "grade,count,proportion"
     assert sum(int(l.split(",")[1]) for l in lines[1:]) == 10
+
+
+@pytest.mark.parametrize("field, value", [
+    ("supported_suites", None), ("versions", None), ("dh_prime_bits", [1024]),
+])
+def test_cmd_report_wrongly_typed_field(db, tmp_path, capsys, field, value):
+    from tlsaudit.pipeline import Eligibility, ScanRecord
+    config = fixtures.ubuntu_default_configurations(db)[0][1]
+    good = ScanRecord(domain="a.test", eligibility=Eligibility.GRADED,
+                      configuration=config,
+                      grade_report=grade(config, db)).to_json()
+    bad = json.loads(json.dumps(good))
+    bad["configuration"][field] = value
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["report", "--records", str(records), "--which",
+                     "dominance", "--out", str(out)]) == 1
+    assert (f"error: {records}:2: bad record: "
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_cmd_fixtures(tmp_path, capsys):

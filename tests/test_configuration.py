@@ -1,0 +1,57 @@
+import dataclasses
+import json
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tlsaudit import fixtures
+from tlsaudit.configuration import Configuration
+
+# one field changed to another valid value; every other field kept
+_EDITS = {
+    "server_preference": lambda c: {"server_preference": not c.server_preference},
+    "tls_compression": lambda c: {"tls_compression": not c.tls_compression},
+    "session_id_resumption":
+        lambda c: {"session_id_resumption": not c.session_id_resumption},
+    "heartbleed_vulnerable":
+        lambda c: {"heartbleed_vulnerable": not c.heartbleed_vulnerable},
+    "cert_sig_alg": lambda c: {"cert_sig_alg": (c.cert_sig_alg or "") + "x"},
+    "extensions": lambda c: {"extensions": c.extensions ^ {"status_request"}},
+}
+
+
+def _round_trip(config: Configuration, sort_keys: bool) -> Configuration:
+    text = json.dumps(config.to_json(), sort_keys=sort_keys)
+    return Configuration.from_json(json.loads(text))
+
+
+def _configurations(db):
+    """Projections of seeded random specs, half of them from four seeds so
+    that equal pairs are common; each either as built, after a JSON round
+    trip, or with one field edited."""
+    @st.composite
+    def draw_one(draw):
+        seed = draw(st.integers(0, 3) | st.integers(4, 10_000))
+        config = fixtures.projection(fixtures.random_spec(random.Random(seed), db),
+                                     db)
+        edit = draw(st.none() | st.sampled_from(sorted(_EDITS)))
+        if edit is not None:
+            return dataclasses.replace(config, **_EDITS[edit](config))
+        how = draw(st.sampled_from(("built", "round trip", "sorted round trip")))
+        if how == "built":
+            return config
+        return _round_trip(config, sort_keys=how.startswith("sorted"))
+    return draw_one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_configuration_equality_matches_json_and_hash(db, data):
+    a = data.draw(_configurations(db))
+    b = data.draw(_configurations(db))
+    assert (a == b) == (a.to_json() == b.to_json())
+    if a == b:
+        assert hash(a) == hash(b)
+    again = _round_trip(a, sort_keys=True)
+    assert again == a and hash(again) == hash(a)

@@ -4,7 +4,7 @@ from tlsaudit import cipherstring as cs
 from tlsaudit import fixtures
 from tlsaudit.configuration import Configuration
 from tlsaudit.grading import Grade
-from tlsaudit.registry import Version
+from tlsaudit.registry import Version, load_registry
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,28 @@ def test_consistency_non_cipher_directives(db, profiles):
     rec2 = cs.Recommendation.from_json(
         {"protocols": ["TLS1.2"], "session_tickets": False})
     assert not cs.consistent(config, rec2, db, profiles)
+
+
+def test_consistent_expands_each_cipher_string_once(profiles, monkeypatch):
+    db = load_registry()  # its own db: expansions are kept per db
+    configs = [_config(db, ECDHE_GCM),
+               _config(db, ECDHE_GCM + ["TLS_RSA_WITH_RC4_128_SHA"])]
+    configs += [config for _label, config, _profile
+                in fixtures.ubuntu_default_configurations(db)]
+    recs = [cs.Recommendation.from_json({"cipher_string": text})
+            for text in ("ECDHE+AESGCM:!RC4", "HIGH:!aNULL:!MD5",
+                         "ALL:-RC4:+AESGCM")]
+    # a fresh db per call keeps nothing between calls
+    want = [cs.consistent(config, rec, load_registry(), profiles)
+            for rec in recs for config in configs]
+    assert any(want) and not all(want)
+    calls = []
+    real = cs.expand
+    monkeypatch.setattr(cs, "expand",
+                        lambda *args: calls.append(args) or real(*args))
+    assert [cs.consistent(config, rec, db, profiles)
+            for rec in recs for config in configs] == want
+    assert len(calls) == len(recs)
 
 
 def test_recommendation_requires_a_directive():

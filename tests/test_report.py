@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter, defaultdict
@@ -6,6 +7,7 @@ import pytest
 
 from helpers import random_configuration
 from tlsaudit import report as report_mod
+from tlsaudit.configuration import Configuration
 from tlsaudit.grading import grade
 from tlsaudit.pipeline import Eligibility, ScanRecord
 
@@ -150,3 +152,59 @@ def test_per_record_rows(db, rng):
     graded = [r for r in records if r.eligibility is Eligibility.GRADED]
     assert len(rows) == len(graded)
     assert all(row["grade"] in "ABCF" for row in rows)
+
+
+def repeated_records(db, rng, n, distinct):
+    """A corpus whose graded records share ``distinct`` configurations, each
+    record holding its own equal copy, as ``load_records`` gives."""
+    pool = [random_configuration(rng, db) for _ in range(distinct)]
+    records = []
+    for i in range(n):
+        if i % 9 == 8:
+            records.append(ScanRecord(domain=f"x{i}.test",
+                                      eligibility=Eligibility.EXCLUDED))
+            continue
+        source = pool[i] if i < distinct else rng.choice(pool)
+        config = Configuration.from_json(source.to_json())
+        asn = rng.randint(1, 6)
+        records.append(ScanRecord(
+            domain=f"x{i}.test", eligibility=Eligibility.GRADED,
+            asn={"number": asn, "name": f"AS-{asn}"},
+            configuration=config, grade_report=grade(config, db)))
+    return records
+
+
+def test_config_folds_key_each_distinct_configuration_once(db, rng,
+                                                          monkeypatch):
+    records = repeated_records(db, rng, 400, distinct=12)
+    graded = [r for r in records if r.eligibility is Eligibility.GRADED]
+    # the same folds with one config_key call per record
+    keys = [report_mod.config_key(r.configuration) for r in graded]
+    assert len(set(keys)) == 12
+    by_key = [dataclasses.replace(r, asn={"number": key, "name": ""})
+              for r, key in zip(graded, keys)]
+    want_cdf = report_mod.cdf_by_group_rank(by_key, "asn")
+    counts = Counter(keys)
+    per_as = defaultdict(Counter)
+    for r, key in zip(graded, keys):
+        per_as[str(r.asn["number"])][key] += 1
+
+    def by_count(counter):
+        return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+    want_dominance = {
+        "config_counts": by_count(counts),
+        "per_as_top5": {
+            asn: {"as_name": f"AS-{asn}", "top": by_count(per_as[asn])[:5]}
+            for asn in sorted(per_as, key=lambda a: (-sum(per_as[a].values()),
+                                                     a))},
+    }
+
+    calls = []
+    real = report_mod.config_key
+    monkeypatch.setattr(report_mod, "config_key",
+                        lambda config: calls.append(config) or real(config))
+    assert report_mod.build(records, "cdf-config") == want_cdf
+    assert len(calls) == 12
+    calls.clear()
+    assert report_mod.build(records, "dominance") == want_dominance
+    assert len(calls) == 12
