@@ -277,6 +277,12 @@ class RecommendationError(ValueError):
     pass
 
 
+# JSON type of each optional scalar directive, when present
+_DIRECTIVE_TYPES = (("server_preference", bool, "a bool"),
+                    ("session_tickets", bool, "a bool"),
+                    ("dh_params_bits", int, "an integer"))
+
+
 @dataclass
 class Recommendation:
     cipher_expr: Optional[CipherExpr] = None
@@ -297,10 +303,18 @@ class Recommendation:
     def from_json(cls, obj: dict) -> "Recommendation":
         expr = None
         if obj.get("cipher_string"):
+            if not isinstance(obj["cipher_string"], str):
+                raise RecommendationError("cipher_string must be a string")
             expr = parse_cipher_string(obj["cipher_string"])
         protocols = None
         if obj.get("protocols") is not None:
+            if not isinstance(obj["protocols"], list):
+                raise RecommendationError("protocols must be a list")
             protocols = frozenset(Version.from_label(v) for v in obj["protocols"])
+        for key, kind, expected in _DIRECTIVE_TYPES:
+            value = obj.get(key)
+            if value is not None and type(value) is not kind:  # bool is not int here
+                raise RecommendationError(f"{key} must be {expected}, not {value!r}")
         return cls(
             cipher_expr=expr,
             protocols=protocols,

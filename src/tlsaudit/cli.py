@@ -88,6 +88,15 @@ def _write_jsonl(path, objects) -> None:
             out.close()
 
 
+def _json_object(line: str) -> dict:
+    """One input line that must hold a JSON object; anything else is a
+    ``ValueError``, which every line loader reports with its line."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+    return obj
+
+
 def cmd_scan(args) -> int:
     db = load_registry()
     try:
@@ -146,7 +155,7 @@ def cmd_grade(args) -> int:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _json_object(line)
             label = obj.get("label")
             config = Configuration.from_json(obj.get("configuration", obj))
             result = reports.get(config)
@@ -186,7 +195,7 @@ def cmd_check_rec(args) -> int:
                     start=1):
                 if not line.strip():
                     continue
-                obj = json.loads(line)
+                obj = _json_object(line)
                 configs.append((obj.get("label", f"config-{lineno}"),
                                 Configuration.from_json(
                                     obj.get("configuration", obj))))
@@ -206,8 +215,7 @@ def cmd_check_rec(args) -> int:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            rec = cipherstring.Recommendation.from_json(obj)
+            rec = cipherstring.Recommendation.from_json(_json_object(line))
         except (ValueError, cipherstring.CipherStringError,
                 cipherstring.RecommendationError) as exc:
             print(f"recs line {lineno}: {exc}", file=sys.stderr)

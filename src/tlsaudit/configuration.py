@@ -15,6 +15,18 @@ COMPONENT_FLAG_NAMES = (
 KEX_FLAG_NAMES = ("RSA", "DHE", "ECDHE")
 _COMPONENT_FLAG_SET = frozenset(COMPONENT_FLAG_NAMES)
 _KEX_FLAG_SET = frozenset(KEX_FLAG_NAMES)
+# The only JSON types ``from_json`` accepts for the scalar fields, those
+# ``to_json`` writes. Python's ``==`` makes 1 equal true and 1024.0 equal
+# 1024, but their JSON (and so their report key) differs.
+_BOOL, _BOOL_OR_NULL, _INT_OR_NULL = (
+    ((bool,), "a bool"), ((bool, type(None)), "a bool or null"),
+    ((int, type(None)), "an integer or null"))
+_SCALAR_TYPES = (
+    ("server_preference", _BOOL), ("tls_compression", _BOOL),
+    ("session_id_resumption", _BOOL), ("session_tickets", _BOOL),
+    ("heartbleed_vulnerable", _BOOL), ("dh_group_common", _BOOL_OR_NULL),
+    ("ticket_lifetime_hint_s", _INT_OR_NULL), ("dh_prime_bits", _INT_OR_NULL),
+)
 
 
 def compute_component_flags(db: CipherDb, suites) -> dict[str, bool]:
@@ -140,7 +152,9 @@ class Configuration:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Configuration":
-        return cls(
+        """Read ``to_json`` output back; a scalar field of another JSON type
+        (``1`` for ``true``, ``1024.0`` for ``1024``) is a ``ConfigError``."""
+        config = cls(
             versions=frozenset(Version.from_label(v) for v in obj["versions"]),
             supported_suites=frozenset(int(s, 16) for s in obj["supported_suites"]),
             component_flags=dict(obj["component_flags"]),
@@ -157,3 +171,8 @@ class Configuration:
             heartbleed_vulnerable=obj.get("heartbleed_vulnerable", False),
             cert_sig_alg=obj.get("cert_sig_alg"),
         )
+        for name, (types, expected) in _SCALAR_TYPES:
+            value = getattr(config, name)
+            if type(value) not in types:  # bool is not int here
+                raise ConfigError(f"{name} must be {expected}, not {value!r}")
+        return config

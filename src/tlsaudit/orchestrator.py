@@ -1,13 +1,14 @@
 """Per-site measurement: baseline browser emulation, version walk, cipher
 elimination, extension/compression/resumption probes, assembled into a
-Configuration plus a complete ProbeTrace."""
+Configuration plus a complete ProbeTrace. ``SiteProber._record`` is the
+only producer of trace entries: one pacing delay, one engine call, one entry."""
 from __future__ import annotations
 
 import logging
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import dhprimes
 from .configuration import Configuration
@@ -59,11 +60,10 @@ class ProbeTrace:
     entries: list[TraceEntry] = field(default_factory=list)
     wall_time_s: float = 0.0
     partial: bool = False
-    eligible: bool = True
     exclusion_reason: Optional[str] = None
     server_header: Optional[str] = None
-    # raw FFDHE primes observed in ServerKeyExchange, in probe order
-    ffdhe_observations: list[bytes] = field(default_factory=list)
+    # raw FFDHE prime of the last ServerKeyExchange seen by ``_probe``
+    dh_prime: Optional[bytes] = None
 
     @property
     def handshake_count(self) -> int:
@@ -77,7 +77,7 @@ class ProbeTrace:
             "handshake_count": self.handshake_count,
             "wall_time_s": self.wall_time_s,
             "partial": self.partial,
-            "eligible": self.eligible,
+            "eligible": self.exclusion_reason is None,
             "exclusion_reason": self.exclusion_reason,
             "server_header": self.server_header,
             "entries": [
@@ -115,9 +115,31 @@ def _outcome_summary(outcome: HandshakeOutcome) -> dict:
     return out
 
 
+def _sslv2_summary(result: tuple[bool, Optional[str]]) -> dict:
+    supported, error = result
+    out: dict = {"supported": supported}
+    if error is not None:
+        out["error"] = error
+    return out
+
+
+def _tls13_summary(supported: bool) -> dict:
+    return {"supported": supported}
+
+
+def _heartbleed_summary(result: HeartbleedResult) -> dict:
+    out: dict = {"acknowledged": result.heartbeat_acknowledged,
+                 "vulnerable": result.vulnerable,
+                 "evidence_len": result.evidence_len}
+    if result.error is not None:
+        out["error"] = result.error
+    return out
+
+
 class SiteProber:
-    """Drives the full measurement for single targets. One instance may be
-    shared across worker threads; per-site state lives in locals."""
+    """Drives the full measurement for single targets, one site at a time.
+    Not for sharing across worker threads: every site draws its pacing
+    delays from the one ``_rng``, so they would follow thread scheduling."""
 
     def __init__(self, db: CipherDb, policy: Optional[ProbePolicy] = None):
         self.db = db
@@ -132,17 +154,22 @@ class SiteProber:
             time.sleep(self._rng.uniform(self.policy.delay_min_s,
                                          self.policy.delay_max_s))
 
+    def _record(self, trace: ProbeTrace, kind: str, offer_summary: dict,
+                call: Callable[[], Any], summary=_outcome_summary) -> Any:
+        """Pace, make one engine ``call`` and append the entry it earns."""
+        self._pace()
+        result = call()
+        trace.entries.append(TraceEntry(kind, offer_summary, summary(result),
+                                        retried=getattr(result, "retried", False)))
+        return result
+
     def _probe(self, trace: ProbeTrace, kind: str, target: str,
                offer: HandshakeOffer) -> HandshakeOutcome:
-        self._pace()
-        outcome = self.engine.probe(target, offer)
-        if (outcome.server_key_exchange is not None
-                and outcome.server_key_exchange.group_kind == "FFDHE"):
-            trace.ffdhe_observations.append(
-                outcome.server_key_exchange.dh_prime_bytes)
-        trace.entries.append(TraceEntry(kind, _offer_summary(offer),
-                                        _outcome_summary(outcome),
-                                        retried=outcome.retried))
+        outcome = self._record(trace, kind, _offer_summary(offer),
+                               lambda: self.engine.probe(target, offer))
+        kex = outcome.server_key_exchange
+        if kex is not None and kex.group_kind == "FFDHE":
+            trace.dh_prime = kex.dh_prime_bytes
         return outcome
 
     # -- sub-probes ------------------------------------------------------------
@@ -159,12 +186,9 @@ class SiteProber:
         if outcome.status != ProbeStatus.NEGOTIATED:
             return {"eligible": False, "reason": outcome.status.value}
 
-        self._pace()
-        get = self.engine.http_get_over_tls(target, sni_name,
-                                            browser_union(self.db))
-        trace.entries.append(TraceEntry("baseline_get", {"http_get": True},
-                                        _outcome_summary(get),
-                                        retried=get.retried))
+        get = self._record(trace, "baseline_get", {"http_get": True},
+                           lambda: self.engine.http_get_over_tls(
+                               target, sni_name, browser_union(self.db)))
         if get.status != ProbeStatus.NEGOTIATED or get.http is None:
             return {"eligible": False, "reason": "NO_HTTP"}
         return {
@@ -192,19 +216,12 @@ class SiteProber:
             versions.add(outcome.selected_version)
             last = outcome.selected_version
         # the two out-of-ladder checks
-        self._pace()
-        v2, err = self.engine.sslv2_probe(target)
-        outcome = {"supported": v2}
-        if err is not None:
-            outcome["error"] = err
-        trace.entries.append(TraceEntry("sslv2_probe", {"sslv2": True}, outcome))
-        if v2:
+        if self._record(trace, "sslv2_probe", {"sslv2": True},
+                        lambda: self.engine.sslv2_probe(target), _sslv2_summary)[0]:
             versions.add(Version.SSLv2)
-        self._pace()
-        v13 = self.engine.tls13_probe(target, offer_suites)
-        trace.entries.append(TraceEntry("tls13_probe", {"tls13": True},
-                                        {"supported": v13}))
-        if v13:
+        if self._record(trace, "tls13_probe", {"tls13": True},
+                        lambda: self.engine.tls13_probe(target, offer_suites),
+                        _tls13_summary):
             versions.add(Version.TLS1_3)
         return versions
 
@@ -258,15 +275,10 @@ class SiteProber:
                  if outcome.status == ProbeStatus.NEGOTIATED else set())
         heartbleed = None
         if "heartbeat" in acked:
-            self._pace()
-            heartbleed = self.engine.heartbleed_probe(target, offer_suites)
-            summary = {"acknowledged": heartbleed.heartbeat_acknowledged,
-                       "vulnerable": heartbleed.vulnerable,
-                       "evidence_len": heartbleed.evidence_len}
-            if heartbleed.error is not None:
-                summary["error"] = heartbleed.error
-            trace.entries.append(TraceEntry(
-                "heartbleed", {"heartbeat_overread": True}, summary))
+            heartbleed = self._record(
+                trace, "heartbleed", {"heartbeat_overread": True},
+                lambda: self.engine.heartbleed_probe(target, offer_suites),
+                _heartbleed_summary)
         return acked, heartbleed
 
     def probe_compression(self, target: str, trace: ProbeTrace,
@@ -287,27 +299,23 @@ class SiteProber:
         est = self._probe(trace, "resume_establish_id", target,
                           HandshakeOffer(suites=offer_suites, complete=True))
         artifacts = est.session_artifacts or SessionArtifacts()
-        self._pace()
-        res = self.engine.resume(target, artifacts, "SESSION_ID", offer_suites)
-        trace.entries.append(TraceEntry("resume_id",
-                                        {"session_id": bool(artifacts.session_id)},
-                                        _outcome_summary(res), res.retried))
-        session_id_resumption = res.resumed
+        res = self._record(trace, "resume_id",
+                           {"session_id": bool(artifacts.session_id)},
+                           lambda: self.engine.resume(target, artifacts,
+                                                      "SESSION_ID", offer_suites))
 
         # mechanism 2: tickets
         est_t = self._probe(trace, "resume_establish_ticket", target, HandshakeOffer(
             suites=offer_suites, extensions={"session_ticket"}, complete=True))
         t_artifacts = est_t.session_artifacts or SessionArtifacts()
-        self._pace()
-        res_t = self.engine.resume(target, t_artifacts, "TICKET", offer_suites)
-        trace.entries.append(TraceEntry("resume_ticket",
-                                        {"ticket": t_artifacts.ticket is not None},
-                                        _outcome_summary(res_t), res_t.retried))
+        self._record(trace, "resume_ticket",
+                     {"ticket": t_artifacts.ticket is not None},
+                     lambda: self.engine.resume(target, t_artifacts, "TICKET",
+                                                offer_suites))
         return {
-            "session_id_resumption": session_id_resumption,
+            "session_id_resumption": res.resumed,
             "session_tickets": t_artifacts.ticket is not None,
             "ticket_lifetime_hint_s": t_artifacts.ticket_lifetime_hint_s,
-            "ticket_resumption": res_t.resumed,
         }
 
     # -- the composite ---------------------------------------------------------
@@ -324,7 +332,6 @@ class SiteProber:
     def _probe_site(self, target, sni_name, trace):
         baseline = self.baseline_probe(target, trace, sni_name)
         if not baseline["eligible"]:
-            trace.eligible = False
             trace.exclusion_reason = baseline["reason"]
             return None, trace
         trace.server_header = baseline["server_header"]
@@ -336,7 +343,6 @@ class SiteProber:
                                      baseline["baseline_version"], offer_suites)
         supported = self.enumerate_ciphers(target, trace, offer_suites)
         if not supported:
-            trace.eligible = False
             trace.exclusion_reason = "NO_SUITES"
             return None, trace
         preferred = supported[0]  # server's pick under the full offer
@@ -345,24 +351,16 @@ class SiteProber:
         compression = self.probe_compression(target, trace, offer_suites)
         resumption = self.probe_resumption(target, trace, offer_suites)
 
-        dh_bits: Optional[int] = None
-        dh_common: Optional[bool] = None
-        if trace.ffdhe_observations:
-            prime = trace.ffdhe_observations[-1]
-            dh_bits = dhprimes.prime_bits(prime)
-            dh_common = dhprimes.prime_is_common(prime)
-
+        prime = trace.dh_prime
         config = Configuration.assemble(
             self.db, frozenset(supported), preferred,
             versions=frozenset(versions),
             server_preference=preference,
             extensions=frozenset(acked),
             tls_compression=compression,
-            session_id_resumption=resumption["session_id_resumption"],
-            session_tickets=resumption["session_tickets"],
-            ticket_lifetime_hint_s=resumption["ticket_lifetime_hint_s"],
-            dh_prime_bits=dh_bits,
-            dh_group_common=dh_common,
+            **resumption,
+            dh_prime_bits=None if prime is None else dhprimes.prime_bits(prime),
+            dh_group_common=None if prime is None else dhprimes.prime_is_common(prime),
             heartbleed_vulnerable=bool(heartbleed and heartbleed.vulnerable),
             cert_sig_alg=cert_sig_alg,
         )

@@ -72,6 +72,34 @@ def test_cmd_grade_repeated_lines_around_a_wrongly_typed_one(
         {"grade_report": ra}]
 
 
+@pytest.mark.parametrize("line", ["[1]", "5", '"text"', "null"])
+def test_cmd_grade_line_not_an_object(db, tmp_path, capsys, line):
+    config = fixtures.ubuntu_default_configurations(db)[0][1]
+    good = json.dumps(config.to_json())
+    infile = tmp_path / "configs.jsonl"
+    infile.write_text(f"{good}\n{line}\n{good}\n")
+    out = tmp_path / "grades.jsonl"
+    assert cli.main(["grade", "--in", str(infile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("line 2: invalid record: ")
+    report = grade(config, db).to_json()
+    assert [json.loads(l) for l in out.read_text().splitlines()] == [
+        {"grade_report": report}] * 2
+
+
+def test_cmd_grade_loosely_typed_scalar(db, tmp_path, capsys):
+    good = fixtures.ubuntu_default_configurations(db)[0][1].to_json()
+    loose = dict(good, server_preference=int(good["server_preference"]))
+    infile = tmp_path / "configs.jsonl"
+    infile.write_text(json.dumps(good) + "\n" + json.dumps(loose) + "\n")
+    out = tmp_path / "grades.jsonl"
+    assert cli.main(["grade", "--in", str(infile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"line 2: invalid record: server_preference must be a bool, "
+                   f"not {loose['server_preference']}"]
+    assert len(out.read_text().splitlines()) == 1
+
+
 def test_cmd_scan_fixture_targets(db, tmp_path):
     specs = fixtures.bundled_corpus(db, seed=9)[:2]
     endpoints = [fixtures.spawn(s, db) for s in specs]
@@ -186,6 +214,35 @@ def test_cmd_check_rec_wrongly_typed_config(db, tmp_path, capsys):
     assert cli.main(["check-rec", "--recs", str(recs), "--configs",
                      str(configs), "--out", str(out)]) == 1
     assert "error: bad configs file: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["[1]", "5"])
+def test_cmd_check_rec_config_line_not_an_object(db, tmp_path, capsys, line):
+    recs = tmp_path / "recs.jsonl"
+    recs.write_text(json.dumps({"cipher_string": "HIGH"}) + "\n")
+    config = fixtures.ubuntu_default_configurations(db)[0][1].to_json()
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps(config) + "\n" + line + "\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["check-rec", "--recs", str(recs), "--configs",
+                     str(configs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad configs file: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "5", "[1]", '{"protocols": 5}', '{"cipher_string": 5}',
+    '{"dh_params_bits": "2048"}', '{"session_tickets": "no"}',
+])
+def test_cmd_check_rec_rec_line_wrongly_typed(tmp_path, capsys, line):
+    recs = tmp_path / "recs.jsonl"
+    recs.write_text(json.dumps({"cipher_string": "HIGH"}) + "\n" + line + "\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["check-rec", "--recs", str(recs), "--defaults",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("recs line 2: ")
     assert not out.exists()
 
 

@@ -2,11 +2,13 @@ import dataclasses
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlsaudit import fixtures
 from tlsaudit.configuration import Configuration
+from tlsaudit.registry import Version
 
 # one field changed to another valid value; every other field kept
 _EDITS = {
@@ -55,3 +57,43 @@ def test_configuration_equality_matches_json_and_hash(db, data):
         assert hash(a) == hash(b)
     again = _round_trip(a, sort_keys=True)
     assert again == a and hash(again) == hash(a)
+
+
+def _json_with_every_scalar_set(db) -> dict:
+    spec = fixtures.FixtureSpec(
+        versions=frozenset({Version.TLS1_2}), suites=(0x0033, 0xC02F),
+        session_id_cache=True, tickets=300, ffdhe_prime="modp2048")
+    obj = fixtures.projection(spec, db).to_json()
+    assert (obj["ticket_lifetime_hint_s"], obj["dh_prime_bits"],
+            obj["dh_group_common"]) == (300, 2048, True)
+    return obj
+
+
+def _rejects(obj: dict, field: str, value) -> None:
+    with pytest.raises(ValueError, match=field):
+        Configuration.from_json(dict(obj, **{field: value}))
+
+
+@pytest.mark.parametrize("field", [
+    "server_preference", "tls_compression", "session_id_resumption",
+    "session_tickets", "heartbleed_vulnerable",
+])
+@pytest.mark.parametrize("value", [1, 1.0, "true"])
+def test_from_json_bool_field_takes_only_a_bool(db, field, value):
+    _rejects(_json_with_every_scalar_set(db), field, value)
+
+
+@pytest.mark.parametrize("value", [1, 0, "yes"])
+def test_from_json_dh_group_common_takes_only_a_bool_or_null(db, value):
+    obj = _json_with_every_scalar_set(db)
+    _rejects(obj, "dh_group_common", value)
+    for ok in (True, False, None):
+        assert Configuration.from_json(dict(obj, dh_group_common=ok)).dh_group_common is ok
+
+
+@pytest.mark.parametrize("field", ["ticket_lifetime_hint_s", "dh_prime_bits"])
+@pytest.mark.parametrize("value", [2048.0, True, "2048"])
+def test_from_json_integer_field_takes_only_an_int_or_null(db, field, value):
+    obj = _json_with_every_scalar_set(db)
+    _rejects(obj, field, value)
+    assert getattr(Configuration.from_json(dict(obj, **{field: 2048})), field) == 2048

@@ -1,10 +1,11 @@
+import dataclasses
 import socket
 import threading
 
 import pytest
 
-from tlsaudit import fixtures
-from tlsaudit.engine import HandshakeOutcome, HeartbleedResult, ProbeStatus
+from tlsaudit import dhprimes, fixtures
+from tlsaudit.engine import HandshakeOutcome, HeartbleedResult, ProbeStatus, ServerKexInfo
 from tlsaudit.orchestrator import ProbePolicy, ProbeTrace, SiteProber
 from tlsaudit.registry import Version
 
@@ -73,7 +74,6 @@ def test_dead_target_is_excluded(db, fast_policy):
     prober = SiteProber(db, ProbePolicy(timeout_s=1.0, delay_max_s=0.0))
     config, trace = prober.probe_site("127.0.0.1:1")
     assert config is None
-    assert not trace.eligible
     assert trace.exclusion_reason is not None
 
 
@@ -146,6 +146,36 @@ def test_sslv2_error_reaches_trace(db, probed, monkeypatch):
     assert versions == {Version.SSLv3}
     assert [e.outcome for e in trace.entries if e.kind == "sslv2_probe"] == [
         {"supported": False, "error": "TIMEOUT"}]
+
+
+def test_entries_keep_engine_facts(db, fast_policy, monkeypatch):
+    """Every entry built from a HandshakeOutcome carries its ``retried``; the
+    SSLv2, TLS 1.3 and Heartbleed entries have none to carry. Only the offer
+    handshakes feed the DH prime, not the GET or the two resumes."""
+    spec = dataclasses.replace(RICH_SPEC, heartbeat=fixtures.HEARTBEAT_PATCHED)
+    prober = SiteProber(db, fast_policy)
+    probe = prober.engine.probe  # resume and http_get_over_tls go through it
+    uncommon = ServerKexInfo("FFDHE", dhprimes.named_prime("local1024"))
+
+    def marked(target, offer):
+        outcome = probe(target, offer)
+        outcome.retried = True
+        if (offer.http_get or offer.resumption_session_id
+                or offer.resumption_ticket is not None):
+            outcome.server_key_exchange = uncommon
+        return outcome
+
+    monkeypatch.setattr(prober.engine, "probe", marked)
+    with fixtures.spawn(spec, db) as ep:
+        config, trace = prober.probe_site(ep.target)
+    assert (config.dh_prime_bits, config.dh_group_common) == (2048, True)
+    entries = trace.to_json()["entries"]
+    kinds = [e["kind"] for e in entries]
+    for kind in ("baseline_get", "resume_id", "resume_ticket", "sslv2_probe",
+                 "tls13_probe", "heartbleed"):
+        assert kinds.count(kind) == 1
+    assert [e["kind"] for e in entries if not e["retried"]] == [
+        "sslv2_probe", "tls13_probe", "heartbleed"]
 
 
 def test_policy_json_round_trip():
