@@ -190,18 +190,22 @@ def cmd_check_rec(args) -> int:
     configs = []
     if args.configs:
         try:
-            for lineno, line in enumerate(
-                    Path(args.configs).read_text(encoding="utf-8").splitlines(),
-                    start=1):
-                if not line.strip():
-                    continue
+            text = Path(args.configs).read_text(encoding="utf-8")
+        except (OSError, ValueError) as exc:
+            print(f"error: bad configs file: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
                 obj = _json_object(line)
                 configs.append((obj.get("label", f"config-{lineno}"),
                                 Configuration.from_json(
                                     obj.get("configuration", obj))))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: bad configs file: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            except (ValueError, KeyError, TypeError) as exc:
+                print(f"error: bad configs file: line {lineno}: {exc}",
+                      file=sys.stderr)
+                return EXIT_INPUT
 
     defaults = _load_defaults(db) if args.defaults else None
 
@@ -268,8 +272,7 @@ def cmd_fixtures(args) -> int:
     specs = fixtures.bundled_corpus(db, seed=args.seed)
     for n, spec in enumerate(specs):
         path = out_dir / f"spec-{n:03d}.json"
-        path.write_text(json.dumps(spec.to_json(), indent=1) + "\n",
-                        encoding="utf-8")
+        path.write_text(json.dumps(spec.to_json()) + "\n", encoding="utf-8")
     with open(out_dir / "ubuntu_defaults.jsonl", "w", encoding="utf-8") as fh:
         for label, config, profile in fixtures.ubuntu_default_configurations(db):
             fh.write(json.dumps({"label": label, "profile": profile,

@@ -27,6 +27,7 @@ _SCALAR_TYPES = (
     ("heartbleed_vulnerable", _BOOL), ("dh_group_common", _BOOL_OR_NULL),
     ("ticket_lifetime_hint_s", _INT_OR_NULL), ("dh_prime_bits", _INT_OR_NULL),
 )
+_ONLY_BOOL = frozenset({bool})
 
 
 def compute_component_flags(db: CipherDb, suites) -> dict[str, bool]:
@@ -152,8 +153,9 @@ class Configuration:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Configuration":
-        """Read ``to_json`` output back; a scalar field of another JSON type
-        (``1`` for ``true``, ``1024.0`` for ``1024``) is a ``ConfigError``."""
+        """Read ``to_json`` output back; a scalar field or a flag of another
+        JSON type (``1`` for ``true``, ``1024.0`` for ``1024``) is a
+        ``ConfigError``."""
         config = cls(
             versions=frozenset(Version.from_label(v) for v in obj["versions"]),
             supported_suites=frozenset(int(s, 16) for s in obj["supported_suites"]),
@@ -175,4 +177,10 @@ class Configuration:
             value = getattr(config, name)
             if type(value) not in types:  # bool is not int here
                 raise ConfigError(f"{name} must be {expected}, not {value!r}")
+        for name in ("component_flags", "kex_flags"):
+            flags = getattr(config, name)
+            if not _ONLY_BOOL.issuperset(map(type, flags.values())):
+                flag, value = next((k, v) for k, v in flags.items()
+                                   if type(v) is not bool)
+                raise ConfigError(f"{name}[{flag!r}] must be a bool, not {value!r}")
         return config

@@ -13,6 +13,12 @@ handshake on Nagle's algorithm against the peer's delayed ACK.
 After its hello flight the server reads every client record in one loop,
 ``FixtureEndpoint._serve_records``, full and abbreviated handshakes alike; a
 record the handshake does not allow at that point ends the connection.
+
+Each endpoint runs two threads for its whole life: one accepts connections
+and hands each socket to the other, a worker that serves them one at a time
+in arrival order. No thread is started per connection, so a connection's
+server-side cost is the handshake itself. A client that holds a connection
+open without sending delays the next one by at most the 5 s read timeout.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ import csv
 import datetime
 import logging
 import os
+import queue
 import random
 import socket
 import socketserver
@@ -37,7 +44,7 @@ from . import wire
 from .configuration import Configuration
 from .registry import (
     KEX_RANK, Auth, CipherDb, CipherFamily, CipherMode, Kex, Mac, Version,
-    cert_compatible, sort_offer,
+    cert_compatible, sort_offer, suite_label,
 )
 from .wire import (
     AlertDescription, ClientHello, Compression, ContentType, ExtType, HsType,
@@ -169,6 +176,37 @@ def fixture_certificate(kind: str) -> bytes:
 
 # -- the endpoint ------------------------------------------------------------
 
+class _OneWorkerServer(socketserver.TCPServer):
+    """A TCP server whose ``serve_forever`` thread only accepts: each
+    accepted socket goes to one long-lived worker thread, which serves the
+    sockets in arrival order. ``server_close`` stops the worker."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._accepted = queue.SimpleQueue()
+        self._worker = threading.Thread(target=self._work, daemon=True)
+        self._worker.start()
+
+    def process_request(self, request, client_address):
+        self._accepted.put((request, client_address))
+
+    def _work(self) -> None:
+        # survives any handler exception, as ThreadingMixIn's threads do
+        while (item := self._accepted.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._accepted.put(None)
+        self._worker.join()
+
+
 class FixtureEndpoint:
     """Live endpoint handle; also records a capture log for assertions."""
 
@@ -193,8 +231,7 @@ class FixtureEndpoint:
                     f"suite {info.name} incompatible with {spec.cert_kind} certificate")
 
         handler = self._make_handler()
-        self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
-        self._server.daemon_threads = True
+        self._server = _OneWorkerServer(("127.0.0.1", 0), handler)
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         daemon=True)
         self._thread.start()
@@ -262,7 +299,7 @@ class FixtureEndpoint:
         self._log({
             "event": "client_hello",
             "version": hello.version.label,
-            "suites": [f"0x{s:04X}" for s in hello.suites],
+            "suites": list(map(suite_label, hello.suites)),
             "extensions": sorted(hello.extensions),
             "compression": list(hello.compression),
             "session_id": hello.session_id.hex(),
@@ -380,7 +417,7 @@ class FixtureEndpoint:
 
     def _send_abbreviated(self, sock, version, suite, compression,
                           session_id, acked) -> None:
-        self._log({"event": "abbreviated", "suite": f"0x{suite:04X}"})
+        self._log({"event": "abbreviated", "suite": suite_label(suite)})
         hello = ServerHello(version=version, random=os.urandom(32),
                             session_id=session_id, suite=suite,
                             compression=compression, extensions=acked).encode()

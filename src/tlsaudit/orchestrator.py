@@ -16,7 +16,9 @@ from .engine import (
     HandshakeEngine, HandshakeOffer, HandshakeOutcome, HeartbleedResult,
     ProbeStatus, SessionArtifacts,
 )
-from .registry import Auth, CipherDb, Version, browser_union, cert_compatible, sort_offer
+from .registry import (
+    Auth, CipherDb, Version, browser_union, cert_compatible, sort_offer, suite_label,
+)
 from .wire import Compression
 
 logger = logging.getLogger(__name__)
@@ -92,7 +94,7 @@ def _offer_summary(offer: HandshakeOffer) -> dict:
     return {
         "max_version": offer.max_version.label,
         "min_version": offer.min_version.label,
-        "suites": [f"0x{s:04X}" for s in offer.suites],
+        "suites": list(map(suite_label, offer.suites)),
         "extensions": sorted(offer.extensions),
         "compression": list(offer.compression_methods),
     }
@@ -103,7 +105,7 @@ def _outcome_summary(outcome: HandshakeOutcome) -> dict:
     if outcome.selected_version is not None:
         out["version"] = outcome.selected_version.label
     if outcome.selected_suite is not None:
-        out["suite"] = f"0x{outcome.selected_suite:04X}"
+        out["suite"] = suite_label(outcome.selected_suite)
     if outcome.selected_compression is not None:
         out["compression"] = outcome.selected_compression
     if outcome.alert_code is not None:

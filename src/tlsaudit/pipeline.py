@@ -383,8 +383,7 @@ def scan_one(prober: SiteProber, db: CipherDb, target: Target,
         trace_dir = Path(options.trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
         trace_path = trace_dir / f"{target.domain.replace(':', '_')}.trace.json"
-        trace_path.write_text(json.dumps(trace.to_json(), indent=1),
-                              encoding="utf-8")
+        trace_path.write_text(json.dumps(trace.to_json()), encoding="utf-8")
         trace_ref = str(trace_path)
 
     asn = (annotate_asn(address, options.asn_table)

@@ -7,6 +7,7 @@ registry naming conventions). All lookups after load are read-only.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -285,6 +286,13 @@ def offer_sort_key(info: CipherSuiteInfo):
         1 if info.is_export else 0,
         info.id,
     )
+
+
+@functools.cache
+def suite_label(suite_id: int) -> str:
+    """``0xC02F``: how traces and capture logs name a suite id. Formatted
+    once per id per process; callers pass wire ids, so at most 65,536."""
+    return f"0x{suite_id:04X}"
 
 
 def _offer_ranks(db: CipherDb) -> dict[int, int]:

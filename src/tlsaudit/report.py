@@ -242,7 +242,7 @@ def build(records: Iterable[ScanRecord], which: str):
 def emit(which: str, data, fmt: str, out_path) -> None:
     """Write a built report as UTF-8 CSV or JSON with LF line endings."""
     if fmt == "json":
-        text = json.dumps(data, indent=1, sort_keys=False) + "\n"
+        text = json.dumps(data) + "\n"
     elif fmt == "csv":
         text = _kind(which)[1](data)
     else:

@@ -100,6 +100,26 @@ def test_cmd_grade_loosely_typed_scalar(db, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1
 
 
+def _int_flag(config_json: dict) -> dict:
+    """``config_json`` with its ``AES`` flag written as ``1``: equal to
+    ``true`` under ``==``, but a different report key."""
+    flags = dict(config_json["component_flags"])
+    flags["AES"] = int(flags["AES"])
+    return dict(config_json, component_flags=flags)
+
+
+def test_cmd_grade_int_flag(db, tmp_path, capsys):
+    good = fixtures.ubuntu_default_configurations(db)[0][1].to_json()
+    infile = tmp_path / "configs.jsonl"
+    infile.write_text(json.dumps(good) + "\n" + json.dumps(_int_flag(good)) + "\n")
+    out = tmp_path / "grades.jsonl"
+    assert cli.main(["grade", "--in", str(infile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"line 2: invalid record: component_flags['AES'] must be "
+                   f"a bool, not {int(good['component_flags']['AES'])}"]
+    assert len(out.read_text().splitlines()) == 1
+
+
 def test_cmd_scan_fixture_targets(db, tmp_path):
     specs = fixtures.bundled_corpus(db, seed=9)[:2]
     endpoints = [fixtures.spawn(s, db) for s in specs]
@@ -217,6 +237,21 @@ def test_cmd_check_rec_wrongly_typed_config(db, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cmd_check_rec_int_flag_config(db, tmp_path, capsys):
+    recs = tmp_path / "recs.jsonl"
+    recs.write_text(json.dumps({"cipher_string": "HIGH"}) + "\n")
+    config = fixtures.ubuntu_default_configurations(db)[0][1].to_json()
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps(config) + "\n\n"
+                       + json.dumps(_int_flag(config)) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["check-rec", "--recs", str(recs), "--configs",
+                     str(configs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: bad configs file: line 3: component_flags['AES'] must be a bool")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["[1]", "5"])
 def test_cmd_check_rec_config_line_not_an_object(db, tmp_path, capsys, line):
     recs = tmp_path / "recs.jsonl"
@@ -302,6 +337,24 @@ def test_cmd_report_wrongly_typed_field(db, tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+def test_cmd_report_int_flag(db, tmp_path, capsys):
+    from tlsaudit.pipeline import Eligibility, ScanRecord
+    config = fixtures.ubuntu_default_configurations(db)[0][1]
+    good = ScanRecord(domain="a.test", eligibility=Eligibility.GRADED,
+                      configuration=config,
+                      grade_report=grade(config, db)).to_json()
+    bad = dict(good, configuration=_int_flag(good["configuration"]))
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["report", "--records", str(records), "--which",
+                     "dominance", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {records}:2: bad record: ")
+    assert "component_flags['AES'] must be a bool" in err
+    assert not out.exists()
+
+
 def test_cmd_fixtures(tmp_path, capsys):
     out_dir = tmp_path / "fx"
     assert cli.main(["fixtures", "--out-dir", str(out_dir),
@@ -312,3 +365,4 @@ def test_cmd_fixtures(tmp_path, capsys):
     # specs are valid and reloadable
     from tlsaudit.fixtures import FixtureSpec
     FixtureSpec.from_json(json.loads(specs[0].read_text()))
+

@@ -97,3 +97,19 @@ def test_from_json_integer_field_takes_only_an_int_or_null(db, field, value):
     obj = _json_with_every_scalar_set(db)
     _rejects(obj, field, value)
     assert getattr(Configuration.from_json(dict(obj, **{field: 2048})), field) == 2048
+
+
+@pytest.mark.parametrize("field, flag", [
+    ("component_flags", "AES"), ("component_flags", "EXPORT"), ("kex_flags", "RSA"),
+])
+@pytest.mark.parametrize("value", [1, 0, 1.0, "true", None])
+def test_from_json_flag_takes_only_a_bool(db, field, flag, value):
+    # 1 == True and hash(1) == hash(True): an int flag would compare equal
+    # to the bool one while its report key differs
+    obj = _json_with_every_scalar_set(db)
+    flags = dict(obj[field], **{flag: value})
+    with pytest.raises(ValueError, match=rf"{field}\['{flag}'\] must be a bool"):
+        Configuration.from_json(dict(obj, **{field: flags}))
+    for ok in (True, False):
+        config = Configuration.from_json(dict(obj, **{field: dict(flags, **{flag: ok})}))
+        assert getattr(config, field)[flag] is ok

@@ -6,6 +6,7 @@ import pytest
 
 from tlsaudit import fixtures, wire
 from tlsaudit.engine import HandshakeEngine, HandshakeOffer, ProbeStatus
+from tlsaudit.orchestrator import SiteProber
 from tlsaudit.registry import Version
 from tlsaudit.wire import ContentType
 
@@ -228,3 +229,79 @@ def test_server_record_loop_reactions(db, resume, steps):
                     assert sock.recv(1) == b""
                 else:
                     assert [wire.read_record(sock)[0] for _ in reply] == reply
+
+
+_SERVED_SPEC = fixtures.FixtureSpec(
+    versions=frozenset({Version.TLS1_0, Version.TLS1_2}),
+    suites=(0xC02F, 0x009C, 0x002F), server_preference=True,
+    session_id_cache=True, tickets=300)
+
+
+def test_one_thread_serves_every_connection(db):
+    engine = HandshakeEngine(db, timeout=3.0)
+    offer = HandshakeOffer(max_version=Version.TLS1_2,
+                           min_version=Version.TLS1_2, suites=[0xC02F])
+    seen: list[tuple[int, threading.Thread]] = []
+    with fixtures.spawn(_SERVED_SPEC, db) as ep:
+        serve = ep._serve
+
+        def counting_serve(sock):
+            # counted while the connection is being served, when a thread
+            # started for it would still be alive
+            seen.append((threading.active_count(), threading.current_thread()))
+            serve(sock)
+
+        ep._serve = counting_serve
+        before = threading.active_count()
+        for _ in range(20):
+            assert engine.handshake(ep.target, offer).status == ProbeStatus.NEGOTIATED
+        assert threading.active_count() == before
+    assert [count for count, _thread in seen] == [before] * 20
+    assert len({id(thread) for _count, thread in seen}) == 1
+
+
+def _garbage(ep):
+    with socket.create_connection((ep.host, ep.port), timeout=3.0) as sock:
+        sock.sendall(b"\x16\x03\x01\x00\x05garbage, not a handshake\r\n")
+        while sock.recv(4096):  # until the server closes
+            pass
+
+
+def _closed_mid_flight(ep):
+    hello = wire.record(ContentType.HANDSHAKE, Version.TLS1_2, wire.ClientHello(
+        version=Version.TLS1_2, random=bytes(32), session_id=b"",
+        suites=[0xC02F], compression=[0], extensions={}).encode())
+    with socket.create_connection((ep.host, ep.port), timeout=3.0) as sock:
+        sock.sendall(hello[:len(hello) // 2])
+
+
+def _handler_raises(ep):
+    serve = ep._serve
+
+    def raise_once(sock):
+        ep._serve = serve
+        raise RuntimeError("handler bug")
+
+    ep._serve = raise_once
+    with socket.create_connection((ep.host, ep.port), timeout=3.0) as sock:
+        assert sock.recv(1) == b""  # closed by the server after the error
+
+
+@pytest.mark.parametrize("abuse", [_garbage, _closed_mid_flight, _handler_raises],
+                         ids=["garbage", "closed-mid-flight", "handler-raises"])
+def test_endpoint_serves_on_after_a_broken_connection(db, fast_policy, abuse):
+    with fixtures.spawn(_SERVED_SPEC, db) as ep:
+        abuse(ep)
+        config, trace = SiteProber(db, fast_policy).probe_site(ep.target)
+    assert trace.exclusion_reason is None and not trace.partial
+    assert config.to_json() == fixtures.projection(_SERVED_SPEC, db).to_json()
+
+
+def test_stop_is_idempotent_and_ends_the_worker(db):
+    ep = fixtures.spawn(_SERVED_SPEC, db)
+    worker = ep._server._worker
+    assert worker.is_alive()
+    ep.stop()
+    assert not worker.is_alive()
+    ep.stop()
+    assert not worker.is_alive()

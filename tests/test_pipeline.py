@@ -1,6 +1,7 @@
 import ipaddress
 import json
 import logging
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from tlsaudit import fixtures, pipeline
 from tlsaudit.grading import grade
+from tlsaudit.orchestrator import SiteProber
 from tlsaudit.pipeline import (Eligibility, PipelineError, ScanOptions,
                                ScanRecord, Target, annotate_asn, load_asn_table,
                                load_targets, parse_prefix, parse_server_header,
@@ -360,6 +362,25 @@ def test_run_scan_over_fixtures(db, fast_policy, tmp_path):
     again = run_scan(targets, fast_policy, db, out, options)
     assert again == []
     assert len(pipeline.load_records(out)) == len(targets)
+
+
+def test_scan_one_writes_the_trace_as_one_json_line(db, fast_policy, tmp_path):
+    prober = SiteProber(db, fast_policy)
+    traces = []
+    probe_site = prober.probe_site
+
+    def keeping_probe_site(*args, **kwargs):
+        config, trace = probe_site(*args, **kwargs)
+        traces.append(trace)
+        return config, trace
+
+    prober.probe_site = keeping_probe_site
+    with fixtures.spawn(fixtures.bundled_corpus(db, seed=5)[0], db) as ep:
+        record = pipeline.scan_one(prober, db, Target(1, ep.target),
+                                   ScanOptions(trace_dir=str(tmp_path)))
+    text = Path(record.trace_ref).read_text(encoding="utf-8")
+    assert "\n" not in text
+    assert json.loads(text) == traces[0].to_json()
 
 
 def test_run_scan_cuts_torn_tail_and_resumes(db, fast_policy, tmp_path):
