@@ -17,6 +17,7 @@ the one reply itself.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -43,6 +44,12 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT = 5.0
 HEARTBLEED_OVERREAD_CAP = 16 * 1024
+# distinct certificates (by DER) and server names whose derived values are
+# remembered: a site serves one certificate and is probed under one name, and
+# a server sending a new certificate per connection cannot grow the caches
+SITE_CACHE_SIZE = 256
+
+_KNOWN_EXTENSIONS = frozenset(EXTENSION_CODES)
 
 
 class ProbeStatus(Enum):
@@ -81,7 +88,7 @@ class HandshakeOffer:
         comp = list(self.compression_methods)
         if Compression.NULL not in comp:
             raise OfferError("compression list must include null")
-        unknown = self.extensions - set(EXTENSION_CODES)
+        unknown = self.extensions - _KNOWN_EXTENSIONS
         if unknown:
             raise OfferError(f"unknown extensions {sorted(unknown)}")
 
@@ -148,6 +155,7 @@ def _connect(target: str, timeout: float) -> socket.socket:
     return socket.create_connection(split_target(target), timeout=timeout)
 
 
+@functools.lru_cache(maxsize=SITE_CACHE_SIZE)
 def _sig_alg_of(der: bytes) -> str:
     try:
         cert = x509.load_der_x509_certificate(der)
@@ -159,6 +167,14 @@ def _sig_alg_of(der: bytes) -> str:
     if isinstance(key, _ec.EllipticCurvePublicKey):
         return "ECDSA"
     return "OTHER"
+
+
+@functools.lru_cache(maxsize=SITE_CACHE_SIZE)
+def _server_name_extension(name: str) -> bytes:
+    """The server_name extension body naming ``name``. A site's probes all
+    send the same name, and the idna codec runs in Python."""
+    entry = b"\x00" + wire.vec16(name.encode("idna"))
+    return wire.vec16(entry)
 
 
 @dataclass
@@ -262,9 +278,7 @@ class HandshakeEngine:
     def _hello_record(self, offer: HandshakeOffer) -> bytes:
         extensions: dict[int, bytes] = {}
         if offer.sni_name:
-            name = offer.sni_name.encode("idna")
-            entry = b"\x00" + wire.vec16(name)
-            extensions[ExtType.SERVER_NAME] = wire.vec16(entry)
+            extensions[ExtType.SERVER_NAME] = _server_name_extension(offer.sni_name)
         for ext in sorted(offer.extensions):
             code = EXTENSION_CODES[ext]
             if code in extensions:

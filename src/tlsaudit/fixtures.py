@@ -30,6 +30,7 @@ import queue
 import random
 import socket
 import socketserver
+import struct
 import threading
 from dataclasses import dataclass
 from importlib import resources
@@ -47,8 +48,8 @@ from .registry import (
     cert_compatible, sort_offer, suite_label,
 )
 from .wire import (
-    AlertDescription, ClientHello, Compression, ContentType, ExtType, HsType,
-    NewSessionTicket, ServerHello, WireError,
+    VERSION_BY_WORD, AlertDescription, ClientHello, Compression, ContentType,
+    ExtType, HsType, NewSessionTicket, ServerHello, WireError,
 )
 
 logger = logging.getLogger(__name__)
@@ -318,14 +319,9 @@ class FixtureEndpoint:
         raw = hello.extensions.get(ExtType.SUPPORTED_VERSIONS)
         if raw is None or not raw:
             return []
-        body, out = raw[1:1 + raw[0]], []
-        for i in range(0, len(body) - 1, 2):
-            word = (body[i] << 8) | body[i + 1]
-            try:
-                out.append(Version(word))
-            except ValueError:
-                continue
-        return out
+        body = raw[1:1 + raw[0]]
+        words = struct.unpack_from(f">{len(body) >> 1}H", body)
+        return [VERSION_BY_WORD[w] for w in words if w in VERSION_BY_WORD]
 
     def _negotiate(self, sock: socket.socket, hello: ClientHello) -> None:
         spec, db = self.spec, self.db
@@ -343,8 +339,9 @@ class FixtureEndpoint:
             return
         version = max(tls_versions, key=lambda v: v.value)
 
+        offered = set(hello.suites)
         usable = [s for s in spec.suites
-                  if s in hello.suites and db[s].min_version <= version]
+                  if s in offered and db[s].min_version <= version]
         if not usable:
             sock.sendall(wire.alert(AlertDescription.HANDSHAKE_FAILURE))
             return

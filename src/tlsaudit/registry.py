@@ -91,15 +91,17 @@ class Version(Enum):
         except (KeyError, TypeError):
             raise RegistryError(f"unknown protocol version {label!r}") from None
 
+    # Version cannot be subclassed, so a class-identity check is the
+    # isinstance check; ``_value_`` skips Enum's ``value`` descriptor
     def __lt__(self, other):
-        if not isinstance(other, Version):
+        if other.__class__ is not Version:
             return NotImplemented
-        return self.value < other.value
+        return self._value_ < other._value_
 
     def __le__(self, other):
-        if not isinstance(other, Version):
+        if other.__class__ is not Version:
             return NotImplemented
-        return self.value <= other.value
+        return self._value_ <= other._value_
 
 
 _VERSION_LABELS = {

@@ -3,6 +3,15 @@
 Shared by the probing engine and the local test endpoints. Covers the
 plaintext handshake flight (hello messages, certificate, key exchange,
 ticket), the historical SSLv2 hello format, and heartbeat messages.
+
+Parser contract: every parser here reads bytes a peer chose, so malformed,
+truncated or hostile input raises ``WireError`` and nothing else; callers
+catch that one exception (with the socket's own errors) at the connection
+boundary.
+
+Both ends of every probe run this codec on each record and message, so
+fields are read in place with precompiled ``struct.Struct`` objects and
+length-checked against the reader's stored end, without slicing first.
 """
 from __future__ import annotations
 
@@ -84,42 +93,101 @@ class AlertDescription(IntEnum):
 
 MAX_RECORD = 1 << 14
 
+_CONTENT_TYPES = frozenset(t.value for t in ContentType)
+
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_U8_U16 = struct.Struct(">BH")  # a 24-bit length as its high byte and low word
+_U16_U8 = struct.Struct(">HB")  # ServerHello's suite and compression method
+_RECORD_HEADER = struct.Struct(">BHH")  # content type, version word, length
+
+# every protocol version by its wire word; a word missing here is unknown
+VERSION_BY_WORD = {v.value: v for v in Version}
+
 
 class Reader:
-    """Cursor over immutable bytes with length-prefixed vector helpers."""
+    """Cursor over immutable bytes with length-prefixed vector helpers.
+
+    Every read checks its bounds against the stored end before it touches
+    the bytes; a short read raises ``WireError("truncated: wanted N, have
+    M")``, with M counted after any length prefix already read.
+    """
+
+    __slots__ = ("data", "pos", "end")
 
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.end = len(data)
 
     def remaining(self) -> int:
-        return len(self.data) - self.pos
+        return self.end - self.pos
 
     def take(self, n: int) -> bytes:
-        if self.remaining() < n:
-            raise WireError(f"truncated: wanted {n}, have {self.remaining()}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        pos = self.pos
+        stop = pos + n
+        if stop > self.end:
+            raise _truncated(n, self.end - pos)
+        self.pos = stop
+        return self.data[pos:stop]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        pos = self.pos
+        if pos >= self.end:
+            raise _truncated(1, 0)
+        self.pos = pos + 1
+        return self.data[pos]
 
     def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
+        pos = self.pos
+        if pos + 2 > self.end:
+            raise _truncated(2, self.end - pos)
+        self.pos = pos + 2
+        return _U16.unpack_from(self.data, pos)[0]
 
     def u24(self) -> int:
-        b = self.take(3)
-        return (b[0] << 16) | (b[1] << 8) | b[2]
+        pos = self.pos
+        if pos + 3 > self.end:
+            raise _truncated(3, self.end - pos)
+        self.pos = pos + 3
+        high, low = _U8_U16.unpack_from(self.data, pos)
+        return (high << 16) | low
 
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        pos = self.pos
+        if pos + 4 > self.end:
+            raise _truncated(4, self.end - pos)
+        self.pos = pos + 4
+        return _U32.unpack_from(self.data, pos)[0]
+
+    # the vectors inline their length read: they run once per field of
+    # every hello and extension
 
     def vec8(self) -> bytes:
-        return self.take(self.u8())
+        pos, end = self.pos, self.end
+        if pos >= end:
+            raise _truncated(1, 0)
+        start = pos + 1
+        stop = start + self.data[pos]
+        if stop > end:
+            raise _truncated(stop - start, end - start)
+        self.pos = stop
+        return self.data[start:stop]
 
     def vec16(self) -> bytes:
-        return self.take(self.u16())
+        pos, end = self.pos, self.end
+        if pos + 2 > end:
+            raise _truncated(2, end - pos)
+        start = pos + 2
+        stop = start + _U16.unpack_from(self.data, pos)[0]
+        if stop > end:
+            raise _truncated(stop - start, end - start)
+        self.pos = stop
+        return self.data[start:stop]
+
+
+def _truncated(wanted: int, have: int) -> WireError:
+    return WireError(f"truncated: wanted {wanted}, have {have}")
 
 
 def vec8(data: bytes) -> bytes:
@@ -127,16 +195,15 @@ def vec8(data: bytes) -> bytes:
 
 
 def vec16(data: bytes) -> bytes:
-    return struct.pack(">H", len(data)) + data
+    return _U16.pack(len(data)) + data
 
 
 def vec24(data: bytes) -> bytes:
-    n = len(data)
-    return bytes([(n >> 16) & 0xFF, (n >> 8) & 0xFF, n & 0xFF]) + data
+    return _U32.pack(len(data) & 0xFFFFFF)[1:] + data
 
 
 def record(content_type: int, version: Version, payload: bytes) -> bytes:
-    return struct.pack(">BHH", content_type, version.value, len(payload)) + payload
+    return _RECORD_HEADER.pack(content_type, version.value, len(payload)) + payload
 
 
 def handshake_message(hs_type: int, body: bytes) -> bytes:
@@ -146,8 +213,8 @@ def handshake_message(hs_type: int, body: bytes) -> bytes:
 def read_record(sock) -> tuple[int, int, bytes]:
     """Read one TLS record; returns (content_type, version_word, payload)."""
     header = _recv_exact(sock, 5)
-    ctype, ver, length = struct.unpack(">BHH", header)
-    if ctype not in iter(ContentType) and not (0x80 & ctype):
+    ctype, ver, length = _RECORD_HEADER.unpack(header)
+    if ctype not in _CONTENT_TYPES and not (0x80 & ctype):
         raise WireError(f"not a TLS record (content type {ctype})")
     if length > MAX_RECORD + 2048:
         raise WireError(f"oversized record ({length} bytes)")
@@ -168,7 +235,7 @@ def _encode_extensions(extensions: dict[int, bytes]) -> bytes:
     """The hello extension block; empty when there are no extensions."""
     if not extensions:
         return b""
-    return vec16(b"".join(struct.pack(">H", t) + vec16(v)
+    return vec16(b"".join(_U16.pack(t) + vec16(v)
                           for t, v in extensions.items()))
 
 
@@ -193,12 +260,15 @@ class ClientHello:
     extensions: dict[int, bytes] = field(default_factory=dict)
 
     def encode(self) -> bytes:
-        body = struct.pack(">H", self.version.value)
-        body += self.random
-        body += vec8(self.session_id)
-        body += vec16(b"".join(struct.pack(">H", s) for s in self.suites))
-        body += vec8(bytes(self.compression))
-        body += _encode_extensions(self.extensions)
+        n = len(self.suites)
+        body = b"".join((
+            _U16.pack(self.version.value),
+            self.random,
+            vec8(self.session_id),
+            struct.pack(f">H{n}H", 2 * n, *self.suites),
+            vec8(bytes(self.compression)),
+            _encode_extensions(self.extensions),
+        ))
         return handshake_message(HsType.CLIENT_HELLO, body)
 
     @classmethod
@@ -208,10 +278,10 @@ class ClientHello:
         rand = r.take(32)
         session_id = r.vec8()
         suites_raw = r.vec16()
-        suites = [
-            struct.unpack(">H", suites_raw[i:i + 2])[0]
-            for i in range(0, len(suites_raw), 2)
-        ]
+        if len(suites_raw) & 1:
+            raise WireError(
+                f"odd-length cipher suite vector ({len(suites_raw)} bytes)")
+        suites = list(struct.unpack(f">{len(suites_raw) >> 1}H", suites_raw))
         compression = list(r.vec8())
         return cls(version, rand, session_id, suites, compression,
                    _parse_extensions(r))
@@ -227,11 +297,13 @@ class ServerHello:
     extensions: dict[int, bytes] = field(default_factory=dict)
 
     def encode(self) -> bytes:
-        body = struct.pack(">H", self.version.value)
-        body += self.random
-        body += vec8(self.session_id)
-        body += struct.pack(">HB", self.suite, self.compression)
-        body += _encode_extensions(self.extensions)
+        body = b"".join((
+            _U16.pack(self.version.value),
+            self.random,
+            vec8(self.session_id),
+            _U16_U8.pack(self.suite, self.compression),
+            _encode_extensions(self.extensions),
+        ))
         return handshake_message(HsType.SERVER_HELLO, body)
 
     @classmethod
@@ -250,14 +322,14 @@ class ServerHello:
         """Negotiated version, honoring the supported_versions extension."""
         sv = self.extensions.get(ExtType.SUPPORTED_VERSIONS)
         if sv is not None and len(sv) == 2:
-            return _version_from_word(struct.unpack(">H", sv)[0])
+            return _version_from_word(_U16.unpack(sv)[0])
         return self.version
 
 
 def _version_from_word(word: int) -> Version:
     try:
-        return Version(word)
-    except ValueError:
+        return VERSION_BY_WORD[word]
+    except KeyError:
         raise WireError(f"unknown protocol version word 0x{word:04X}") from None
 
 
@@ -293,7 +365,7 @@ def encode_dhe_ske(prime: bytes) -> bytes:
 
 def encode_ecdhe_ske() -> bytes:
     point = b"\x04" + os.urandom(64)
-    body = bytes([3]) + struct.pack(">H", 0x0017) + vec8(point)  # secp256r1
+    body = bytes([3]) + _U16.pack(0x0017) + vec8(point)  # secp256r1
     return handshake_message(HsType.SERVER_KEY_EXCHANGE, body)
 
 
@@ -305,7 +377,7 @@ class NewSessionTicket:
     def encode(self) -> bytes:
         return handshake_message(
             HsType.NEW_SESSION_TICKET,
-            struct.pack(">I", self.lifetime_hint_s) + vec16(self.ticket),
+            _U32.pack(self.lifetime_hint_s) + vec16(self.ticket),
         )
 
     @classmethod
@@ -349,7 +421,7 @@ HEARTBEAT_RESPONSE = 2
 
 
 def encode_heartbeat(msg_type: int, claimed_length: int, payload: bytes) -> bytes:
-    return (bytes([msg_type]) + struct.pack(">H", claimed_length) + payload
+    return (bytes([msg_type]) + _U16.pack(claimed_length) + payload
             + os.urandom(16))  # the minimum padding
 
 
@@ -357,7 +429,7 @@ def parse_heartbeat(data: bytes) -> tuple[int, int, bytes]:
     """Returns (msg_type, claimed_payload_length, rest-of-message bytes)."""
     if len(data) < 3:
         raise WireError("short heartbeat message")
-    return data[0], struct.unpack(">H", data[1:3])[0], data[3:]
+    return data[0], _U16.unpack_from(data, 1)[0], data[3:]
 
 
 # --- historical SSLv2 hello format ---

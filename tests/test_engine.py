@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from tlsaudit import engine as engine_module
 from tlsaudit import fixtures, wire
 from tlsaudit.engine import (HandshakeEngine, HandshakeOffer, HeartbleedResult,
                              OfferError, ProbeStatus)
@@ -201,3 +202,28 @@ def test_tls13_probe_positive(db, engine):
         suites=(0xC02F,), server_preference=True)
     with fixtures.spawn(spec, db) as ep:
         assert engine.tls13_probe(ep.target, [0xC02F])
+
+
+def test_sig_alg_of_reads_each_certificate_once():
+    rsa_der = fixtures.fixture_certificate("RSA")
+    ecdsa_der = fixtures.fixture_certificate("ECDSA")
+    engine_module._sig_alg_of.cache_clear()
+    assert engine_module._sig_alg_of(rsa_der) == "RSA"
+    assert engine_module._sig_alg_of(ecdsa_der) == "ECDSA"
+    assert engine_module._sig_alg_of(b"\x30\x03not a certificate") == "OTHER"
+    assert engine_module._sig_alg_of.cache_info().misses == 3
+    for _ in range(5):
+        assert engine_module._sig_alg_of(rsa_der) == "RSA"
+    info = engine_module._sig_alg_of.cache_info()
+    assert (info.hits, info.misses) == (5, 3)
+
+
+def test_sig_alg_cache_is_bounded():
+    maxsize = engine_module._sig_alg_of.cache_info().maxsize
+    assert maxsize == engine_module.SITE_CACHE_SIZE
+    assert isinstance(maxsize, int) and 0 < maxsize <= 4096
+    engine_module._sig_alg_of.cache_clear()
+    # a server that sends a new certificate on every connection
+    for n in range(maxsize + 50):
+        assert engine_module._sig_alg_of(b"\x30" + n.to_bytes(4, "big")) == "OTHER"
+    assert engine_module._sig_alg_of.cache_info().currsize == maxsize

@@ -297,6 +297,23 @@ def test_endpoint_serves_on_after_a_broken_connection(db, fast_policy, abuse):
     assert config.to_json() == fixtures.projection(_SERVED_SPEC, db).to_json()
 
 
+def test_odd_length_suite_vector_is_logged_not_raised(db):
+    body = (b"\x03\x03" + bytes(32) + b"\x00"
+            + b"\x00\x03\xc0\x2f\x00" + b"\x01\x00")
+    hello = wire.record(ContentType.HANDSHAKE, Version.TLS1_0,
+                        wire.handshake_message(wire.HsType.CLIENT_HELLO, body))
+    unhandled = []
+    with fixtures.spawn(_SERVED_SPEC, db) as ep:
+        ep._server.handle_error = lambda *args: unhandled.append(args)
+        with socket.create_connection((ep.host, ep.port), timeout=3.0) as sock:
+            sock.sendall(hello)
+            assert sock.recv(1) == b""  # closed by the server
+        capture = list(ep.capture)
+    assert unhandled == []
+    assert capture == [{"event": "connection_error",
+                        "error": "odd-length cipher suite vector (3 bytes)"}]
+
+
 def test_stop_is_idempotent_and_ends_the_worker(db):
     ep = fixtures.spawn(_SERVED_SPEC, db)
     worker = ep._server._worker
