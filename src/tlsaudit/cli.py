@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="CSV of rank,domain rows")
     p_scan.add_argument("--out", required=True, help="output JSONL path")
     p_scan.add_argument("--policy", help="probe policy JSON file")
-    p_scan.add_argument("--asn-table", help="CSV of prefix,asn,as_name rows")
+    p_scan.add_argument("--asn-table",
+                        help="UTF-8 CSV of prefix,asn,as_name rows")
     p_scan.add_argument("--trace-dir", help="directory for per-site traces")
     p_scan.add_argument("--seed", type=int, help="politeness jitter seed")
     p_scan.add_argument("--i-understand-scanning-ethics", action="store_true",
@@ -123,7 +124,7 @@ def cmd_scan(args) -> int:
     if args.asn_table:
         try:
             asn_table = pipeline.load_asn_table(args.asn_table)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read asn table: {exc}", file=sys.stderr)
             return EXIT_INPUT
 

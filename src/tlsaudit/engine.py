@@ -18,7 +18,6 @@ the one reply itself.
 from __future__ import annotations
 
 import functools
-import hashlib
 import logging
 import os
 import socket
@@ -110,7 +109,6 @@ class SessionArtifacts:
 class HttpResult:
     status_code: int
     server_header: Optional[str]
-    body_hash: str
 
 
 @dataclass
@@ -191,7 +189,7 @@ class _Connection:
     hello_done: bool = False
     finished: bool = False
     alert: Optional[bytes] = None
-    app_data: bytes = b""
+    app_data: bytearray = field(default_factory=bytearray)
     heartbeat: Optional[bytes] = None
 
     @property
@@ -223,7 +221,7 @@ class _Connection:
                 for hs_type, body in wire.iter_handshake_messages(payload):
                     self._on_message(hs_type, body)
             elif ctype == ContentType.APPLICATION_DATA and self.finished:
-                self.app_data += payload
+                self.app_data.extend(payload)
             elif ctype == ContentType.HEARTBEAT and self.server_hello is not None:
                 self.heartbeat = payload
             else:
@@ -422,7 +420,7 @@ class HandshakeEngine:
             conn.read_until(lambda c: False)  # the response ends at an alert
         except WireError:
             pass  # or where the server closes the connection
-        return _parse_http(conn.app_data)
+        return _parse_http(bytes(conn.app_data))
 
     # -- retry wrapper (the caller-visible API) ----------------------------
 
@@ -530,7 +528,7 @@ def _peer_host(sock) -> str:
 def _parse_http(raw: bytes) -> HttpResult:
     if not raw.startswith(b"HTTP/"):
         raise WireError("no HTTP response over TLS")
-    head, _, body = raw.partition(b"\r\n\r\n")
+    head = raw.partition(b"\r\n\r\n")[0]
     lines = head.decode("latin-1").split("\r\n")
     try:
         status_code = int(lines[0].split()[1])
@@ -542,8 +540,4 @@ def _parse_http(raw: bytes) -> HttpResult:
         if name.strip().lower() == "server":
             server_header = value.strip()
             break
-    return HttpResult(
-        status_code=status_code,
-        server_header=server_header,
-        body_hash=hashlib.sha256(body).hexdigest(),
-    )
+    return HttpResult(status_code=status_code, server_header=server_header)

@@ -15,6 +15,8 @@ import ipaddress
 import json
 import logging
 import socket
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -199,54 +201,117 @@ def parse_server_header(value: Optional[str]) -> dict:
 # -- ASN annotation -------------------------------------------------------------
 
 _ADDRESS_BITS = {4: 32, 6: 128}
+ASN_MAX = 0xFFFF_FFFF  # four-octet AS numbers (RFC 6793)
+_ROW_MASK = 0xFFFF_FFFF  # a level key's low 32 bits hold its row number
 
 
 class AsnTable:
-    """Longest-prefix-match index of an ASN table.
+    """Longest-prefix-match index of an ASN table, with no Python object per
+    prefix.
 
-    One dict per (IP version, prefix length) maps each network address, as
-    an integer, to its ``(asn, name)``. A lookup probes the lengths present,
-    longest first: at most 33 dicts for IPv4 and 129 for IPv6. Iterating
-    yields ``(network, asn, name)`` rows.
+    Row ``n`` is ``(_asns[n], _names[_name_ends[n - 1]:_name_ends[n]])``:
+    ASNs in one array of 32-bit unsigned ints, AS names in one UTF-8 blob.
+    Each (IP version, prefix length) level holds one array of
+    ``prefix bits << 32 | row``, so sorting a level puts a repeated prefix's
+    earliest row first; a level whose keys do not fit 64 bits (IPv6 longer
+    than /32) holds them in a list. A lookup bisects the levels present,
+    longest first: at most 33 for IPv4 and 129 for IPv6. A level is sorted
+    at the first lookup or iteration after it grew. Row numbers and name
+    offsets take 32 bits: a table holds fewer than 2**32 rows and 4 GiB of
+    names.
     """
 
     def __init__(self):
-        # (version, prefix length) -> {network: (asn, name)}
-        self._buckets: dict[tuple[int, int], dict[int, tuple[int, str]]] = {}
-        # version -> [(prefix length, network mask, bucket)], longest first
-        self._levels: dict[int, list[tuple[int, int, dict]]] = {4: [], 6: []}
+        self._asns = array("I")
+        self._names = bytearray()
+        self._name_ends = array("I")
+        # version -> {prefix length: level keys, in insertion order until sorted}
+        self._keys: dict[int, dict[int, array | list]] = {4: {}, 6: {}}
+        # (version, prefix length) -> how many keys the last sort saw
+        self._sorted_len: dict[tuple[int, int], int] = {}
+        # version -> [(host bits, sorted keys)], longest prefix first
+        self._levels: dict[int, list[tuple[int, array | list]]] = {4: [], 6: []}
+        self._sorted_rows = 0
 
     def add(self, version: int, network: int, prefixlen: int, asn: int,
             name: str) -> None:
         """Index one row: ``network`` is the prefix's address as an integer,
         with no host bits set. A prefix already present keeps its earlier
-        row."""
-        key = (version, prefixlen)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = {}
-            width = _ADDRESS_BITS[version]
-            mask = (1 << width) - (1 << (width - prefixlen))
-            levels = self._levels[version]
-            levels.append((prefixlen, mask, bucket))
-            levels.sort(key=lambda level: level[0], reverse=True)
-        bucket.setdefault(network, (asn, name))
+        row. An ASN outside 0..ASN_MAX is a ValueError, and adds nothing."""
+        key = (network >> (_ADDRESS_BITS[version] - prefixlen) << 32
+               | len(self._asns))
+        try:
+            self._asns.append(asn)
+        except OverflowError:
+            raise ValueError(f"asn {asn} outside 0..{ASN_MAX}") from None
+        self._names += name.encode()
+        self._name_ends.append(len(self._names))
+        by_length = self._keys[version]
+        keys = by_length.get(prefixlen)
+        if keys is None:
+            keys = by_length[prefixlen] = array("Q") if prefixlen <= 32 else []
+        keys.append(key)
+
+    def _sort(self) -> None:
+        """Sort each level that grew since the last sort, and list every
+        version's levels longest first."""
+        levels: dict[int, list] = {4: [], 6: []}
+        for version, by_length in self._keys.items():
+            for prefixlen in sorted(by_length, reverse=True):
+                keys = by_length[prefixlen]
+                if len(keys) != self._sorted_len.get((version, prefixlen)):
+                    if isinstance(keys, list):
+                        keys.sort()
+                    else:
+                        keys = by_length[prefixlen] = array("Q", sorted(keys))
+                    self._sorted_len[version, prefixlen] = len(keys)
+                levels[version].append((_ADDRESS_BITS[version] - prefixlen, keys))
+        self._levels = levels
+        self._sorted_rows = len(self._asns)
+
+    def _row(self, row: int) -> tuple[int, str]:
+        start = self._name_ends[row - 1] if row else 0
+        return (self._asns[row],
+                self._names[start:self._name_ends[row]].decode())
 
     def lookup(self, ip: ipaddress._BaseAddress) -> Optional[tuple[int, str]]:
+        if self._sorted_rows != len(self._asns):
+            self._sort()
         value = int(ip)
-        for _plen, mask, bucket in self._levels[ip.version]:
-            hit = bucket.get(value & mask)
-            if hit is not None:
-                return hit
+        for host_bits, keys in self._levels[ip.version]:
+            prefix = value >> host_bits
+            i = bisect_left(keys, prefix << 32)
+            if i < len(keys) and keys[i] >> 32 == prefix:
+                return self._row(keys[i] & _ROW_MASK)
         return None
 
     def __iter__(self):
+        """``(network, asn, name)`` of each distinct prefix, from its
+        earliest row."""
+        if self._sorted_rows != len(self._asns):
+            self._sort()
         for version, levels in self._levels.items():
             network_type = (ipaddress.IPv4Network if version == 4
                             else ipaddress.IPv6Network)
-            for plen, _mask, bucket in levels:
-                for address, (asn, name) in bucket.items():
-                    yield network_type((address, plen)), asn, name
+            for host_bits, keys in levels:
+                prefixlen = _ADDRESS_BITS[version] - host_bits
+                last = None
+                for key in keys:
+                    prefix = key >> 32
+                    if prefix != last:
+                        last = prefix
+                        yield (network_type((prefix << host_bits, prefixlen)),
+                               *self._row(key & _ROW_MASK))
+
+
+_INET4 = (4, socket.AF_INET, 32)
+_INET6 = (6, socket.AF_INET6, 128)
+# every string of one to three ASCII digits -> its value
+_PREFIX_LENGTHS = {f"{n:0{width}d}": n
+                   for width in (1, 2, 3) for n in range(10 ** width)}
+# bound once: parse_prefix runs once per row of a table
+_inet_pton = socket.inet_pton
+_from_bytes = int.from_bytes
 
 
 def parse_prefix(text: str) -> tuple[int, int, int]:
@@ -258,13 +323,12 @@ def parse_prefix(text: str) -> tuple[int, int, int]:
     Anything else, errors included, goes through ``ipaddress.ip_network``,
     so its ValueError is the one raised.
     """
-    address, slash, length = text.partition("/")
-    if slash and len(length) <= 3 and length.isascii() and length.isdigit():
-        version, family = ((6, socket.AF_INET6) if ":" in address
-                           else (4, socket.AF_INET))
-        prefixlen, width = int(length), _ADDRESS_BITS[version]
+    address, _, length = text.partition("/")
+    prefixlen = _PREFIX_LENGTHS.get(length)  # None without a slash
+    if prefixlen is not None:
+        version, family, width = _INET6 if ":" in address else _INET4
         try:
-            network = int.from_bytes(socket.inet_pton(family, address), "big")
+            network = _from_bytes(_inet_pton(family, address), "big")
         except (OSError, ValueError):
             pass  # not an address inet_pton reads: ipaddress decides below
         else:
@@ -276,24 +340,24 @@ def parse_prefix(text: str) -> tuple[int, int, int]:
 
 
 def load_asn_table(path) -> AsnTable:
-    """Load a ``prefix,asn,as_name`` CSV into an ``AsnTable``. Malformed rows
-    and prefixes with host bits set are skipped with a warning."""
+    """Load a UTF-8 ``prefix,asn,as_name`` CSV into an ``AsnTable``.
+    Malformed rows, prefixes with host bits set and ASNs outside
+    0..ASN_MAX are skipped with a warning."""
     table = AsnTable()
+    add = table.add
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().lower() == "prefix":
+            if not row:
                 continue
-            if len(row) < 3:
-                logger.warning("asn table line %d: malformed row %r, skipped",
-                               lineno, row)
-                continue
+            prefix = row[0].strip()
             try:
-                version, network, prefixlen = parse_prefix(row[0].strip())
-                asn = int(row[1])
+                if len(row) < 3:
+                    raise ValueError(f"malformed row {row!r}")
+                version, network, prefixlen = parse_prefix(prefix)
+                add(version, network, prefixlen, int(row[1]), row[2].strip())
             except ValueError as exc:
-                logger.warning("asn table line %d: %s, skipped", lineno, exc)
-                continue
-            table.add(version, network, prefixlen, asn, row[2].strip())
+                if prefix.lower() != "prefix":  # a header row is no error
+                    logger.warning("asn table line %d: %s, skipped", lineno, exc)
     return table
 
 

@@ -166,6 +166,20 @@ def test_cmd_scan_seed_applies_over_policy_file(tmp_path, monkeypatch):
     assert all(p.timeout_s == 2.5 and p.delay_max_s == 0.0 for p in seen)
 
 
+def test_cmd_scan_asn_table_not_utf8(tmp_path, capsys):
+    targets = tmp_path / "targets.csv"
+    targets.write_text("1,localhost\n")
+    table = tmp_path / "asn.csv"
+    table.write_bytes("prefix,asn,as_name\n10.0.0.0/8,64500,Caf\u00e9Net\n"
+                      .encode("latin-1"))
+    out = tmp_path / "scan.jsonl"
+    assert cli.main(["scan", "--targets", str(targets), "--out", str(out),
+                     "--asn-table", str(table)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read asn table: 'utf-8' codec can't decode byte 0xe9")
+    assert not out.exists()
+
+
 def test_every_long_option_is_in_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")

@@ -91,6 +91,24 @@ def test_http_get(engine, endpoint):
     assert outcome.http.server_header == "nginx/1.14.0 (Ubuntu)"
 
 
+def test_http_response_split_over_many_records(db):
+    response = (b"HTTP/1.1 200 OK\r\nServer: nginx/1.14.0 (Ubuntu)\r\n"
+                b"Content-Length: 600\r\n\r\n" + b"x" * 600)
+    client, server = socket.socketpair()
+    with client, server:
+        conn = engine_module._Connection(client, db, finished=True)
+        for start in range(0, len(response), 7):
+            server.sendall(wire.record(wire.ContentType.APPLICATION_DATA,
+                                       Version.TLS1_2, response[start:start + 7]))
+        server.sendall(wire.record(wire.ContentType.ALERT, Version.TLS1_2,
+                                   b"\x01\x00"))
+        assert not conn.read_until(lambda c: False)
+    assert bytes(conn.app_data) == response
+    assert (engine_module._parse_http(bytes(conn.app_data))
+            == engine_module._parse_http(response)
+            == engine_module.HttpResult(200, "nginx/1.14.0 (Ubuntu)"))
+
+
 def test_session_id_resumption(engine, endpoint):
     establish = engine.probe(endpoint.target, HandshakeOffer(
         max_version=Version.TLS1_2, min_version=Version.SSLv3,

@@ -1,6 +1,9 @@
+import csv
 import ipaddress
 import json
 import logging
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,94 @@ def test_annotate_asn_matches_brute_force(tmp_path):
         else:
             _plen, asn, name = max(candidates)
             assert got == {"number": asn, "name": name}
+
+
+def test_asn_out_of_range_is_a_malformed_row(tmp_path, caplog):
+    path = tmp_path / "asn.csv"
+    path.write_text("prefix,asn,as_name\n"
+                    "10.0.0.0/8,4294967296,TooBig\n"
+                    "10.1.0.0/16,-1,Negative\n"
+                    "10.2.0.0/16,4294967295,Largest\n"
+                    "10.3.0.0/16,0,Zero\n")
+    with caplog.at_level(logging.WARNING):
+        table = load_asn_table(path)
+    assert "asn table line 2: asn 4294967296 outside 0..4294967295" in caplog.text
+    assert "asn table line 3: asn -1 outside 0..4294967295" in caplog.text
+    assert sorted((str(net), asn, name) for net, asn, name in table) == [
+        ("10.2.0.0/16", 4294967295, "Largest"), ("10.3.0.0/16", 0, "Zero")]
+    assert annotate_asn("10.0.0.1", table) is None
+    assert annotate_asn("10.2.0.1", table) == {"number": 4294967295,
+                                               "name": "Largest"}
+    with pytest.raises(ValueError):
+        table.add(4, 0, 0, 2 ** 32, "TooBig")
+    assert annotate_asn("192.0.2.1", table) is None  # the bad row added nothing
+
+
+def test_asn_names_round_trip(tmp_path):
+    names = ["Caf\u00e9Net", "\u4e2d\u56fd\u7535\u4fe1", "Acme, Inc.",
+             'Say "hi", world', "", "\U0001f310 Net"]
+    path = tmp_path / "asn.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["prefix", "asn", "as_name"])
+        for n, name in enumerate(names):
+            writer.writerow([f"10.{n}.0.0/16", 64500 + n, name])
+            writer.writerow([f"2001:db8:{n}::/48", 64600 + n, name])
+    table = load_asn_table(path)
+    for n, name in enumerate(names):
+        assert annotate_asn(f"10.{n}.1.2", table) == {"number": 64500 + n,
+                                                      "name": name}
+        assert annotate_asn(f"2001:db8:{n}::9", table) == {"number": 64600 + n,
+                                                           "name": name}
+    assert sorted(name for _net, _asn, name in table) == sorted(names * 2)
+
+
+def test_asn_add_after_lookup_is_seen():
+    table = pipeline.AsnTable()
+    table.add(4, 0x0A000000, 8, 64500, "BigNet")
+    assert table.lookup(ipaddress.ip_address("10.1.2.3")) == (64500, "BigNet")
+    table.add(4, 0x0A010000, 16, 64501, "SmallNet")
+    table.add(4, 0x0A000000, 8, 64502, "LaterBigNet")  # a repeat keeps the first
+    table.add(6, 0x20010DB8 << 96, 32, 64503, "V6Net")
+    table.add(6, 0x20010DB8 << 96, 64, 64504, "V6Longer")
+    assert table.lookup(ipaddress.ip_address("10.1.2.3")) == (64501, "SmallNet")
+    assert table.lookup(ipaddress.ip_address("10.2.0.1")) == (64500, "BigNet")
+    assert table.lookup(ipaddress.ip_address("2001:db8::1")) == (64504, "V6Longer")
+    assert table.lookup(ipaddress.ip_address("2001:db8:0:1::")) == (64503, "V6Net")
+    table.add(4, 0x0A020000, 16, 64505, "OtherNet")
+    assert table.lookup(ipaddress.ip_address("10.2.0.1")) == (64505, "OtherNet")
+    assert len(list(table)) == 5
+
+
+def test_asn_table_memory_per_row(tmp_path):
+    """A loaded table holds no Python object per prefix: about 20k rows of
+    the benchmark's mix (80% IPv4 /8../24, 20% IPv6 /19../48) take at most
+    64 bytes a row."""
+    rng = random.Random(11)
+    count = 20_000
+    path = tmp_path / "asn.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("prefix,asn,as_name\n")
+        for _ in range(count):
+            asn = rng.randint(1, 399_999)
+            if rng.random() < 0.8:
+                plen = rng.choice((8, 12, 16, 16, 19, 20, 22, 23, 24, 24, 24))
+                net = ipaddress.IPv4Network((rng.getrandbits(plen) << 32 - plen,
+                                             plen))
+            else:
+                plen = rng.randint(19, 48)
+                net = ipaddress.IPv6Network(
+                    (((0b001 << 125) | rng.getrandbits(125))
+                     >> 128 - plen << 128 - plen, plen))
+            fh.write(f"{net},{asn},AS-{asn}\n")
+    tracemalloc.start()
+    try:
+        table = load_asn_table(path)
+        annotate_asn("127.0.0.1", table)  # sorts every level
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= 64 * count, f"{size / count:.1f} B per row"
 
 
 _BITS = {4: 32, 6: 128}
