@@ -2,12 +2,16 @@
 
 Subcommands: ``scan`` (the only one that opens sockets), ``grade``,
 ``check-rec``, ``report``, and ``fixtures``. Exit codes: 0 success,
-1 input error, 2 policy/ethics refusal, 3 runtime failure.
+1 input error, 2 policy/ethics refusal, 3 runtime failure. An input file that
+cannot be read, is not UTF-8, or holds a malformed line is a
+``pipeline.PipelineError``, which ``main`` alone reports: one ``error:`` line,
+exit 1 (``grade`` reports each bad line instead, and goes on past it).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -80,62 +84,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_jsonl(path, objects) -> None:
     """One JSON line per object, to ``path`` or, when it is None, stdout."""
-    out = open(path, "w", encoding="utf-8") if path else sys.stdout
-    try:
+    with (open(path, "w", encoding="utf-8") if path
+          else contextlib.nullcontext(sys.stdout)) as out:
         for obj in objects:
             out.write(json.dumps(obj) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-
-
-def _json_object(line: str) -> dict:
-    """One input line that must hold a JSON object; anything else is a
-    ``ValueError``, which every line loader reports with its line."""
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
-    return obj
 
 
 def cmd_scan(args) -> int:
     db = load_registry()
-    try:
-        targets = pipeline.load_targets(args.targets)
-    except OSError as exc:
-        print(f"error: cannot read targets: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    targets = pipeline.load_targets(args.targets)
     if not targets:
-        print("error: no valid targets", file=sys.stderr)
-        return EXIT_INPUT
+        raise pipeline.PipelineError("no valid targets")
 
     policy = ProbePolicy(delay_min_s=0.0, delay_max_s=0.0, seed=args.seed)
     if args.policy:
-        try:
-            policy = ProbePolicy.from_json(
-                json.loads(Path(args.policy).read_text(encoding="utf-8")))
-        except (OSError, ValueError) as exc:
-            print(f"error: bad policy file: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        policy = pipeline.load_policy(args.policy)
         if args.seed is not None:
             policy = dataclasses.replace(policy, seed=args.seed)
-
-    asn_table = None
-    if args.asn_table:
-        try:
-            asn_table = pipeline.load_asn_table(args.asn_table)
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read asn table: {exc}", file=sys.stderr)
-            return EXIT_INPUT
 
     options = pipeline.ScanOptions(
         allow_non_loopback=args.ethics,
         trace_dir=args.trace_dir,
-        asn_table=asn_table,
+        asn_table=(pipeline.load_asn_table(args.asn_table)
+                   if args.asn_table else None),
     )
     try:
         pipeline.run_scan(targets, policy, db, args.out, options)
-    except pipeline.PipelineError as exc:
+    except pipeline.ScanRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_POLICY
     return EXIT_OK
@@ -147,84 +122,69 @@ def cmd_grade(args) -> int:
     graded = []
     # a corpus repeats a few configurations many times; grade each once
     reports: dict[Configuration, dict] = {}
-    try:
-        text = Path(args.infile).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = _json_object(line)
-            label = obj.get("label")
-            config = Configuration.from_json(obj.get("configuration", obj))
-            result = reports.get(config)
-            if result is None:
-                result = reports[config] = grade(config, db).to_json()
-        except (ValueError, KeyError, TypeError) as exc:
-            print(f"line {lineno}: invalid record: {exc}", file=sys.stderr)
-            errors += 1
-            continue
-        out_obj = {"grade_report": result}
-        if label is not None:
-            out_obj["label"] = label
-        graded.append(out_obj)
+    with pipeline.open_input(args.infile, "configurations") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = pipeline.json_object(line)
+                label = obj.get("label")
+                config = Configuration.from_json(obj.get("configuration", obj))
+                result = reports.get(config)
+                if result is None:
+                    result = reports[config] = grade(config, db).to_json()
+            except (ValueError, KeyError, TypeError) as exc:
+                print(f"line {lineno}: invalid record: {exc}", file=sys.stderr)
+                errors += 1
+                continue
+            out_obj = {"grade_report": result}
+            if label is not None:
+                out_obj["label"] = label
+            graded.append(out_obj)
     _write_jsonl(args.out, graded)
     return EXIT_INPUT if errors else EXIT_OK
-
-
-def _load_defaults(db):
-    """The bundled (label, Configuration, LibraryProfile) defaults list."""
-    return [(label, config, cipherstring.load_profile(profile_name))
-            for label, config, profile_name
-            in fixtures.ubuntu_default_configurations(db)]
 
 
 def cmd_check_rec(args) -> int:
     db = load_registry()
     if not args.configs and not args.defaults:
-        print("error: need --configs or --defaults", file=sys.stderr)
-        return EXIT_INPUT
+        raise pipeline.PipelineError("need --configs or --defaults")
     profiles = cipherstring.load_all_profiles()
 
     configs = []
     if args.configs:
-        try:
-            text = Path(args.configs).read_text(encoding="utf-8")
-        except (OSError, ValueError) as exc:
-            print(f"error: bad configs file: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        with pipeline.open_input(args.configs, "configs file") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = pipeline.json_object(line)
+                    configs.append((obj.get("label", f"config-{lineno}"),
+                                    Configuration.from_json(
+                                        obj.get("configuration", obj))))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise pipeline.PipelineError(
+                        f"bad configs file: line {lineno}: {exc}") from None
+
+    defaults = ([(label, config, cipherstring.load_profile(profile_name))
+                 for label, config, profile_name
+                 in fixtures.ubuntu_default_configurations(db)]
+                if args.defaults else None)
+
+    recs = []
+    with pipeline.open_input(args.recs, "recommendations") as fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = _json_object(line)
-                configs.append((obj.get("label", f"config-{lineno}"),
-                                Configuration.from_json(
-                                    obj.get("configuration", obj))))
-            except (ValueError, KeyError, TypeError) as exc:
-                print(f"error: bad configs file: line {lineno}: {exc}",
-                      file=sys.stderr)
+                recs.append(cipherstring.Recommendation.from_json(
+                    pipeline.json_object(line)))
+            except ValueError as exc:  # CipherStringError, RecommendationError
+                print(f"recs line {lineno}: {exc}", file=sys.stderr)
                 return EXIT_INPUT
 
-    defaults = _load_defaults(db) if args.defaults else None
-
     results = []
-    try:
-        rec_text = Path(args.recs).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    for lineno, line in enumerate(rec_text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = cipherstring.Recommendation.from_json(_json_object(line))
-        except (ValueError, cipherstring.CipherStringError,
-                cipherstring.RecommendationError) as exc:
-            print(f"recs line {lineno}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+    for rec in recs:
         entry: dict = {"recommendation": rec.to_json()}
         if defaults is not None:
             try:
@@ -252,17 +212,9 @@ def cmd_check_rec(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        records = pipeline.load_records(args.records)
-    except (OSError, pipeline.PipelineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        data = report_mod.build(records, args.which)
-        report_mod.emit(args.which, data, args.format, args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    records = pipeline.load_records(args.records)
+    data = report_mod.build(records, args.which)
+    report_mod.emit(args.which, data, args.format, args.out)
     return EXIT_OK
 
 
@@ -299,6 +251,9 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
+    except pipeline.PipelineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except KeyboardInterrupt:
         return EXIT_RUNTIME
     except Exception as exc:  # pragma: no cover - defensive catch-all

@@ -32,6 +32,13 @@ _EXTENSION_PROBE_SET = frozenset({
 })
 
 
+# JSON type of each policy field, when present
+_POLICY_TYPES = (("timeout_ms", (int, float), "a number"),
+                 ("delay_min_ms", (int, float), "a number"),
+                 ("delay_max_ms", (int, float), "a number"),
+                 ("seed", (int, type(None)), "an integer or null"))
+
+
 @dataclass
 class ProbePolicy:
     timeout_s: float = 5.0
@@ -41,6 +48,11 @@ class ProbePolicy:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProbePolicy":
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+        for key, kinds, expected in _POLICY_TYPES:
+            if key in obj and type(obj[key]) not in kinds:  # bool is no number
+                raise ValueError(f"{key} must be {expected}, not {obj[key]!r}")
         return cls(
             timeout_s=obj.get("timeout_ms", 5000) / 1000.0,
             delay_min_s=obj.get("delay_min_ms", 0) / 1000.0,

@@ -17,6 +17,7 @@ import logging
 import socket
 from array import array
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -34,7 +35,33 @@ RECORD_SCHEMA_VERSION = 1
 
 
 class PipelineError(ValueError):
-    pass
+    """Bad input: a file that cannot be read, or a malformed line in one."""
+
+
+class ScanRefused(PipelineError):
+    """The ethics gate refused a target outside loopback."""
+
+
+@contextmanager
+def open_input(path, what: str, mode: str = "r", newline: Optional[str] = None):
+    """Open an input file as UTF-8 text, or as bytes in a binary ``mode``.
+    An ``OSError`` or ``UnicodeDecodeError`` from opening or reading it is a
+    ``PipelineError`` ``cannot read <what>: <reason>``. A per-line ``try``
+    must not wrap the ``for`` over the file: a decode error is a ValueError."""
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        with open(path, mode, encoding=encoding, newline=newline) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PipelineError(f"cannot read {what}: {exc}") from exc
+
+
+def json_object(line) -> dict:
+    """The JSON object on one input line; anything else is a ValueError."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 class Eligibility(Enum):
@@ -126,7 +153,7 @@ def load_targets(path) -> list[Target]:
     number logged."""
     targets: list[Target] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, "targets", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -153,6 +180,16 @@ def load_targets(path) -> list[Target]:
             seen.add(domain)
             targets.append(Target(rank=rank, domain=domain))
     return targets
+
+
+def load_policy(path) -> ProbePolicy:
+    """The ``ProbePolicy`` of a JSON policy file."""
+    with open_input(path, "policy file") as fh:
+        text = fh.read()
+    try:
+        return ProbePolicy.from_json(json.loads(text))
+    except ValueError as exc:
+        raise PipelineError(f"bad policy file: {exc}") from None
 
 
 # -- Server-header parsing ------------------------------------------------------
@@ -345,7 +382,7 @@ def load_asn_table(path) -> AsnTable:
     0..ASN_MAX are skipped with a warning."""
     table = AsnTable()
     add = table.add
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, "asn table", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -401,20 +438,28 @@ def _is_loopback(address: str) -> bool:
 def _recorded_domains(out: Path) -> set[str]:
     """Domains already recorded in ``out``. A final line without its newline
     is a record torn by a crash mid-write; it is cut off, so that target is
-    scanned again."""
+    scanned again. A complete line that is not a JSON object with a string
+    ``"domain"`` is a ``PipelineError``, raised before ``out`` is changed."""
     done: set[str] = set()
     if not out.exists():
         return done
-    with open(out, "r+b") as fh:
+    with open_input(out, "scan output", "r+b") as fh:
         end = 0
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.endswith(b"\n"):
                 logger.warning("%s: torn final record cut off", out)
                 fh.truncate(end)
                 break
             end += len(line)
-            if line.strip():
-                done.add(json.loads(line)["domain"])
+            if not line.strip():
+                continue
+            try:
+                domain = json_object(line)["domain"]
+                if not isinstance(domain, str):
+                    raise TypeError(f"domain must be a string, not {domain!r}")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise PipelineError(f"{out}:{lineno}: bad record: {exc}") from None
+            done.add(domain)
     return done
 
 
@@ -436,7 +481,7 @@ def scan_one(prober: SiteProber, db: CipherDb, target: Target,
                           exclusion_reason="DNS",
                           started_at=started, finished_at=_now())
     if not _is_loopback(address) and not options.allow_non_loopback:
-        raise PipelineError(
+        raise ScanRefused(
             f"{target.domain} resolves to non-loopback {address}; "
             "pass --i-understand-scanning-ethics to scan real hosts")
 
@@ -506,7 +551,7 @@ def run_scan(targets: Iterable[Target], policy: ProbePolicy, db: CipherDb,
 
 def load_records(path) -> list[ScanRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "records") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from .configuration import Configuration
 from .grading import Category, Grade, downgrade_table
-from .pipeline import Eligibility, ScanRecord
+from .pipeline import Eligibility, PipelineError, ScanRecord
 
 GRADE_ORDER = (Grade.A, Grade.B, Grade.C, Grade.F)
 
@@ -161,69 +161,54 @@ def downgrades(records: Iterable[ScanRecord]) -> dict:
 
 # -- emission -------------------------------------------------------------------
 
-def _distribution_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["grade", "count", "proportion"])
+def _distribution_rows(report: dict):
+    yield "grade", "count", "proportion"
     for g in GRADE_ORDER:
-        writer.writerow([g.value, report["counts"][g.value],
-                         f"{report['proportions'][g.value]:.9f}"])
-    return buf.getvalue()
+        yield (g.value, report["counts"][g.value],
+               f"{report['proportions'][g.value]:.9f}")
 
 
-def _cdf_csv(series: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "grade", "fraction"])
+def _cdf_rows(series: dict):
+    yield "k", "grade", "fraction"
     for g in GRADE_ORDER:
         for k, frac in series.get(g.value, []):
-            writer.writerow([k, g.value, f"{frac:.9f}"])
-    return buf.getvalue()
+            yield k, g.value, f"{frac:.9f}"
 
 
-def _downgrades_csv(table: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["grade", "category", "proportion"])
+def _downgrades_rows(table: dict):
+    yield "grade", "category", "proportion"
     for g in GRADE_ORDER:
         row = table.get(g.value, {})
         for c in Category:
-            writer.writerow([g.value, c.value, f"{row.get(c.value, 0.0):.9f}"])
-    return buf.getvalue()
+            yield g.value, c.value, f"{row.get(c.value, 0.0):.9f}"
 
 
-def _dominance_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scope", "asn", "as_name", "config_key", "count"])
+def _dominance_rows(report: dict):
+    yield "scope", "asn", "as_name", "config_key", "count"
     for key, count in report["config_counts"]:
-        writer.writerow(["global", "", "", key, count])
+        yield "global", "", "", key, count
     for asn, info in report["per_as_top5"].items():
         for key, count in info["top"]:
-            writer.writerow(["as_top5", asn, info["as_name"], key, count])
-    return buf.getvalue()
+            yield "as_top5", asn, info["as_name"], key, count
 
 
-def _records_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    columns = ["domain", "rank", "grade", "server", "os_hint", "asn", "tld"]
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
+def _records_rows(rows: list[dict]):
+    columns = ("domain", "rank", "grade", "server", "os_hint", "asn", "tld")
+    yield columns
     for row in rows:
-        writer.writerow({k: ("" if row[k] is None else row[k])
-                         for k in columns})
-    return buf.getvalue()
+        yield [row[k] for k in columns]  # csv writes None as ""
 
 
-# report kind -> (builder over the record list, CSV emitter)
+# report kind -> (builder over the record list, CSV rows of a built report,
+# header first)
 _KINDS = {
-    "dist": (grade_distribution, _distribution_csv),
-    "cdf-asn": (lambda records: cdf_by_group_rank(records, "asn"), _cdf_csv),
+    "dist": (grade_distribution, _distribution_rows),
+    "cdf-asn": (lambda records: cdf_by_group_rank(records, "asn"), _cdf_rows),
     "cdf-config": (lambda records: cdf_by_group_rank(records, "config"),
-                   _cdf_csv),
-    "downgrades": (downgrades, _downgrades_csv),
-    "dominance": (dominance, _dominance_csv),
-    "records": (per_record_rows, _records_csv),
+                   _cdf_rows),
+    "downgrades": (downgrades, _downgrades_rows),
+    "dominance": (dominance, _dominance_rows),
+    "records": (per_record_rows, _records_rows),
 }
 
 
@@ -231,7 +216,7 @@ def _kind(which: str):
     try:
         return _KINDS[which]
     except KeyError:
-        raise ValueError(f"unknown report kind {which!r}") from None
+        raise PipelineError(f"unknown report kind {which!r}") from None
 
 
 def build(records: Iterable[ScanRecord], which: str):
@@ -244,7 +229,9 @@ def emit(which: str, data, fmt: str, out_path) -> None:
     if fmt == "json":
         text = json.dumps(data) + "\n"
     elif fmt == "csv":
-        text = _kind(which)[1](data)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_kind(which)[1](data))
+        text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}")
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -180,6 +180,67 @@ def test_cmd_scan_asn_table_not_utf8(tmp_path, capsys):
     assert not out.exists()
 
 
+_NOT_UTF8 = '{"label": "caf\u00e9"}\n'.encode("latin-1")
+_SCAN = ["scan", "--targets", "{targets}", "--out", "{out}"]
+_RECORDS = ["report", "--records", "{records}", "--which", "dist",
+            "--out", "{report}"]
+
+
+# (files written as they are, argv with {file} paths, stderr line prefix)
+@pytest.mark.parametrize("files, argv, prefix", [
+    ({"targets": "1,caf\u00e9.test\n".encode("latin-1")}, _SCAN,
+     "error: cannot read targets: 'utf-8' codec can't decode byte 0xe9"),
+    ({"in": _NOT_UTF8}, ["grade", "--in", "{in}"],
+     "error: cannot read configurations: 'utf-8' codec can't decode"),
+    ({"recs": _NOT_UTF8}, ["check-rec", "--defaults", "--recs", "{recs}"],
+     "error: cannot read recommendations: 'utf-8' codec can't decode"),
+    ({"records": _NOT_UTF8}, _RECORDS,
+     "error: cannot read records: 'utf-8' codec can't decode"),
+    # a torn final line is not cut while a complete line is malformed
+    ({"targets": b"1,localhost\n",
+      "out": b'{"domain": "localhost"}\nnot json\n{"dom'}, _SCAN,
+     "error: {out}:2: bad record: Expecting value"),
+    ({"targets": b"1,localhost\n", "out": b'{"domain": ["a"]}\n'}, _SCAN,
+     "error: {out}:1: bad record: domain must be a string, not ['a']"),
+    ({"targets": b"1,localhost\n", "policy": b"[1]"},
+     _SCAN + ["--policy", "{policy}"],
+     "error: bad policy file: expected a JSON object, not list"),
+    ({"targets": b"1,localhost\n", "policy": b'{"timeout_ms": "5"}'},
+     _SCAN + ["--policy", "{policy}"],
+     "error: bad policy file: timeout_ms must be a number, not '5'"),
+    # a missing file, for each input option
+    ({}, _SCAN, "error: cannot read targets: [Errno 2]"),
+    ({"targets": b"1,localhost\n"}, _SCAN + ["--policy", "{policy}"],
+     "error: cannot read policy file: [Errno 2]"),
+    ({"targets": b"1,localhost\n"}, _SCAN + ["--asn-table", "{asn}"],
+     "error: cannot read asn table: [Errno 2]"),
+    ({}, ["grade", "--in", "{in}"],
+     "error: cannot read configurations: [Errno 2]"),
+    ({}, ["check-rec", "--defaults", "--recs", "{recs}"],
+     "error: cannot read recommendations: [Errno 2]"),
+    ({"recs": b'{"cipher_string": "HIGH"}\n'},
+     ["check-rec", "--configs", "{configs}", "--recs", "{recs}"],
+     "error: cannot read configs file: [Errno 2]"),
+    ({}, _RECORDS, "error: cannot read records: [Errno 2]"),
+], ids=["targets-latin-1", "grade-in-latin-1", "recs-latin-1",
+        "records-latin-1", "resume-not-json", "resume-domain-list",
+        "policy-list", "policy-string-ms", "targets-missing",
+        "policy-missing", "asn-table-missing", "grade-in-missing",
+        "recs-missing", "configs-missing", "records-missing"])
+def test_bad_input_file_is_one_error_line(tmp_path, capsys, files, argv,
+                                          prefix):
+    paths = {name: str(tmp_path / name) for name in (
+        "targets", "out", "policy", "asn", "in", "recs", "configs",
+        "records", "report")}
+    for name, content in files.items():
+        Path(paths[name]).write_bytes(content)
+    assert cli.main([arg.format_map(paths) for arg in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix.format_map(paths))
+    assert {name: Path(paths[name]).read_bytes() for name in files} == files
+    assert not Path(paths["report"]).exists()
+
+
 def test_every_long_option_is_in_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")

@@ -184,3 +184,21 @@ def test_policy_json_round_trip():
     assert policy.timeout_s == 2.5
     assert policy.delay_max_s == 0.0
     assert policy.seed == 7
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1], "expected a JSON object, not list"),
+    ({"timeout_ms": "5"}, "timeout_ms must be a number, not '5'"),
+    ({"delay_min_ms": None}, "delay_min_ms must be a number, not None"),
+    ({"delay_max_ms": True}, "delay_max_ms must be a number, not True"),
+    ({"seed": 1.5}, "seed must be an integer or null, not 1.5"),
+])
+def test_policy_json_rejects_a_wrong_type(obj, message):
+    with pytest.raises(ValueError) as err:
+        ProbePolicy.from_json(obj)
+    assert str(err.value) == message
+
+
+def test_policy_json_takes_a_float_and_a_null_seed():
+    policy = ProbePolicy.from_json({"timeout_ms": 2.5, "seed": None})
+    assert (policy.timeout_s, policy.seed) == (0.0025, None)
