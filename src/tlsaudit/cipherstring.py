@@ -25,8 +25,8 @@ from typing import Callable, Optional
 from . import grading
 from .configuration import Configuration
 from .registry import (
-    Auth, CipherDb, CipherFamily, CipherMode, CipherSuiteInfo, Kex, Mac,
-    Version, sort_offer,
+    BOOL, INT, LIST, NULL, OBJECT, STR, Auth, CipherDb, CipherFamily,
+    CipherMode, CipherSuiteInfo, Kex, Mac, Version, check_fields, sort_offer,
 )
 
 logger = logging.getLogger(__name__)
@@ -277,10 +277,12 @@ class RecommendationError(ValueError):
     pass
 
 
-# JSON type of each optional scalar directive, when present
-_DIRECTIVE_TYPES = (("server_preference", bool, "a bool"),
-                    ("session_tickets", bool, "a bool"),
-                    ("dh_params_bits", int, "an integer"))
+_FIELDS = (("cipher_string", STR | NULL, "a string or null"),
+           ("protocols", LIST | NULL, "a list or null"),
+           ("server_preference", BOOL | NULL, "a bool or null"),
+           ("session_tickets", BOOL | NULL, "a bool or null"),
+           ("dh_params_bits", INT | NULL, "an integer or null"),
+           ("source", OBJECT, "an object"))
 
 
 @dataclass
@@ -301,20 +303,13 @@ class Recommendation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Recommendation":
+        check_fields(obj, _FIELDS)
         expr = None
         if obj.get("cipher_string"):
-            if not isinstance(obj["cipher_string"], str):
-                raise RecommendationError("cipher_string must be a string")
             expr = parse_cipher_string(obj["cipher_string"])
         protocols = None
         if obj.get("protocols") is not None:
-            if not isinstance(obj["protocols"], list):
-                raise RecommendationError("protocols must be a list")
             protocols = frozenset(Version.from_label(v) for v in obj["protocols"])
-        for key, kind, expected in _DIRECTIVE_TYPES:
-            value = obj.get(key)
-            if value is not None and type(value) is not kind:  # bool is not int here
-                raise RecommendationError(f"{key} must be {expected}, not {value!r}")
         return cls(
             cipher_expr=expr,
             protocols=protocols,

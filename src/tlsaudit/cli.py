@@ -22,7 +22,7 @@ from . import cipherstring, fixtures, pipeline, report as report_mod
 from .configuration import Configuration
 from .grading import grade
 from .orchestrator import ProbePolicy
-from .registry import load_registry
+from .registry import OBJECT, STR, check_fields, load_registry
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +30,11 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_POLICY = 2
 EXIT_RUNTIME = 3
+
+# a ``grade --in`` or ``check-rec --configs`` line: a configuration, or an
+# object holding one with a label
+_LABELED_FIELDS = (("label", STR, "a string"),
+                   ("configuration", OBJECT, "an object"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,7 +132,7 @@ def cmd_grade(args) -> int:
             if not line.strip():
                 continue
             try:
-                obj = pipeline.json_object(line)
+                obj = check_fields(json.loads(line), _LABELED_FIELDS)
                 label = obj.get("label")
                 config = Configuration.from_json(obj.get("configuration", obj))
                 result = reports.get(config)
@@ -158,7 +163,7 @@ def cmd_check_rec(args) -> int:
                 if not line.strip():
                     continue
                 try:
-                    obj = pipeline.json_object(line)
+                    obj = check_fields(json.loads(line), _LABELED_FIELDS)
                     configs.append((obj.get("label", f"config-{lineno}"),
                                     Configuration.from_json(
                                         obj.get("configuration", obj))))
@@ -178,7 +183,7 @@ def cmd_check_rec(args) -> int:
                 continue
             try:
                 recs.append(cipherstring.Recommendation.from_json(
-                    pipeline.json_object(line)))
+                    json.loads(line)))
             except ValueError as exc:  # CipherStringError, RecommendationError
                 print(f"recs line {lineno}: {exc}", file=sys.stderr)
                 return EXIT_INPUT

@@ -5,7 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .registry import AEAD_MODES, CipherDb, CipherFamily, CipherMode, Kex, Version
+from .registry import (
+    AEAD_MODES, BOOL, INT, LIST, NULL, OBJECT, STR, CipherDb, CipherFamily,
+    CipherMode, Kex, Version, check_fields,
+)
 
 COMPONENT_FLAG_NAMES = (
     "DES", "TRIPLE_DES", "RC4", "IDEA", "SEED", "CAMELLIA", "ARIA", "CHACHA",
@@ -15,19 +18,25 @@ COMPONENT_FLAG_NAMES = (
 KEX_FLAG_NAMES = ("RSA", "DHE", "ECDHE")
 _COMPONENT_FLAG_SET = frozenset(COMPONENT_FLAG_NAMES)
 _KEX_FLAG_SET = frozenset(KEX_FLAG_NAMES)
-# The only JSON types ``from_json`` accepts for the scalar fields, those
-# ``to_json`` writes. Python's ``==`` makes 1 equal true and 1024.0 equal
-# 1024, but their JSON (and so their report key) differs.
-_BOOL, _BOOL_OR_NULL, _INT_OR_NULL = (
-    ((bool,), "a bool"), ((bool, type(None)), "a bool or null"),
-    ((int, type(None)), "an integer or null"))
-_SCALAR_TYPES = (
-    ("server_preference", _BOOL), ("tls_compression", _BOOL),
-    ("session_id_resumption", _BOOL), ("session_tickets", _BOOL),
-    ("heartbleed_vulnerable", _BOOL), ("dh_group_common", _BOOL_OR_NULL),
-    ("ticket_lifetime_hint_s", _INT_OR_NULL), ("dh_prime_bits", _INT_OR_NULL),
+# The JSON type of each field, those ``to_json`` writes. Python's ``==``
+# makes 1 equal true and 1024.0 equal 1024, but their JSON (and so their
+# report key) differs.
+_FIELDS = (
+    ("versions", LIST, "a list"), ("supported_suites", LIST, "a list"),
+    ("component_flags", OBJECT, "an object"),
+    ("component_flags[]", BOOL, "a bool"),
+    ("kex_flags", OBJECT, "an object"), ("kex_flags[]", BOOL, "a bool"),
+    ("preferred_suite", STR, "a string"), ("extensions", LIST, "a list"),
+    ("extensions[]", STR, "a string"),
+    ("server_preference", BOOL, "a bool"), ("tls_compression", BOOL, "a bool"),
+    ("session_id_resumption", BOOL, "a bool"),
+    ("session_tickets", BOOL, "a bool"),
+    ("heartbleed_vulnerable", BOOL, "a bool"),
+    ("dh_group_common", BOOL | NULL, "a bool or null"),
+    ("ticket_lifetime_hint_s", INT | NULL, "an integer or null"),
+    ("dh_prime_bits", INT | NULL, "an integer or null"),
+    ("cert_sig_alg", STR | NULL, "a string or null"),
 )
-_ONLY_BOOL = frozenset({bool})
 
 
 def compute_component_flags(db: CipherDb, suites) -> dict[str, bool]:
@@ -117,9 +126,6 @@ class Configuration:
         missing = _KEX_FLAG_SET - self.kex_flags.keys()
         if missing:
             raise ConfigError(f"missing kex flags: {sorted(missing)}")
-        # a field value read from JSON may be a list or an object; fail here,
-        # where loaders report the line, not at the first dict lookup
-        hash(self)
 
     @classmethod
     def assemble(cls, db: CipherDb, suites, preferred_suite: int, **kw) -> "Configuration":
@@ -153,10 +159,10 @@ class Configuration:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Configuration":
-        """Read ``to_json`` output back; a scalar field or a flag of another
-        JSON type (``1`` for ``true``, ``1024.0`` for ``1024``) is a
-        ``ConfigError``."""
-        config = cls(
+        """Read ``to_json`` output back; a field of another JSON type
+        (``1`` for ``true``, ``1024.0`` for ``1024``) is a ValueError."""
+        check_fields(obj, _FIELDS)
+        return cls(
             versions=frozenset(Version.from_label(v) for v in obj["versions"]),
             supported_suites=frozenset(int(s, 16) for s in obj["supported_suites"]),
             component_flags=dict(obj["component_flags"]),
@@ -173,14 +179,3 @@ class Configuration:
             heartbleed_vulnerable=obj.get("heartbleed_vulnerable", False),
             cert_sig_alg=obj.get("cert_sig_alg"),
         )
-        for name, (types, expected) in _SCALAR_TYPES:
-            value = getattr(config, name)
-            if type(value) not in types:  # bool is not int here
-                raise ConfigError(f"{name} must be {expected}, not {value!r}")
-        for name in ("component_flags", "kex_flags"):
-            flags = getattr(config, name)
-            if not _ONLY_BOOL.issuperset(map(type, flags.values())):
-                flag, value = next((k, v) for k, v in flags.items()
-                                   if type(v) is not bool)
-                raise ConfigError(f"{name}[{flag!r}] must be a bool, not {value!r}")
-        return config

@@ -17,7 +17,8 @@ from .engine import (
     ProbeStatus, SessionArtifacts,
 )
 from .registry import (
-    Auth, CipherDb, Version, browser_union, cert_compatible, sort_offer, suite_label,
+    INT, NULL, NUMBER, Auth, CipherDb, Version, browser_union, cert_compatible,
+    check_fields, sort_offer, suite_label,
 )
 from .wire import Compression
 
@@ -32,11 +33,13 @@ _EXTENSION_PROBE_SET = frozenset({
 })
 
 
-# JSON type of each policy field, when present
-_POLICY_TYPES = (("timeout_ms", (int, float), "a number"),
-                 ("delay_min_ms", (int, float), "a number"),
-                 ("delay_max_ms", (int, float), "a number"),
-                 ("seed", (int, type(None)), "an integer or null"))
+_POLICY_FIELDS = (("timeout_ms", NUMBER, "a number"),
+                  ("delay_min_ms", NUMBER, "a number"),
+                  ("delay_max_ms", NUMBER, "a number"),
+                  ("seed", INT | NULL, "an integer or null"))
+# a policy's upper bound on any time; a socket timeout of about 300 years
+# overflows, and ``float(10**400)`` already does
+_DAY_MS = 86_400_000
 
 
 @dataclass
@@ -48,13 +51,19 @@ class ProbePolicy:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProbePolicy":
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
-        for key, kinds, expected in _POLICY_TYPES:
-            if key in obj and type(obj[key]) not in kinds:  # bool is no number
-                raise ValueError(f"{key} must be {expected}, not {obj[key]!r}")
+        """A timeout must be above 0 (0 would make every socket
+        non-blocking), a delay at least 0, and neither above a day."""
+        check_fields(obj, _POLICY_FIELDS)
+        timeout_ms = obj.get("timeout_ms", 5000)
+        if not 0 < timeout_ms <= _DAY_MS:  # NaN fails too
+            raise ValueError(f"timeout_ms must be above 0 and at most {_DAY_MS} "
+                             f"(a day), not {timeout_ms!r}")
+        for key in ("delay_min_ms", "delay_max_ms"):
+            if not 0 <= obj.get(key, 0) <= _DAY_MS:
+                raise ValueError(f"{key} must be 0 to {_DAY_MS} (a day), "
+                                 f"not {obj[key]!r}")
         return cls(
-            timeout_s=obj.get("timeout_ms", 5000) / 1000.0,
+            timeout_s=timeout_ms / 1000.0,
             delay_min_s=obj.get("delay_min_ms", 0) / 1000.0,
             delay_max_s=obj.get("delay_max_ms", 2000) / 1000.0,
             seed=obj.get("seed"),

@@ -27,7 +27,7 @@ from .configuration import Configuration
 from .engine import split_target
 from .grading import GradeReport, grade
 from .orchestrator import ProbePolicy, SiteProber
-from .registry import CipherDb, enum_decoder
+from .registry import INT, NULL, OBJECT, STR, CipherDb, check_fields, enum_decoder
 
 logger = logging.getLogger(__name__)
 
@@ -56,20 +56,26 @@ def open_input(path, what: str, mode: str = "r", newline: Optional[str] = None):
         raise PipelineError(f"cannot read {what}: {exc}") from exc
 
 
-def json_object(line) -> dict:
-    """The JSON object on one input line; anything else is a ValueError."""
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
-    return obj
-
-
 class Eligibility(Enum):
     GRADED = "GRADED"
     EXCLUDED = "EXCLUDED"
 
 
 _eligibility_of = enum_decoder(Eligibility)
+_DOMAIN = ("domain", STR, "a string")
+# the eligibility's type is checked by its decoder, the configuration's and
+# the grade report's by theirs
+_RECORD_FIELDS = (
+    _DOMAIN, ("rank", INT | NULL, "an integer or null"),
+    ("server_software", OBJECT | NULL, "an object or null"),
+    ("asn", OBJECT | NULL, "an object or null"),
+    ("configuration", OBJECT | NULL, "an object or null"),
+    ("grade_report", OBJECT | NULL, "an object or null"),
+    *((name, STR | NULL, "a string or null") for name in (
+        "address", "started_at", "finished_at", "os_hint", "trace_ref",
+        "exclusion_reason")),
+)
+_ASN_FIELDS = (("number", INT, "an integer"), ("name", STR, "a string"))
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,9 @@ class ScanRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScanRecord":
+        check_fields(obj, _RECORD_FIELDS)
+        if obj.get("asn") is not None:
+            check_fields(obj["asn"], _ASN_FIELDS, "asn.", required=("number",))
         return cls(
             domain=obj["domain"],
             rank=obj.get("rank"),
@@ -454,9 +463,7 @@ def _recorded_domains(out: Path) -> set[str]:
             if not line.strip():
                 continue
             try:
-                domain = json_object(line)["domain"]
-                if not isinstance(domain, str):
-                    raise TypeError(f"domain must be a string, not {domain!r}")
+                domain = check_fields(json.loads(line), (_DOMAIN,))["domain"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise PipelineError(f"{out}:{lineno}: bad record: {exc}") from None
             done.add(domain)

@@ -129,6 +129,42 @@ def enum_decoder(enum_cls: type[Enum]) -> Callable[[object], Enum]:
     return decode
 
 
+# JSON types as ``json.loads`` gives them, for ``check_fields`` rows; a type
+# is matched exactly, so ``true`` is no integer and ``1.0`` no int
+BOOL, INT, NUMBER, STR, LIST, OBJECT, NULL = (
+    frozenset({bool}), frozenset({int}), frozenset({int, float}),
+    frozenset({str}), frozenset({list}), frozenset({dict}),
+    frozenset({type(None)}))
+
+
+def check_fields(obj, fields, where: str = "", required=()) -> dict:
+    """``obj``, once it is known to be a JSON object whose fields have the
+    types ``fields`` gives: the one field-type check of every input decoder.
+    A row ``(name, types, expected)`` raises ``ValueError("<where><name>
+    must be <expected>, not <value!r>")``. A row for ``name[]`` checks each
+    element of the list or object in field ``name``, after that field's own
+    row. A field ``obj`` lacks is not checked, unless ``required`` names it."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+    for name in required:
+        if name not in obj:
+            raise ValueError(f"{where}{name} is required")
+    for name, types, expected in fields:
+        if name[-1] != "]":
+            if name in obj and type(obj[name]) not in types:
+                raise ValueError(f"{where}{name} must be {expected}, not {obj[name]!r}")
+            continue
+        name = name[:-2]
+        items = obj.get(name)
+        items = (items.items() if type(items) is dict
+                 else enumerate(items) if type(items) is list else ())
+        for key, value in items:
+            if type(value) not in types:
+                raise ValueError(
+                    f"{where}{name}[{key!r}] must be {expected}, not {value!r}")
+    return obj
+
+
 AEAD_MODES = frozenset({CipherMode.GCM, CipherMode.CCM, CipherMode.POLY1305})
 
 

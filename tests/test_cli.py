@@ -47,6 +47,7 @@ def test_cmd_grade_missing_file(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("versions", None), ("supported_suites", None), ("cert_sig_alg", ["rsa"]),
+    ("cert_sig_alg", 5), ("extensions", [5]),
 ])
 def test_cmd_grade_repeated_lines_around_a_wrongly_typed_one(
         db, tmp_path, capsys, field, value):
@@ -222,11 +223,23 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
      ["check-rec", "--configs", "{configs}", "--recs", "{recs}"],
      "error: cannot read configs file: [Errno 2]"),
     ({}, _RECORDS, "error: cannot read records: [Errno 2]"),
+    # a policy value out of range, with a resumable --out left as it is
+    *(({"targets": b"1,localhost\n", "out": b'{"domain": "localhost"}\n',
+        "policy": policy}, _SCAN + ["--policy", "{policy}"],
+       f"error: bad policy file: {message}")
+      for policy, message in (
+          (b'{"timeout_ms": -5}', "timeout_ms must be above 0"),
+          (b'{"timeout_ms": NaN}', "timeout_ms must be above 0"),
+          (b'{"timeout_ms": 0}', "timeout_ms must be above 0"),
+          (b'{"delay_min_ms": -5000, "delay_max_ms": 1}',
+           "delay_min_ms must be 0 to 86400000"))),
 ], ids=["targets-latin-1", "grade-in-latin-1", "recs-latin-1",
         "records-latin-1", "resume-not-json", "resume-domain-list",
         "policy-list", "policy-string-ms", "targets-missing",
         "policy-missing", "asn-table-missing", "grade-in-missing",
-        "recs-missing", "configs-missing", "records-missing"])
+        "recs-missing", "configs-missing", "records-missing",
+        "policy-negative-timeout", "policy-nan-timeout", "policy-zero-timeout",
+        "policy-negative-delay"])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, files, argv,
                                           prefix):
     paths = {name: str(tmp_path / name) for name in (
@@ -344,6 +357,7 @@ def test_cmd_check_rec_config_line_not_an_object(db, tmp_path, capsys, line):
 @pytest.mark.parametrize("line", [
     "5", "[1]", '{"protocols": 5}', '{"cipher_string": 5}',
     '{"dh_params_bits": "2048"}', '{"session_tickets": "no"}',
+    '{"cipher_string": "HIGH", "source": 5}',
 ])
 def test_cmd_check_rec_rec_line_wrongly_typed(tmp_path, capsys, line):
     recs = tmp_path / "recs.jsonl"
@@ -353,6 +367,22 @@ def test_cmd_check_rec_rec_line_wrongly_typed(tmp_path, capsys, line):
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("recs line 2: ")
+    assert not out.exists()
+
+
+def test_cmd_check_rec_config_label_not_a_string(db, tmp_path, capsys):
+    recs = tmp_path / "recs.jsonl"
+    recs.write_text(json.dumps({"cipher_string": "HIGH"}) + "\n")
+    config = fixtures.ubuntu_default_configurations(db)[0][1].to_json()
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps({"label": "a", "configuration": config}) + "\n"
+                       + json.dumps({"label": [1], "configuration": config})
+                       + "\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["check-rec", "--recs", str(recs), "--configs",
+                     str(configs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad configs file: line 2: label must be a string, not [1]"]
     assert not out.exists()
 
 
@@ -410,6 +440,44 @@ def test_cmd_report_wrongly_typed_field(db, tmp_path, capsys, field, value):
     assert (f"error: {records}:2: bad record: "
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def _record_field(name, value):
+    def edit(record):
+        record[name] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_record_field("asn", [1]), "asn must be an object or null, not [1]"),
+    (_record_field("asn", {"name": "x"}), "asn.number is required"),
+    (_record_field("domain", 5), "domain must be a string, not 5"),
+    (_record_field("server_software", "nginx"),
+     "server_software must be an object or null, not 'nginx'"),
+    (lambda record: record["grade_report"].update(categories=[]),
+     "categories must be an object, not []"),
+], ids=["asn-list", "asn-without-number", "domain-int",
+        "server-software-string", "categories-list"])
+def test_cmd_report_wrongly_typed_record_field(db, tmp_path, capsys, edit,
+                                               message):
+    from tlsaudit.pipeline import Eligibility, ScanRecord
+    config = fixtures.ubuntu_default_configurations(db)[0][1]
+    good = ScanRecord(domain="a.test", eligibility=Eligibility.GRADED,
+                      asn={"number": 64500, "name": "AS-TEST"},
+                      server_software={"name": "nginx", "version": None},
+                      configuration=config,
+                      grade_report=grade(config, db)).to_json()
+    bad = json.loads(json.dumps(good))
+    edit(bad)
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    for which in ("dominance", "records"):
+        out = tmp_path / f"{which}.csv"
+        assert cli.main(["report", "--records", str(records), "--which",
+                         which, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {records}:2: bad record: {message}"]
+        assert not out.exists()
 
 
 def test_cmd_report_int_flag(db, tmp_path, capsys):

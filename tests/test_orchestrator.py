@@ -192,6 +192,20 @@ def test_policy_json_round_trip():
     ({"delay_min_ms": None}, "delay_min_ms must be a number, not None"),
     ({"delay_max_ms": True}, "delay_max_ms must be a number, not True"),
     ({"seed": 1.5}, "seed must be an integer or null, not 1.5"),
+    ({"timeout_ms": -5},
+     "timeout_ms must be above 0 and at most 86400000 (a day), not -5"),
+    ({"timeout_ms": float("nan")},
+     "timeout_ms must be above 0 and at most 86400000 (a day), not nan"),
+    # 0 would make every socket non-blocking
+    ({"timeout_ms": 0},
+     "timeout_ms must be above 0 and at most 86400000 (a day), not 0"),
+    # a socket timeout this long overflows
+    ({"timeout_ms": 1e16},
+     "timeout_ms must be above 0 and at most 86400000 (a day), not 1e+16"),
+    ({"delay_min_ms": -5000, "delay_max_ms": 1},
+     "delay_min_ms must be 0 to 86400000 (a day), not -5000"),
+    ({"delay_max_ms": float("inf")},
+     "delay_max_ms must be 0 to 86400000 (a day), not inf"),
 ])
 def test_policy_json_rejects_a_wrong_type(obj, message):
     with pytest.raises(ValueError) as err:
