@@ -22,7 +22,9 @@ from . import cipherstring, fixtures, pipeline, report as report_mod
 from .configuration import Configuration
 from .grading import grade
 from .orchestrator import ProbePolicy
-from .registry import OBJECT, STR, check_fields, load_registry
+from .registry import (
+    OBJECT, STR, check_fields, decode_shared, load_registry, parse_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -125,19 +127,22 @@ def cmd_grade(args) -> int:
     db = load_registry()
     errors = 0
     graded = []
-    # a corpus repeats a few configurations many times; grade each once
-    reports: dict[Configuration, dict] = {}
+    # a corpus repeats a few configurations many times: decode and grade each
+    # distinct configuration JSON once
+    reports: dict = {}
+
+    def grade_json(value) -> dict:
+        return grade(Configuration.from_json(value), db).to_json()
+
     with pipeline.open_input(args.infile, "configurations") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = check_fields(json.loads(line), _LABELED_FIELDS)
+                obj = check_fields(parse_json(line), _LABELED_FIELDS)
                 label = obj.get("label")
-                config = Configuration.from_json(obj.get("configuration", obj))
-                result = reports.get(config)
-                if result is None:
-                    result = reports[config] = grade(config, db).to_json()
+                result = decode_shared(reports, grade_json,
+                                       obj.get("configuration", obj))
             except (ValueError, KeyError, TypeError) as exc:
                 print(f"line {lineno}: invalid record: {exc}", file=sys.stderr)
                 errors += 1
@@ -156,17 +161,22 @@ def cmd_check_rec(args) -> int:
         raise pipeline.PipelineError("need --configs or --defaults")
     profiles = cipherstring.load_all_profiles()
 
-    configs = []
+    # label -> configuration; a label names one line
+    configs: dict[str, Configuration] = {}
     if args.configs:
+        decoded: dict = {}
         with pipeline.open_input(args.configs, "configs file") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    obj = check_fields(json.loads(line), _LABELED_FIELDS)
-                    configs.append((obj.get("label", f"config-{lineno}"),
-                                    Configuration.from_json(
-                                        obj.get("configuration", obj))))
+                    obj = check_fields(parse_json(line), _LABELED_FIELDS)
+                    label = obj.get("label", f"config-{lineno}")
+                    if label in configs:
+                        raise ValueError(f"label {label!r} is already used")
+                    configs[label] = decode_shared(
+                        decoded, Configuration.from_json,
+                        obj.get("configuration", obj))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise pipeline.PipelineError(
                         f"bad configs file: line {lineno}: {exc}") from None
@@ -183,7 +193,7 @@ def cmd_check_rec(args) -> int:
                 continue
             try:
                 recs.append(cipherstring.Recommendation.from_json(
-                    json.loads(line)))
+                    parse_json(line)))
             except ValueError as exc:  # CipherStringError, RecommendationError
                 print(f"recs line {lineno}: {exc}", file=sys.stderr)
                 return EXIT_INPUT
@@ -208,7 +218,7 @@ def cmd_check_rec(args) -> int:
         if configs:
             entry["consistent"] = {
                 label: cipherstring.consistent(config, rec, db, profiles)
-                for label, config in configs
+                for label, config in configs.items()
             }
         results.append(entry)
 

@@ -27,7 +27,10 @@ from .configuration import Configuration
 from .engine import split_target
 from .grading import GradeReport, grade
 from .orchestrator import ProbePolicy, SiteProber
-from .registry import INT, NULL, OBJECT, STR, CipherDb, check_fields, enum_decoder
+from .registry import (
+    INT, NULL, OBJECT, STR, CipherDb, check_fields, decode_shared, enum_decoder,
+    parse_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -90,6 +93,14 @@ class Target:
 
 @dataclass
 class ScanRecord:
+    """One target's line of a scan's JSONL output.
+
+    Records that ``load_records`` reads from one file share their
+    ``configuration`` when its JSON is equal, and their ``grade_report``
+    likewise, so a corpus holds one object per distinct value. Neither
+    object may be mutated: a change would show in every record sharing it.
+    """
+
     domain: str
     eligibility: Eligibility
     rank: Optional[int] = None
@@ -131,7 +142,11 @@ class ScanRecord:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ScanRecord":
+    def from_json(cls, obj: dict, configurations: Optional[dict] = None,
+                  grade_reports: Optional[dict] = None) -> "ScanRecord":
+        """Read ``to_json`` output back. ``configurations`` and
+        ``grade_reports`` are a reader's memos (``registry.decode_shared``):
+        records read with the same memos share equal-valued objects."""
         check_fields(obj, _RECORD_FIELDS)
         if obj.get("asn") is not None:
             check_fields(obj["asn"], _ASN_FIELDS, "asn.", required=("number",))
@@ -145,13 +160,21 @@ class ScanRecord:
             server_software=obj.get("server_software"),
             os_hint=obj.get("os_hint"),
             asn=obj.get("asn"),
-            configuration=(Configuration.from_json(obj["configuration"])
-                           if obj.get("configuration") else None),
-            grade_report=(GradeReport.from_json(obj["grade_report"])
-                          if obj.get("grade_report") else None),
+            configuration=_decoded(configurations, Configuration.from_json,
+                                   obj.get("configuration")),
+            grade_report=_decoded(grade_reports, GradeReport.from_json,
+                                  obj.get("grade_report")),
             trace_ref=obj.get("trace_ref"),
             exclusion_reason=obj.get("exclusion_reason"),
         )
+
+
+def _decoded(memo: Optional[dict], decode, value):
+    """None for an absent or empty object, else ``decode(value)``, shared
+    through ``memo`` when there is one."""
+    if not value:
+        return None
+    return decode(value) if memo is None else decode_shared(memo, decode, value)
 
 
 # -- target ingestion -----------------------------------------------------------
@@ -196,7 +219,7 @@ def load_policy(path) -> ProbePolicy:
     with open_input(path, "policy file") as fh:
         text = fh.read()
     try:
-        return ProbePolicy.from_json(json.loads(text))
+        return ProbePolicy.from_json(parse_json(text))
     except ValueError as exc:
         raise PipelineError(f"bad policy file: {exc}") from None
 
@@ -463,7 +486,7 @@ def _recorded_domains(out: Path) -> set[str]:
             if not line.strip():
                 continue
             try:
-                domain = check_fields(json.loads(line), (_DOMAIN,))["domain"]
+                domain = check_fields(parse_json(line), (_DOMAIN,))["domain"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise PipelineError(f"{out}:{lineno}: bad record: {exc}") from None
             done.add(domain)
@@ -557,14 +580,20 @@ def run_scan(targets: Iterable[Target], policy: ProbePolicy, db: CipherDb,
 
 
 def load_records(path) -> list[ScanRecord]:
+    """The records of a scan JSONL file. A corpus backs many thousand
+    records with a few hundred distinct configurations and grade reports, so
+    each distinct one is decoded once and shared (see ``ScanRecord``)."""
     records = []
+    configurations: dict = {}
+    grade_reports: dict = {}
     with open_input(path, "records") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(ScanRecord.from_json(json.loads(line)))
+                records.append(ScanRecord.from_json(
+                    parse_json(line), configurations, grade_reports))
             except (ValueError, KeyError, TypeError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad record: {exc}")
     return records

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -163,6 +164,31 @@ def check_fields(obj, fields, where: str = "", required=()) -> dict:
                 raise ValueError(
                     f"{where}{name}[{key!r}] must be {expected}, not {value!r}")
     return obj
+
+
+def parse_json(text):
+    """``json.loads(text)``: the one JSON parse of every input line and file.
+    JSON nested deeper than the interpreter's recursion limit is a
+    ValueError, like any other malformed JSON, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def decode_shared(memo: dict, decode, obj):
+    """``decode(obj)``, made once per distinct JSON value: a later call with
+    an equal ``obj`` returns the object the first call stored in ``memo``.
+    Each reader call owns its memos, one per decoder. The key is
+    ``repr(obj)``, which is exact for a ``json.loads`` value: it tells
+    ``true`` from ``1`` and ``1024`` from ``1024.0``, so values that
+    ``check_fields`` tells apart never share an object. A decode that raises
+    stores nothing, so each bad value raises again."""
+    key = repr(obj)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = decode(obj)
+    return found
 
 
 AEAD_MODES = frozenset({CipherMode.GCM, CipherMode.CCM, CipherMode.POLY1305})

@@ -1,10 +1,12 @@
 import argparse
+import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from tlsaudit import cli, fixtures
+from tlsaudit import cli, fixtures, pipeline
 from tlsaudit.grading import grade
 
 
@@ -509,3 +511,104 @@ def test_cmd_fixtures(tmp_path, capsys):
     from tlsaudit.fixtures import FixtureSpec
     FixtureSpec.from_json(json.loads(specs[0].read_text()))
 
+
+
+# -- JSON nested too deeply for the decoder -------------------------------------
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+_HIGH = b'{"cipher_string": "HIGH"}\n'
+
+
+@pytest.mark.parametrize("files, argv, prefix", [
+    ({"in": _DEEP}, ["grade", "--in", "{in}"],
+     "line 1: invalid record: JSON nested too deeply"),
+    ({"recs": _DEEP}, ["check-rec", "--defaults", "--recs", "{recs}"],
+     "recs line 1: JSON nested too deeply"),
+    ({"recs": _HIGH, "configs": _DEEP},
+     ["check-rec", "--configs", "{configs}", "--recs", "{recs}"],
+     "error: bad configs file: line 1: JSON nested too deeply"),
+    ({"records": _DEEP}, _RECORDS,
+     "error: {records}:1: bad record: JSON nested too deeply"),
+    ({"targets": b"1,localhost\n", "policy": _DEEP},
+     _SCAN + ["--policy", "{policy}"],
+     "error: bad policy file: JSON nested too deeply"),
+    ({"targets": b"1,localhost\n", "out": _DEEP}, _SCAN,
+     "error: {out}:1: bad record: JSON nested too deeply"),
+], ids=["grade-in", "recs", "configs", "records", "policy", "resume-out"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, files, argv,
+                                              prefix):
+    """``json.loads`` raises RecursionError on deep nesting; every JSON input
+    reports it as malformed input, with exit 1 and one stderr line."""
+    test_bad_input_file_is_one_error_line(tmp_path, capsys, files, argv, prefix)
+
+
+def _nested_in_versions(config: dict, depth: int) -> str:
+    """``config``'s JSON with ``versions`` a list ``depth`` deep."""
+    return json.dumps(dict(config, versions="X")).replace(
+        '"X"', "[" * depth + "]" * depth)
+
+
+def test_json_nested_near_the_recursion_limit_is_an_input_error(db, tmp_path,
+                                                                capsys):
+    """Around the depth where ``json.loads`` stops, a line either fails to
+    parse or decodes to a wrongly typed configuration: an input error either
+    way, in ``grade --in`` and in ``load_records``."""
+    config = fixtures.ubuntu_default_configurations(db)[0][1].to_json()
+    limit = sys.getrecursionlimit()
+    nested = [_nested_in_versions(config, depth)
+              for depth in range(limit - 150, limit + 5)]
+    infile = tmp_path / "in.jsonl"
+    infile.write_text("".join(f'{{"configuration": {text}}}\n'
+                              for text in nested))
+    capsys.readouterr()
+    assert cli.main(["grade", "--in", str(infile), "--out",
+                     str(tmp_path / "out.jsonl")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == [
+        f"line {n}" for n in range(1, len(nested) + 1)]
+    assert any(line.endswith("JSON nested too deeply") for line in err)
+    records = tmp_path / "records.jsonl"
+    for text in nested:
+        records.write_text(f'{{"domain": "a", "eligibility": "GRADED", '
+                           f'"configuration": {text}}}\n')
+        with pytest.raises(pipeline.PipelineError):
+            pipeline.load_records(records)
+
+
+# -- check-rec --configs labels ---------------------------------------------------
+
+@pytest.mark.parametrize("labels, message", [
+    (["x", "x"], "line 2: label 'x' is already used"),
+    # line 2 has no label of its own, so it is config-2
+    (["config-2", None], "line 2: label 'config-2' is already used"),
+], ids=["repeated", "default-clash"])
+def test_cmd_check_rec_repeated_label(db, tmp_path, capsys, labels, message):
+    """Results are keyed by label, so a label may name one line only."""
+    recs = tmp_path / "recs.jsonl"
+    recs.write_bytes(_HIGH)
+    configs = tmp_path / "configs.jsonl"
+    defaults = fixtures.ubuntu_default_configurations(db)
+    configs.write_text("".join(
+        json.dumps({"configuration": config.to_json()}
+                   | ({"label": label} if label else {})) + "\n"
+        for label, (_name, config, _profile) in zip(labels, defaults)))
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["check-rec", "--recs", str(recs), "--configs",
+                     str(configs), "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: bad configs file: {message}"]
+    assert not out.exists()
+
+
+def test_cli_parses_json_only_through_parse_json():
+    """Every JSON input goes through ``registry.parse_json``, the one parse
+    that turns a RecursionError into an input error."""
+    src = Path(__file__).resolve().parent.parent / "src" / "tlsaudit"
+    calls = [f"{module}:{node.lineno}"
+             for module in ("cli.py", "pipeline.py")
+             for node in ast.walk(ast.parse((src / module).read_text(
+                 encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("load", "loads")]
+    assert calls == []
