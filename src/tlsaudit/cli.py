@@ -23,7 +23,7 @@ from .configuration import Configuration
 from .grading import grade
 from .orchestrator import ProbePolicy
 from .registry import (
-    OBJECT, STR, check_fields, decode_shared, load_registry, parse_json,
+    OBJECT, STR, SharedDecoder, check_fields, load_registry, parse_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -128,12 +128,9 @@ def cmd_grade(args) -> int:
     errors = 0
     graded = []
     # a corpus repeats a few configurations many times: decode and grade each
-    # distinct configuration JSON once
-    reports: dict = {}
-
-    def grade_json(value) -> dict:
-        return grade(Configuration.from_json(value), db).to_json()
-
+    # once
+    configurations = SharedDecoder(Configuration.from_json)
+    reports: dict[Configuration, dict] = {}
     with pipeline.open_input(args.infile, "configurations") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -141,8 +138,10 @@ def cmd_grade(args) -> int:
             try:
                 obj = check_fields(parse_json(line), _LABELED_FIELDS)
                 label = obj.get("label")
-                result = decode_shared(reports, grade_json,
-                                       obj.get("configuration", obj))
+                config = configurations(obj.get("configuration", obj))
+                result = reports.get(config)
+                if result is None:
+                    result = reports[config] = grade(config, db).to_json()
             except (ValueError, KeyError, TypeError) as exc:
                 print(f"line {lineno}: invalid record: {exc}", file=sys.stderr)
                 errors += 1
@@ -164,7 +163,6 @@ def cmd_check_rec(args) -> int:
     # label -> configuration; a label names one line
     configs: dict[str, Configuration] = {}
     if args.configs:
-        decoded: dict = {}
         with pipeline.open_input(args.configs, "configs file") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -174,8 +172,7 @@ def cmd_check_rec(args) -> int:
                     label = obj.get("label", f"config-{lineno}")
                     if label in configs:
                         raise ValueError(f"label {label!r} is already used")
-                    configs[label] = decode_shared(
-                        decoded, Configuration.from_json,
+                    configs[label] = Configuration.from_json(
                         obj.get("configuration", obj))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise pipeline.PipelineError(

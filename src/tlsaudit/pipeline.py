@@ -28,7 +28,7 @@ from .engine import split_target
 from .grading import GradeReport, grade
 from .orchestrator import ProbePolicy, SiteProber
 from .registry import (
-    INT, NULL, OBJECT, STR, CipherDb, check_fields, decode_shared, enum_decoder,
+    INT, NULL, OBJECT, STR, CipherDb, SharedDecoder, check_fields, enum_decoder,
     parse_json,
 )
 
@@ -97,8 +97,9 @@ class ScanRecord:
 
     Records that ``load_records`` reads from one file share their
     ``configuration`` when its JSON is equal, and their ``grade_report``
-    likewise, so a corpus holds one object per distinct value. Neither
-    object may be mutated: a change would show in every record sharing it.
+    likewise, so a corpus holds one object per distinct value (unless its
+    values rarely repeat: see ``registry.SharedDecoder``). Neither object may
+    be mutated: a change would show in every record sharing it.
     """
 
     domain: str
@@ -142,11 +143,15 @@ class ScanRecord:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, configurations: Optional[dict] = None,
-                  grade_reports: Optional[dict] = None) -> "ScanRecord":
+    def from_json(cls, obj: dict,
+                  configurations: Optional[SharedDecoder] = None,
+                  grade_reports: Optional[SharedDecoder] = None
+                  ) -> "ScanRecord":
         """Read ``to_json`` output back. ``configurations`` and
-        ``grade_reports`` are a reader's memos (``registry.decode_shared``):
-        records read with the same memos share equal-valued objects."""
+        ``grade_reports`` are a reader's shared decoders: records read with
+        the same decoders share equal-valued objects."""
+        configurations = configurations or Configuration.from_json
+        grade_reports = grade_reports or GradeReport.from_json
         check_fields(obj, _RECORD_FIELDS)
         if obj.get("asn") is not None:
             check_fields(obj["asn"], _ASN_FIELDS, "asn.", required=("number",))
@@ -160,21 +165,13 @@ class ScanRecord:
             server_software=obj.get("server_software"),
             os_hint=obj.get("os_hint"),
             asn=obj.get("asn"),
-            configuration=_decoded(configurations, Configuration.from_json,
-                                   obj.get("configuration")),
-            grade_report=_decoded(grade_reports, GradeReport.from_json,
-                                  obj.get("grade_report")),
+            configuration=(configurations(obj["configuration"])
+                           if obj.get("configuration") else None),
+            grade_report=(grade_reports(obj["grade_report"])
+                          if obj.get("grade_report") else None),
             trace_ref=obj.get("trace_ref"),
             exclusion_reason=obj.get("exclusion_reason"),
         )
-
-
-def _decoded(memo: Optional[dict], decode, value):
-    """None for an absent or empty object, else ``decode(value)``, shared
-    through ``memo`` when there is one."""
-    if not value:
-        return None
-    return decode(value) if memo is None else decode_shared(memo, decode, value)
 
 
 # -- target ingestion -----------------------------------------------------------
@@ -584,8 +581,8 @@ def load_records(path) -> list[ScanRecord]:
     records with a few hundred distinct configurations and grade reports, so
     each distinct one is decoded once and shared (see ``ScanRecord``)."""
     records = []
-    configurations: dict = {}
-    grade_reports: dict = {}
+    configurations = SharedDecoder(Configuration.from_json)
+    grade_reports = SharedDecoder(GradeReport.from_json)
     with open_input(path, "records") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()

@@ -176,19 +176,44 @@ def parse_json(text):
         raise ValueError("JSON nested too deeply") from None
 
 
-def decode_shared(memo: dict, decode, obj):
+class SharedDecoder:
     """``decode(obj)``, made once per distinct JSON value: a later call with
-    an equal ``obj`` returns the object the first call stored in ``memo``.
-    Each reader call owns its memos, one per decoder. The key is
-    ``repr(obj)``, which is exact for a ``json.loads`` value: it tells
-    ``true`` from ``1`` and ``1024`` from ``1024.0``, so values that
-    ``check_fields`` tells apart never share an object. A decode that raises
-    stores nothing, so each bad value raises again."""
-    key = repr(obj)
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = decode(obj)
-    return found
+    an equal ``obj`` returns the object the first call made. Each reader
+    call makes its own decoders. The key is ``repr(obj)``, which is exact
+    for a ``json.loads`` value: it tells ``true`` from ``1`` and ``1024``
+    from ``1024.0``, so values that ``check_fields`` tells apart never share
+    an object. A decode that raises stores nothing, so each bad value raises
+    again.
+
+    Only repeats repay a key: a configuration's or grade report's ``repr``
+    takes more than half as long as its decode, and the memo keeps it until
+    the reader returns. So once the memo holds more than ``PROBE`` values,
+    and more values than calls it has answered from them, it is dropped, and
+    every later value is decoded on its own.
+    """
+
+    PROBE = 4096
+
+    __slots__ = ("decode", "memo", "hits")
+
+    def __init__(self, decode: Callable):
+        self.decode = decode
+        self.memo: Optional[dict] = {}
+        self.hits = 0
+
+    def __call__(self, obj):
+        memo = self.memo
+        if memo is None:
+            return self.decode(obj)
+        key = repr(obj)
+        found = memo.get(key)
+        if found is not None:
+            self.hits += 1
+            return found
+        found = memo[key] = self.decode(obj)
+        if len(memo) > max(self.hits, self.PROBE):
+            self.memo = None
+        return found
 
 
 AEAD_MODES = frozenset({CipherMode.GCM, CipherMode.CCM, CipherMode.POLY1305})

@@ -5,8 +5,11 @@
 call. The property tests compare both readers with a fresh decode of each
 line: equal output, records with equal JSON sharing one object, and a
 wrongly typed line failing with its own line number even after an
-equal-valued, well-typed one. The memory test bounds the bytes a loaded
-record costs when few distinct configurations back many records.
+equal-valued, well-typed one. They run again with a ``SharedDecoder`` that
+drops its memo almost at once, as it does on a file whose values rarely
+repeat. The memory tests bound the bytes a loaded record costs when few
+distinct configurations back many records, and when each record has its
+own.
 """
 
 import dataclasses
@@ -23,7 +26,7 @@ from tlsaudit import cli, pipeline
 from tlsaudit.configuration import Configuration
 from tlsaudit.grading import grade
 from tlsaudit.pipeline import Eligibility, PipelineError, ScanRecord
-from tlsaudit.registry import check_fields
+from tlsaudit.registry import SharedDecoder, check_fields
 
 _SETTINGS = settings(max_examples=60, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -83,7 +86,8 @@ def _fresh_records(lines: list[str]):
     return records, None
 
 
-def _assert_loads_as_fresh(tmp_path, lines: list[str]) -> None:
+def _assert_loads_as_fresh(tmp_path, lines: list[str],
+                           check_sharing: bool) -> None:
     path = tmp_path / "records.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     want, bad = _fresh_records(lines)
@@ -94,6 +98,8 @@ def _assert_loads_as_fresh(tmp_path, lines: list[str]) -> None:
         return
     got = pipeline.load_records(path)
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    if not check_sharing:
+        return
     objs = [json.loads(line) for line in lines]
     for field in ("configuration", "grade_report"):
         first = {}
@@ -103,9 +109,18 @@ def _assert_loads_as_fresh(tmp_path, lines: list[str]) -> None:
             assert shared is value, field
 
 
+# the default probe, which these short files never reach, and a memo that
+# is dropped at the second distinct value that no call has repeated
+_PROBES = pytest.mark.parametrize("probe", [SharedDecoder.PROBE, 1],
+                                  ids=["shared", "dropped"])
+
+
+@_PROBES
 @_SETTINGS
 @given(data=st.data())
-def test_load_records_decodes_as_each_line_alone(db, pool, tmp_path, data):
+def test_load_records_decodes_as_each_line_alone(db, pool, tmp_path,
+                                                 monkeypatch, probe, data):
+    monkeypatch.setattr(SharedDecoder, "PROBE", probe)
     lines = []
     for n, (config, report, separators) in enumerate(data.draw(_lines(pool))):
         lines.append(json.dumps(
@@ -113,7 +128,7 @@ def test_load_records_decodes_as_each_line_alone(db, pool, tmp_path, data):
              "asn": {"number": 64500 + n % 3, "name": "AS"},
              "configuration": config, "grade_report": report},
             separators=separators))
-    _assert_loads_as_fresh(tmp_path, lines)
+    _assert_loads_as_fresh(tmp_path, lines, check_sharing=probe > 1)
 
 
 def _fresh_grades(db, lines: list[str]):
@@ -132,9 +147,12 @@ def _fresh_grades(db, lines: list[str]):
     return out, err
 
 
+@_PROBES
 @_SETTINGS
 @given(data=st.data())
-def test_grade_in_grades_as_each_line_alone(db, pool, tmp_path, capsys, data):
+def test_grade_in_grades_as_each_line_alone(db, pool, tmp_path, capsys,
+                                            monkeypatch, probe, data):
+    monkeypatch.setattr(SharedDecoder, "PROBE", probe)
     lines = [json.dumps({"label": f"c{n}", "configuration": config},
                         separators=separators)
              for n, (config, _report, separators)
@@ -210,3 +228,65 @@ def test_load_records_memory_per_record(db, tmp_path):
         tracemalloc.stop()
     assert len(records) == count
     assert size <= 1_600 * count, f"{size / count:.0f} B per record"
+
+
+def test_shared_decoder_drops_its_memo_when_values_rarely_repeat():
+    """Past ``PROBE`` values, a memo holding more values than it has
+    answered calls is dropped; later values are decoded on their own."""
+    probe = SharedDecoder.PROBE
+    decoded = []
+    shared = SharedDecoder(lambda obj: decoded.append(obj) or dict(obj))
+    first = [shared({"n": n}) for n in range(probe)]
+    assert shared({"n": 0}) is first[0]
+    assert len(shared.memo) == probe and len(decoded) == probe
+    shared({"n": probe})
+    assert shared.memo is None
+    again = shared({"n": 0})
+    assert again == first[0] and again is not first[0]
+    assert len(decoded) == probe + 2
+
+
+def test_shared_decoder_keeps_its_memo_while_values_repeat():
+    """Each value called three times: two of every three calls are answered
+    from the memo, so it keeps every value, well past ``PROBE``."""
+    shared = SharedDecoder(dict)
+    count = 3 * SharedDecoder.PROBE
+    for n in range(count):
+        first = shared({"n": n})
+        assert shared({"n": n}) is first and shared({"n": n}) is first
+    assert len(shared.memo) == count
+
+
+def test_load_records_memory_per_record_without_repeats(db, tmp_path,
+                                                        monkeypatch):
+    """2,000 records, each with its own configuration: once the memo of
+    configurations is dropped, its keys are freed, and the load peaks at
+    about 4,800 bytes a record under ``tracemalloc`` (grade reports still
+    repeat, and are shared). Keeping a key per configuration until the load
+    returned peaked at about 5,700, and decoding each record's own copy of
+    both objects at about 5,500. ``PROBE`` is lowered so that the memo is
+    dropped early in a small file."""
+    monkeypatch.setattr(SharedDecoder, "PROBE", 512)
+    rng = random.Random(3)
+    count = 2_000
+    path = tmp_path / "records.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for n in range(count):
+            config = random_configuration(rng, db)
+            fh.write(json.dumps(ScanRecord(
+                domain=f"site{n}.example.com", rank=n + 1, address="192.0.2.1",
+                eligibility=Eligibility.GRADED,
+                started_at="2020-01-01T00:00:00+00:00",
+                finished_at="2020-01-01T00:00:01+00:00",
+                server_software={"name": "nginx", "version": "1.18.0"},
+                os_hint="ubuntu", asn={"number": 64500 + n % 50, "name": "AS"},
+                configuration=config, grade_report=grade(config, db),
+                trace_ref=None).to_json()) + "\n")
+    tracemalloc.start()
+    try:
+        records = pipeline.load_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({repr(r.configuration) for r in records}) > 0.99 * count
+    assert peak <= 5_200 * count, f"{peak / count:.0f} B per record"
