@@ -43,6 +43,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT = 5.0
 HEARTBLEED_OVERREAD_CAP = 16 * 1024
+HTTP_READ_CAP = 16 * 1024  # response bytes read while seeking the headers' end
 # distinct certificates (by DER) and server names whose derived values are
 # remembered: a site serves one certificate and is probed under one name, and
 # a server sending a new certificate per connection cannot grow the caches
@@ -417,9 +418,11 @@ class HandshakeEngine:
                    "Connection: close\r\n\r\n").encode()
         conn.sock.sendall(wire.record(ContentType.APPLICATION_DATA, version, request))
         try:
-            conn.read_until(lambda c: False)  # the response ends at an alert
+            # only the headers are parsed: read to their end, or to the cap
+            conn.read_until(lambda c: b"\r\n\r\n" in c.app_data
+                            or len(c.app_data) >= HTTP_READ_CAP)
         except WireError:
-            pass  # or where the server closes the connection
+            pass  # the server closed the connection first
         return _parse_http(bytes(conn.app_data))
 
     # -- retry wrapper (the caller-visible API) ----------------------------

@@ -14,11 +14,17 @@ After its hello flight the server reads every client record in one loop,
 ``FixtureEndpoint._serve_records``, full and abbreviated handshakes alike; a
 record the handshake does not allow at that point ends the connection.
 
-Each endpoint runs two threads for its whole life: one accepts connections
-and hands each socket to the other, a worker that serves them one at a time
-in arrival order. No thread is started per connection, so a connection's
-server-side cost is the handshake itself. A client that holds a connection
-open without sending delays the next one by at most the 5 s read timeout.
+Each endpoint runs one thread for its whole life: a plain
+``socketserver.TCPServer`` accepts and serves its connections one at a time,
+in arrival order, on its ``serve_forever`` thread; a waiting connection sits
+in the listen backlog. No thread is started per connection, so a
+connection's server-side cost is the handshake itself. A client that holds a
+connection open without sending delays the next one by at most the 5 s read
+timeout.
+
+``stop()`` shuts the server down and joins its thread. It returns at once
+when a connection is still being served, and otherwise waits out the rest of
+``serve_forever``'s 0.5 s poll.
 """
 from __future__ import annotations
 
@@ -26,7 +32,6 @@ import csv
 import datetime
 import logging
 import os
-import queue
 import random
 import socket
 import socketserver
@@ -177,37 +182,6 @@ def fixture_certificate(kind: str) -> bytes:
 
 # -- the endpoint ------------------------------------------------------------
 
-class _OneWorkerServer(socketserver.TCPServer):
-    """A TCP server whose ``serve_forever`` thread only accepts: each
-    accepted socket goes to one long-lived worker thread, which serves the
-    sockets in arrival order. ``server_close`` stops the worker."""
-
-    def __init__(self, address, handler):
-        super().__init__(address, handler)
-        self._accepted = queue.SimpleQueue()
-        self._worker = threading.Thread(target=self._work, daemon=True)
-        self._worker.start()
-
-    def process_request(self, request, client_address):
-        self._accepted.put((request, client_address))
-
-    def _work(self) -> None:
-        # survives any handler exception, as ThreadingMixIn's threads do
-        while (item := self._accepted.get()) is not None:
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
-
-    def server_close(self) -> None:
-        super().server_close()
-        self._accepted.put(None)
-        self._worker.join()
-
-
 class FixtureEndpoint:
     """Live endpoint handle; also records a capture log for assertions."""
 
@@ -231,8 +205,10 @@ class FixtureEndpoint:
                 raise FixtureError(
                     f"suite {info.name} incompatible with {spec.cert_kind} certificate")
 
-        handler = self._make_handler()
-        self._server = _OneWorkerServer(("127.0.0.1", 0), handler)
+        # finish_request calls its handler as handler(request, address, server)
+        self._server = socketserver.TCPServer(
+            ("127.0.0.1", 0),
+            lambda request, _address, _server: self._handle(request))
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         daemon=True)
         self._thread.start()
@@ -256,6 +232,7 @@ class FixtureEndpoint:
             self._server.server_close()
         except OSError:
             pass
+        self._thread.join()
 
     def __enter__(self):
         return self
@@ -269,16 +246,13 @@ class FixtureEndpoint:
 
     # -- connection handling ------------------------------------------------
 
-    def _make_handler(endpoint):
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                with endpoint._lock:
-                    endpoint.connection_count += 1
-                try:
-                    endpoint._serve(self.request)
-                except (WireError, OSError, socket.timeout) as exc:
-                    endpoint._log({"event": "connection_error", "error": str(exc)})
-        return Handler
+    def _handle(self, sock: socket.socket) -> None:
+        with self._lock:
+            self.connection_count += 1
+        try:
+            self._serve(sock)
+        except (WireError, OSError, socket.timeout) as exc:
+            self._log({"event": "connection_error", "error": str(exc)})
 
     def _serve(self, sock: socket.socket) -> None:
         sock.settimeout(5.0)

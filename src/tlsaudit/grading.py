@@ -8,7 +8,7 @@ number a grade depends on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 
@@ -84,7 +84,6 @@ class GradeReport:
     per_category: dict[Category, Grade]
     overall: Grade
     downgrade_reasons: dict[Grade, list[Category]]
-    vulnerabilities: VulnFlags = field(default_factory=VulnFlags)
 
     def to_json(self) -> dict:
         reasons = {
@@ -196,6 +195,9 @@ def grade_vulnerabilities(flags: VulnFlags) -> Grade:
     return Grade.A
 
 
+_CATEGORIES_BY_NAME = sorted(Category, key=lambda c: c.value)
+
+
 def grade(config: Configuration, db: CipherDb) -> GradeReport:
     vulns = derive_vulnerabilities(config)
     per = {
@@ -208,12 +210,12 @@ def grade(config: Configuration, db: CipherDb) -> GradeReport:
         Category.VULNERABILITIES: grade_vulnerabilities(vulns),
     }
     overall = min(per.values())
-    reasons = {
-        g: [c for c in Category if per[c] == g]
-        for g in (Grade.B, Grade.C, Grade.F)
-    }
+    # to_json's form, so that a report equals its JSON read back: only the
+    # levels some category landed on, each list sorted by category name
+    reasons = {g: cats for g in (Grade.B, Grade.C, Grade.F)
+               if (cats := [c for c in _CATEGORIES_BY_NAME if per[c] == g])}
     return GradeReport(per_category=per, overall=overall,
-                       downgrade_reasons=reasons, vulnerabilities=vulns)
+                       downgrade_reasons=reasons)
 
 
 def downgrade_table(reports) -> dict[Grade, dict[Category, float]]:

@@ -117,10 +117,11 @@ class ScanRecord:
     exclusion_reason: Optional[str] = None
 
     def __post_init__(self):
-        if self.grade_report is not None and self.configuration is None:
-            raise PipelineError("grade_report requires a configuration")
-        if self.eligibility is Eligibility.EXCLUDED and self.configuration is not None:
-            raise PipelineError("EXCLUDED records carry no configuration")
+        graded = self.eligibility is Eligibility.GRADED
+        for name in ("configuration", "grade_report"):
+            if (getattr(self, name) is not None) is not graded:
+                raise PipelineError(f"{self.eligibility.value} records "
+                                    f"{'need a' if graded else 'carry no'} {name}")
 
     def to_json(self) -> dict:
         return {
@@ -166,9 +167,9 @@ class ScanRecord:
             os_hint=obj.get("os_hint"),
             asn=obj.get("asn"),
             configuration=(configurations(obj["configuration"])
-                           if obj.get("configuration") else None),
+                           if obj.get("configuration") is not None else None),
             grade_report=(grade_reports(obj["grade_report"])
-                          if obj.get("grade_report") else None),
+                          if obj.get("grade_report") is not None else None),
             trace_ref=obj.get("trace_ref"),
             exclusion_reason=obj.get("exclusion_reason"),
         )

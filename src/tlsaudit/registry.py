@@ -12,8 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from pathlib import Path
-from typing import Callable, Hashable, Iterable, Optional, Union
+from typing import Callable, Hashable, Iterable, Optional
 
 
 class RegistryError(ValueError):
@@ -298,14 +297,10 @@ def _bundled(name: str):
     return resources.files("tlsaudit.data").joinpath(name)
 
 
-def load_registry(source: Union[str, Path, None] = None) -> CipherDb:
-    """Load a registry CSV; defaults to the bundled IANA-derived file."""
-    if source is None:
-        text = _bundled("cipher_suites.csv").read_text(encoding="utf-8")
-        label = "bundled"
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-        label = str(source)
+def load_registry() -> CipherDb:
+    """Load the bundled IANA-derived registry CSV."""
+    label = "cipher_suites.csv"
+    text = _bundled(label).read_text(encoding="utf-8")
     reader = csv.DictReader(text.splitlines())
     if reader.fieldnames != _COLUMNS:
         raise RegistryError(f"{label}: bad header {reader.fieldnames}")

@@ -32,8 +32,7 @@ def config_key(config: Configuration) -> str:
 
 
 def _graded(records: Iterable[ScanRecord]) -> list[ScanRecord]:
-    return [r for r in records
-            if r.eligibility is Eligibility.GRADED and r.grade_report]
+    return [r for r in records if r.eligibility is Eligibility.GRADED]
 
 
 def grade_distribution(records: Iterable[ScanRecord]) -> dict:

@@ -500,6 +500,39 @@ def test_cmd_report_int_flag(db, tmp_path, capsys):
     assert not out.exists()
 
 
+def _graded_line(db, **fields):
+    from tlsaudit.pipeline import Eligibility, ScanRecord
+    config = fixtures.ubuntu_default_configurations(db)[0][1]
+    record = ScanRecord(domain="a", eligibility=Eligibility.GRADED,
+                        configuration=config,
+                        grade_report=grade(config, db)).to_json()
+    return dict(record, **fields)
+
+
+@pytest.mark.parametrize("line, message", [
+    (lambda db: {"domain": "a", "eligibility": "GRADED", "configuration": {}},
+     "'versions'"),
+    (lambda db: _graded_line(db, configuration=None),
+     "GRADED records need a configuration"),
+    (lambda db: _graded_line(db, grade_report=None),
+     "GRADED records need a grade_report"),
+    (lambda db: _graded_line(db, eligibility="EXCLUDED", configuration=None),
+     "EXCLUDED records carry no grade_report"),
+], ids=["empty-configuration", "no-configuration", "no-grade-report",
+        "excluded-with-grade-report"])
+def test_cmd_report_record_without_its_graded_fields(db, tmp_path, capsys,
+                                                     line, message):
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(line(db)) + "\n")
+    for which in ("dist", "records"):
+        out = tmp_path / f"{which}.csv"
+        assert cli.main(["report", "--records", str(records), "--which",
+                         which, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {records}:1: bad record: {message}"]
+        assert not out.exists()
+
+
 def test_cmd_fixtures(tmp_path, capsys):
     out_dir = tmp_path / "fx"
     assert cli.main(["fixtures", "--out-dir", str(out_dir),

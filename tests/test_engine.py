@@ -109,6 +109,35 @@ def test_http_response_split_over_many_records(db):
             == engine_module.HttpResult(200, "nginx/1.14.0 (Ubuntu)"))
 
 
+@pytest.mark.parametrize("head_ends", [True, False],
+                         ids=["multi-MiB body", "endless header block"])
+def test_http_read_stops_at_the_headers_or_the_cap(db, engine, monkeypatch,
+                                                   head_ends):
+    head = b"HTTP/1.1 200 OK\r\nServer: nginx/1.14.0 (Ubuntu)\r\n"
+    if head_ends:
+        head += b"Content-Length: 4194304\r\n\r\n"
+    response = head + b"x" * (4 << 20)
+    chunk = 16 * 1024
+
+    def send_in_records(sock, version):
+        for start in range(0, len(response), chunk):
+            sock.sendall(wire.record(wire.ContentType.APPLICATION_DATA, version,
+                                     response[start:start + chunk]))
+
+    read = []
+    parse = engine_module._parse_http
+    monkeypatch.setattr(engine_module, "_parse_http",
+                        lambda raw: read.append(len(raw)) or parse(raw))
+    with fixtures.spawn(RICH_SPEC, db) as ep:
+        plain = engine.http_get_over_tls(ep.target, "", [0xC02F])
+        ep._send_http_response = send_in_records
+        big = engine.http_get_over_tls(ep.target, "", [0xC02F])
+    assert big.status is plain.status is ProbeStatus.NEGOTIATED
+    assert big.http == plain.http == engine_module.HttpResult(
+        200, "nginx/1.14.0 (Ubuntu)")
+    assert read[1] <= engine_module.HTTP_READ_CAP + chunk
+
+
 def test_session_id_resumption(engine, endpoint):
     establish = engine.probe(endpoint.target, HandshakeOffer(
         max_version=Version.TLS1_2, min_version=Version.SSLv3,

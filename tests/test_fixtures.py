@@ -316,9 +316,17 @@ def test_odd_length_suite_vector_is_logged_not_raised(db):
 
 def test_stop_is_idempotent_and_ends_the_worker(db):
     ep = fixtures.spawn(_SERVED_SPEC, db)
-    worker = ep._server._worker
+    worker = ep._thread
     assert worker.is_alive()
     ep.stop()
     assert not worker.is_alive()
     ep.stop()
     assert not worker.is_alive()
+
+
+def test_an_endpoint_runs_one_thread(db):
+    before = set(threading.enumerate())
+    ep = fixtures.spawn(_SERVED_SPEC, db)
+    assert set(threading.enumerate()) - before == {ep._thread}
+    ep.stop()
+    assert not ep._thread.is_alive()

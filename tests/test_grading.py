@@ -6,7 +6,7 @@ import pytest
 from helpers import random_configuration, reassemble
 from tlsaudit import fixtures
 from tlsaudit.configuration import Configuration
-from tlsaudit.grading import (Category, Grade, GradeReport, VulnFlags,
+from tlsaudit.grading import (Category, Grade, GradeReport,
                               derive_vulnerabilities, downgrade_table, grade,
                               grade_compression, grade_preferred)
 from tlsaudit.registry import CipherFamily, Mac, Version
@@ -121,7 +121,6 @@ def test_downgrade_table_single_report():
                       Category.VULNERABILITIES: Grade.A},
         overall=Grade.C,
         downgrade_reasons={},
-        vulnerabilities=VulnFlags(),
     )
     table = downgrade_table([report])
     assert table[Grade.C][Category.KEY_EXCHANGE] == 1.0
@@ -136,6 +135,13 @@ def test_grade_report_json_round_trip(db, rng):
         again = GradeReport.from_json(report.to_json())
         assert again.overall == report.overall
         assert again.per_category == report.per_category
+
+
+def test_stock_default_grade_reports_survive_json(db):
+    # a loaded report equals the graded one: nothing grade() sets is lost
+    for label, config, _ in fixtures.ubuntu_default_configurations(db):
+        report = grade(config, db)
+        assert GradeReport.from_json(report.to_json()) == report, label
 
 
 def test_grade_total_ordering():
