@@ -22,9 +22,10 @@ connection's server-side cost is the handshake itself. A client that holds a
 connection open without sending delays the next one by at most the 5 s read
 timeout.
 
-``stop()`` shuts the server down and joins its thread. It returns at once
-when a connection is still being served, and otherwise waits out the rest of
-``serve_forever``'s 0.5 s poll.
+``stop()`` waits for the connection being served, if any, to end; then it
+shuts the server down and joins its thread. The server is then back in
+``serve_forever``'s 0.5 s poll, so every ``stop()`` waits out the rest of
+that poll, whether or not it came while a connection was being served.
 """
 from __future__ import annotations
 
@@ -190,7 +191,7 @@ class FixtureEndpoint:
         self.db = db
         self.capture: list[dict] = []
         self.connection_count = 0
-        self._lock = threading.Lock()
+        self._serving = threading.Lock()  # held while a connection is served
         self._session_cache: set[bytes] = set()
         self._tickets: set[bytes] = set()
         self.cert_der = fixture_certificate(spec.cert_kind)
@@ -226,6 +227,12 @@ class FixtureEndpoint:
         return f"{self.host}:{self.port}"
 
     def stop(self) -> None:
+        # A shutdown requested while a connection is served ends the server as
+        # soon as that connection does; one requested between connections
+        # waits for the poll. Waiting for the connection first makes every
+        # stop() take the same path.
+        with self._serving:
+            pass
         # idempotent: shutting an already-stopped server down is a no-op
         try:
             self._server.shutdown()
@@ -241,18 +248,21 @@ class FixtureEndpoint:
         self.stop()
 
     def _log(self, entry: dict) -> None:
-        with self._lock:
-            self.capture.append(entry)
+        self.capture.append(entry)  # only the serving thread logs
 
     # -- connection handling ------------------------------------------------
 
     def _handle(self, sock: socket.socket) -> None:
-        with self._lock:
+        with self._serving:
             self.connection_count += 1
-        try:
-            self._serve(sock)
-        except (WireError, OSError, socket.timeout) as exc:
-            self._log({"event": "connection_error", "error": str(exc)})
+            try:
+                self._serve(sock)
+            except (WireError, OSError, socket.timeout) as exc:
+                self._log({"event": "connection_error", "error": str(exc)})
+            finally:
+                # end the connection as the server would, before stop() may
+                # go on; the server's own ending of it is then a no-op
+                self._server.shutdown_request(sock)
 
     def _serve(self, sock: socket.socket) -> None:
         sock.settimeout(5.0)
