@@ -192,8 +192,8 @@ def cmd_check_rec(args) -> int:
                 recs.append(cipherstring.Recommendation.from_json(
                     parse_json(line)))
             except ValueError as exc:  # CipherStringError, RecommendationError
-                print(f"recs line {lineno}: {exc}", file=sys.stderr)
-                return EXIT_INPUT
+                raise pipeline.PipelineError(
+                    f"bad recs file: line {lineno}: {exc}") from None
 
     results = []
     for rec in recs:

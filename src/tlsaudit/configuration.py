@@ -161,7 +161,10 @@ class Configuration:
     def from_json(cls, obj: dict) -> "Configuration":
         """Read ``to_json`` output back; a field of another JSON type
         (``1`` for ``true``, ``1024.0`` for ``1024``) is a ValueError."""
-        check_fields(obj, _FIELDS)
+        check_fields(obj, _FIELDS, required=(
+            "versions", "supported_suites", "component_flags", "kex_flags",
+            "preferred_suite", "server_preference", "tls_compression",
+            "session_id_resumption", "session_tickets"))
         return cls(
             versions=frozenset(Version.from_label(v) for v in obj["versions"]),
             supported_suites=frozenset(int(s, 16) for s in obj["supported_suites"]),

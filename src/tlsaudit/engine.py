@@ -1,12 +1,13 @@
 """Single-exchange TLS probing engine.
 
-Each operation opens exactly one TCP connection, drives the handshake far
-enough to collect the evidence it needs (ServerHello, ServerKeyExchange,
-ticket), and tears down. Handshakes are aborted early where full key
-derivation is unnecessary; resumption and GET probes run the message flow
-to completion. Record protection is not implemented: the engine reads
-configuration evidence off the plaintext flight, which is sufficient for
-the bundled endpoints and keeps remote load minimal.
+Each operation opens exactly one TCP connection to the ``(host, port)``
+address it is given, drives the handshake its offer describes far enough to
+collect the evidence it needs (ServerHello, ServerKeyExchange, ticket), and
+tears down. Handshakes are aborted early where full key derivation is
+unnecessary; an offer that resumes a session or asks for a GET runs the
+message flow to completion. Record protection is not implemented: the
+engine reads configuration evidence off the plaintext flight, which is
+sufficient for the bundled endpoints and keeps remote load minimal.
 
 One driver, ``_Connection.read_until``, reads every server record and folds
 it into that connection's state until the caller has what it needs or an
@@ -140,18 +141,6 @@ class HeartbleedResult:
     def __post_init__(self):
         if self.vulnerable and not (self.heartbeat_acknowledged and self.evidence_len > 0):
             raise ValueError("vulnerable result requires heartbeat ack and leaked bytes")
-
-
-def split_target(target: str) -> tuple[str, int]:
-    """``host:port`` as (host, port); anything else is (target, 443)."""
-    host, _, port = target.rpartition(":")
-    if host and port.isdigit():
-        return host, int(port)
-    return target, 443
-
-
-def _connect(target: str, timeout: float) -> socket.socket:
-    return socket.create_connection(split_target(target), timeout=timeout)
 
 
 @functools.lru_cache(maxsize=SITE_CACHE_SIZE)
@@ -309,11 +298,12 @@ class HandshakeEngine:
 
     # -- core exchange -----------------------------------------------------
 
-    def handshake(self, target: str, offer: HandshakeOffer) -> HandshakeOutcome:
+    def handshake(self, address: tuple[str, int],
+                  offer: HandshakeOffer) -> HandshakeOutcome:
         offer.validate()
         start = time.monotonic()
         try:
-            sock = _connect(target, self.timeout)
+            sock = socket.create_connection(address, timeout=self.timeout)
         except socket.timeout:
             return HandshakeOutcome(ProbeStatus.TIMEOUT, error="connect timeout",
                                     elapsed_s=time.monotonic() - start)
@@ -321,7 +311,7 @@ class HandshakeEngine:
             return HandshakeOutcome(ProbeStatus.TCP_FAILURE, error=str(exc),
                                     elapsed_s=time.monotonic() - start)
         try:
-            outcome = self._run(sock, offer)
+            outcome = self._run(sock, offer, address[0])
         except socket.timeout:
             outcome = HandshakeOutcome(ProbeStatus.TIMEOUT, error="read timeout")
         except WireError as exc:
@@ -336,7 +326,8 @@ class HandshakeEngine:
         outcome.elapsed_s = time.monotonic() - start
         return outcome
 
-    def _run(self, sock: socket.socket, offer: HandshakeOffer) -> HandshakeOutcome:
+    def _run(self, sock: socket.socket, offer: HandshakeOffer,
+             host: str) -> HandshakeOutcome:
         sock.sendall(self._hello_record(offer))
         conn = _Connection(sock, self.db)
         if not conn.read_until(_flight_done):
@@ -363,7 +354,7 @@ class HandshakeEngine:
         http_result = None
         needs_completion = offer.complete or offer.http_get or resumed
         if needs_completion and selected_version != Version.TLS1_3:
-            http_result = self._finish(conn, selected_version, offer)
+            http_result = self._finish(conn, selected_version, offer, host)
         else:
             # evidence collected; abort without Finished
             try:
@@ -394,9 +385,10 @@ class HandshakeEngine:
         )
 
     def _finish(self, conn: _Connection, version: Version,
-                offer: HandshakeOffer) -> Optional[HttpResult]:
+                offer: HandshakeOffer, host: str) -> Optional[HttpResult]:
         """Complete the message flow (no record protection is applied), then
-        send the GET when the offer asks for one."""
+        send the GET when the offer asks for one, naming the SNI name or else
+        the dialled ``host`` in its Host header."""
         flight = b""
         if not conn.resumed:
             cke = wire.handshake_message(HsType.CLIENT_KEY_EXCHANGE,
@@ -413,7 +405,7 @@ class HandshakeEngine:
         if not offer.http_get:
             return None
 
-        host = offer.sni_name or _peer_host(conn.sock)
+        host = offer.sni_name or (f"[{host}]" if ":" in host else host)
         request = (f"GET / HTTP/1.1\r\nHost: {host}\r\n"
                    "Connection: close\r\n\r\n").encode()
         conn.sock.sendall(wire.record(ContentType.APPLICATION_DATA, version, request))
@@ -427,24 +419,25 @@ class HandshakeEngine:
 
     # -- retry wrapper (the caller-visible API) ----------------------------
 
-    def probe(self, target: str, offer: HandshakeOffer) -> HandshakeOutcome:
+    def probe(self, address: tuple[str, int],
+              offer: HandshakeOffer) -> HandshakeOutcome:
         """handshake() with exactly one retry on non-TLS transport errors.
 
         A TLS alert is signal, not noise, and is never retried.
         """
-        outcome = self.handshake(target, offer)
+        outcome = self.handshake(address, offer)
         if outcome.status in (ProbeStatus.TCP_FAILURE, ProbeStatus.TIMEOUT):
-            retry = self.handshake(target, offer)
+            retry = self.handshake(address, offer)
             retry.retried = True
             return retry
         return outcome
 
     # -- special probes ----------------------------------------------------
 
-    def sslv2_probe(self, target: str) -> tuple[bool, Optional[str]]:
+    def sslv2_probe(self, address: tuple[str, int]) -> tuple[bool, Optional[str]]:
         """(supported, error annotation). Errors are absence of proof only."""
         try:
-            sock = _connect(target, self.timeout)
+            sock = socket.create_connection(address, timeout=self.timeout)
         except socket.timeout:
             return False, "TIMEOUT"
         except OSError as exc:
@@ -460,22 +453,23 @@ class HandshakeEngine:
         finally:
             sock.close()
 
-    def tls13_probe(self, target: str, suites: list[int]) -> bool:
+    def tls13_probe(self, address: tuple[str, int], suites: list[int]) -> bool:
         offer = HandshakeOffer(
             min_version=Version.TLS1_2,
             suites=[0x1301, 0x1302, 0x1303] + list(suites),
             supported_versions=[Version.TLS1_3, Version.TLS1_2],
         )
-        outcome = self.handshake(target, offer)
+        outcome = self.handshake(address, offer)
         return (outcome.status == ProbeStatus.NEGOTIATED
                 and outcome.selected_version == Version.TLS1_3)
 
-    def heartbleed_probe(self, target: str, suites: list[int]) -> HeartbleedResult:
+    def heartbleed_probe(self, address: tuple[str, int],
+                         suites: list[int]) -> HeartbleedResult:
         """Active over-read check, capped at 16 KB; leaked bytes are measured
         and discarded, never persisted."""
         offer = HandshakeOffer(suites=list(suites), extensions={"heartbeat"})
         try:
-            sock = _connect(target, self.timeout)
+            sock = socket.create_connection(address, timeout=self.timeout)
         except OSError as exc:
             return HeartbleedResult(False, False, error=str(exc))
         conn = _Connection(sock, self.db)
@@ -499,33 +493,6 @@ class HandshakeEngine:
         finally:
             sock.close()
         return HeartbleedResult("heartbeat" in conn.acked_extensions, False, error=error)
-
-    def resume(self, target: str, artifacts: SessionArtifacts, method: str,
-               suites: list[int]) -> HandshakeOutcome:
-        if method not in ("SESSION_ID", "TICKET"):
-            raise ValueError(f"unknown resumption method {method}")
-        offer = HandshakeOffer(suites=list(suites), complete=True)
-        if method == "SESSION_ID":
-            offer.resumption_session_id = artifacts.session_id or os.urandom(32)
-        else:
-            offer.extensions.add("session_ticket")
-            offer.resumption_ticket = artifacts.ticket or os.urandom(48)
-        return self.probe(target, offer)
-
-    def http_get_over_tls(self, target: str, sni_name: str,
-                          suites: list[int]) -> HandshakeOutcome:
-        offer = HandshakeOffer(
-            suites=list(suites), sni_name=sni_name,
-            extensions={"renegotiation_info"}, http_get=True, complete=True,
-        )
-        return self.probe(target, offer)
-
-
-def _peer_host(sock) -> str:
-    try:
-        return sock.getpeername()[0]
-    except OSError:
-        return "localhost"
 
 
 def _parse_http(raw: bytes) -> HttpResult:

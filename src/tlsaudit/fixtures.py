@@ -223,8 +223,8 @@ class FixtureEndpoint:
         return self._server.server_address[1]
 
     @property
-    def target(self) -> str:
-        return f"{self.host}:{self.port}"
+    def target(self) -> tuple[str, int]:
+        return self._server.server_address
 
     def stop(self) -> None:
         # A shutdown requested while a connection is served ends the server as

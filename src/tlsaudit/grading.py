@@ -99,7 +99,7 @@ class GradeReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GradeReport":
-        check_fields(obj, _REPORT_FIELDS)
+        check_fields(obj, _REPORT_FIELDS, required=("categories", "overall"))
         per = {_category_of(c): _grade_of(g)
                for c, g in obj["categories"].items()}
         reasons = {

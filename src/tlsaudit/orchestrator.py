@@ -5,9 +5,10 @@ only producer of trace entries: one pacing delay, one engine call, one entry."""
 from __future__ import annotations
 
 import logging
+import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from . import dhprimes
@@ -186,10 +187,10 @@ class SiteProber:
                                         retried=getattr(result, "retried", False)))
         return result
 
-    def _probe(self, trace: ProbeTrace, kind: str, target: str,
+    def _probe(self, trace: ProbeTrace, kind: str, address: tuple[str, int],
                offer: HandshakeOffer) -> HandshakeOutcome:
         outcome = self._record(trace, kind, _offer_summary(offer),
-                               lambda: self.engine.probe(target, offer))
+                               lambda: self.engine.probe(address, offer))
         kex = outcome.server_key_exchange
         if kex is not None and kex.group_kind == "FFDHE":
             trace.dh_prime = kex.dh_prime_bytes
@@ -197,7 +198,7 @@ class SiteProber:
 
     # -- sub-probes ------------------------------------------------------------
 
-    def baseline_probe(self, target: str, trace: ProbeTrace,
+    def baseline_probe(self, address: tuple[str, int], trace: ProbeTrace,
                        sni_name: str = "") -> dict:
         """Modern-browser emulation plus a GET; both must succeed for the
         site to be eligible."""
@@ -205,13 +206,13 @@ class SiteProber:
             suites=browser_union(self.db), sni_name=sni_name,
             extensions={"renegotiation_info"},
         )
-        outcome = self._probe(trace, "baseline", target, offer)
+        outcome = self._probe(trace, "baseline", address, offer)
         if outcome.status != ProbeStatus.NEGOTIATED:
             return {"eligible": False, "reason": outcome.status.value}
 
         get = self._record(trace, "baseline_get", {"http_get": True},
-                           lambda: self.engine.http_get_over_tls(
-                               target, sni_name, browser_union(self.db)))
+                           lambda: self.engine.probe(
+                               address, replace(offer, http_get=True)))
         if get.status != ProbeStatus.NEGOTIATED or get.http is None:
             return {"eligible": False, "reason": "NO_HTTP"}
         return {
@@ -221,34 +222,34 @@ class SiteProber:
             "server_header": get.http.server_header,
         }
 
-    def version_walk(self, target: str, trace: ProbeTrace,
+    def version_walk(self, address: tuple[str, int], trace: ProbeTrace,
                      baseline_version: Version, offer_suites: list[int]) -> set[Version]:
         versions = {baseline_version}
         last = baseline_version
         while last > Version.SSLv3:
             older = [v for v in _WALK_LADDER if v < last]
             offer = HandshakeOffer(suites=offer_suites, max_version=older[-1])
-            outcome = self._probe(trace, "version_walk", target, offer)
+            outcome = self._probe(trace, "version_walk", address, offer)
             if outcome.status != ProbeStatus.NEGOTIATED:
                 break
             if outcome.selected_version >= last:
                 trace.partial = True
-                logger.warning("%s: version walk did not descend (%s)", target,
+                logger.warning("%s: version walk did not descend (%s)", address,
                                outcome.selected_version.label)
                 break
             versions.add(outcome.selected_version)
             last = outcome.selected_version
         # the two out-of-ladder checks
         if self._record(trace, "sslv2_probe", {"sslv2": True},
-                        lambda: self.engine.sslv2_probe(target), _sslv2_summary)[0]:
+                        lambda: self.engine.sslv2_probe(address), _sslv2_summary)[0]:
             versions.add(Version.SSLv2)
         if self._record(trace, "tls13_probe", {"tls13": True},
-                        lambda: self.engine.tls13_probe(target, offer_suites),
+                        lambda: self.engine.tls13_probe(address, offer_suites),
                         _tls13_summary):
             versions.add(Version.TLS1_3)
         return versions
 
-    def enumerate_ciphers(self, target: str, trace: ProbeTrace,
+    def enumerate_ciphers(self, address: tuple[str, int], trace: ProbeTrace,
                           offer_suites: list[int]) -> list[int]:
         """Elimination loop over ``offer_suites``; returns the supported
         suites in selection order. Always |supported|+1 handshakes unless a
@@ -256,7 +257,7 @@ class SiteProber:
         remaining = offer_suites
         supported: list[int] = []
         while remaining:
-            outcome = self._probe(trace, "enumerate", target,
+            outcome = self._probe(trace, "enumerate", address,
                                   HandshakeOffer(suites=list(remaining)))
             if outcome.status == ProbeStatus.NEGOTIATED:
                 suite = outcome.selected_suite
@@ -269,14 +270,14 @@ class SiteProber:
             break
         return supported
 
-    def probe_preference(self, target: str, trace: ProbeTrace,
+    def probe_preference(self, address: tuple[str, int], trace: ProbeTrace,
                          supported: list[int]) -> bool:
         """Two opposite-order offers; preference holds iff the server picks
         the same suite both times and it is not simply our first listing."""
         order = sort_offer(self.db, supported)
-        first = self._probe(trace, "preference", target,
+        first = self._probe(trace, "preference", address,
                             HandshakeOffer(suites=order))
-        second = self._probe(trace, "preference", target,
+        second = self._probe(trace, "preference", address,
                              HandshakeOffer(suites=list(reversed(order))))
         if (first.status != ProbeStatus.NEGOTIATED
                 or second.status != ProbeStatus.NEGOTIATED):
@@ -287,54 +288,57 @@ class SiteProber:
                              and second.selected_suite == order[-1])
         return not client_first_both
 
-    def probe_extensions(self, target: str, trace: ProbeTrace,
+    def probe_extensions(self, address: tuple[str, int], trace: ProbeTrace,
                          offer_suites: list[int]) -> tuple[set[str], Optional[HeartbleedResult]]:
         offer = HandshakeOffer(
             suites=offer_suites, extensions=set(_EXTENSION_PROBE_SET),
             sni_name="probe.invalid",
         )
-        outcome = self._probe(trace, "extensions", target, offer)
+        outcome = self._probe(trace, "extensions", address, offer)
         acked = (set(outcome.acknowledged_extensions)
                  if outcome.status == ProbeStatus.NEGOTIATED else set())
         heartbleed = None
         if "heartbeat" in acked:
             heartbleed = self._record(
                 trace, "heartbleed", {"heartbeat_overread": True},
-                lambda: self.engine.heartbleed_probe(target, offer_suites),
+                lambda: self.engine.heartbleed_probe(address, offer_suites),
                 _heartbleed_summary)
         return acked, heartbleed
 
-    def probe_compression(self, target: str, trace: ProbeTrace,
+    def probe_compression(self, address: tuple[str, int], trace: ProbeTrace,
                           offer_suites: list[int]) -> bool:
         offer = HandshakeOffer(
             suites=offer_suites,
             compression_methods=[Compression.DEFLATE, Compression.LZS,
                                  Compression.NULL],
         )
-        outcome = self._probe(trace, "compression", target, offer)
+        outcome = self._probe(trace, "compression", address, offer)
         return (outcome.status == ProbeStatus.NEGOTIATED
                 and bool(outcome.selected_compression))
 
-    def probe_resumption(self, target: str, trace: ProbeTrace,
+    def probe_resumption(self, address: tuple[str, int], trace: ProbeTrace,
                          offer_suites: list[int]) -> dict:
         # mechanism 1: session id. Establish, then replay the id (or a
         # synthetic one, keeping the handshake budget constant).
-        est = self._probe(trace, "resume_establish_id", target,
-                          HandshakeOffer(suites=offer_suites, complete=True))
+        offer = HandshakeOffer(suites=offer_suites, complete=True)
+        est = self._probe(trace, "resume_establish_id", address, offer)
         artifacts = est.session_artifacts or SessionArtifacts()
+        replay = replace(offer, resumption_session_id=(artifacts.session_id
+                                                       or os.urandom(32)))
         res = self._record(trace, "resume_id",
                            {"session_id": bool(artifacts.session_id)},
-                           lambda: self.engine.resume(target, artifacts,
-                                                      "SESSION_ID", offer_suites))
+                           lambda: self.engine.probe(address, replay))
 
         # mechanism 2: tickets
-        est_t = self._probe(trace, "resume_establish_ticket", target, HandshakeOffer(
-            suites=offer_suites, extensions={"session_ticket"}, complete=True))
+        offer = HandshakeOffer(suites=offer_suites, extensions={"session_ticket"},
+                               complete=True)
+        est_t = self._probe(trace, "resume_establish_ticket", address, offer)
         t_artifacts = est_t.session_artifacts or SessionArtifacts()
+        replay_t = replace(offer, resumption_ticket=(t_artifacts.ticket
+                                                     or os.urandom(48)))
         self._record(trace, "resume_ticket",
                      {"ticket": t_artifacts.ticket is not None},
-                     lambda: self.engine.resume(target, t_artifacts, "TICKET",
-                                                offer_suites))
+                     lambda: self.engine.probe(address, replay_t))
         return {
             "session_id_resumption": res.resumed,
             "session_tickets": t_artifacts.ticket is not None,
@@ -343,17 +347,17 @@ class SiteProber:
 
     # -- the composite ---------------------------------------------------------
 
-    def probe_site(self, target: str,
+    def probe_site(self, address: tuple[str, int],
                    sni_name: str = "") -> tuple[Optional[Configuration], ProbeTrace]:
         trace = ProbeTrace()
         started = time.monotonic()
         try:
-            return self._probe_site(target, sni_name, trace)
+            return self._probe_site(address, sni_name, trace)
         finally:
             trace.wall_time_s = time.monotonic() - started
 
-    def _probe_site(self, target, sni_name, trace):
-        baseline = self.baseline_probe(target, trace, sni_name)
+    def _probe_site(self, address, sni_name, trace):
+        baseline = self.baseline_probe(address, trace, sni_name)
         if not baseline["eligible"]:
             trace.exclusion_reason = baseline["reason"]
             return None, trace
@@ -362,17 +366,17 @@ class SiteProber:
         auth = Auth.ECDSA if cert_sig_alg == "ECDSA" else Auth.RSA
         offer_suites = cert_compatible(self.db, auth)
 
-        versions = self.version_walk(target, trace,
+        versions = self.version_walk(address, trace,
                                      baseline["baseline_version"], offer_suites)
-        supported = self.enumerate_ciphers(target, trace, offer_suites)
+        supported = self.enumerate_ciphers(address, trace, offer_suites)
         if not supported:
             trace.exclusion_reason = "NO_SUITES"
             return None, trace
         preferred = supported[0]  # server's pick under the full offer
-        preference = self.probe_preference(target, trace, supported)
-        acked, heartbleed = self.probe_extensions(target, trace, offer_suites)
-        compression = self.probe_compression(target, trace, offer_suites)
-        resumption = self.probe_resumption(target, trace, offer_suites)
+        preference = self.probe_preference(address, trace, supported)
+        acked, heartbleed = self.probe_extensions(address, trace, offer_suites)
+        compression = self.probe_compression(address, trace, offer_suites)
+        resumption = self.probe_resumption(address, trace, offer_suites)
 
         prime = trace.dh_prime
         config = Configuration.assemble(

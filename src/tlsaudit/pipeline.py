@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .configuration import Configuration
-from .engine import split_target
 from .grading import GradeReport, grade
 from .orchestrator import ProbePolicy, SiteProber
 from .registry import (
@@ -79,6 +78,24 @@ _RECORD_FIELDS = (
         "exclusion_reason")),
 )
 _ASN_FIELDS = (("number", INT, "an integer"), ("name", STR, "a string"))
+
+
+def split_target(target: str) -> tuple[str, int]:
+    """``(host, port)`` of a target: ``host``, ``host:port``, ``[v6]``,
+    ``[v6]:port`` or a bare IPv6 address; the package's one target parser.
+    A port not given is 443. An unbracketed target with two colons or more
+    is an IPv6 address and is never split, and one whose port is not digits
+    (``localhost:https``) is all host."""
+    if target[:1] == "[":
+        host, bracket, rest = target[1:].partition("]")
+        if host and bracket and (not rest or rest[:1] == ":"
+                                 and rest[1:].isdecimal()):
+            return host, int(rest[1:] or 443)
+        return target, 443
+    host, _, port = target.rpartition(":")
+    if host and ":" not in host and port.isdecimal():
+        return host, int(port)
+    return target, 443
 
 
 @dataclass(frozen=True)
@@ -153,7 +170,7 @@ class ScanRecord:
         the same decoders share equal-valued objects."""
         configurations = configurations or Configuration.from_json
         grade_reports = grade_reports or GradeReport.from_json
-        check_fields(obj, _RECORD_FIELDS)
+        check_fields(obj, _RECORD_FIELDS, required=("domain", "eligibility"))
         if obj.get("asn") is not None:
             check_fields(obj["asn"], _ASN_FIELDS, "asn.", required=("number",))
         return cls(
@@ -484,7 +501,8 @@ def _recorded_domains(out: Path) -> set[str]:
             if not line.strip():
                 continue
             try:
-                domain = check_fields(parse_json(line), (_DOMAIN,))["domain"]
+                domain = check_fields(parse_json(line), (_DOMAIN,),
+                                      required=("domain",))["domain"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise PipelineError(f"{out}:{lineno}: bad record: {exc}") from None
             done.add(domain)
@@ -513,7 +531,7 @@ def scan_one(prober: SiteProber, db: CipherDb, target: Target,
             f"{target.domain} resolves to non-loopback {address}; "
             "pass --i-understand-scanning-ethics to scan real hosts")
 
-    config, trace = prober.probe_site(f"{address}:{port}", sni_name=host)
+    config, trace = prober.probe_site((address, port), sni_name=host)
     finished = _now()
     trace_ref = None
     if options.trace_dir:

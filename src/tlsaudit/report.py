@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from .configuration import Configuration
 from .grading import Category, Grade, downgrade_table
-from .pipeline import Eligibility, PipelineError, ScanRecord
+from .pipeline import Eligibility, PipelineError, ScanRecord, split_target
 
 GRADE_ORDER = (Grade.A, Grade.B, Grade.C, Grade.F)
 
@@ -136,7 +136,7 @@ def per_record_rows(records: Iterable[ScanRecord]) -> list[dict]:
     statistics tooling."""
     rows = []
     for r in _graded(records):
-        tld = r.domain.rsplit(":", 1)[0].rsplit(".", 1)[-1]
+        tld = split_target(r.domain)[0].rsplit(".", 1)[-1]
         rows.append({
             "domain": r.domain,
             "rank": r.rank,

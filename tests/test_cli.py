@@ -128,7 +128,7 @@ def test_cmd_scan_fixture_targets(db, tmp_path):
     endpoints = [fixtures.spawn(s, db) for s in specs]
     try:
         targets = tmp_path / "targets.csv"
-        targets.write_text("".join(f"{n},{ep.target}\n"
+        targets.write_text("".join(f"{n},{ep.host}:{ep.port}\n"
                                    for n, ep in enumerate(endpoints, 1)))
         out = tmp_path / "scan.jsonl"
         rc = cli.main(["scan", "--targets", str(targets), "--out", str(out)])
@@ -205,6 +205,8 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
      "error: {out}:2: bad record: Expecting value"),
     ({"targets": b"1,localhost\n", "out": b'{"domain": ["a"]}\n'}, _SCAN,
      "error: {out}:1: bad record: domain must be a string, not ['a']"),
+    ({"targets": b"1,localhost\n", "out": b'{"rank": 1}\n'}, _SCAN,
+     "error: {out}:1: bad record: domain is required"),
     ({"targets": b"1,localhost\n", "policy": b"[1]"},
      _SCAN + ["--policy", "{policy}"],
      "error: bad policy file: expected a JSON object, not list"),
@@ -237,6 +239,7 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
            "delay_min_ms must be 0 to 86400000"))),
 ], ids=["targets-latin-1", "grade-in-latin-1", "recs-latin-1",
         "records-latin-1", "resume-not-json", "resume-domain-list",
+        "resume-without-domain",
         "policy-list", "policy-string-ms", "targets-missing",
         "policy-missing", "asn-table-missing", "grade-in-missing",
         "recs-missing", "configs-missing", "records-missing",
@@ -308,8 +311,8 @@ def test_cmd_check_rec_unknown_protocol(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert cli.main(["check-rec", "--recs", str(recs), "--defaults",
                      "--out", str(out)]) == 1
-    assert ("recs line 2: unknown protocol version 'TLSv9'"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad recs file: line 2: unknown protocol version 'TLSv9'"]
     assert not out.exists()
 
 
@@ -368,7 +371,7 @@ def test_cmd_check_rec_rec_line_wrongly_typed(tmp_path, capsys, line):
     assert cli.main(["check-rec", "--recs", str(recs), "--defaults",
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("recs line 2: ")
+    assert len(err) == 1 and err[0].startswith("error: bad recs file: line 2: ")
     assert not out.exists()
 
 
@@ -458,8 +461,20 @@ def _record_field(name, value):
      "server_software must be an object or null, not 'nginx'"),
     (lambda record: record["grade_report"].update(categories=[]),
      "categories must be an object, not []"),
+    (lambda record: record.pop("domain"), "domain is required"),
+    (lambda record: record.pop("eligibility"), "eligibility is required"),
+    (_record_field("configuration", {}), "versions is required"),
+    (lambda record: record["configuration"].pop("session_tickets"),
+     "session_tickets is required"),
+    (lambda record: record["grade_report"].pop("overall"),
+     "overall is required"),
+    (lambda record: record["grade_report"].pop("categories"),
+     "categories is required"),
 ], ids=["asn-list", "asn-without-number", "domain-int",
-        "server-software-string", "categories-list"])
+        "server-software-string", "categories-list", "without-domain",
+        "without-eligibility", "empty-configuration",
+        "configuration-without-session-tickets", "without-overall",
+        "without-categories"])
 def test_cmd_report_wrongly_typed_record_field(db, tmp_path, capsys, edit,
                                                message):
     from tlsaudit.pipeline import Eligibility, ScanRecord
@@ -511,7 +526,7 @@ def _graded_line(db, **fields):
 
 @pytest.mark.parametrize("line, message", [
     (lambda db: {"domain": "a", "eligibility": "GRADED", "configuration": {}},
-     "'versions'"),
+     "versions is required"),
     (lambda db: _graded_line(db, configuration=None),
      "GRADED records need a configuration"),
     (lambda db: _graded_line(db, grade_report=None),
@@ -556,7 +571,7 @@ _HIGH = b'{"cipher_string": "HIGH"}\n'
     ({"in": _DEEP}, ["grade", "--in", "{in}"],
      "line 1: invalid record: JSON nested too deeply"),
     ({"recs": _DEEP}, ["check-rec", "--defaults", "--recs", "{recs}"],
-     "recs line 1: JSON nested too deeply"),
+     "error: bad recs file: line 1: JSON nested too deeply"),
     ({"recs": _HIGH, "configs": _DEEP},
      ["check-rec", "--configs", "{configs}", "--recs", "{recs}"],
      "error: bad configs file: line 1: JSON nested too deeply"),

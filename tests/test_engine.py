@@ -7,6 +7,7 @@ from tlsaudit import engine as engine_module
 from tlsaudit import fixtures, wire
 from tlsaudit.engine import (HandshakeEngine, HandshakeOffer, HeartbleedResult,
                              OfferError, ProbeStatus)
+from tlsaudit.pipeline import split_target
 from tlsaudit.registry import Version
 
 RICH_SPEC = fixtures.FixtureSpec(
@@ -69,7 +70,7 @@ def test_version_capping(engine, endpoint):
 
 
 def test_tcp_failure_status(engine):
-    outcome = engine.probe("127.0.0.1:1", HandshakeOffer(
+    outcome = engine.probe(("127.0.0.1", 1), HandshakeOffer(
         max_version=Version.TLS1_2, min_version=Version.SSLv3,
         suites=[0xC02F]))
     assert outcome.status in (ProbeStatus.TCP_FAILURE, ProbeStatus.TIMEOUT)
@@ -77,14 +78,20 @@ def test_tcp_failure_status(engine):
 
 
 def test_unsplittable_target_is_tcp_failure(engine):
-    outcome = engine.probe("localhost:https", HandshakeOffer(
+    outcome = engine.probe(split_target("localhost:https"), HandshakeOffer(
         max_version=Version.TLS1_2, min_version=Version.SSLv3,
         suites=[0xC02F]))
     assert outcome.status is ProbeStatus.TCP_FAILURE
 
 
+def _get_offer(suites):
+    """The offer of the orchestrator's baseline GET, without SNI."""
+    return HandshakeOffer(suites=suites, extensions={"renegotiation_info"},
+                          http_get=True)
+
+
 def test_http_get(engine, endpoint):
-    outcome = engine.http_get_over_tls(endpoint.target, "", [0xC02F, 0x002F])
+    outcome = engine.probe(endpoint.target, _get_offer([0xC02F, 0x002F]))
     assert outcome.status is ProbeStatus.NEGOTIATED
     assert outcome.http is not None
     assert outcome.http.status_code == 200
@@ -109,6 +116,32 @@ def test_http_response_split_over_many_records(db):
             == engine_module.HttpResult(200, "nginx/1.14.0 (Ubuntu)"))
 
 
+@pytest.mark.parametrize("host, sni_name, header", [
+    ("127.0.0.1", "", b"Host: 127.0.0.1\r\n"),
+    ("::1", "", b"Host: [::1]\r\n"),
+    ("::1", "example.test", b"Host: example.test\r\n"),
+])
+def test_get_names_the_sni_name_or_the_dialled_host(db, engine, host, sni_name,
+                                                    header):
+    client, server = socket.socketpair()
+    with client, server:
+        finished = wire.handshake_message(wire.HsType.FINISHED, bytes(12))
+        server.sendall(
+            wire.record(wire.ContentType.HANDSHAKE, Version.TLS1_2, finished)
+            + wire.record(wire.ContentType.APPLICATION_DATA, Version.TLS1_2,
+                          b"HTTP/1.1 200 OK\r\n\r\n"))
+        offer = HandshakeOffer(suites=[0xC02F], sni_name=sni_name,
+                               http_get=True)
+        http = engine._finish(engine_module._Connection(client, db),
+                              Version.TLS1_2, offer, host)
+        client.shutdown(socket.SHUT_WR)
+        sent = b""
+        while chunk := server.recv(4096):
+            sent += chunk
+    assert http == engine_module.HttpResult(200, None)
+    assert header in sent
+
+
 @pytest.mark.parametrize("head_ends", [True, False],
                          ids=["multi-MiB body", "endless header block"])
 def test_http_read_stops_at_the_headers_or_the_cap(db, engine, monkeypatch,
@@ -129,9 +162,9 @@ def test_http_read_stops_at_the_headers_or_the_cap(db, engine, monkeypatch,
     monkeypatch.setattr(engine_module, "_parse_http",
                         lambda raw: read.append(len(raw)) or parse(raw))
     with fixtures.spawn(RICH_SPEC, db) as ep:
-        plain = engine.http_get_over_tls(ep.target, "", [0xC02F])
+        plain = engine.probe(ep.target, _get_offer([0xC02F]))
         ep._send_http_response = send_in_records
-        big = engine.http_get_over_tls(ep.target, "", [0xC02F])
+        big = engine.probe(ep.target, _get_offer([0xC02F]))
     assert big.status is plain.status is ProbeStatus.NEGOTIATED
     assert big.http == plain.http == engine_module.HttpResult(
         200, "nginx/1.14.0 (Ubuntu)")
@@ -145,8 +178,9 @@ def test_session_id_resumption(engine, endpoint):
     assert establish.status is ProbeStatus.NEGOTIATED
     artifacts = establish.session_artifacts
     assert artifacts is not None and artifacts.session_id
-    resumed = engine.resume(endpoint.target, artifacts, "SESSION_ID",
-                            [0xC02F])
+    resumed = engine.probe(endpoint.target, HandshakeOffer(
+        suites=[0xC02F], resumption_session_id=artifacts.session_id,
+        complete=True))
     assert resumed.status is ProbeStatus.NEGOTIATED
     assert resumed.resumed
 
@@ -158,7 +192,9 @@ def test_ticket_resumption(engine, endpoint):
     artifacts = establish.session_artifacts
     assert artifacts is not None and artifacts.ticket
     assert artifacts.ticket_lifetime_hint_s == 3600
-    resumed = engine.resume(endpoint.target, artifacts, "TICKET", [0xC02F])
+    resumed = engine.probe(endpoint.target, HandshakeOffer(
+        suites=[0xC02F], extensions={"session_ticket"},
+        resumption_ticket=artifacts.ticket, complete=True))
     assert resumed.resumed
 
 
@@ -218,9 +254,8 @@ def test_heartbleed_probe_without_server_hello(db, server):
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        host, port = listener.getsockname()
         result = HandshakeEngine(db, timeout=0.5).heartbleed_probe(
-            f"{host}:{port}", [0xC02F])
+            listener.getsockname(), [0xC02F])
         thread.join(timeout=5)
     assert not thread.is_alive()
     assert not result.heartbeat_acknowledged

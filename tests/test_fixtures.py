@@ -167,8 +167,14 @@ def test_each_server_flight_is_one_write(db, method):
         full = engine.handshake(ep.target, HandshakeOffer(
             max_version=Version.TLS1_2, min_version=Version.TLS1_2,
             suites=[0xC02F], extensions={"session_ticket"}, complete=True))
-        resumed = engine.resume(ep.target, full.session_artifacts, method,
-                                [0xC02F])
+        artifacts = full.session_artifacts
+        replay = (HandshakeOffer(suites=[0xC02F], extensions={"session_ticket"},
+                                 resumption_ticket=artifacts.ticket,
+                                 complete=True)
+                  if method == "TICKET" else
+                  HandshakeOffer(suites=[0xC02F], complete=True,
+                                 resumption_session_id=artifacts.session_id))
+        resumed = engine.probe(ep.target, replay)
     assert full.status == ProbeStatus.NEGOTIATED and not full.resumed
     assert resumed.status == ProbeStatus.NEGOTIATED and resumed.resumed
     handshake, ccs = ContentType.HANDSHAKE, ContentType.CHANGE_CIPHER_SPEC

@@ -72,7 +72,7 @@ def test_trace_json_is_self_contained(probed):
 
 def test_dead_target_is_excluded(db, fast_policy):
     prober = SiteProber(db, ProbePolicy(timeout_s=1.0, delay_max_s=0.0))
-    config, trace = prober.probe_site("127.0.0.1:1")
+    config, trace = prober.probe_site(("127.0.0.1", 1))
     assert config is None
     assert trace.exclusion_reason is not None
 
@@ -115,7 +115,7 @@ def test_heartbleed_error_reaches_trace(db, fast_policy, monkeypatch):
                         lambda target, suites: next(results))
     for extra in ({"error": "no echo: timed out"}, {}):
         trace = ProbeTrace()
-        prober.probe_extensions("127.0.0.1:1", trace, [0xC02F])
+        prober.probe_extensions(("127.0.0.1", 1), trace, [0xC02F])
         assert trace.entries[-1].kind == "heartbleed"
         assert trace.entries[-1].outcome == {
             "acknowledged": True, "vulnerable": False, "evidence_len": 0, **extra}
@@ -137,10 +137,9 @@ def test_sslv2_error_reaches_trace(db, probed, monkeypatch):
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        host, port = listener.getsockname()
         trace = ProbeTrace()
-        versions = prober.version_walk(f"{host}:{port}", trace, Version.SSLv3,
-                                       [0x002F])
+        versions = prober.version_walk(listener.getsockname(), trace,
+                                       Version.SSLv3, [0x002F])
         thread.join(timeout=5)
     assert not thread.is_alive()
     assert versions == {Version.SSLv3}
@@ -154,7 +153,7 @@ def test_entries_keep_engine_facts(db, fast_policy, monkeypatch):
     handshakes feed the DH prime, not the GET or the two resumes."""
     spec = dataclasses.replace(RICH_SPEC, heartbeat=fixtures.HEARTBEAT_PATCHED)
     prober = SiteProber(db, fast_policy)
-    probe = prober.engine.probe  # resume and http_get_over_tls go through it
+    probe = prober.engine.probe  # the GET and both resumes go through it
     uncommon = ServerKexInfo("FFDHE", dhprimes.named_prime("local1024"))
 
     def marked(target, offer):

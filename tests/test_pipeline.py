@@ -3,6 +3,8 @@ import ipaddress
 import json
 import logging
 import random
+import socket
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -10,13 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tlsaudit import fixtures, pipeline
+from tlsaudit import fixtures, pipeline, wire
 from tlsaudit.grading import grade
 from tlsaudit.orchestrator import SiteProber
 from tlsaudit.pipeline import (Eligibility, PipelineError, ScanOptions,
                                ScanRecord, Target, annotate_asn, load_asn_table,
                                load_targets, parse_prefix, parse_server_header,
-                               run_scan)
+                               run_scan, split_target)
 from tlsaudit.registry import Version
 
 
@@ -54,6 +56,58 @@ def test_load_targets_malformed_rows_skipped(tmp_path, caplog):
 def test_target_host_port_split():
     assert Target(1, "example.com").host_port == ("example.com", 443)
     assert Target(1, "127.0.0.1:8443").host_port == ("127.0.0.1", 8443)
+
+
+_HOSTNAMES = st.from_regex(
+    r"[a-z0-9]([a-z0-9-]{0,12}[a-z0-9])?(\.[a-z0-9]([a-z0-9-]{0,12}[a-z0-9])?){0,3}",
+    fullmatch=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(host=st.one_of(st.ip_addresses(v=4).map(str),
+                      st.ip_addresses(v=6).map(str), _HOSTNAMES),
+       port=st.integers(0, 65535))
+def test_split_target_reads_back_a_formatted_address(host, port):
+    target = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+    assert split_target(target) == (host, port)
+
+
+@pytest.mark.parametrize("target, address", [
+    ("::1", ("::1", 443)),
+    ("[::1]", ("::1", 443)),
+    ("[::1]:8443", ("::1", 8443)),
+    ("2001:db8::1", ("2001:db8::1", 443)),
+    ("2001:db8::8443", ("2001:db8::8443", 443)),
+    ("[2001:db8::1]", ("2001:db8::1", 443)),
+    ("localhost:https", ("localhost:https", 443)),
+    ("localhost:", ("localhost:", 443)),
+    ("[::1]:https", ("[::1]:https", 443)),
+    ("[::1", ("[::1", 443)),
+])
+def test_split_target_forms_without_a_numeric_port(target, address):
+    assert split_target(target) == address
+
+
+def test_scan_reaches_an_ipv6_loopback_listener(db, fast_policy):
+    """A bracketed IPv6 target gets past DNS to a socket: a listener on
+    ``::1`` that answers the ClientHello with a handshake_failure alert
+    excludes the site for that alert."""
+    with socket.create_server(("::1", 0), family=socket.AF_INET6) as listener:
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                wire.read_record(conn)
+                conn.sendall(wire.alert(wire.AlertDescription.HANDSHAKE_FAILURE))
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        record = pipeline.scan_one(SiteProber(db, fast_policy), db,
+                                   Target(1, f"[::1]:{port}"), ScanOptions())
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert record.eligibility is Eligibility.EXCLUDED
+    assert (record.exclusion_reason, record.address) == ("TLS_ALERT", "::1")
 
 
 # -- Server header parsing ---------------------------------------------------
@@ -427,7 +481,7 @@ def test_run_scan_over_fixtures(db, fast_policy, tmp_path):
     specs = fixtures.bundled_corpus(db, seed=5)[:3]
     endpoints = [fixtures.spawn(s, db) for s in specs]
     try:
-        targets = ([Target(n + 1, ep.target)
+        targets = ([Target(n + 1, f"{ep.host}:{ep.port}")
                     for n, ep in enumerate(endpoints)]
                    + [Target(4, "no-such-host.invalid")])
         out = tmp_path / "scan.jsonl"
@@ -467,7 +521,7 @@ def test_scan_one_writes_the_trace_as_one_json_line(db, fast_policy, tmp_path):
 
     prober.probe_site = keeping_probe_site
     with fixtures.spawn(fixtures.bundled_corpus(db, seed=5)[0], db) as ep:
-        record = pipeline.scan_one(prober, db, Target(1, ep.target),
+        record = pipeline.scan_one(prober, db, Target(1, f"{ep.host}:{ep.port}"),
                                    ScanOptions(trace_dir=str(tmp_path)))
     text = Path(record.trace_ref).read_text(encoding="utf-8")
     assert "\n" not in text
