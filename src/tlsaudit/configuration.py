@@ -7,7 +7,7 @@ from typing import Optional
 
 from .registry import (
     AEAD_MODES, BOOL, INT, LIST, NULL, OBJECT, STR, CipherDb, CipherFamily,
-    CipherMode, Kex, Version, check_fields,
+    CipherMode, Kex, Version, check_fields, suite_id,
 )
 
 COMPONENT_FLAG_NAMES = (
@@ -167,10 +167,10 @@ class Configuration:
             "session_id_resumption", "session_tickets"))
         return cls(
             versions=frozenset(Version.from_label(v) for v in obj["versions"]),
-            supported_suites=frozenset(int(s, 16) for s in obj["supported_suites"]),
+            supported_suites=frozenset(map(suite_id, obj["supported_suites"])),
             component_flags=dict(obj["component_flags"]),
             kex_flags=dict(obj["kex_flags"]),
-            preferred_suite=int(obj["preferred_suite"], 16),
+            preferred_suite=suite_id(obj["preferred_suite"]),
             server_preference=obj["server_preference"],
             extensions=frozenset(obj.get("extensions", [])),
             tls_compression=obj["tls_compression"],

@@ -14,18 +14,15 @@ After its hello flight the server reads every client record in one loop,
 ``FixtureEndpoint._serve_records``, full and abbreviated handshakes alike; a
 record the handshake does not allow at that point ends the connection.
 
-Each endpoint runs one thread for its whole life: a plain
-``socketserver.TCPServer`` accepts and serves its connections one at a time,
-in arrival order, on its ``serve_forever`` thread; a waiting connection sits
-in the listen backlog. No thread is started per connection, so a
-connection's server-side cost is the handshake itself. A client that holds a
-connection open without sending delays the next one by at most the 5 s read
-timeout.
+Each endpoint runs one thread for its whole life: it accepts and serves its
+connections one at a time, in arrival order; a waiting connection sits in
+the listen backlog. No thread is started per connection, so a connection's
+server-side cost is the handshake itself. A client that holds a connection
+open without sending delays the next one by at most the 5 s read timeout.
 
-``stop()`` waits for the connection being served, if any, to end; then it
-shuts the server down and joins its thread. The server is then back in
-``serve_forever``'s 0.5 s poll, so every ``stop()`` waits out the rest of
-that poll, whether or not it came while a connection was being served.
+The thread looks for ``stop()`` only when ``accept()`` times out, every
+``_POLL_S``; so every ``stop()`` returns one ``_POLL_S`` after the thread
+last entered ``accept()``.
 """
 from __future__ import annotations
 
@@ -35,7 +32,6 @@ import logging
 import os
 import random
 import socket
-import socketserver
 import struct
 import threading
 from dataclasses import dataclass
@@ -59,6 +55,8 @@ from .wire import (
 )
 
 logger = logging.getLogger(__name__)
+
+_POLL_S = 0.5  # seconds between the accept loop's looks for stop()
 
 HEARTBEAT_OFF = "off"
 HEARTBEAT_PATCHED = "patched"
@@ -191,7 +189,6 @@ class FixtureEndpoint:
         self.db = db
         self.capture: list[dict] = []
         self.connection_count = 0
-        self._serving = threading.Lock()  # held while a connection is served
         self._session_cache: set[bytes] = set()
         self._tickets: set[bytes] = set()
         self.cert_der = fixture_certificate(spec.cert_kind)
@@ -206,40 +203,20 @@ class FixtureEndpoint:
                 raise FixtureError(
                     f"suite {info.name} incompatible with {spec.cert_kind} certificate")
 
-        # finish_request calls its handler as handler(request, address, server)
-        self._server = socketserver.TCPServer(
-            ("127.0.0.1", 0),
-            lambda request, _address, _server: self._handle(request))
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        daemon=True)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(_POLL_S)
+        self.target: tuple[str, int] = self._listener.getsockname()
+        self.host, self.port = self.target
+        self._stopping = threading.Event()
+        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._thread.start()
 
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def target(self) -> tuple[str, int]:
-        return self._server.server_address
-
     def stop(self) -> None:
-        # A shutdown requested while a connection is served ends the server as
-        # soon as that connection does; one requested between connections
-        # waits for the poll. Waiting for the connection first makes every
-        # stop() take the same path.
-        with self._serving:
-            pass
-        # idempotent: shutting an already-stopped server down is a no-op
-        try:
-            self._server.shutdown()
-            self._server.server_close()
-        except OSError:
-            pass
+        # idempotent: joining an ended thread and closing a closed socket
+        # are no-ops
+        self._stopping.set()
         self._thread.join()
+        self._listener.close()
 
     def __enter__(self):
         return self
@@ -252,17 +229,32 @@ class FixtureEndpoint:
 
     # -- connection handling ------------------------------------------------
 
-    def _handle(self, sock: socket.socket) -> None:
-        with self._serving:
-            self.connection_count += 1
+    def _accept_loop(self) -> None:
+        while True:
             try:
-                self._serve(sock)
-            except (WireError, OSError, socket.timeout) as exc:
-                self._log({"event": "connection_error", "error": str(exc)})
-            finally:
-                # end the connection as the server would, before stop() may
-                # go on; the server's own ending of it is then a no-op
-                self._server.shutdown_request(sock)
+                sock, _address = self._listener.accept()
+            except socket.timeout:
+                if self._stopping.is_set():
+                    return
+                continue
+            self._handle(sock)
+
+    def _handle(self, sock: socket.socket) -> None:
+        self.connection_count += 1
+        try:
+            self._serve(sock)
+        except (WireError, OSError, socket.timeout) as exc:
+            self._log({"event": "connection_error", "error": str(exc)})
+        except Exception:
+            logger.exception("fixture endpoint on port %d: handler failed",
+                             self.port)
+        finally:
+            # a bare close() with unread input would send RST, not FIN
+            try:
+                sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # the peer has already gone
+            sock.close()
 
     def _serve(self, sock: socket.socket) -> None:
         sock.settimeout(5.0)

@@ -482,6 +482,16 @@ def _is_loopback(address: str) -> bool:
         return False
 
 
+def _sni_name(host: str) -> str:
+    """``host`` as the ClientHello's server_name: "" for an IP literal, which
+    RFC 6066 does not allow there."""
+    try:
+        ipaddress.ip_address(host)
+    except ValueError:
+        return host
+    return ""
+
+
 def _recorded_domains(out: Path) -> set[str]:
     """Domains already recorded in ``out``. A final line without its newline
     is a record torn by a crash mid-write; it is cut off, so that target is
@@ -531,7 +541,7 @@ def scan_one(prober: SiteProber, db: CipherDb, target: Target,
             f"{target.domain} resolves to non-loopback {address}; "
             "pass --i-understand-scanning-ethics to scan real hosts")
 
-    config, trace = prober.probe_site((address, port), sni_name=host)
+    config, trace = prober.probe_site((address, port), sni_name=_sni_name(host))
     finished = _now()
     trace_ref = None
     if options.trace_dir:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -377,6 +378,18 @@ def suite_label(suite_id: int) -> str:
     """``0xC02F``: how traces and capture logs name a suite id. Formatted
     once per id per process; callers pass wire ids, so at most 65,536."""
     return f"0x{suite_id:04X}"
+
+
+_SUITE_ID = re.compile(r"0x[0-9A-Fa-f]{4}")
+
+
+def suite_id(text: str) -> int:
+    """The id that ``suite_label`` writes as ``text``: ``0x`` and four hex
+    digits, in either case. A sign, spaces, underscores or another number of
+    digits is a ValueError."""
+    if not (isinstance(text, str) and _SUITE_ID.fullmatch(text)):
+        raise ValueError(f"a suite id must be 0x and four hex digits, not {text!r}")
+    return int(text, 16)
 
 
 def _offer_ranks(db: CipherDb) -> dict[int, int]:

@@ -470,11 +470,20 @@ def _record_field(name, value):
      "overall is required"),
     (lambda record: record["grade_report"].pop("categories"),
      "categories is required"),
+    (lambda record: record["configuration"]["supported_suites"].append("-0x1"),
+     "a suite id must be 0x and four hex digits, not '-0x1'"),
+    (lambda record: record["configuration"]["supported_suites"].append(" 0xc02f "),
+     "a suite id must be 0x and four hex digits, not ' 0xc02f '"),
+    (lambda record: record["configuration"].update(preferred_suite="0x1C02F"),
+     "a suite id must be 0x and four hex digits, not '0x1C02F'"),
+    (lambda record: record["configuration"].update(preferred_suite="0x_c0_2f"),
+     "a suite id must be 0x and four hex digits, not '0x_c0_2f'"),
 ], ids=["asn-list", "asn-without-number", "domain-int",
         "server-software-string", "categories-list", "without-domain",
         "without-eligibility", "empty-configuration",
         "configuration-without-session-tickets", "without-overall",
-        "without-categories"])
+        "without-categories", "negative-suite", "spaced-suite",
+        "five-digit-preferred-suite", "underscored-preferred-suite"])
 def test_cmd_report_wrongly_typed_record_field(db, tmp_path, capsys, edit,
                                                message):
     from tlsaudit.pipeline import Eligibility, ScanRecord

@@ -1,6 +1,7 @@
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -303,14 +304,15 @@ def test_endpoint_serves_on_after_a_broken_connection(db, fast_policy, abuse):
     assert config.to_json() == fixtures.projection(_SERVED_SPEC, db).to_json()
 
 
-def test_odd_length_suite_vector_is_logged_not_raised(db):
+def test_odd_length_suite_vector_is_logged_not_raised(db, monkeypatch):
     body = (b"\x03\x03" + bytes(32) + b"\x00"
             + b"\x00\x03\xc0\x2f\x00" + b"\x01\x00")
     hello = wire.record(ContentType.HANDSHAKE, Version.TLS1_0,
                         wire.handshake_message(wire.HsType.CLIENT_HELLO, body))
     unhandled = []
+    monkeypatch.setattr(fixtures.logger, "exception",
+                        lambda *args: unhandled.append(args))
     with fixtures.spawn(_SERVED_SPEC, db) as ep:
-        ep._server.handle_error = lambda *args: unhandled.append(args)
         with socket.create_connection((ep.host, ep.port), timeout=3.0) as sock:
             sock.sendall(hello)
             assert sock.recv(1) == b""  # closed by the server
@@ -336,3 +338,22 @@ def test_an_endpoint_runs_one_thread(db):
     assert set(threading.enumerate()) - before == {ep._thread}
     ep.stop()
     assert not ep._thread.is_alive()
+
+
+def test_every_stop_waits_out_the_poll(db):
+    """stop() returns one poll after the thread last entered accept(): with
+    no connection served, and right after a heartbleed probe, which ends its
+    connection while the endpoint may still be serving it."""
+    spec = fixtures.FixtureSpec(
+        versions=frozenset({Version.TLS1_2}), suites=(0xC02F,),
+        server_preference=True, heartbeat=fixtures.HEARTBEAT_VULNERABLE)
+    engine = HandshakeEngine(db, timeout=3.0)
+    waits = []
+    for probe in (False, True, True, True):
+        ep = fixtures.spawn(spec, db)
+        if probe:
+            assert engine.heartbleed_probe(ep.target, [0xC02F]).vulnerable
+        started = time.perf_counter()
+        ep.stop()
+        waits.append(time.perf_counter() - started)
+    assert min(waits) >= fixtures._POLL_S / 2, waits

@@ -1,8 +1,13 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and no module imports
+``socketserver``.
 
 No linter ships with the project, so this parses each source file and
 compares the names its top-level imports bind with the names the module
 reads anywhere in its body.
+
+The fixture endpoints serve on a plain accept loop whose ``stop()`` always
+waits out one poll. ``socketserver``'s ``shutdown()`` returned early or not,
+depending on thread timing; the second guard keeps that framework out.
 """
 
 import ast
@@ -31,3 +36,21 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level package of every import anywhere in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_socketserver():
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if "socketserver" in _imported_modules(ast.parse(
+                     path.read_text(encoding="utf-8"), filename=str(path)))]
+    assert importers == []

@@ -88,26 +88,50 @@ def test_split_target_forms_without_a_numeric_port(target, address):
     assert split_target(target) == address
 
 
-def test_scan_reaches_an_ipv6_loopback_listener(db, fast_policy):
-    """A bracketed IPv6 target gets past DNS to a socket: a listener on
-    ``::1`` that answers the ClientHello with a handshake_failure alert
-    excludes the site for that alert."""
-    with socket.create_server(("::1", 0), family=socket.AF_INET6) as listener:
+def _scan_one_alerting_listener(db, policy, family, bind, target):
+    """Scan ``target`` (``{port}`` filled in) against a listener on ``bind``
+    that answers the ClientHello with a handshake_failure alert; return the
+    record and that ClientHello."""
+    hellos = []
+    with socket.create_server((bind, 0), family=family) as listener:
         def serve():
             conn, _ = listener.accept()
             with conn:
-                wire.read_record(conn)
+                _ctype, _version, payload = wire.read_record(conn)
+                (_type, body), *_ = wire.iter_handshake_messages(payload)
+                hellos.append(wire.ClientHello.parse(body))
                 conn.sendall(wire.alert(wire.AlertDescription.HANDSHAKE_FAILURE))
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         port = listener.getsockname()[1]
-        record = pipeline.scan_one(SiteProber(db, fast_policy), db,
-                                   Target(1, f"[::1]:{port}"), ScanOptions())
+        record = pipeline.scan_one(SiteProber(db, policy), db,
+                                   Target(1, target.format(port=port)),
+                                   ScanOptions())
         thread.join(timeout=5)
     assert not thread.is_alive()
+    return record, hellos[0]
+
+
+def test_scan_reaches_an_ipv6_loopback_listener(db, fast_policy):
+    """A bracketed IPv6 target gets past DNS to a socket: a listener on
+    ``::1`` that answers the ClientHello with a handshake_failure alert
+    excludes the site for that alert. An IP literal is sent as no
+    server_name (RFC 6066)."""
+    record, hello = _scan_one_alerting_listener(
+        db, fast_policy, socket.AF_INET6, "::1", "[::1]:{port}")
     assert record.eligibility is Eligibility.EXCLUDED
     assert (record.exclusion_reason, record.address) == ("TLS_ALERT", "::1")
+    assert wire.ExtType.SERVER_NAME not in hello.extensions
+
+
+def test_scan_sends_a_host_name_as_server_name(db, fast_policy):
+    record, hello = _scan_one_alerting_listener(
+        db, fast_policy, socket.AF_INET, "127.0.0.1", "localhost:{port}")
+    assert (record.exclusion_reason, record.address) == ("TLS_ALERT", "127.0.0.1")
+    # server_name_list, one host_name entry: type 0, then its length and name
+    assert hello.extensions[wire.ExtType.SERVER_NAME] == (
+        b"\x00\x0c\x00\x00\x09localhost")
 
 
 # -- Server header parsing ---------------------------------------------------

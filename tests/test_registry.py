@@ -3,7 +3,7 @@ import pytest
 from tlsaudit.registry import (Auth, CipherDb, CipherFamily, CipherSuiteInfo,
                                CipherMode, Kex, Mac, RegistryError, Version,
                                browser_union, cert_compatible, load_registry,
-                               sort_offer)
+                               sort_offer, suite_id, suite_label)
 
 
 def test_registry_loads_and_indexes(db):
@@ -71,3 +71,18 @@ def test_aead_flag_must_mirror_mode():
             cipher_family=CipherFamily.AES, cipher_mode=CipherMode.GCM,
             mac=Mac.AEAD, is_aead=False, is_export=False,
             min_version=Version.TLS1_2, max_version=Version.TLS1_2)
+
+
+def test_suite_id_reads_what_suite_label_writes(db):
+    for sid in list(db.suites)[:10] + [0x0000, 0xFFFF]:
+        assert suite_id(suite_label(sid)) == sid
+        assert suite_id(suite_label(sid).lower()) == sid
+
+
+# the sign, spacing, underscore and length cases that int(text, 16) let
+# through are rows of test_cmd_report_wrongly_typed_record_field
+@pytest.mark.parametrize("text", ["0XC02F", "0xC02", "0x+C02", "0x\u0661C02",
+                                  "c02f", 0xC02F, None])
+def test_suite_id_rejects_other_forms(text):
+    with pytest.raises(ValueError, match="0x and four hex digits"):
+        suite_id(text)
