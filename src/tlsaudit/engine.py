@@ -444,8 +444,10 @@ class HandshakeEngine:
             return False, f"TCP_FAILURE: {exc}"
         try:
             sock.sendall(wire.encode_sslv2_client_hello())
-            data = sock.recv(4096)
+            data = wire.read_sslv2_record(sock)
             return wire.parse_sslv2_server_hello(data), None
+        except wire.WireError:  # closed before a whole record: no hello
+            return False, None
         except socket.timeout:
             return False, "TIMEOUT"
         except OSError as exc:

@@ -188,7 +188,6 @@ class FixtureEndpoint:
         self.spec = spec
         self.db = db
         self.capture: list[dict] = []
-        self.connection_count = 0
         self._session_cache: set[bytes] = set()
         self._tickets: set[bytes] = set()
         self.cert_der = fixture_certificate(spec.cert_kind)
@@ -240,7 +239,6 @@ class FixtureEndpoint:
             self._handle(sock)
 
     def _handle(self, sock: socket.socket) -> None:
-        self.connection_count += 1
         try:
             self._serve(sock)
         except (WireError, OSError, socket.timeout) as exc:

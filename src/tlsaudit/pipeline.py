@@ -291,67 +291,50 @@ _ROW_MASK = 0xFFFF_FFFF  # a level key's low 32 bits hold its row number
 
 class AsnTable:
     """Longest-prefix-match index of an ASN table, with no Python object per
-    prefix.
+    prefix. It is built once from its rows and then only read, so threads
+    may share it without a lock.
 
     Row ``n`` is ``(_asns[n], _names[_name_ends[n - 1]:_name_ends[n]])``:
     ASNs in one array of 32-bit unsigned ints, AS names in one UTF-8 blob.
-    Each (IP version, prefix length) level holds one array of
-    ``prefix bits << 32 | row``, so sorting a level puts a repeated prefix's
-    earliest row first; a level whose keys do not fit 64 bits (IPv6 longer
-    than /32) holds them in a list. A lookup bisects the levels present,
-    longest first: at most 33 for IPv4 and 129 for IPv6. A level is sorted
-    at the first lookup or iteration after it grew. Row numbers and name
+    Each (IP version, prefix length) level holds one sorted array of
+    ``prefix bits << 32 | row``, so a repeated prefix's earliest row comes
+    first; a level whose keys do not fit 64 bits (IPv6 longer than /32)
+    holds them in a list. A lookup bisects the levels present, longest
+    first: at most 33 for IPv4 and 129 for IPv6. Row numbers and name
     offsets take 32 bits: a table holds fewer than 2**32 rows and 4 GiB of
     names.
     """
 
-    def __init__(self):
+    def __init__(self, rows: Iterable[tuple[int, int, int, int, str]]):
+        """Index ``(IP version, network, prefix length, asn, name)`` rows:
+        ``network`` is the prefix's address as an integer, with no host bits
+        set, and ``asn`` is in 0..ASN_MAX."""
         self._asns = array("I")
         self._names = bytearray()
         self._name_ends = array("I")
-        # version -> {prefix length: level keys, in insertion order until sorted}
-        self._keys: dict[int, dict[int, array | list]] = {4: {}, 6: {}}
-        # (version, prefix length) -> how many keys the last sort saw
-        self._sorted_len: dict[tuple[int, int], int] = {}
-        # version -> [(host bits, sorted keys)], longest prefix first
-        self._levels: dict[int, list[tuple[int, array | list]]] = {4: [], 6: []}
-        self._sorted_rows = 0
-
-    def add(self, version: int, network: int, prefixlen: int, asn: int,
-            name: str) -> None:
-        """Index one row: ``network`` is the prefix's address as an integer,
-        with no host bits set. A prefix already present keeps its earlier
-        row. An ASN outside 0..ASN_MAX is a ValueError, and adds nothing."""
-        key = (network >> (_ADDRESS_BITS[version] - prefixlen) << 32
-               | len(self._asns))
-        try:
+        # version -> {prefix length: level keys, in row order}
+        unsorted: dict[int, dict[int, array | list]] = {4: {}, 6: {}}
+        for row, (version, network, prefixlen, asn, name) in enumerate(rows):
             self._asns.append(asn)
-        except OverflowError:
-            raise ValueError(f"asn {asn} outside 0..{ASN_MAX}") from None
-        self._names += name.encode()
-        self._name_ends.append(len(self._names))
-        by_length = self._keys[version]
-        keys = by_length.get(prefixlen)
-        if keys is None:
-            keys = by_length[prefixlen] = array("Q") if prefixlen <= 32 else []
-        keys.append(key)
-
-    def _sort(self) -> None:
-        """Sort each level that grew since the last sort, and list every
-        version's levels longest first."""
-        levels: dict[int, list] = {4: [], 6: []}
-        for version, by_length in self._keys.items():
+            self._names += name.encode()
+            self._name_ends.append(len(self._names))
+            by_length = unsorted[version]
+            keys = by_length.get(prefixlen)
+            if keys is None:
+                keys = by_length[prefixlen] = array("Q") if prefixlen <= 32 else []
+            keys.append(network >> (_ADDRESS_BITS[version] - prefixlen) << 32 | row)
+        # version -> [(host bits, sorted keys)], longest prefix first; a
+        # level leaves ``unsorted`` as it is sorted, so at most one is held twice
+        self._levels: dict[int, list[tuple[int, array | list]]] = {4: [], 6: []}
+        for version, by_length in unsorted.items():
             for prefixlen in sorted(by_length, reverse=True):
-                keys = by_length[prefixlen]
-                if len(keys) != self._sorted_len.get((version, prefixlen)):
-                    if isinstance(keys, list):
-                        keys.sort()
-                    else:
-                        keys = by_length[prefixlen] = array("Q", sorted(keys))
-                    self._sorted_len[version, prefixlen] = len(keys)
-                levels[version].append((_ADDRESS_BITS[version] - prefixlen, keys))
-        self._levels = levels
-        self._sorted_rows = len(self._asns)
+                keys = by_length.pop(prefixlen)
+                if isinstance(keys, list):
+                    keys.sort()
+                else:
+                    keys = array("Q", sorted(keys))
+                self._levels[version].append(
+                    (_ADDRESS_BITS[version] - prefixlen, keys))
 
     def _row(self, row: int) -> tuple[int, str]:
         start = self._name_ends[row - 1] if row else 0
@@ -359,8 +342,6 @@ class AsnTable:
                 self._names[start:self._name_ends[row]].decode())
 
     def lookup(self, ip: ipaddress._BaseAddress) -> Optional[tuple[int, str]]:
-        if self._sorted_rows != len(self._asns):
-            self._sort()
         value = int(ip)
         for host_bits, keys in self._levels[ip.version]:
             prefix = value >> host_bits
@@ -368,24 +349,6 @@ class AsnTable:
             if i < len(keys) and keys[i] >> 32 == prefix:
                 return self._row(keys[i] & _ROW_MASK)
         return None
-
-    def __iter__(self):
-        """``(network, asn, name)`` of each distinct prefix, from its
-        earliest row."""
-        if self._sorted_rows != len(self._asns):
-            self._sort()
-        for version, levels in self._levels.items():
-            network_type = (ipaddress.IPv4Network if version == 4
-                            else ipaddress.IPv6Network)
-            for host_bits, keys in levels:
-                prefixlen = _ADDRESS_BITS[version] - host_bits
-                last = None
-                for key in keys:
-                    prefix = key >> 32
-                    if prefix != last:
-                        last = prefix
-                        yield (network_type((prefix << host_bits, prefixlen)),
-                               *self._row(key & _ROW_MASK))
 
 
 _INET4 = (4, socket.AF_INET, 32)
@@ -427,9 +390,7 @@ def load_asn_table(path) -> AsnTable:
     """Load a UTF-8 ``prefix,asn,as_name`` CSV into an ``AsnTable``.
     Malformed rows, prefixes with host bits set and ASNs outside
     0..ASN_MAX are skipped with a warning."""
-    table = AsnTable()
-    add = table.add
-    with open_input(path, "asn table", newline="") as fh:
+    def rows(fh):
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -438,11 +399,17 @@ def load_asn_table(path) -> AsnTable:
                 if len(row) < 3:
                     raise ValueError(f"malformed row {row!r}")
                 version, network, prefixlen = parse_prefix(prefix)
-                add(version, network, prefixlen, int(row[1]), row[2].strip())
+                asn = int(row[1])
+                if not 0 <= asn <= ASN_MAX:
+                    raise ValueError(f"asn {asn} outside 0..{ASN_MAX}")
             except ValueError as exc:
                 if prefix.lower() != "prefix":  # a header row is no error
                     logger.warning("asn table line %d: %s, skipped", lineno, exc)
-    return table
+                continue
+            yield version, network, prefixlen, asn, row[2].strip()
+
+    with open_input(path, "asn table", newline="") as fh:
+        return AsnTable(rows(fh))
 
 
 def annotate_asn(address: str, table: AsnTable) -> Optional[dict]:
@@ -480,6 +447,23 @@ def _is_loopback(address: str) -> bool:
         return ipaddress.ip_address(address).is_loopback
     except ValueError:
         return False
+
+
+def _refuse_outside_loopback(target: Target, address: Optional[str]) -> None:
+    """The ethics gate: ``ScanRefused`` if ``target`` resolved to an address
+    outside loopback. One that did not resolve passes; its scan records it
+    EXCLUDED for DNS."""
+    if address is not None and not _is_loopback(address):
+        raise ScanRefused(
+            f"{target.domain} resolves to non-loopback {address}; "
+            "pass --i-understand-scanning-ethics to scan real hosts")
+
+
+def refuse_outside_loopback(targets: Iterable[Target]) -> None:
+    """Resolve every target and apply the ethics gate to each, so that a scan
+    is refused as a whole before it writes anything."""
+    for target in targets:
+        _refuse_outside_loopback(target, _resolve(target.host_port[0]))
 
 
 def _sni_name(host: str) -> str:
@@ -536,10 +520,8 @@ def scan_one(prober: SiteProber, db: CipherDb, target: Target,
                           eligibility=Eligibility.EXCLUDED,
                           exclusion_reason="DNS",
                           started_at=started, finished_at=_now())
-    if not _is_loopback(address) and not options.allow_non_loopback:
-        raise ScanRefused(
-            f"{target.domain} resolves to non-loopback {address}; "
-            "pass --i-understand-scanning-ethics to scan real hosts")
+    if not options.allow_non_loopback:
+        _refuse_outside_loopback(target, address)
 
     config, trace = prober.probe_site((address, port), sni_name=_sni_name(host))
     finished = _now()

@@ -50,9 +50,6 @@ class HsType(IntEnum):
 class ExtType(IntEnum):
     SERVER_NAME = 0
     STATUS_REQUEST = 5
-    SUPPORTED_GROUPS = 10
-    EC_POINT_FORMATS = 11
-    SIGNATURE_ALGORITHMS = 13
     HEARTBEAT = 15
     ALPN = 16
     SIGNED_CERTIFICATE_TIMESTAMP = 18
@@ -88,7 +85,6 @@ class AlertDescription(IntEnum):
     UNEXPECTED_MESSAGE = 10
     HANDSHAKE_FAILURE = 40
     PROTOCOL_VERSION = 70
-    INTERNAL_ERROR = 80
 
 
 MAX_RECORD = 1 << 14
@@ -339,7 +335,6 @@ class ServerKeyExchange:
 
     group_kind: str  # "FFDHE" or "ECDHE"
     dh_prime: Optional[bytes] = None
-    named_curve: Optional[int] = None
 
     @classmethod
     def parse_for_suite(cls, body: bytes, kex_is_ffdhe: bool) -> "ServerKeyExchange":
@@ -352,9 +347,9 @@ class ServerKeyExchange:
         curve_type = r.u8()
         if curve_type != 3:
             raise WireError(f"unsupported ECDHE curve_type {curve_type}")
-        curve = r.u16()
+        r.u16()  # named curve
         r.vec8()  # point
-        return cls(group_kind="ECDHE", named_curve=curve)
+        return cls(group_kind="ECDHE")
 
 
 def encode_dhe_ske(prime: bytes) -> bytes:
@@ -464,6 +459,17 @@ def encode_sslv2_server_hello(cert: bytes = b"") -> bytes:
             + struct.pack(">HHH", len(cert), len(spec), 16)
             + cert + spec + os.urandom(16))
     return struct.pack(">H", 0x8000 | len(body)) + body
+
+
+def read_sslv2_record(sock) -> bytes:
+    """Read one record in the SSLv2 two-byte-header format: the header, then
+    as many bytes as its 15-bit length gives (at most 32,767). Bytes whose
+    first lacks the high bit begin no such record: only those two are read.
+    A peer that closes before the whole record is a ``WireError``."""
+    header = _recv_exact(sock, 2)
+    if not header[0] & 0x80:
+        return header
+    return header + _recv_exact(sock, _U16.unpack(header)[0] & 0x7FFF)
 
 
 def parse_sslv2_server_hello(data: bytes) -> bool:

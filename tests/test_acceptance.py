@@ -8,6 +8,7 @@ import dataclasses
 import random
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -94,11 +95,17 @@ def corpus_run(db):
     specs = fixtures.bundled_corpus(db, seed=7)
     prober = SiteProber(db, ProbePolicy(timeout_s=3.0, delay_max_s=0.0))
     results = []
+    endpoints = []
     start = time.monotonic()
-    for spec in specs:
-        with fixtures.spawn(spec, db) as ep:
-            config, trace = prober.probe_site(ep.target)
-        results.append((spec, config, trace))
+    try:
+        for spec in specs:
+            endpoints.append(fixtures.spawn(spec, db))
+            config, trace = prober.probe_site(endpoints[-1].target)
+            results.append((spec, config, trace))
+    finally:
+        # each stop() waits up to one accept() poll: wait them out together
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(fixtures.FixtureEndpoint.stop, endpoints))
     return results, time.monotonic() - start
 
 

@@ -152,6 +152,33 @@ def test_cmd_scan_ethics_refusal(tmp_path, capsys):
     assert "ethics" in capsys.readouterr().err
 
 
+def test_cmd_scan_refuses_the_whole_list_before_writing(db, tmp_path, capsys):
+    """A loopback target ahead of a non-loopback one is not scanned either:
+    the refusal comes before ``--out`` is created."""
+    with fixtures.spawn(fixtures.bundled_corpus(db, seed=9)[0], db) as ep:
+        targets = tmp_path / "targets.csv"
+        targets.write_text(f"1,{ep.host}:{ep.port}\n2,192.0.2.77:443\n")
+        out = tmp_path / "scan.jsonl"
+        assert cli.main(["scan", "--targets", str(targets),
+                         "--out", str(out)]) == 2
+        assert ep.capture == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "refused: 192.0.2.77:443 resolves to non-loopback 192.0.2.77;")
+    assert not out.exists()
+
+
+def test_cmd_scan_refusal_leaves_a_torn_out_as_it_was(tmp_path):
+    targets = tmp_path / "targets.csv"
+    targets.write_text("1,127.0.0.1:1\n2,192.0.2.77:443\n")
+    out = tmp_path / "scan.jsonl"
+    out.write_bytes(b'{"schema_version": 1, "domain": "127.0.0.1:9", "ra')
+    before = out.read_bytes()
+    assert cli.main(["scan", "--targets", str(targets),
+                     "--out", str(out)]) == 2
+    assert out.read_bytes() == before
+
+
 def test_cmd_scan_seed_applies_over_policy_file(tmp_path, monkeypatch):
     targets = tmp_path / "targets.csv"
     targets.write_text("1,localhost\n")

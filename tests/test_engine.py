@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import pytest
 
@@ -276,6 +277,42 @@ def test_sslv2_probe_emulated(db, engine):
     with fixtures.spawn(spec, db) as ep:
         supported, _err = engine.sslv2_probe(ep.target)
     assert supported
+
+
+def _sslv2_probe_answered_by(db, *writes):
+    """``sslv2_probe`` against a listener that reads the hello, sends each of
+    ``writes`` in its own TCP segment, then closes."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn.recv(4096)
+                for n, data in enumerate(writes):
+                    if n:
+                        time.sleep(0.2)  # the client reads the last write alone
+                    conn.sendall(data)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        result = HandshakeEngine(db, timeout=3.0).sslv2_probe(
+            listener.getsockname())
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    return result
+
+
+def test_sslv2_probe_reads_a_hello_split_across_writes(db):
+    hello = wire.encode_sslv2_server_hello(fixtures.fixture_certificate("RSA"))
+    assert _sslv2_probe_answered_by(db, hello[:2], hello[2:]) == (True, None)
+
+
+@pytest.mark.parametrize("reply", [
+    b"\x80", b"\x80\x20\x04\x00",
+    wire.alert(wire.AlertDescription.HANDSHAKE_FAILURE)],
+    ids=["half_header", "torn_body", "tls_alert"])
+def test_sslv2_probe_without_a_whole_hello(db, reply):
+    assert _sslv2_probe_answered_by(db, reply) == (False, None)
 
 
 def test_tls13_probe_positive(db, engine):

@@ -92,7 +92,6 @@ def test_capture_log_and_stop_idempotent(db):
         engine.probe(ep.target, HandshakeOffer(
             max_version=Version.TLS1_2, min_version=Version.SSLv3,
             suites=[0xC02F, 0x002F]))
-        assert ep.connection_count >= 1
         assert any(entry["event"] == "client_hello" for entry in ep.capture)
     finally:
         ep.stop()

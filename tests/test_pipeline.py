@@ -1,9 +1,12 @@
+import ast
 import csv
+import inspect
 import ipaddress
 import json
 import logging
 import random
 import socket
+import textwrap
 import threading
 import tracemalloc
 from pathlib import Path
@@ -178,11 +181,13 @@ def test_annotate_asn_matches_brute_force(tmp_path):
     path = tmp_path / "asn.csv"
     path.write_text(ASN_CSV)
     table = load_asn_table(path)
+    rows = [(ipaddress.ip_network(prefix), int(asn), name)
+            for prefix, asn, name in list(csv.reader(ASN_CSV.splitlines()))[1:]]
     for address in ("10.0.0.1", "10.1.0.1", "10.1.255.255", "192.0.2.200",
                     "172.16.0.1", "10.255.0.1"):
         got = annotate_asn(address, table)
         ip = ipaddress.ip_address(address)
-        candidates = [(net.prefixlen, asn, name) for net, asn, name in table
+        candidates = [(net.prefixlen, asn, name) for net, asn, name in rows
                       if ip in net]
         if not candidates:
             assert got is None
@@ -202,14 +207,11 @@ def test_asn_out_of_range_is_a_malformed_row(tmp_path, caplog):
         table = load_asn_table(path)
     assert "asn table line 2: asn 4294967296 outside 0..4294967295" in caplog.text
     assert "asn table line 3: asn -1 outside 0..4294967295" in caplog.text
-    assert sorted((str(net), asn, name) for net, asn, name in table) == [
-        ("10.2.0.0/16", 4294967295, "Largest"), ("10.3.0.0/16", 0, "Zero")]
     assert annotate_asn("10.0.0.1", table) is None
+    assert annotate_asn("10.1.0.1", table) is None
     assert annotate_asn("10.2.0.1", table) == {"number": 4294967295,
                                                "name": "Largest"}
-    with pytest.raises(ValueError):
-        table.add(4, 0, 0, 2 ** 32, "TooBig")
-    assert annotate_asn("192.0.2.1", table) is None  # the bad row added nothing
+    assert annotate_asn("10.3.0.1", table) == {"number": 0, "name": "Zero"}
 
 
 def test_asn_names_round_trip(tmp_path):
@@ -228,24 +230,50 @@ def test_asn_names_round_trip(tmp_path):
                                                       "name": name}
         assert annotate_asn(f"2001:db8:{n}::9", table) == {"number": 64600 + n,
                                                            "name": name}
-    assert sorted(name for _net, _asn, name in table) == sorted(names * 2)
 
 
-def test_asn_add_after_lookup_is_seen():
-    table = pipeline.AsnTable()
-    table.add(4, 0x0A000000, 8, 64500, "BigNet")
-    assert table.lookup(ipaddress.ip_address("10.1.2.3")) == (64500, "BigNet")
-    table.add(4, 0x0A010000, 16, 64501, "SmallNet")
-    table.add(4, 0x0A000000, 8, 64502, "LaterBigNet")  # a repeat keeps the first
-    table.add(6, 0x20010DB8 << 96, 32, 64503, "V6Net")
-    table.add(6, 0x20010DB8 << 96, 64, 64504, "V6Longer")
-    assert table.lookup(ipaddress.ip_address("10.1.2.3")) == (64501, "SmallNet")
-    assert table.lookup(ipaddress.ip_address("10.2.0.1")) == (64500, "BigNet")
-    assert table.lookup(ipaddress.ip_address("2001:db8::1")) == (64504, "V6Longer")
-    assert table.lookup(ipaddress.ip_address("2001:db8:0:1::")) == (64503, "V6Net")
-    table.add(4, 0x0A020000, 16, 64505, "OtherNet")
-    assert table.lookup(ipaddress.ip_address("10.2.0.1")) == (64505, "OtherNet")
-    assert len(list(table)) == 5
+def test_asn_table_keeps_earliest_row_and_resolves_every_level():
+    table = pipeline.AsnTable([
+        (4, 0x0A000000, 8, 64500, "BigNet"),
+        (4, 0x0A010000, 16, 64501, "SmallNet"),
+        (4, 0x0A000000, 8, 64502, "LaterBigNet"),  # a repeat keeps the first
+        (6, 0x20010DB8 << 96, 32, 64503, "V6Net"),
+        (6, 0x20010DB8 << 96, 64, 64504, "V6Longer"),
+    ])
+    assert annotate_asn("10.1.2.3", table) == {"number": 64501, "name": "SmallNet"}
+    assert annotate_asn("10.2.0.1", table) == {"number": 64500, "name": "BigNet"}
+    assert annotate_asn("2001:db8::1", table) == {"number": 64504,
+                                                  "name": "V6Longer"}
+    assert annotate_asn("2001:db8:0:1::", table) == {"number": 64503,
+                                                     "name": "V6Net"}
+
+
+def _stores_to_self(node: ast.AST) -> list[int]:
+    """Line of each assignment or deletion, in ``node``, whose target is
+    ``self`` or reached through it (``self.x``, ``self.x[k]``)."""
+    lines = []
+    for sub in ast.walk(node):
+        if (isinstance(sub, (ast.Attribute, ast.Subscript))
+                and isinstance(sub.ctx, (ast.Store, ast.Del))):
+            root = sub
+            while isinstance(root, (ast.Attribute, ast.Subscript)):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id == "self":
+                lines.append(sub.lineno)
+    return lines
+
+
+def test_asn_table_is_read_only_after_its_constructor():
+    """Lookups may run on many threads at once: the table's one public
+    method is ``lookup``, and no method but ``__init__`` writes to it."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(pipeline.AsnTable)))
+    methods = [node for node in tree.body[0].body
+               if isinstance(node, ast.FunctionDef)]
+    assert {m.name: _stores_to_self(m) for m in methods
+            if m.name != "__init__" and _stores_to_self(m)} == {}
+    public = {m.name for m in methods
+              if not m.name.startswith("_") or m.name.endswith("__")}
+    assert public == {"__init__", "lookup"}
 
 
 def test_asn_table_memory_per_row(tmp_path):
@@ -272,7 +300,6 @@ def test_asn_table_memory_per_row(tmp_path):
     tracemalloc.start()
     try:
         table = load_asn_table(path)
-        annotate_asn("127.0.0.1", table)  # sorts every level
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -319,12 +346,6 @@ def test_asn_table_matches_brute_force_property(tmp_path, case):
         for n, (version, network, plen) in enumerate(rows):
             fh.write(f"{_NETWORK[version]((network, plen))},{64512 + n % 3},row{n}\n")
     table = load_asn_table(path)
-
-    first = {}  # (version, network, plen) -> its earliest row number
-    for n, row in enumerate(rows):
-        first.setdefault(row, n)
-    assert sorted(str(net) for net, _asn, _name in table) == sorted(
-        str(_NETWORK[v]((net, plen))) for v, net, plen in first)
 
     for version, value in addresses:
         best = None  # longest match; the earlier row wins on equal length

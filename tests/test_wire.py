@@ -100,7 +100,7 @@ def test_ske_round_trips():
 
     _, body = next(wire.iter_handshake_messages(wire.encode_ecdhe_ske()))
     ske = wire.ServerKeyExchange.parse_for_suite(body, kex_is_ffdhe=False)
-    assert ske.group_kind == "ECDHE" and ske.named_curve == 0x0017
+    assert ske.group_kind == "ECDHE" and ske.dh_prime is None
 
 
 def test_new_session_ticket_round_trip():
