@@ -226,6 +226,7 @@ def cmd_check_rec(args) -> int:
 
 
 def cmd_report(args) -> int:
+    report_mod.kind(args.which)  # an unknown kind fails before the long load
     records = pipeline.load_records(args.records)
     data = report_mod.build(records, args.which)
     report_mod.emit(args.which, data, args.format, args.out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import marshal
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -179,17 +180,19 @@ def parse_json(text):
 class SharedDecoder:
     """``decode(obj)``, made once per distinct JSON value: a later call with
     an equal ``obj`` returns the object the first call made. Each reader
-    call makes its own decoders. The key is ``repr(obj)``, which is exact
-    for a ``json.loads`` value: it tells ``true`` from ``1`` and ``1024``
-    from ``1024.0``, so values that ``check_fields`` tells apart never share
-    an object. A decode that raises stores nothing, so each bad value raises
-    again.
+    call makes its own decoders. The key is ``marshal.dumps(obj, 2)``, which
+    is exact for a ``json.loads`` value: version 2 writes no back-references
+    and no interned-string tags (both came in later versions), so the bytes
+    depend only on the value and the exact type of each part. They tell
+    ``true`` from ``1``, ``1024`` from ``1024.0`` and ``-0.0`` from ``0.0``,
+    and keys in another order make other bytes, so values that
+    ``check_fields`` tells apart never share an object. A decode that
+    raises stores nothing, so each bad value raises again.
 
-    Only repeats repay a key: a configuration's or grade report's ``repr``
-    takes more than half as long as its decode, and the memo keeps it until
-    the reader returns. So once the memo holds more than ``PROBE`` values,
-    and more values than calls it has answered from them, it is dropped, and
-    every later value is decoded on its own.
+    Only repeats repay a key: each holds about 0.7 kB for a configuration,
+    and the memo keeps it until the reader returns. So once the memo holds
+    more than ``PROBE`` values, and more values than calls it has answered
+    from them, it is dropped, and every later value is decoded on its own.
     """
 
     PROBE = 4096
@@ -205,7 +208,7 @@ class SharedDecoder:
         memo = self.memo
         if memo is None:
             return self.decode(obj)
-        key = repr(obj)
+        key = marshal.dumps(obj, 2)
         found = memo.get(key)
         if found is not None:
             self.hits += 1

@@ -211,7 +211,9 @@ _KINDS = {
 }
 
 
-def _kind(which: str):
+def kind(which: str):
+    """The builder and CSV rows of report kind ``which``; an unknown kind is
+    a ``PipelineError``."""
     try:
         return _KINDS[which]
     except KeyError:
@@ -219,7 +221,7 @@ def _kind(which: str):
 
 
 def build(records: Iterable[ScanRecord], which: str):
-    builder, _ = _kind(which)
+    builder, _ = kind(which)
     return builder(list(records))
 
 
@@ -229,7 +231,7 @@ def emit(which: str, data, fmt: str, out_path) -> None:
         text = json.dumps(data) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(_kind(which)[1](data))
+        csv.writer(buf, lineterminator="\n").writerows(kind(which)[1](data))
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}")

@@ -254,6 +254,9 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
      ["check-rec", "--configs", "{configs}", "--recs", "{recs}"],
      "error: cannot read configs file: [Errno 2]"),
     ({}, _RECORDS, "error: cannot read records: [Errno 2]"),
+    # the report kind is checked before the records file is read
+    ({}, ["report", "--records", "{records}", "--which", "bogus",
+          "--out", "{report}"], "error: unknown report kind 'bogus'"),
     # a policy value out of range, with a resumable --out left as it is
     *(({"targets": b"1,localhost\n", "out": b'{"domain": "localhost"}\n',
         "policy": policy}, _SCAN + ["--policy", "{policy}"],
@@ -270,6 +273,7 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
         "policy-list", "policy-string-ms", "targets-missing",
         "policy-missing", "asn-table-missing", "grade-in-missing",
         "recs-missing", "configs-missing", "records-missing",
+        "report-kind-before-records",
         "policy-negative-timeout", "policy-nan-timeout", "policy-zero-timeout",
         "policy-negative-delay"])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, files, argv,

@@ -9,11 +9,13 @@ equal-valued, well-typed one. They run again with a ``SharedDecoder`` that
 drops its memo almost at once, as it does on a file whose values rarely
 repeat. The memory tests bound the bytes a loaded record costs when few
 distinct configurations back many records, and when each record has its
-own.
+own. Another property checks the memo's ``marshal`` key against ``repr``
+over JSON values that ``==`` confuses.
 """
 
 import dataclasses
 import json
+import marshal
 import random
 import tracemalloc
 
@@ -196,6 +198,92 @@ def test_a_wrongly_typed_repeat_fails_on_its_own_line(db, pool, tmp_path,
                      str(tmp_path / "out.jsonl")]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.splitlines() == [
         f"line {n}: invalid record: {message}" for n in (2, 4)]
+
+
+# JSON texts of leaf values, in groups: some texts of a group parse to the
+# same value (``1e400`` and ``Infinity``, ``-0`` and ``0``), others to one
+# that ``==`` confuses with it but of another type or sign (``1``, ``true``,
+# ``1.0``; ``0.0`` and ``-0.0``), or to another value (``NaN``, ``null``)
+_LEAVES = (
+    ("0", "-0", "false", "0.0", "-0.0", "0e0"),
+    ("1", "true", "1.0", "1E0"),
+    ("1024", "1024.0", "1.024e3", "1024e0"),
+    ("0.1", "0.10000000000000001", "1e-1"),
+    ("1e400", "Infinity", "1E400", "-1e400", "-Infinity"),
+    ("NaN", "null"),
+    ('"a"', '"\\u0061"', '"\\ud800"', '"\\udc00"', '"\\ud800\\udc00"',
+     '"\\ud83d\\ude00"', '"\U0001f600"'),
+)
+_KEYS = ('"a"', '"\\u0061"', '"b"', '"\\ud800"', '"\\udfff"')
+
+
+def _tree(draw, depth):
+    """A JSON value as ("leaf", group, text), ("list", items) or ("dict",
+    [(key text, item)])."""
+    kind = draw(st.sampled_from(("leaf", "list", "dict")) if depth
+                else st.just("leaf"))
+    if kind == "leaf":
+        group = draw(st.integers(0, len(_LEAVES) - 1))
+        return ("leaf", group, draw(st.sampled_from(_LEAVES[group])))
+    items = [_tree(draw, depth - 1) for _ in range(draw(st.integers(0, 3)))]
+    if kind == "list":
+        return ("list", items)
+    keys = draw(st.lists(st.sampled_from(_KEYS), min_size=len(items),
+                         max_size=len(items), unique=True))
+    return ("dict", list(zip(keys, items)))
+
+
+def _variant(draw, tree):
+    """``tree`` with some leaves redrawn from their group and some dicts'
+    keys permuted."""
+    kind, *rest = tree
+    if kind == "leaf":
+        group, text = rest
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(_LEAVES[group]))
+        return ("leaf", group, text)
+    if kind == "list":
+        return ("list", [_variant(draw, item) for item in rest[0]])
+    pairs = [(key, _variant(draw, item)) for key, item in rest[0]]
+    if draw(st.booleans()):
+        pairs = draw(st.permutations(pairs))
+    return ("dict", pairs)
+
+
+def _text(tree) -> str:
+    kind, *rest = tree
+    if kind == "leaf":
+        return rest[1]
+    if kind == "list":
+        return "[" + ", ".join(_text(item) for item in rest[0]) + "]"
+    return "{" + ", ".join(f"{key}: {_text(item)}"
+                           for key, item in rest[0]) + "}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_marshal_key_is_as_exact_as_repr(data):
+    """For values that ``json.loads`` returns, ``SharedDecoder``'s key
+    ``marshal.dumps(obj, 2)`` is equal exactly when ``repr`` is: equal
+    values of the same types and key order, and no others."""
+    tree = _tree(data.draw, data.draw(st.integers(0, 3)))
+    a = json.loads(_text(tree))
+    b = json.loads(_text(_variant(data.draw, tree)))
+    assert ((marshal.dumps(a, 2) == marshal.dumps(b, 2))
+            == (repr(a) == repr(b))), (a, b)
+
+
+def test_shared_decoder_tells_types_apart():
+    """``{"x": true}`` and ``{"x": 1}`` compare equal but are decoded one
+    by one; the same text parsed twice is decoded once."""
+    decoded = []
+    shared = SharedDecoder(lambda obj: decoded.append(obj) or dict(obj))
+    true = shared(json.loads('{"x": true}'))
+    one = shared(json.loads('{"x": 1}'))
+    assert true == one and true is not one
+    assert [type(obj["x"]) for obj in decoded] == [bool, int]
+    again = shared(json.loads('{"x": true}'))
+    assert again is true and len(decoded) == 2
 
 
 def test_load_records_memory_per_record(db, tmp_path):
