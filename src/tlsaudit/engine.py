@@ -18,19 +18,13 @@ the one reply itself.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import os
 import socket
 import struct
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
-
-from cryptography import x509
-from cryptography.hazmat.primitives.asymmetric import ec as _ec
-from cryptography.hazmat.primitives.asymmetric import rsa as _rsa
 
 from . import wire
 from .registry import CipherDb, Kex, Version
@@ -45,10 +39,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_TIMEOUT = 5.0
 HEARTBLEED_OVERREAD_CAP = 16 * 1024
 HTTP_READ_CAP = 16 * 1024  # response bytes read while seeking the headers' end
-# distinct certificates (by DER) and server names whose derived values are
-# remembered: a site serves one certificate and is probed under one name, and
-# a server sending a new certificate per connection cannot grow the caches
-SITE_CACHE_SIZE = 256
 
 _KNOWN_EXTENSIONS = frozenset(EXTENSION_CODES)
 
@@ -120,14 +110,12 @@ class HandshakeOutcome:
     selected_suite: Optional[int] = None
     selected_compression: Optional[int] = None
     acknowledged_extensions: set[str] = field(default_factory=set)
-    certificate_sig_alg: Optional[str] = None  # RSA / ECDSA / OTHER
     server_key_exchange: Optional[ServerKexInfo] = None
     session_artifacts: Optional[SessionArtifacts] = None
     resumed: bool = False
     alert_code: Optional[int] = None
     error: Optional[str] = None
     http: Optional[HttpResult] = None
-    elapsed_s: float = 0.0
     retried: bool = False
 
 
@@ -143,28 +131,6 @@ class HeartbleedResult:
             raise ValueError("vulnerable result requires heartbeat ack and leaked bytes")
 
 
-@functools.lru_cache(maxsize=SITE_CACHE_SIZE)
-def _sig_alg_of(der: bytes) -> str:
-    try:
-        cert = x509.load_der_x509_certificate(der)
-        key = cert.public_key()
-    except Exception:
-        return "OTHER"
-    if isinstance(key, _rsa.RSAPublicKey):
-        return "RSA"
-    if isinstance(key, _ec.EllipticCurvePublicKey):
-        return "ECDSA"
-    return "OTHER"
-
-
-@functools.lru_cache(maxsize=SITE_CACHE_SIZE)
-def _server_name_extension(name: str) -> bytes:
-    """The server_name extension body naming ``name``. A site's probes all
-    send the same name, and the idna codec runs in Python."""
-    entry = b"\x00" + wire.vec16(name.encode("idna"))
-    return wire.vec16(entry)
-
-
 @dataclass
 class _Connection:
     """What the server's records on one connection have shown so far."""
@@ -172,7 +138,6 @@ class _Connection:
     sock: socket.socket
     db: CipherDb
     server_hello: Optional[ServerHello] = None
-    cert_alg: Optional[str] = None
     kex: Optional[ServerKexInfo] = None
     artifacts: SessionArtifacts = field(default_factory=SessionArtifacts)
     resumed: bool = False
@@ -221,10 +186,6 @@ class _Connection:
     def _on_message(self, hs_type: int, body: bytes) -> None:
         if hs_type == HsType.SERVER_HELLO:
             self.server_hello = ServerHello.parse(body)
-        elif hs_type == HsType.CERTIFICATE:
-            chain = wire.parse_certificate(body)
-            if chain:
-                self.cert_alg = _sig_alg_of(chain[0])
         elif hs_type == HsType.SERVER_KEY_EXCHANGE:
             if self.server_hello is None:
                 raise WireError("key exchange before server hello")
@@ -254,6 +215,21 @@ def _flight_done(conn: _Connection) -> bool:
                 and conn.server_hello.selected_version == Version.TLS1_3))
 
 
+def _checked_hello(conn: _Connection, offer: HandshakeOffer) -> ServerHello:
+    """The connection's ServerHello, once it selects what ``offer`` allows: an
+    offered suite and, unless abbreviated or TLS 1.3, a version in range."""
+    hello = conn.server_hello
+    if hello is None:
+        raise WireError("no server hello received")
+    if hello.suite not in offer.suites:
+        raise WireError(f"server selected unoffered suite 0x{hello.suite:04X}")
+    version = hello.selected_version
+    if not conn.resumed and version != Version.TLS1_3 and not (
+            offer.min_version <= version <= offer.max_version):
+        raise WireError(f"server selected out-of-range version {version.label}")
+    return hello
+
+
 class HandshakeEngine:
     """Stateless per call; safe to use from many workers concurrently."""
 
@@ -266,7 +242,8 @@ class HandshakeEngine:
     def _hello_record(self, offer: HandshakeOffer) -> bytes:
         extensions: dict[int, bytes] = {}
         if offer.sni_name:
-            extensions[ExtType.SERVER_NAME] = _server_name_extension(offer.sni_name)
+            entry = b"\x00" + wire.vec16(offer.sni_name.encode("idna"))
+            extensions[ExtType.SERVER_NAME] = wire.vec16(entry)
         for ext in sorted(offer.extensions):
             code = EXTENSION_CODES[ext]
             if code in extensions:
@@ -301,15 +278,12 @@ class HandshakeEngine:
     def handshake(self, address: tuple[str, int],
                   offer: HandshakeOffer) -> HandshakeOutcome:
         offer.validate()
-        start = time.monotonic()
         try:
             sock = socket.create_connection(address, timeout=self.timeout)
         except socket.timeout:
-            return HandshakeOutcome(ProbeStatus.TIMEOUT, error="connect timeout",
-                                    elapsed_s=time.monotonic() - start)
+            return HandshakeOutcome(ProbeStatus.TIMEOUT, error="connect timeout")
         except OSError as exc:
-            return HandshakeOutcome(ProbeStatus.TCP_FAILURE, error=str(exc),
-                                    elapsed_s=time.monotonic() - start)
+            return HandshakeOutcome(ProbeStatus.TCP_FAILURE, error=str(exc))
         try:
             outcome = self._run(sock, offer, address[0])
         except socket.timeout:
@@ -323,7 +297,6 @@ class HandshakeEngine:
                 sock.close()
             except OSError:
                 pass
-        outcome.elapsed_s = time.monotonic() - start
         return outcome
 
     def _run(self, sock: socket.socket, offer: HandshakeOffer,
@@ -334,19 +307,9 @@ class HandshakeEngine:
             code = conn.alert[1] if len(conn.alert) >= 2 else None
             if code != AlertDescription.CLOSE_NOTIFY:
                 return HandshakeOutcome(ProbeStatus.TLS_ALERT, alert_code=code)
-        server_hello = conn.server_hello
-        if server_hello is None:
-            raise WireError("no server hello received")
+        server_hello = _checked_hello(conn, offer)
         resumed = conn.resumed
-
         selected_version = server_hello.selected_version
-        if server_hello.suite not in offer.suites:
-            raise WireError(
-                f"server selected unoffered suite 0x{server_hello.suite:04X}"
-            )
-        if not resumed and selected_version != Version.TLS1_3 and not (
-                offer.min_version <= selected_version <= offer.max_version):
-            raise WireError(f"server selected out-of-range version {selected_version.label}")
 
         if server_hello.session_id:
             conn.artifacts.session_id = server_hello.session_id
@@ -377,7 +340,6 @@ class HandshakeEngine:
             selected_suite=server_hello.suite,
             selected_compression=server_hello.compression,
             acknowledged_extensions=conn.acked_extensions,
-            certificate_sig_alg=conn.cert_alg,
             server_key_exchange=conn.kex,
             session_artifacts=conn.artifacts,
             resumed=bool(resumed_final),
@@ -475,14 +437,17 @@ class HandshakeEngine:
         except OSError as exc:
             return HeartbleedResult(False, False, error=str(exc))
         conn = _Connection(sock, self.db)
+        hello = None  # the ServerHello once its selection is checked
         try:
             sock.sendall(self._hello_record(offer))
-            if conn.read_until(_flight_done) and "heartbeat" in conn.acked_extensions:
+            if conn.read_until(_flight_done):
+                hello = _checked_hello(conn, offer)
+            if hello is not None and "heartbeat" in conn.acked_extensions:
                 payload_sent = os.urandom(16)
                 claimed = len(payload_sent) + HEARTBLEED_OVERREAD_CAP
                 hb = wire.encode_heartbeat(wire.HEARTBEAT_REQUEST, claimed, payload_sent)
                 sock.sendall(wire.record(ContentType.HEARTBEAT,
-                                         conn.server_hello.selected_version, hb))
+                                         hello.selected_version, hb))
                 if conn.read_until(lambda c: c.heartbeat is not None):
                     returned = len(wire.parse_heartbeat(conn.heartbeat)[2])
                     conn.heartbeat = None
@@ -490,11 +455,12 @@ class HandshakeEngine:
                     return HeartbleedResult(True, leaked > 0, evidence_len=leaked)
             error = None if conn.alert is None else "alert"
         except (socket.timeout, WireError, OSError) as exc:
-            stage = "no server hello" if conn.server_hello is None else "no echo"
+            stage = "no server hello" if hello is None else "no echo"
             error = f"{stage}: {exc}"
         finally:
             sock.close()
-        return HeartbleedResult("heartbeat" in conn.acked_extensions, False, error=error)
+        acknowledged = hello is not None and "heartbeat" in conn.acked_extensions
+        return HeartbleedResult(acknowledged, False, error=error)
 
 
 def _parse_http(raw: bytes) -> HttpResult:

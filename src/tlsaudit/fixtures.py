@@ -256,10 +256,10 @@ class FixtureEndpoint:
 
     def _serve(self, sock: socket.socket) -> None:
         sock.settimeout(5.0)
-        first = sock.recv(5, socket.MSG_PEEK)
+        first = sock.recv(1, socket.MSG_PEEK)
         if not first:
             return
-        if wire.looks_like_sslv2(first):
+        if first[0] & 0x80:  # an SSLv2 header; no TLS content type has it
             self._serve_sslv2(sock)
             return
         ctype, _ver, payload = wire.read_record(sock)
@@ -282,7 +282,7 @@ class FixtureEndpoint:
         self._negotiate(sock, hello)
 
     def _serve_sslv2(self, sock: socket.socket) -> None:
-        sock.recv(4096)
+        wire.read_sslv2_record(sock)
         if self.spec.sslv2_emulation:
             self._log({"event": "sslv2_hello", "answered": True})
             sock.sendall(wire.encode_sslv2_server_hello(self.cert_der))

@@ -215,9 +215,11 @@ class SiteProber:
                                address, replace(offer, http_get=True)))
         if get.status != ProbeStatus.NEGOTIATED or get.http is None:
             return {"eligible": False, "reason": "NO_HTTP"}
+        # the suite fixes the certificate's key type (RFC 5246 section 7.4.2)
+        auth = self.db[outcome.selected_suite].auth
         return {
             "eligible": True,
-            "cert_sig_alg": outcome.certificate_sig_alg,
+            "cert_sig_alg": auth.value if auth in (Auth.RSA, Auth.ECDSA) else "OTHER",
             "baseline_version": outcome.selected_version,
             "server_header": get.http.server_header,
         }
@@ -362,7 +364,7 @@ class SiteProber:
             trace.exclusion_reason = baseline["reason"]
             return None, trace
         trace.server_header = baseline["server_header"]
-        cert_sig_alg = baseline["cert_sig_alg"] or "RSA"
+        cert_sig_alg = baseline["cert_sig_alg"]
         auth = Auth.ECDSA if cert_sig_alg == "ECDSA" else Auth.RSA
         offer_suites = cert_compatible(self.db, auth)
 

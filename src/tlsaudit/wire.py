@@ -448,10 +448,6 @@ def encode_sslv2_client_hello() -> bytes:
     return struct.pack(">H", 0x8000 | len(body)) + body
 
 
-def looks_like_sslv2(first_bytes: bytes) -> bool:
-    return len(first_bytes) >= 3 and bool(first_bytes[0] & 0x80)
-
-
 def encode_sslv2_server_hello(cert: bytes = b"") -> bytes:
     spec = bytes([0x01, 0x00, 0x80])
     body = (bytes([SSLV2_SERVER_HELLO, 0, 1])  # no session hit, X.509 cert type

@@ -50,7 +50,6 @@ def test_negotiation_picks_server_preference(engine, endpoint):
     assert outcome.status is ProbeStatus.NEGOTIATED
     assert outcome.selected_suite == 0xC02F
     assert outcome.selected_version is Version.TLS1_2
-    assert outcome.certificate_sig_alg == "RSA"
 
 
 def test_no_overlap_yields_alert(engine, endpoint):
@@ -244,9 +243,30 @@ def _closes_after_hello(conn):
     wire.read_record(conn)
 
 
-@pytest.mark.parametrize("server", [_never_answers, _closes_after_hello],
-                         ids=["silent", "closes_after_hello"])
+def _leaks_under_an_unoffered_suite(conn):
+    """Acks heartbeat in a ServerHello that picks RC4-SHA, then answers any
+    heartbeat with 2,000 bytes more than it was sent."""
+    wire.read_record(conn)
+    hello = wire.ServerHello(Version.TLS1_2, bytes(32), b"", 0x0005, 0,
+                             {wire.ExtType.HEARTBEAT: b"\x01"})
+    done = wire.handshake_message(wire.HsType.SERVER_HELLO_DONE, b"")
+    conn.sendall(wire.record(wire.ContentType.HANDSHAKE, Version.TLS1_2,
+                             hello.encode() + done))
+    try:
+        _ctype, _ver, payload = wire.read_record(conn)
+    except wire.WireError:
+        return  # the client hung up
+    echo = payload[3:19] + bytes(2000)
+    conn.sendall(wire.record(wire.ContentType.HEARTBEAT, Version.TLS1_2,
+                             wire.encode_heartbeat(wire.HEARTBEAT_RESPONSE,
+                                                   len(echo), echo)))
+
+
+@pytest.mark.parametrize("server", [_never_answers, _closes_after_hello,
+                                    _leaks_under_an_unoffered_suite],
+                         ids=["silent", "closes_after_hello", "unoffered_suite"])
 def test_heartbleed_probe_without_server_hello(db, server):
+    """No ServerHello, or one that ``handshake`` too would reject."""
     with socket.create_server(("127.0.0.1", 0)) as listener:
         def serve():
             conn, _ = listener.accept()
@@ -321,28 +341,3 @@ def test_tls13_probe_positive(db, engine):
         suites=(0xC02F,), server_preference=True)
     with fixtures.spawn(spec, db) as ep:
         assert engine.tls13_probe(ep.target, [0xC02F])
-
-
-def test_sig_alg_of_reads_each_certificate_once():
-    rsa_der = fixtures.fixture_certificate("RSA")
-    ecdsa_der = fixtures.fixture_certificate("ECDSA")
-    engine_module._sig_alg_of.cache_clear()
-    assert engine_module._sig_alg_of(rsa_der) == "RSA"
-    assert engine_module._sig_alg_of(ecdsa_der) == "ECDSA"
-    assert engine_module._sig_alg_of(b"\x30\x03not a certificate") == "OTHER"
-    assert engine_module._sig_alg_of.cache_info().misses == 3
-    for _ in range(5):
-        assert engine_module._sig_alg_of(rsa_der) == "RSA"
-    info = engine_module._sig_alg_of.cache_info()
-    assert (info.hits, info.misses) == (5, 3)
-
-
-def test_sig_alg_cache_is_bounded():
-    maxsize = engine_module._sig_alg_of.cache_info().maxsize
-    assert maxsize == engine_module.SITE_CACHE_SIZE
-    assert isinstance(maxsize, int) and 0 < maxsize <= 4096
-    engine_module._sig_alg_of.cache_clear()
-    # a server that sends a new certificate on every connection
-    for n in range(maxsize + 50):
-        assert engine_module._sig_alg_of(b"\x30" + n.to_bytes(4, "big")) == "OTHER"
-    assert engine_module._sig_alg_of.cache_info().currsize == maxsize

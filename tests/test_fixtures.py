@@ -303,6 +303,26 @@ def test_endpoint_serves_on_after_a_broken_connection(db, fast_policy, abuse):
     assert config.to_json() == fixtures.projection(_SERVED_SPEC, db).to_json()
 
 
+@pytest.mark.parametrize("split", [1, 2])
+def test_sslv2_hello_split_after_its_first_bytes(db, split):
+    """A first segment of one or two bytes of an SSLv2 hello still gets the
+    SSLv2 answer, not a TLS alert."""
+    spec = fixtures.FixtureSpec(
+        versions=frozenset({Version.SSLv2, Version.TLS1_2}), suites=(0xC02F,),
+        server_preference=True, sslv2_emulation=True)
+    hello = wire.encode_sslv2_client_hello()
+    with fixtures.spawn(spec, db) as ep:
+        with socket.create_connection(ep.target, timeout=3.0) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(hello[:split])
+            time.sleep(0.2)  # the endpoint sees the first segment alone
+            sock.sendall(hello[split:])
+            reply = wire.read_sslv2_record(sock)
+        capture = list(ep.capture)
+    assert wire.parse_sslv2_server_hello(reply)
+    assert capture == [{"event": "sslv2_hello", "answered": True}]
+
+
 def test_odd_length_suite_vector_is_logged_not_raised(db, monkeypatch):
     body = (b"\x03\x03" + bytes(32) + b"\x00"
             + b"\x00\x03\xc0\x2f\x00" + b"\x01\x00")

@@ -1,5 +1,5 @@
-"""Every module-level import in the package is used, and no module imports
-``socketserver``.
+"""Every module-level import in the package is used, no module imports
+``socketserver``, and the probe path imports no third-party module.
 
 No linter ships with the project, so this parses each source file and
 compares the names its top-level imports bind with the names the module
@@ -8,9 +8,14 @@ reads anywhere in its body.
 The fixture endpoints serve on a plain accept loop whose ``stop()`` always
 waits out one poll. ``socketserver``'s ``shutdown()`` returned early or not,
 depending on thread timing; the second guard keeps that framework out.
+
+The engine and the codec need nothing beyond the standard library: the
+negotiated suite, not an X.509 parse, gives the certificate's key type.
+``cryptography`` serves only the fixtures' certificates.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +59,11 @@ def test_no_module_imports_socketserver():
                  if "socketserver" in _imported_modules(ast.parse(
                      path.read_text(encoding="utf-8"), filename=str(path)))]
     assert importers == []
+
+
+@pytest.mark.parametrize("name", ["engine.py", "wire.py"])
+def test_probe_path_imports_only_the_standard_library(name):
+    path = SRC / name
+    modules = _imported_modules(ast.parse(path.read_text(encoding="utf-8"),
+                                          filename=str(path)))
+    assert sorted(modules - sys.stdlib_module_names - {"tlsaudit"}) == []

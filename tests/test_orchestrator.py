@@ -5,9 +5,10 @@ import threading
 import pytest
 
 from tlsaudit import dhprimes, fixtures
-from tlsaudit.engine import HandshakeOutcome, HeartbleedResult, ProbeStatus, ServerKexInfo
+from tlsaudit.engine import (HandshakeOutcome, HeartbleedResult, HttpResult,
+                             ProbeStatus, ServerKexInfo)
 from tlsaudit.orchestrator import ProbePolicy, ProbeTrace, SiteProber
-from tlsaudit.registry import Version
+from tlsaudit.registry import Auth, Version, cert_compatible
 
 RICH_SPEC = fixtures.FixtureSpec(
     versions=frozenset({Version.TLS1_0, Version.TLS1_1, Version.TLS1_2}),
@@ -103,6 +104,30 @@ def test_uncommon_prime_detected(db, fast_policy):
         config, _trace = SiteProber(db, fast_policy).probe_site(ep.target)
     assert config.dh_prime_bits == 1024
     assert config.dh_group_common is False
+
+
+@pytest.mark.parametrize("suite, key_type, enumerated", [
+    (0xC02F, "RSA", Auth.RSA),      # ECDHE-RSA-AES128-GCM-SHA256
+    (0xC02B, "ECDSA", Auth.ECDSA),  # ECDHE-ECDSA-AES128-GCM-SHA256
+    (0x0032, "OTHER", Auth.RSA),    # DHE-DSS-AES128-SHA
+], ids=["rsa", "ecdsa", "dss"])
+def test_certificate_key_type_comes_from_the_baseline_suite(
+        db, fast_policy, monkeypatch, suite, key_type, enumerated):
+    prober = SiteProber(db, fast_policy)
+    monkeypatch.setattr(prober.engine, "probe", lambda target, offer: HandshakeOutcome(
+        ProbeStatus.NEGOTIATED, selected_version=Version.TLS1_2,
+        selected_suite=suite if suite in offer.suites else offer.suites[0],
+        http=HttpResult(200, None)))
+    monkeypatch.setattr(prober.engine, "sslv2_probe", lambda target: (False, None))
+    monkeypatch.setattr(prober.engine, "tls13_probe", lambda target, suites: False)
+    offers = []
+    monkeypatch.setattr(prober, "enumerate_ciphers",
+                        lambda target, trace, suites: offers.append(suites) or [])
+    baseline = prober.baseline_probe(("127.0.0.1", 1), ProbeTrace())
+    assert baseline["cert_sig_alg"] == key_type
+    config, trace = prober.probe_site(("127.0.0.1", 1))
+    assert (config, trace.exclusion_reason) == (None, "NO_SUITES")
+    assert offers == [cert_compatible(db, enumerated)]
 
 
 def test_heartbleed_error_reaches_trace(db, fast_policy, monkeypatch):
