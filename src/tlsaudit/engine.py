@@ -1,30 +1,34 @@
 """Single-exchange TLS probing engine.
 
-Each operation opens exactly one TCP connection to the ``(host, port)``
-address it is given, drives the handshake its offer describes far enough to
-collect the evidence it needs (ServerHello, ServerKeyExchange, ticket), and
-tears down. Handshakes are aborted early where full key derivation is
-unnecessary; an offer that resumes a session or asks for a GET runs the
-message flow to completion. Record protection is not implemented: the
-engine reads configuration evidence off the plaintext flight, which is
+Each operation dials the ``(host, port)`` address it is given once, through
+``HandshakeEngine._dial``: connect, run one exchange, close, and map a
+timeout, socket error or bad bytes to a ``ProbeStatus`` and a detail. A
+handshake drives its offer far enough to collect the evidence it needs
+(ServerHello, ServerKeyExchange, ticket), aborting early unless the offer
+resumes a session or asks for a GET. Record protection is not implemented:
+the engine reads configuration evidence off the plaintext flight, which is
 sufficient for the bundled endpoints and keeps remote load minimal.
 
-One driver, ``_Connection.read_until``, reads every server record and folds
-it into that connection's state until the caller has what it needs or an
-alert arrives. A handshake runs it for the server flight, the server's
-finished flight and the HTTP response; the Heartbleed probe for the flight
-and the heartbeat echo. SSLv2 has its own record format, so its probe reads
-the one reply itself.
+``handshake`` keeps the status and detail in its outcome; the SSLv2, TLS 1.3
+and Heartbleed probes give ``"<STATUS>: <detail>"`` in one error field, None
+when the server answered (an alert too). Only ``probe`` retries. The special
+probes never call it: ``perfbench/layers.py`` pairs each traced engine call
+with one trace entry, and a nested ``probe`` would add a second.
+
+One driver, ``_Connection.read_until``, folds server records into that
+connection's state until the caller has what it needs, an alert arrives or
+``READ_RECORD_CAP`` records have come. SSLv2 has its own record format, so
+its probe reads its one reply itself.
 """
 from __future__ import annotations
 
-import logging
+import contextlib
 import os
 import socket
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from . import wire
 from .registry import CipherDb, Kex, Version
@@ -34,13 +38,20 @@ from .wire import (
     ServerKeyExchange, WireError,
 )
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_TIMEOUT = 5.0
 HEARTBLEED_OVERREAD_CAP = 16 * 1024
 HTTP_READ_CAP = 16 * 1024  # response bytes read while seeking the headers' end
+# records one read_until accepts: a flight or HTTP head in 512-byte records
+# needs far fewer, and a flood of skipped records (HelloRequest) has no end
+READ_RECORD_CAP = 256
 
 _KNOWN_EXTENSIONS = frozenset(EXTENSION_CODES)
+# what the hello carries for an offered extension; any other is empty
+_EXTENSION_BODIES = {
+    ExtType.HEARTBEAT: b"\x01",  # peer_allowed_to_send
+    ExtType.ALPN: wire.vec16(wire.vec8(b"http/1.1")),
+    ExtType.STATUS_REQUEST: b"\x01\x00\x00\x00\x00",
+}
 
 
 class ProbeStatus(Enum):
@@ -76,8 +87,7 @@ class HandshakeOffer:
             raise OfferError("offer must list at least one cipher suite")
         if self.max_version < self.min_version:
             raise OfferError("max_version below min_version")
-        comp = list(self.compression_methods)
-        if Compression.NULL not in comp:
+        if Compression.NULL not in self.compression_methods:
             raise OfferError("compression list must include null")
         unknown = self.extensions - _KNOWN_EXTENSIONS
         if unknown:
@@ -157,11 +167,16 @@ class _Connection:
     def read_until(self, done) -> bool:
         """Read server records into this state until ``done(self)`` holds.
 
-        Returns False when an alert (now or earlier) stops the read first.
+        Returns False when an alert (now or earlier) stops the read first;
+        raises ``WireError`` past ``READ_RECORD_CAP`` records.
         """
+        records = 0
         while not done(self):
             if self.alert is not None:
                 return False
+            records += 1
+            if records > READ_RECORD_CAP:
+                raise WireError(f"more than {READ_RECORD_CAP} records in one read")
             ctype, _ver, payload = wire.read_record(self.sock)
             if ctype == ContentType.ALERT:
                 self.alert = payload
@@ -246,19 +261,9 @@ class HandshakeEngine:
             extensions[ExtType.SERVER_NAME] = wire.vec16(entry)
         for ext in sorted(offer.extensions):
             code = EXTENSION_CODES[ext]
-            if code in extensions:
-                continue
-            if code == ExtType.HEARTBEAT:
-                extensions[code] = b"\x01"  # peer_allowed_to_send
-            elif code == ExtType.SESSION_TICKET:
-                extensions[code] = offer.resumption_ticket or b""
-            elif code == ExtType.ALPN:
-                proto = wire.vec8(b"http/1.1")
-                extensions[code] = wire.vec16(proto)
-            elif code == ExtType.STATUS_REQUEST:
-                extensions[code] = b"\x01\x00\x00\x00\x00"
-            else:
-                extensions[code] = b""
+            extensions.setdefault(code, (offer.resumption_ticket or b"")
+                                  if code == ExtType.SESSION_TICKET
+                                  else _EXTENSION_BODIES.get(code, b""))
         if offer.supported_versions:
             body = b"".join(struct.pack(">H", v.value) for v in offer.supported_versions)
             extensions[ExtType.SUPPORTED_VERSIONS] = wire.vec8(body)
@@ -275,35 +280,44 @@ class HandshakeEngine:
 
     # -- core exchange -----------------------------------------------------
 
+    def _dial(self, address: tuple[str, int], exchange: Callable[[socket.socket], object],
+              ) -> tuple[object, Optional[HandshakeOutcome]]:
+        """Connect, ``exchange(sock)``, close: ``(result, None)``, or ``(None,
+        failed)`` with the status and detail of what stopped it."""
+        sock = None
+        try:
+            sock = socket.create_connection(address, timeout=self.timeout)
+            return exchange(sock), None
+        except socket.timeout:
+            stage = "connect" if sock is None else "read"
+            return None, HandshakeOutcome(ProbeStatus.TIMEOUT, error=f"{stage} timeout")
+        except WireError as exc:
+            return None, HandshakeOutcome(ProbeStatus.PROTOCOL_ERROR, error=str(exc))
+        except OSError as exc:
+            return None, HandshakeOutcome(ProbeStatus.TCP_FAILURE, error=str(exc))
+        finally:
+            if sock is not None:
+                with contextlib.suppress(OSError):
+                    sock.close()
+
     def handshake(self, address: tuple[str, int],
                   offer: HandshakeOffer) -> HandshakeOutcome:
         offer.validate()
-        try:
-            sock = socket.create_connection(address, timeout=self.timeout)
-        except socket.timeout:
-            return HandshakeOutcome(ProbeStatus.TIMEOUT, error="connect timeout")
-        except OSError as exc:
-            return HandshakeOutcome(ProbeStatus.TCP_FAILURE, error=str(exc))
-        try:
-            outcome = self._run(sock, offer, address[0])
-        except socket.timeout:
-            outcome = HandshakeOutcome(ProbeStatus.TIMEOUT, error="read timeout")
-        except WireError as exc:
-            outcome = HandshakeOutcome(ProbeStatus.PROTOCOL_ERROR, error=str(exc))
-        except OSError as exc:
-            outcome = HandshakeOutcome(ProbeStatus.TCP_FAILURE, error=str(exc))
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        return outcome
+        outcome, failed = self._dial(
+            address, lambda sock: self._run(sock, offer, address[0]))
+        return failed or outcome
+
+    def _open(self, sock: socket.socket, offer: HandshakeOffer) -> _Connection:
+        """Send ``offer``'s hello and read the server flight, up to any alert."""
+        sock.sendall(self._hello_record(offer))
+        conn = _Connection(sock, self.db)
+        conn.read_until(_flight_done)
+        return conn
 
     def _run(self, sock: socket.socket, offer: HandshakeOffer,
              host: str) -> HandshakeOutcome:
-        sock.sendall(self._hello_record(offer))
-        conn = _Connection(sock, self.db)
-        if not conn.read_until(_flight_done):
+        conn = self._open(sock, offer)
+        if conn.alert is not None:
             code = conn.alert[1] if len(conn.alert) >= 2 else None
             if code != AlertDescription.CLOSE_NOTIFY:
                 return HandshakeOutcome(ProbeStatus.TLS_ALERT, alert_code=code)
@@ -318,16 +332,11 @@ class HandshakeEngine:
         needs_completion = offer.complete or offer.http_get or resumed
         if needs_completion and selected_version != Version.TLS1_3:
             http_result = self._finish(conn, selected_version, offer, host)
-        else:
-            # evidence collected; abort without Finished
-            try:
+        else:  # evidence collected; abort without Finished
+            with contextlib.suppress(OSError):
                 sock.sendall(wire.alert(AlertDescription.CLOSE_NOTIFY,
-                                        selected_version
-                                        if selected_version != Version.TLS1_3
-                                        else Version.TLS1_2,
+                                        min(selected_version, Version.TLS1_2),
                                         fatal=False))
-            except OSError:
-                pass
 
         resumed_final = resumed and (
             (offer.resumption_session_id
@@ -376,17 +385,17 @@ class HandshakeEngine:
             conn.read_until(lambda c: b"\r\n\r\n" in c.app_data
                             or len(c.app_data) >= HTTP_READ_CAP)
         except WireError:
-            pass  # the server closed the connection first
+            pass  # the server closed the connection, or sent too many records
         return _parse_http(bytes(conn.app_data))
 
     # -- retry wrapper (the caller-visible API) ----------------------------
 
     def probe(self, address: tuple[str, int],
               offer: HandshakeOffer) -> HandshakeOutcome:
-        """handshake() with exactly one retry on non-TLS transport errors.
-
-        A TLS alert is signal, not noise, and is never retried.
-        """
+        """handshake() with exactly one retry when ``_dial`` reports TCP_FAILURE
+        or TIMEOUT as ``status``, its detail in ``error``. The special probes
+        give ``"<STATUS>: <detail>"`` instead and never retry. A TLS alert is
+        signal, not noise, and is never retried."""
         outcome = self.handshake(address, offer)
         if outcome.status in (ProbeStatus.TCP_FAILURE, ProbeStatus.TIMEOUT):
             retry = self.handshake(address, offer)
@@ -398,69 +407,62 @@ class HandshakeEngine:
 
     def sslv2_probe(self, address: tuple[str, int]) -> tuple[bool, Optional[str]]:
         """(supported, error annotation). Errors are absence of proof only."""
-        try:
-            sock = socket.create_connection(address, timeout=self.timeout)
-        except socket.timeout:
-            return False, "TIMEOUT"
-        except OSError as exc:
-            return False, f"TCP_FAILURE: {exc}"
-        try:
+        def exchange(sock):
             sock.sendall(wire.encode_sslv2_client_hello())
-            data = wire.read_sslv2_record(sock)
-            return wire.parse_sslv2_server_hello(data), None
-        except wire.WireError:  # closed before a whole record: no hello
-            return False, None
-        except socket.timeout:
-            return False, "TIMEOUT"
-        except OSError as exc:
-            return False, f"TCP_FAILURE: {exc}"
-        finally:
-            sock.close()
+            try:
+                return wire.parse_sslv2_server_hello(wire.read_sslv2_record(sock))
+            except WireError:  # closed before a whole record: no hello
+                return False
 
-    def tls13_probe(self, address: tuple[str, int], suites: list[int]) -> bool:
+        supported, failed = self._dial(address, exchange)
+        return bool(supported), _annotation(failed)
+
+    def tls13_probe(self, address: tuple[str, int],
+                    suites: list[int]) -> tuple[bool, Optional[str]]:
+        """(supported, error annotation), as ``sslv2_probe``."""
         offer = HandshakeOffer(
             min_version=Version.TLS1_2,
             suites=[0x1301, 0x1302, 0x1303] + list(suites),
             supported_versions=[Version.TLS1_3, Version.TLS1_2],
         )
-        outcome = self.handshake(address, offer)
-        return (outcome.status == ProbeStatus.NEGOTIATED
-                and outcome.selected_version == Version.TLS1_3)
+        outcome, failed = self._dial(
+            address, lambda sock: self._run(sock, offer, address[0]))
+        return (failed is None and outcome.selected_version == Version.TLS1_3,
+                _annotation(failed))
 
     def heartbleed_probe(self, address: tuple[str, int],
                          suites: list[int]) -> HeartbleedResult:
         """Active over-read check, capped at 16 KB; leaked bytes are measured
         and discarded, never persisted."""
         offer = HandshakeOffer(suites=list(suites), extensions={"heartbeat"})
-        try:
-            sock = socket.create_connection(address, timeout=self.timeout)
-        except OSError as exc:
-            return HeartbleedResult(False, False, error=str(exc))
-        conn = _Connection(sock, self.db)
-        hello = None  # the ServerHello once its selection is checked
-        try:
-            sock.sendall(self._hello_record(offer))
-            if conn.read_until(_flight_done):
-                hello = _checked_hello(conn, offer)
-            if hello is not None and "heartbeat" in conn.acked_extensions:
+        acknowledged = False  # by a checked ServerHello
+        def exchange(sock):
+            nonlocal acknowledged
+            conn = self._open(sock, offer)
+            if conn.alert is None:
+                version = _checked_hello(conn, offer).selected_version
+                acknowledged = "heartbeat" in conn.acked_extensions
+            if acknowledged:
                 payload_sent = os.urandom(16)
                 claimed = len(payload_sent) + HEARTBLEED_OVERREAD_CAP
                 hb = wire.encode_heartbeat(wire.HEARTBEAT_REQUEST, claimed, payload_sent)
-                sock.sendall(wire.record(ContentType.HEARTBEAT,
-                                         hello.selected_version, hb))
+                sock.sendall(wire.record(ContentType.HEARTBEAT, version, hb))
                 if conn.read_until(lambda c: c.heartbeat is not None):
                     returned = len(wire.parse_heartbeat(conn.heartbeat)[2])
-                    conn.heartbeat = None
                     leaked = max(0, returned - len(payload_sent) - 16)  # minus padding
                     return HeartbleedResult(True, leaked > 0, evidence_len=leaked)
-            error = None if conn.alert is None else "alert"
-        except (socket.timeout, WireError, OSError) as exc:
-            stage = "no server hello" if hello is None else "no echo"
-            error = f"{stage}: {exc}"
-        finally:
-            sock.close()
-        acknowledged = hello is not None and "heartbeat" in conn.acked_extensions
-        return HeartbleedResult(acknowledged, False, error=error)
+            return HeartbleedResult(acknowledged, False,
+                                    error=None if conn.alert is None else "alert")
+
+        result, failed = self._dial(address, exchange)
+        return result or HeartbleedResult(acknowledged, False,
+                                          error=_annotation(failed))
+
+
+def _annotation(failed: Optional[HandshakeOutcome]) -> Optional[str]:
+    """The special probes' error field: ``"<STATUS>: <detail>"`` for a
+    failed ``_dial``, None when the server answered."""
+    return None if failed is None else f"{failed.status.value}: {failed.error}"
 
 
 def _parse_http(raw: bytes) -> HttpResult:

@@ -139,16 +139,12 @@ def _outcome_summary(outcome: HandshakeOutcome) -> dict:
     return out
 
 
-def _sslv2_summary(result: tuple[bool, Optional[str]]) -> dict:
+def _support_summary(result: tuple[bool, Optional[str]]) -> dict:
     supported, error = result
     out: dict = {"supported": supported}
     if error is not None:
         out["error"] = error
     return out
-
-
-def _tls13_summary(supported: bool) -> dict:
-    return {"supported": supported}
 
 
 def _heartbleed_summary(result: HeartbleedResult) -> dict:
@@ -243,11 +239,11 @@ class SiteProber:
             last = outcome.selected_version
         # the two out-of-ladder checks
         if self._record(trace, "sslv2_probe", {"sslv2": True},
-                        lambda: self.engine.sslv2_probe(address), _sslv2_summary)[0]:
+                        lambda: self.engine.sslv2_probe(address), _support_summary)[0]:
             versions.add(Version.SSLv2)
         if self._record(trace, "tls13_probe", {"tls13": True},
                         lambda: self.engine.tls13_probe(address, offer_suites),
-                        _tls13_summary):
+                        _support_summary)[0]:
             versions.add(Version.TLS1_3)
         return versions
 

@@ -1,7 +1,11 @@
-"""Shared generators for property-style tests."""
+"""Shared generators for property-style tests, and a scripted loopback peer."""
 
 import random
+import socket
+import threading
+import time
 
+from tlsaudit import wire
 from tlsaudit.configuration import Configuration, compute_kex_flags
 from tlsaudit.registry import CipherDb, Version, sort_offer
 
@@ -59,3 +63,54 @@ def reassemble(db: CipherDb, config: Configuration, *, suites=None,
         heartbleed_vulnerable=config.heartbleed_vulnerable,
         cert_sig_alg=config.cert_sig_alg,
     )
+
+
+class LoopbackPeer:
+    """A loopback listener that serves one connection from a script.
+
+    Each step is bytes to send (in its own segment: TCP_NODELAY is on),
+    seconds to sleep, or a callable that takes the connection and whose
+    result (a record it read, say) is appended to ``received``. A step that
+    finds the client gone (``OSError``, ``WireError``) ends the script early.
+    Then the connection closes. Leaving the ``with`` block joins the peer's
+    one thread and checks that it has ended.
+    """
+
+    def __init__(self, *steps, host: str = "127.0.0.1"):
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, 0), family=family)
+        self.address = self._listener.getsockname()[:2]
+        self.received = []
+        self._thread = threading.Thread(target=self._serve, args=(steps,),
+                                        daemon=True)
+        self._thread.start()
+
+    def _serve(self, steps) -> None:
+        conn, _ = self._listener.accept()
+        with conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            try:
+                for step in steps:
+                    if isinstance(step, bytes):
+                        conn.sendall(step)
+                    elif callable(step):
+                        self.received.append(step(conn))
+                    else:
+                        time.sleep(step)
+            except (OSError, wire.WireError):
+                pass  # the client hung up
+
+    def __enter__(self) -> "LoopbackPeer":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        self._thread.join(timeout=5)
+        self._listener.close()
+        if exc_type is None:
+            assert not self._thread.is_alive()
+
+
+def until_closed(conn) -> None:
+    """A peer step: read and drop whatever comes until the client closes."""
+    while conn.recv(4096):
+        pass

@@ -1,13 +1,15 @@
+import errno
+import os
 import socket
-import threading
 import time
 
 import pytest
+from helpers import LoopbackPeer, until_closed
 
 from tlsaudit import engine as engine_module
 from tlsaudit import fixtures, wire
-from tlsaudit.engine import (HandshakeEngine, HandshakeOffer, HeartbleedResult,
-                             OfferError, ProbeStatus)
+from tlsaudit.engine import (HandshakeEngine, HandshakeOffer, HandshakeOutcome,
+                             HeartbleedResult, OfferError, ProbeStatus)
 from tlsaudit.pipeline import split_target
 from tlsaudit.registry import Version
 
@@ -204,7 +206,7 @@ def test_sslv2_probe_negative(engine, endpoint):
 
 
 def test_tls13_probe_negative(engine, endpoint):
-    assert not engine.tls13_probe(endpoint.target, [0xC02F])
+    assert engine.tls13_probe(endpoint.target, [0xC02F]) == (False, None)
 
 
 def test_heartbleed_probe_off(engine, endpoint):
@@ -234,15 +236,6 @@ def test_heartbleed_probe_patched(db, engine):
     assert not result.vulnerable
 
 
-def _never_answers(conn):
-    while conn.recv(4096):  # until the client gives up and closes
-        pass
-
-
-def _closes_after_hello(conn):
-    wire.read_record(conn)
-
-
 def _leaks_under_an_unoffered_suite(conn):
     """Acks heartbeat in a ServerHello that picks RC4-SHA, then answers any
     heartbeat with 2,000 bytes more than it was sent."""
@@ -252,36 +245,27 @@ def _leaks_under_an_unoffered_suite(conn):
     done = wire.handshake_message(wire.HsType.SERVER_HELLO_DONE, b"")
     conn.sendall(wire.record(wire.ContentType.HANDSHAKE, Version.TLS1_2,
                              hello.encode() + done))
-    try:
-        _ctype, _ver, payload = wire.read_record(conn)
-    except wire.WireError:
-        return  # the client hung up
+    _ctype, _ver, payload = wire.read_record(conn)  # or the client hangs up
     echo = payload[3:19] + bytes(2000)
     conn.sendall(wire.record(wire.ContentType.HEARTBEAT, Version.TLS1_2,
                              wire.encode_heartbeat(wire.HEARTBEAT_RESPONSE,
                                                    len(echo), echo)))
 
 
-@pytest.mark.parametrize("server", [_never_answers, _closes_after_hello,
-                                    _leaks_under_an_unoffered_suite],
-                         ids=["silent", "closes_after_hello", "unoffered_suite"])
-def test_heartbleed_probe_without_server_hello(db, server):
+@pytest.mark.parametrize("server, error", [
+    (until_closed, "TIMEOUT: read timeout"),
+    (wire.read_record, "PROTOCOL_ERROR: connection closed mid-record"),
+    (_leaks_under_an_unoffered_suite,
+     "PROTOCOL_ERROR: server selected unoffered suite 0x0005"),
+], ids=["silent", "closes_after_hello", "unoffered_suite"])
+def test_heartbleed_probe_without_server_hello(db, server, error):
     """No ServerHello, or one that ``handshake`` too would reject."""
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-        def serve():
-            conn, _ = listener.accept()
-            with conn:
-                server(conn)
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
+    with LoopbackPeer(server) as peer:
         result = HandshakeEngine(db, timeout=0.5).heartbleed_probe(
-            listener.getsockname(), [0xC02F])
-        thread.join(timeout=5)
-    assert not thread.is_alive()
+            peer.address, [0xC02F])
     assert not result.heartbeat_acknowledged
     assert not result.vulnerable
-    assert result.error.startswith("no server hello: ")
+    assert result.error == error
 
 
 def test_heartbleed_result_invariant():
@@ -300,26 +284,15 @@ def test_sslv2_probe_emulated(db, engine):
 
 
 def _sslv2_probe_answered_by(db, *writes):
-    """``sslv2_probe`` against a listener that reads the hello, sends each of
+    """``sslv2_probe`` against a peer that reads the hello, sends each of
     ``writes`` in its own TCP segment, then closes."""
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-        def serve():
-            conn, _ = listener.accept()
-            with conn:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn.recv(4096)
-                for n, data in enumerate(writes):
-                    if n:
-                        time.sleep(0.2)  # the client reads the last write alone
-                    conn.sendall(data)
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        result = HandshakeEngine(db, timeout=3.0).sslv2_probe(
-            listener.getsockname())
-        thread.join(timeout=5)
-    assert not thread.is_alive()
-    return result
+    steps = [wire.read_sslv2_record]
+    for n, data in enumerate(writes):
+        if n:
+            steps.append(0.2)  # the client reads the last write alone
+        steps.append(data)
+    with LoopbackPeer(*steps) as peer:
+        return HandshakeEngine(db, timeout=3.0).sslv2_probe(peer.address)
 
 
 def test_sslv2_probe_reads_a_hello_split_across_writes(db):
@@ -340,4 +313,86 @@ def test_tls13_probe_positive(db, engine):
         versions=frozenset({Version.TLS1_2, Version.TLS1_3}),
         suites=(0xC02F,), server_preference=True)
     with fixtures.spawn(spec, db) as ep:
-        assert engine.tls13_probe(ep.target, [0xC02F])
+        assert engine.tls13_probe(ep.target, [0xC02F]) == (True, None)
+
+
+# -- one dial path: one status per failure, one error format ----------------
+
+_CALLS = {
+    "handshake": lambda eng, address: eng.handshake(
+        address, HandshakeOffer(suites=[0xC02F])),
+    "sslv2_probe": lambda eng, address: eng.sslv2_probe(address),
+    "tls13_probe": lambda eng, address: eng.tls13_probe(address, [0xC02F]),
+    "heartbleed_probe": lambda eng, address: eng.heartbleed_probe(
+        address, [0xC02F]),
+}
+
+
+def _failed(call, status, detail):
+    """What ``call`` returns when its dial fails with ``status``: the
+    handshake keeps status and detail apart, the special probes give
+    ``"<STATUS>: <detail>"``."""
+    annotation = f"{status.value}: {detail}"
+    return {"handshake": HandshakeOutcome(status, error=detail),
+            "sslv2_probe": (False, annotation),
+            "tls13_probe": (False, annotation),
+            "heartbleed_probe": HeartbleedResult(False, False, error=annotation),
+            }[call]
+
+
+@pytest.mark.parametrize("call", sorted(_CALLS))
+def test_a_refused_port_is_a_tcp_failure(db, call):
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))  # bound but not listening: refused
+        result = _CALLS[call](HandshakeEngine(db, timeout=3.0),
+                              closed.getsockname())
+    refused = ConnectionRefusedError(errno.ECONNREFUSED,
+                                     os.strerror(errno.ECONNREFUSED))
+    assert result == _failed(call, ProbeStatus.TCP_FAILURE, str(refused))
+
+
+@pytest.mark.parametrize("call", sorted(_CALLS))
+def test_a_silent_peer_is_a_read_timeout(db, call):
+    with LoopbackPeer(until_closed) as peer:
+        result = _CALLS[call](HandshakeEngine(db, timeout=0.3), peer.address)
+    assert result == _failed(call, ProbeStatus.TIMEOUT, "read timeout")
+
+
+def _floods_hello_requests(conn):
+    """Reads the ClientHello, then sends empty HelloRequest records, which
+    the engine skips, until the client hangs up."""
+    wire.read_record(conn)
+    hello_request = wire.record(wire.ContentType.HANDSHAKE, Version.TLS1_2,
+                                wire.handshake_message(0, b""))
+    while True:
+        conn.sendall(hello_request * 64)
+
+
+@pytest.mark.parametrize("call", ["handshake", "tls13_probe", "heartbleed_probe"])
+def test_a_record_flood_is_a_protocol_error_within_the_timeout(db, call):
+    timeout = 1.0
+    started = time.monotonic()
+    with LoopbackPeer(_floods_hello_requests) as peer:
+        result = _CALLS[call](HandshakeEngine(db, timeout=timeout), peer.address)
+    assert time.monotonic() - started < timeout
+    detail = f"more than {engine_module.READ_RECORD_CAP} records in one read"
+    assert result == _failed(call, ProbeStatus.PROTOCOL_ERROR, detail)
+
+
+def test_a_failing_close_keeps_a_finished_exchange(db, monkeypatch):
+    class FailingClose(socket.socket):
+        def close(self):
+            super().close()
+            raise OSError("close failed")
+
+    def connect(address, timeout):
+        sock = FailingClose(fileno=create_connection(address).detach())
+        sock.settimeout(timeout)
+        return sock
+
+    create_connection = socket.create_connection
+    monkeypatch.setattr(engine_module.socket, "create_connection", connect)
+    hello = wire.encode_sslv2_server_hello(fixtures.fixture_certificate("RSA"))
+    with LoopbackPeer(wire.read_sslv2_record, hello) as peer:
+        assert HandshakeEngine(db, timeout=3.0).sslv2_probe(peer.address) == (
+            True, None)

@@ -12,6 +12,10 @@ depending on thread timing; the second guard keeps that framework out.
 The engine and the codec need nothing beyond the standard library: the
 negotiated suite, not an X.509 parse, gives the certificate's key type.
 ``cryptography`` serves only the fixtures' certificates.
+
+The engine dials in one place: ``HandshakeEngine._dial`` is the one
+``create_connection`` call and the one handler of ``socket.timeout``, so a
+probe cannot grow its own connect or its own reading of a failure.
 """
 
 import ast
@@ -67,3 +71,34 @@ def test_probe_path_imports_only_the_standard_library(name):
     modules = _imported_modules(ast.parse(path.read_text(encoding="utf-8"),
                                           filename=str(path)))
     assert sorted(modules - sys.stdlib_module_names - {"tlsaudit"}) == []
+
+
+def _engine_tree() -> ast.Module:
+    path = SRC / "engine.py"
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_engine_calls_create_connection_once():
+    calls = [node for node in ast.walk(_engine_tree())
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "attr", None) == "create_connection"
+                  or getattr(node.func, "id", None) == "create_connection")]
+    assert len(calls) == 1
+
+
+def _timeout_handlers(node, func=None) -> list[str]:
+    """The enclosing function of each ``except`` clause under ``node`` that
+    names ``socket.timeout`` or its alias ``TimeoutError``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else func
+        if isinstance(child, ast.ExceptHandler) and child.type is not None:
+            caught = ast.unparse(child.type)
+            if "socket.timeout" in caught or "TimeoutError" in caught:
+                found.append(func)
+        found += _timeout_handlers(child, inner)
+    return found
+
+
+def test_only_dial_catches_socket_timeout():
+    assert _timeout_handlers(_engine_tree()) == ["_dial"]

@@ -1,8 +1,7 @@
 import dataclasses
-import socket
-import threading
 
 import pytest
+from helpers import LoopbackPeer, until_closed
 
 from tlsaudit import dhprimes, fixtures
 from tlsaudit.engine import (HandshakeOutcome, HeartbleedResult, HttpResult,
@@ -119,7 +118,8 @@ def test_certificate_key_type_comes_from_the_baseline_suite(
         selected_suite=suite if suite in offer.suites else offer.suites[0],
         http=HttpResult(200, None)))
     monkeypatch.setattr(prober.engine, "sslv2_probe", lambda target: (False, None))
-    monkeypatch.setattr(prober.engine, "tls13_probe", lambda target, suites: False)
+    monkeypatch.setattr(prober.engine, "tls13_probe",
+                        lambda target, suites: (False, None))
     offers = []
     monkeypatch.setattr(prober, "enumerate_ciphers",
                         lambda target, trace, suites: offers.append(suites) or [])
@@ -134,11 +134,11 @@ def test_heartbleed_error_reaches_trace(db, fast_policy, monkeypatch):
     prober = SiteProber(db, fast_policy)
     monkeypatch.setattr(prober.engine, "probe", lambda target, offer: HandshakeOutcome(
         ProbeStatus.NEGOTIATED, acknowledged_extensions={"heartbeat"}))
-    results = iter([HeartbleedResult(True, False, error="no echo: timed out"),
+    results = iter([HeartbleedResult(True, False, error="TIMEOUT: read timeout"),
                     HeartbleedResult(True, False)])
     monkeypatch.setattr(prober.engine, "heartbleed_probe",
                         lambda target, suites: next(results))
-    for extra in ({"error": "no echo: timed out"}, {}):
+    for extra in ({"error": "TIMEOUT: read timeout"}, {}):
         trace = ProbeTrace()
         prober.probe_extensions(("127.0.0.1", 1), trace, [0xC02F])
         assert trace.entries[-1].kind == "heartbleed"
@@ -152,24 +152,15 @@ def test_sslv2_error_reaches_trace(db, probed, monkeypatch):
         {"supported": False}]
 
     prober = SiteProber(db, ProbePolicy(timeout_s=0.5, delay_max_s=0.0))
-    monkeypatch.setattr(prober.engine, "tls13_probe", lambda target, suites: False)
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-        def serve():  # accept, then never answer until the client closes
-            conn, _ = listener.accept()
-            with conn:
-                while conn.recv(4096):
-                    pass
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
+    monkeypatch.setattr(prober.engine, "tls13_probe",
+                        lambda target, suites: (False, None))
+    with LoopbackPeer(until_closed) as peer:  # accepts, then never answers
         trace = ProbeTrace()
-        versions = prober.version_walk(listener.getsockname(), trace,
+        versions = prober.version_walk(peer.address, trace,
                                        Version.SSLv3, [0x002F])
-        thread.join(timeout=5)
-    assert not thread.is_alive()
     assert versions == {Version.SSLv3}
     assert [e.outcome for e in trace.entries if e.kind == "sslv2_probe"] == [
-        {"supported": False, "error": "TIMEOUT"}]
+        {"supported": False, "error": "TIMEOUT: read timeout"}]
 
 
 def test_entries_keep_engine_facts(db, fast_policy, monkeypatch):

@@ -5,15 +5,14 @@ import ipaddress
 import json
 import logging
 import random
-import socket
 import textwrap
-import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from helpers import LoopbackPeer
 
 from tlsaudit import fixtures, pipeline, wire
 from tlsaudit.grading import grade
@@ -91,29 +90,19 @@ def test_split_target_forms_without_a_numeric_port(target, address):
     assert split_target(target) == address
 
 
-def _scan_one_alerting_listener(db, policy, family, bind, target):
+def _scan_one_alerting_listener(db, policy, bind, target):
     """Scan ``target`` (``{port}`` filled in) against a listener on ``bind``
     that answers the ClientHello with a handshake_failure alert; return the
     record and that ClientHello."""
-    hellos = []
-    with socket.create_server((bind, 0), family=family) as listener:
-        def serve():
-            conn, _ = listener.accept()
-            with conn:
-                _ctype, _version, payload = wire.read_record(conn)
-                (_type, body), *_ = wire.iter_handshake_messages(payload)
-                hellos.append(wire.ClientHello.parse(body))
-                conn.sendall(wire.alert(wire.AlertDescription.HANDSHAKE_FAILURE))
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        port = listener.getsockname()[1]
+    with LoopbackPeer(wire.read_record,
+                      wire.alert(wire.AlertDescription.HANDSHAKE_FAILURE),
+                      host=bind) as peer:
         record = pipeline.scan_one(SiteProber(db, policy), db,
-                                   Target(1, target.format(port=port)),
+                                   Target(1, target.format(port=peer.address[1])),
                                    ScanOptions())
-        thread.join(timeout=5)
-    assert not thread.is_alive()
-    return record, hellos[0]
+    _ctype, _version, payload = peer.received[0]
+    (_type, body), *_ = wire.iter_handshake_messages(payload)
+    return record, wire.ClientHello.parse(body)
 
 
 def test_scan_reaches_an_ipv6_loopback_listener(db, fast_policy):
@@ -122,7 +111,7 @@ def test_scan_reaches_an_ipv6_loopback_listener(db, fast_policy):
     excludes the site for that alert. An IP literal is sent as no
     server_name (RFC 6066)."""
     record, hello = _scan_one_alerting_listener(
-        db, fast_policy, socket.AF_INET6, "::1", "[::1]:{port}")
+        db, fast_policy, "::1", "[::1]:{port}")
     assert record.eligibility is Eligibility.EXCLUDED
     assert (record.exclusion_reason, record.address) == ("TLS_ALERT", "::1")
     assert wire.ExtType.SERVER_NAME not in hello.extensions
@@ -130,7 +119,7 @@ def test_scan_reaches_an_ipv6_loopback_listener(db, fast_policy):
 
 def test_scan_sends_a_host_name_as_server_name(db, fast_policy):
     record, hello = _scan_one_alerting_listener(
-        db, fast_policy, socket.AF_INET, "127.0.0.1", "localhost:{port}")
+        db, fast_policy, "127.0.0.1", "localhost:{port}")
     assert (record.exclusion_reason, record.address) == ("TLS_ALERT", "127.0.0.1")
     # server_name_list, one host_name entry: type 0, then its length and name
     assert hello.extensions[wire.ExtType.SERVER_NAME] == (
