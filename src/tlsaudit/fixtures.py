@@ -1,4 +1,4 @@
-"""Configurable local TLS endpoints used as ground truth in tests.
+r"""Configurable local TLS endpoints used as ground truth in tests.
 
 A FixtureSpec fully prescribes an endpoint's observable behavior;
 ``projection`` computes the Configuration a correct scanner must recover
@@ -23,11 +23,22 @@ open without sending delays the next one by at most the 5 s read timeout.
 The thread looks for ``stop()`` only when ``accept()`` times out, every
 ``_POLL_S``; so every ``stop()`` returns one ``_POLL_S`` after the thread
 last entered ``accept()``.
+
+Every endpoint sends one of two self-signed certificates with CN
+``fixture.test``, checked in as ``data/fixture-rsa.der`` and
+``data/fixture-ecdsa.der``. No peer parses them: the negotiated suite fixes
+the key type a scanner records. They were made with the OpenSSL CLI, their
+private keys discarded::
+
+    openssl req -x509 -newkey rsa:2048 -nodes -keyout /dev/null \
+        -subj /CN=fixture.test -days 36500 -outform DER -out fixture-rsa.der
+    openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:P-256 -nodes \
+        -keyout /dev/null -subj /CN=fixture.test -days 36500 \
+        -outform DER -out fixture-ecdsa.der
 """
 from __future__ import annotations
 
 import csv
-import datetime
 import logging
 import os
 import random
@@ -37,11 +48,6 @@ import threading
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
-
-from cryptography import x509
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import ec, rsa
-from cryptography.x509.oid import NameOID
 
 from . import wire
 from .configuration import Configuration
@@ -86,7 +92,6 @@ class FixtureSpec:
     heartbeat: str = HEARTBEAT_OFF
     server_header: str = "fixture"
     cert_kind: str = "RSA"  # RSA | ECDSA
-    sslv2_emulation: bool = False
 
     def __post_init__(self):
         self.versions = frozenset(self.versions)
@@ -98,10 +103,6 @@ class FixtureSpec:
         if self.heartbeat not in (HEARTBEAT_OFF, HEARTBEAT_PATCHED,
                                   HEARTBEAT_VULNERABLE):
             raise FixtureError(f"unknown heartbeat mode {self.heartbeat!r}")
-        if self.sslv2_emulation and Version.SSLv2 not in self.versions:
-            raise FixtureError("sslv2_emulation requires SSLv2 in versions")
-        if Version.SSLv2 in self.versions and not self.sslv2_emulation:
-            raise FixtureError("SSLv2 in versions requires sslv2_emulation")
 
     def resolved_prime(self) -> bytes:
         """The DH prime the endpoint sends; modp2048 when none is set."""
@@ -126,7 +127,6 @@ class FixtureSpec:
             "heartbeat": self.heartbeat,
             "server_header": self.server_header,
             "cert_kind": self.cert_kind,
-            "sslv2_emulation": self.sslv2_emulation,
         }
 
     @classmethod
@@ -145,38 +145,21 @@ class FixtureSpec:
             heartbeat=obj.get("heartbeat", HEARTBEAT_OFF),
             server_header=obj.get("server_header", "fixture"),
             cert_kind=obj.get("cert_kind", "RSA"),
-            sslv2_emulation=obj.get("sslv2_emulation", False),
         )
 
 
-# -- self-signed certificates (one per key kind per process) ----------------
+# -- self-signed certificates (checked in; see the module docstring) -------
 
-_CERT_CACHE: dict[str, bytes] = {}
-_CERT_LOCK = threading.Lock()
+_CERTIFICATES = {kind: resources.files("tlsaudit.data").joinpath(
+                     f"fixture-{kind.lower()}.der").read_bytes()
+                 for kind in ("RSA", "ECDSA")}
 
 
 def fixture_certificate(kind: str) -> bytes:
-    with _CERT_LOCK:
-        if kind not in _CERT_CACHE:
-            if kind == "RSA":
-                key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-            elif kind == "ECDSA":
-                key = ec.generate_private_key(ec.SECP256R1())
-            else:
-                raise FixtureError(f"unknown cert kind {kind!r}")
-            name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "fixture.test")])
-            now = datetime.datetime.now(datetime.timezone.utc)
-            cert = (
-                x509.CertificateBuilder()
-                .subject_name(name).issuer_name(name)
-                .public_key(key.public_key())
-                .serial_number(x509.random_serial_number())
-                .not_valid_before(now - datetime.timedelta(days=1))
-                .not_valid_after(now + datetime.timedelta(days=365))
-                .sign(key, hashes.SHA256())
-            )
-            _CERT_CACHE[kind] = cert.public_bytes(serialization.Encoding.DER)
-        return _CERT_CACHE[kind]
+    try:
+        return _CERTIFICATES[kind]
+    except KeyError:
+        raise FixtureError(f"unknown cert kind {kind!r}") from None
 
 
 # -- the endpoint ------------------------------------------------------------
@@ -283,7 +266,7 @@ class FixtureEndpoint:
 
     def _serve_sslv2(self, sock: socket.socket) -> None:
         wire.read_sslv2_record(sock)
-        if self.spec.sslv2_emulation:
+        if Version.SSLv2 in self.spec.versions:
             self._log({"event": "sslv2_hello", "answered": True})
             sock.sendall(wire.encode_sslv2_server_hello(self.cert_der))
         else:
@@ -641,7 +624,6 @@ def row_fixture_spec(db: CipherDb, row: dict) -> FixtureSpec:
                    else HEARTBEAT_OFF),
         server_header=f"{row.get('server', 'fixture')}",
         cert_kind="RSA",
-        sslv2_emulation=truthy("sslv2"),
     )
 
 
@@ -677,8 +659,7 @@ def random_spec(rng: random.Random, db: CipherDb) -> FixtureSpec:
         versions.add(Version.SSLv3)
     if rng.random() < 0.2:
         versions.add(Version.TLS1_3)
-    sslv2 = rng.random() < 0.1
-    if sslv2:
+    if rng.random() < 0.1:
         versions.add(Version.SSLv2)
 
     has_dhe = any(db[s].kex == Kex.DHE for s in suites)
@@ -696,7 +677,6 @@ def random_spec(rng: random.Random, db: CipherDb) -> FixtureSpec:
                               HEARTBEAT_VULNERABLE]),
         server_header=f"fixture/{rng.randint(0, 999)}",
         cert_kind=cert_kind,
-        sslv2_emulation=sslv2,
     )
 
 

@@ -53,7 +53,8 @@ class ProbePolicy:
     @classmethod
     def from_json(cls, obj: dict) -> "ProbePolicy":
         """A timeout must be above 0 (0 would make every socket
-        non-blocking), a delay at least 0, and neither above a day."""
+        non-blocking), a delay at least 0, and neither above a day; the
+        minimum delay may not exceed the maximum, defaults applied."""
         check_fields(obj, _POLICY_FIELDS)
         timeout_ms = obj.get("timeout_ms", 5000)
         if not 0 < timeout_ms <= _DAY_MS:  # NaN fails too
@@ -63,10 +64,15 @@ class ProbePolicy:
             if not 0 <= obj.get(key, 0) <= _DAY_MS:
                 raise ValueError(f"{key} must be 0 to {_DAY_MS} (a day), "
                                  f"not {obj[key]!r}")
+        delay_min_ms = obj.get("delay_min_ms", 0)
+        delay_max_ms = obj.get("delay_max_ms", 2000)
+        if delay_min_ms > delay_max_ms:
+            raise ValueError(f"delay_min_ms ({delay_min_ms!r}) must not exceed "
+                             f"delay_max_ms ({delay_max_ms!r})")
         return cls(
             timeout_s=timeout_ms / 1000.0,
-            delay_min_s=obj.get("delay_min_ms", 0) / 1000.0,
-            delay_max_s=obj.get("delay_max_ms", 2000) / 1000.0,
+            delay_min_s=delay_min_ms / 1000.0,
+            delay_max_s=delay_max_ms / 1000.0,
             seed=obj.get("seed"),
         )
 

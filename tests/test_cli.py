@@ -266,7 +266,11 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
           (b'{"timeout_ms": NaN}', "timeout_ms must be above 0"),
           (b'{"timeout_ms": 0}', "timeout_ms must be above 0"),
           (b'{"delay_min_ms": -5000, "delay_max_ms": 1}',
-           "delay_min_ms must be 0 to 86400000"))),
+           "delay_min_ms must be 0 to 86400000"),
+          (b'{"delay_min_ms": 3000}',
+           "delay_min_ms (3000) must not exceed delay_max_ms (2000)"),
+          (b'{"delay_min_ms": 500, "delay_max_ms": 0}',
+           "delay_min_ms (500) must not exceed delay_max_ms (0)"))),
 ], ids=["targets-latin-1", "grade-in-latin-1", "recs-latin-1",
         "records-latin-1", "resume-not-json", "resume-domain-list",
         "resume-without-domain",
@@ -275,7 +279,8 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
         "recs-missing", "configs-missing", "records-missing",
         "report-kind-before-records",
         "policy-negative-timeout", "policy-nan-timeout", "policy-zero-timeout",
-        "policy-negative-delay"])
+        "policy-negative-delay", "policy-min-above-default-max",
+        "policy-min-above-max"])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, files, argv,
                                           prefix):
     paths = {name: str(tmp_path / name) for name in (

@@ -276,8 +276,7 @@ def test_heartbleed_result_invariant():
 def test_sslv2_probe_emulated(db, engine):
     spec = fixtures.FixtureSpec(
         versions=frozenset({Version.SSLv2, Version.TLS1_0, Version.TLS1_2}),
-        suites=(0xC02F, 0x002F), server_preference=False,
-        sslv2_emulation=True)
+        suites=(0xC02F, 0x002F), server_preference=False)
     with fixtures.spawn(spec, db) as ep:
         supported, _err = engine.sslv2_probe(ep.target)
     assert supported

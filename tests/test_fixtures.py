@@ -19,11 +19,15 @@ def test_spec_json_round_trip(db, rng):
         assert again == spec
 
 
-def test_sslv2_requires_emulation_flag():
-    with pytest.raises(ValueError):
-        fixtures.FixtureSpec(
-            versions=frozenset({Version.SSLv2, Version.TLS1_2}),
-            suites=(0xC02F,), server_preference=True)
+def test_spec_json_ignores_the_old_sslv2_emulation_key():
+    """SSLv2 in ``versions`` is the one switch; a spec file written when a
+    separate ``sslv2_emulation`` flag had to agree with it still loads."""
+    spec = fixtures.FixtureSpec.from_json({
+        "versions": ["SSLv2", "TLS1.2"], "suites": ["0xC02F"],
+        "sslv2_emulation": True})
+    assert spec.versions == {Version.SSLv2, Version.TLS1_2}
+    assert "sslv2_emulation" not in spec.to_json()
+    assert fixtures.FixtureSpec.from_json(spec.to_json()) == spec
 
 
 def test_bad_heartbeat_value_rejected():
@@ -79,6 +83,44 @@ def test_enumerable_suites_respect_version_floor(db):
         versions=frozenset({Version.TLS1_0}),
         suites=(0xC02F, 0x002F), server_preference=True)
     assert fixtures.enumerable_suites(spec, db) == [0x002F]
+
+
+_RSA_ENCRYPTION = bytes.fromhex("06092A864886F70D010101")
+_EC_PUBLIC_KEY = bytes.fromhex("06072A8648CE3D0201")
+
+
+@pytest.mark.parametrize("kind, key_oid, other_oid", [
+    ("RSA", _RSA_ENCRYPTION, _EC_PUBLIC_KEY),
+    ("ECDSA", _EC_PUBLIC_KEY, _RSA_ENCRYPTION),
+])
+def test_certificate_carries_its_key_type(kind, key_oid, other_oid):
+    cert = fixtures.fixture_certificate(kind)
+    assert key_oid in cert and other_oid not in cert
+
+
+def test_unknown_certificate_kind_rejected():
+    with pytest.raises(fixtures.FixtureError):
+        fixtures.fixture_certificate("DSA")
+
+
+@pytest.mark.parametrize("kind, suite", [("RSA", 0xC02F), ("ECDSA", 0xC02B)],
+                         ids=["RSA", "ECDSA"])
+def test_endpoint_sends_its_fixture_certificate(db, kind, suite):
+    spec = fixtures.FixtureSpec(
+        versions=frozenset({Version.TLS1_2}), suites=(suite,),
+        server_preference=True, cert_kind=kind)
+    hello = wire.ClientHello(version=Version.TLS1_2, random=bytes(32),
+                             session_id=b"", suites=[suite], compression=[0],
+                             extensions={})
+    with fixtures.spawn(spec, db) as ep:
+        with socket.create_connection(ep.target, timeout=3.0) as sock:
+            sock.sendall(wire.record(ContentType.HANDSHAKE, Version.TLS1_2,
+                                     hello.encode()))
+            _ctype, _ver, flight = wire.read_record(sock)
+    chains = [wire.parse_certificate(body)
+              for hs_type, body in wire.iter_handshake_messages(flight)
+              if hs_type == wire.HsType.CERTIFICATE]
+    assert chains == [[fixtures.fixture_certificate(spec.cert_kind)]]
 
 
 def test_capture_log_and_stop_idempotent(db):
@@ -309,7 +351,7 @@ def test_sslv2_hello_split_after_its_first_bytes(db, split):
     SSLv2 answer, not a TLS alert."""
     spec = fixtures.FixtureSpec(
         versions=frozenset({Version.SSLv2, Version.TLS1_2}), suites=(0xC02F,),
-        server_preference=True, sslv2_emulation=True)
+        server_preference=True)
     hello = wire.encode_sslv2_client_hello()
     with fixtures.spawn(spec, db) as ep:
         with socket.create_connection(ep.target, timeout=3.0) as sock:

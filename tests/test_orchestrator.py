@@ -221,6 +221,12 @@ def test_policy_json_round_trip():
      "delay_min_ms must be 0 to 86400000 (a day), not -5000"),
     ({"delay_max_ms": float("inf")},
      "delay_max_ms must be 0 to 86400000 (a day), not inf"),
+    # the default maximum is 2000, so pacing would draw from 2 to 3 s
+    ({"delay_min_ms": 3000},
+     "delay_min_ms (3000) must not exceed delay_max_ms (2000)"),
+    # a maximum of 0 would pace nothing
+    ({"delay_min_ms": 500, "delay_max_ms": 0},
+     "delay_min_ms (500) must not exceed delay_max_ms (0)"),
 ])
 def test_policy_json_rejects_a_wrong_type(obj, message):
     with pytest.raises(ValueError) as err:
