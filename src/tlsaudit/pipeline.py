@@ -466,14 +466,23 @@ def refuse_outside_loopback(targets: Iterable[Target]) -> None:
         _refuse_outside_loopback(target, _resolve(target.host_port[0]))
 
 
-def _sni_name(host: str) -> str:
-    """``host`` as the ClientHello's server_name: "" for an IP literal, which
-    RFC 6066 does not allow there."""
+def is_ip_literal(host: str) -> bool:
+    """Whether ``host`` (as ``split_target`` gives it) is an IPv4 or IPv6
+    address rather than a name. An IPv4 literal ends in a digit and an IPv6
+    one holds a colon, so most names skip the parse and its exceptions."""
+    if ":" not in host and not host[-1:].isdigit():
+        return False
     try:
         ipaddress.ip_address(host)
     except ValueError:
-        return host
-    return ""
+        return False
+    return True
+
+
+def _sni_name(host: str) -> str:
+    """``host`` as the ClientHello's server_name: "" for an IP literal, which
+    RFC 6066 does not allow there."""
+    return "" if is_ip_literal(host) else host
 
 
 def _recorded_domains(out: Path) -> set[str]:

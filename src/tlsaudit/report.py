@@ -5,12 +5,17 @@ All operations are pure folds over an immutable record list; outputs are
 deterministic (ties broken lexicographically) so emitted files are stable.
 A fold that groups by configuration computes ``config_key`` once per
 distinct configuration, in a dict that lives for that one fold.
+
+``hashlib`` is imported inside ``config_key``, not at the top: its
+``_hashlib`` maps OpenSSL's libcrypto (about 3.6 MB of resident memory),
+and only the ``cdf-config`` and ``dominance`` kinds hash. Every process that
+imports this module, ``tlsaudit scan`` among them, would pay for it
+otherwise.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from collections import Counter, defaultdict
@@ -18,7 +23,8 @@ from typing import Iterable, Optional
 
 from .configuration import Configuration
 from .grading import Category, Grade, downgrade_table
-from .pipeline import Eligibility, PipelineError, ScanRecord, split_target
+from .pipeline import (Eligibility, PipelineError, ScanRecord, is_ip_literal,
+                       split_target)
 
 GRADE_ORDER = (Grade.A, Grade.B, Grade.C, Grade.F)
 
@@ -26,6 +32,7 @@ GRADE_ORDER = (Grade.A, Grade.B, Grade.C, Grade.F)
 def config_key(config: Configuration) -> str:
     """Canonical hash of a Configuration. Identical grading-relevant fields
     give identical keys regardless of serialization order."""
+    import hashlib  # maps OpenSSL's libcrypto; only two report kinds hash
     canonical = json.dumps(config.to_json(), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -131,12 +138,20 @@ def dominance(records: Iterable[ScanRecord]) -> dict:
     return {"config_counts": ordered, "per_as_top5": top5}
 
 
+def _tld(domain: str) -> Optional[str]:
+    """The last label of ``domain``'s host, lowercased, after one trailing
+    root dot; None for an IP literal, which has no TLD."""
+    host = split_target(domain)[0]
+    if is_ip_literal(host):
+        return None
+    return host.removesuffix(".").rsplit(".", 1)[-1].lower()
+
+
 def per_record_rows(records: Iterable[ScanRecord]) -> list[dict]:
     """Tidy per-record rows (grade, server, tld, rank) for external
     statistics tooling."""
     rows = []
     for r in _graded(records):
-        tld = split_target(r.domain)[0].rsplit(".", 1)[-1]
         rows.append({
             "domain": r.domain,
             "rank": r.rank,
@@ -144,7 +159,7 @@ def per_record_rows(records: Iterable[ScanRecord]) -> list[dict]:
             "server": (r.server_software or {}).get("name"),
             "os_hint": r.os_hint,
             "asn": (r.asn or {}).get("number"),
-            "tld": tld,
+            "tld": _tld(r.domain),
         })
     return rows
 

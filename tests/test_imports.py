@@ -17,9 +17,16 @@ the package declares no runtime dependency.
 The engine dials in one place: ``HandshakeEngine._dial`` is the one
 ``create_connection`` call and the one handler of ``socket.timeout``, so a
 probe cannot grow its own connect or its own reading of a failure.
+
+``hashlib`` maps OpenSSL's libcrypto, several megabytes of resident memory,
+and only ``report.config_key`` needs it; a fresh interpreter checks that
+importing the package and probing a site leave it unloaded, since the test
+process itself has loaded it long before.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -103,3 +110,35 @@ def _timeout_handlers(node, func=None) -> list[str]:
 
 def test_only_dial_catches_socket_timeout():
     assert _timeout_handlers(_engine_tree()) == ["_dial"]
+
+
+_LAZY_HASHLIB = """
+import importlib, pkgutil, sys
+import tlsaudit
+for module in pkgutil.iter_modules(tlsaudit.__path__):
+    importlib.import_module("tlsaudit." + module.name)
+from tlsaudit import fixtures, report
+from tlsaudit.grading import grade
+from tlsaudit.orchestrator import ProbePolicy, SiteProber
+from tlsaudit.pipeline import Eligibility, ScanRecord
+from tlsaudit.registry import load_registry
+
+db = load_registry()
+spec = fixtures.row_fixture_spec(db, fixtures.ubuntu_default_rows()[0])
+with fixtures.spawn(spec, db) as endpoint:
+    prober = SiteProber(db, ProbePolicy(timeout_s=3.0, delay_max_s=0.0))
+    config, _trace = prober.probe_site(endpoint.target)
+assert config is not None
+assert "_hashlib" not in sys.modules, "loaded by import or probe"
+record = ScanRecord(domain="site.test", eligibility=Eligibility.GRADED,
+                    configuration=config, grade_report=grade(config, db))
+report.build([record], "dominance")
+assert "_hashlib" in sys.modules, "not loaded by a dominance build"
+"""
+
+
+def test_only_config_key_loads_libcrypto():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", _LAZY_HASHLIB], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -6,6 +6,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from helpers import random_configuration
+from tlsaudit import fixtures
 from tlsaudit import report as report_mod
 from tlsaudit.configuration import Configuration
 from tlsaudit.grading import grade
@@ -42,6 +43,14 @@ def test_config_key_stability(db, rng):
     assert report_mod.config_key(again) == key
     other = random_configuration(rng, db)
     assert report_mod.config_key(other) != key
+
+
+def test_config_key_is_pinned(db):
+    # the bytes behind the dominance and cdf-config CSVs' config_key column
+    label, config, _profile = fixtures.ubuntu_default_configurations(db)[0]
+    assert label == "Nginx-14.04-1.0.1f"
+    assert report_mod.config_key(config) == (
+        "d6a9910e88ff9753b631788cb25c2595ecb26ef3957382297e8945af4398e4c5")
 
 
 def test_distribution_trivial_and_empty(db, rng):
@@ -152,6 +161,40 @@ def test_per_record_rows(db, rng):
     graded = [r for r in records if r.eligibility is Eligibility.GRADED]
     assert len(rows) == len(graded)
     assert all(row["grade"] in "ABCF" for row in rows)
+
+
+@pytest.mark.parametrize("domain, tld", [
+    ("site1.example.org", "org"),
+    ("example.com:8443", "com"),
+    ("127.0.0.1:8443", None),
+    ("127.0.0.1", None),
+    ("[::1]:443", None),
+    ("::1", None),
+    ("fe80::1%eth0", None),
+    ("10.0.0.1.example", "example"),
+    ("host.123", "123"),
+    ("example.com.", "com"),
+    ("example.com.:443", "com"),
+    ("Example.COM", "com"),
+    ("localhost", "localhost"),
+])
+def test_per_record_tld(db, rng, domain, tld):
+    record = dataclasses.replace(make_records(db, rng, 1, n_as=1)[0],
+                                 domain=domain)
+    assert record.eligibility is Eligibility.GRADED
+    [row] = report_mod.per_record_rows([record])
+    assert row["tld"] == tld
+
+
+def test_ip_literal_tld_is_an_empty_csv_cell(db, rng, tmp_path):
+    record = dataclasses.replace(make_records(db, rng, 1, n_as=1)[0],
+                                 domain="127.0.0.1:8443")
+    path = tmp_path / "records.csv"
+    report_mod.emit("records", report_mod.build([record], "records"), "csv",
+                    path)
+    header, row = path.read_text(encoding="utf-8").splitlines()
+    assert header.endswith(",tld")
+    assert row.startswith("127.0.0.1:8443,") and row.endswith(",")
 
 
 def repeated_records(db, rng, n, distinct):
