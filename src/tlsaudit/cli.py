@@ -116,8 +116,6 @@ def cmd_scan(args) -> int:
                    if args.asn_table else None),
     )
     try:
-        if not args.ethics:  # refuse the whole list before --out is touched
-            pipeline.refuse_outside_loopback(targets)
         pipeline.run_scan(targets, policy, db, args.out, options)
     except pipeline.ScanRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)

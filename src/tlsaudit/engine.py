@@ -38,7 +38,6 @@ from .wire import (
     ServerKeyExchange, WireError,
 )
 
-DEFAULT_TIMEOUT = 5.0
 HEARTBLEED_OVERREAD_CAP = 16 * 1024
 HTTP_READ_CAP = 16 * 1024  # response bytes read while seeking the headers' end
 # records one read_until accepts: a flight or HTTP head in 512-byte records
@@ -95,12 +94,6 @@ class HandshakeOffer:
 
 
 @dataclass
-class ServerKexInfo:
-    group_kind: str
-    dh_prime_bytes: Optional[bytes] = None
-
-
-@dataclass
 class SessionArtifacts:
     session_id: bytes = b""
     ticket: Optional[bytes] = None
@@ -120,7 +113,7 @@ class HandshakeOutcome:
     selected_suite: Optional[int] = None
     selected_compression: Optional[int] = None
     acknowledged_extensions: set[str] = field(default_factory=set)
-    server_key_exchange: Optional[ServerKexInfo] = None
+    server_key_exchange: Optional[ServerKeyExchange] = None
     session_artifacts: Optional[SessionArtifacts] = None
     resumed: bool = False
     alert_code: Optional[int] = None
@@ -148,7 +141,7 @@ class _Connection:
     sock: socket.socket
     db: CipherDb
     server_hello: Optional[ServerHello] = None
-    kex: Optional[ServerKexInfo] = None
+    kex: Optional[ServerKeyExchange] = None
     artifacts: SessionArtifacts = field(default_factory=SessionArtifacts)
     resumed: bool = False
     hello_done: bool = False
@@ -206,12 +199,7 @@ class _Connection:
                 raise WireError("key exchange before server hello")
             info = self.db.get(self.server_hello.suite)
             is_ffdhe = info is not None and info.kex == Kex.DHE
-            ske = ServerKeyExchange.parse_for_suite(body, is_ffdhe)
-            if ske.group_kind == "FFDHE":
-                self.kex = ServerKexInfo(
-                    "FFDHE", dh_prime_bytes=ske.dh_prime.lstrip(b"\x00"))
-            else:
-                self.kex = ServerKexInfo("ECDHE")
+            self.kex = ServerKeyExchange.parse_for_suite(body, is_ffdhe)
         elif hs_type == HsType.NEW_SESSION_TICKET:
             nst = NewSessionTicket.parse(body)
             self.artifacts.ticket = nst.ticket
@@ -248,7 +236,7 @@ def _checked_hello(conn: _Connection, offer: HandshakeOffer) -> ServerHello:
 class HandshakeEngine:
     """Stateless per call; safe to use from many workers concurrently."""
 
-    def __init__(self, db: CipherDb, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, db: CipherDb, timeout: float):
         self.db = db
         self.timeout = timeout
 

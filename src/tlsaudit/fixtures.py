@@ -47,13 +47,17 @@ import struct
 import threading
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Union
+from typing import Optional
 
 from . import wire
 from .configuration import Configuration
+from .dhprimes import (
+    ALL_PRIME_NAMES, COMMON_PRIME_NAMES, named_prime, prime_bits,
+    prime_is_common,
+)
 from .registry import (
     KEX_RANK, Auth, CipherDb, CipherFamily, CipherMode, Kex, Mac, Version,
-    cert_compatible, sort_offer, suite_label,
+    cert_compatible, sort_offer, suite_id, suite_label,
 )
 from .wire import (
     VERSION_BY_WORD, AlertDescription, ClientHello, Compression, ContentType,
@@ -75,11 +79,6 @@ class FixtureError(ValueError):
     pass
 
 
-from .dhprimes import (  # noqa: E402
-    ALL_PRIME_NAMES, COMMON_PRIME_NAMES, named_prime, prime_is_common,
-)
-
-
 @dataclass
 class FixtureSpec:
     versions: frozenset[Version]
@@ -88,7 +87,7 @@ class FixtureSpec:
     session_id_cache: bool = False
     tickets: Optional[int] = None  # lifetime hint seconds
     compression: bool = False
-    ffdhe_prime: Union[str, bytes, None] = None
+    ffdhe_prime: Optional[str] = None  # a dhprimes name; None is modp2048
     heartbeat: str = HEARTBEAT_OFF
     server_header: str = "fixture"
     cert_kind: str = "RSA"  # RSA | ECDSA
@@ -103,19 +102,14 @@ class FixtureSpec:
         if self.heartbeat not in (HEARTBEAT_OFF, HEARTBEAT_PATCHED,
                                   HEARTBEAT_VULNERABLE):
             raise FixtureError(f"unknown heartbeat mode {self.heartbeat!r}")
+        if self.ffdhe_prime is not None and self.ffdhe_prime not in ALL_PRIME_NAMES:
+            raise FixtureError(f"unknown DH prime {self.ffdhe_prime!r}")
 
     def resolved_prime(self) -> bytes:
         """The DH prime the endpoint sends; modp2048 when none is set."""
-        if self.ffdhe_prime is None:
-            return named_prime("modp2048")
-        if isinstance(self.ffdhe_prime, str):
-            return named_prime(self.ffdhe_prime)
-        return self.ffdhe_prime
+        return named_prime(self.ffdhe_prime or "modp2048")
 
     def to_json(self) -> dict:
-        prime = self.ffdhe_prime
-        if isinstance(prime, bytes):
-            prime = prime.hex()
         return {
             "versions": sorted(v.label for v in self.versions),
             "suites": [f"0x{s:04X}" for s in self.suites],
@@ -123,7 +117,7 @@ class FixtureSpec:
             "session_id_cache": self.session_id_cache,
             "tickets": self.tickets,
             "compression": self.compression,
-            "ffdhe_prime": prime,
+            "ffdhe_prime": self.ffdhe_prime,
             "heartbeat": self.heartbeat,
             "server_header": self.server_header,
             "cert_kind": self.cert_kind,
@@ -131,17 +125,14 @@ class FixtureSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FixtureSpec":
-        prime = obj.get("ffdhe_prime")
-        if prime is not None and prime not in ALL_PRIME_NAMES:
-            prime = bytes.fromhex(prime)
         return cls(
             versions=frozenset(Version.from_label(v) for v in obj["versions"]),
-            suites=tuple(int(s, 16) for s in obj["suites"]),
+            suites=tuple(suite_id(s) for s in obj["suites"]),
             server_preference=obj.get("server_preference", False),
             session_id_cache=obj.get("session_id_cache", False),
             tickets=obj.get("tickets"),
             compression=obj.get("compression", False),
-            ffdhe_prime=prime,
+            ffdhe_prime=obj.get("ffdhe_prime"),
             heartbeat=obj.get("heartbeat", HEARTBEAT_OFF),
             server_header=obj.get("server_header", "fixture"),
             cert_kind=obj.get("cert_kind", "RSA"),
@@ -488,9 +479,9 @@ def projection(spec: FixtureSpec, db: CipherDb) -> Configuration:
     dh_bits: Optional[int] = None
     dh_common: Optional[bool] = None
     if has_dhe:
-        stripped = spec.resolved_prime().lstrip(b"\x00")
-        dh_bits = int.from_bytes(stripped, "big").bit_length()
-        dh_common = prime_is_common(stripped)
+        prime = spec.resolved_prime()
+        dh_bits = prime_bits(prime)
+        dh_common = prime_is_common(prime)
 
     extensions = {"server_name", "renegotiation_info"}
     if spec.tickets is not None:

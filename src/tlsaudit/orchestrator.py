@@ -167,9 +167,9 @@ class SiteProber:
     Not for sharing across worker threads: every site draws its pacing
     delays from the one ``_rng``, so they would follow thread scheduling."""
 
-    def __init__(self, db: CipherDb, policy: Optional[ProbePolicy] = None):
+    def __init__(self, db: CipherDb, policy: ProbePolicy):
         self.db = db
-        self.policy = policy or ProbePolicy()
+        self.policy = policy
         self.engine = HandshakeEngine(db, timeout=self.policy.timeout_s)
         self._rng = random.Random(self.policy.seed)
 
@@ -195,7 +195,7 @@ class SiteProber:
                                lambda: self.engine.probe(address, offer))
         kex = outcome.server_key_exchange
         if kex is not None and kex.group_kind == "FFDHE":
-            trace.dh_prime = kex.dh_prime_bytes
+            trace.dh_prime = kex.dh_prime
         return outcome
 
     # -- sub-probes ------------------------------------------------------------

@@ -459,13 +459,6 @@ def _refuse_outside_loopback(target: Target, address: Optional[str]) -> None:
             "pass --i-understand-scanning-ethics to scan real hosts")
 
 
-def refuse_outside_loopback(targets: Iterable[Target]) -> None:
-    """Resolve every target and apply the ethics gate to each, so that a scan
-    is refused as a whole before it writes anything."""
-    for target in targets:
-        _refuse_outside_loopback(target, _resolve(target.host_port[0]))
-
-
 def is_ip_literal(host: str) -> bool:
     """Whether ``host`` (as ``split_target`` gives it) is an IPv4 or IPv6
     address rather than a name. An IPv4 literal ends in a digit and an IPv6
@@ -520,25 +513,24 @@ class ScanOptions:
 
 
 def scan_one(prober: SiteProber, db: CipherDb, target: Target,
-             options: ScanOptions) -> ScanRecord:
+             address: Optional[str], options: ScanOptions) -> ScanRecord:
+    """The record of ``target``, probed at ``address``: what ``run_scan``
+    resolved its host to, None if it did not resolve. It neither resolves
+    nor gates, and writes its trace into an existing ``options.trace_dir``."""
     started = _now()
-    host, port = target.host_port
-    address = _resolve(host)
     if address is None:
         return ScanRecord(domain=target.domain, rank=target.rank,
                           eligibility=Eligibility.EXCLUDED,
                           exclusion_reason="DNS",
                           started_at=started, finished_at=_now())
-    if not options.allow_non_loopback:
-        _refuse_outside_loopback(target, address)
 
+    host, port = target.host_port
     config, trace = prober.probe_site((address, port), sni_name=_sni_name(host))
     finished = _now()
     trace_ref = None
     if options.trace_dir:
-        trace_dir = Path(options.trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = trace_dir / f"{target.domain.replace(':', '_')}.trace.json"
+        trace_path = (Path(options.trace_dir)
+                      / f"{target.domain.replace(':', '_')}.trace.json")
         trace_path.write_text(json.dumps(trace.to_json()), encoding="utf-8")
         trace_ref = str(trace_path)
 
@@ -573,23 +565,40 @@ def run_scan(targets: Iterable[Target], policy: ProbePolicy, db: CipherDb,
              out_path, options: Optional[ScanOptions] = None) -> list[ScanRecord]:
     """Scan every target, appending one JSON line per record to ``out_path``.
 
+    This is the ethics gate, and each target's host is resolved once. Unless
+    ``options.allow_non_loopback`` is set, every target is resolved first,
+    and one outside loopback refuses the whole list with ``ScanRefused``
+    before ``out_path``, its directory or the trace directory is touched.
+    With it set, each target is resolved as the scan reaches it.
+
     Records are flushed as they complete. Domains already recorded in
     ``out_path`` are skipped, so a rerun of an interrupted scan resumes where
     it left off and writes each record exactly once.
     """
     options = options or ScanOptions()
+    out = Path(out_path)
+    # filled from ``out`` once the gate has passed; the generator reads it as
+    # it runs, so an ungated scan does not resolve a recorded target
+    done: set[str] = set()
+    resolved = ((target, _resolve(target.host_port[0]))
+                for target in targets if target.domain not in done)
+    if not options.allow_non_loopback:
+        resolved = list(resolved)
+        for target, address in resolved:
+            _refuse_outside_loopback(target, address)
+
+    out.parent.mkdir(parents=True, exist_ok=True)
+    done.update(_recorded_domains(out))
+    if options.trace_dir:
+        Path(options.trace_dir).mkdir(parents=True, exist_ok=True)
     prober = SiteProber(db, policy)
     records: list[ScanRecord] = []
-
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    done = _recorded_domains(out)
     with open(out, "a", encoding="utf-8") as sink:
-        for target in targets:
-            if target.domain in done:
+        for target, address in resolved:
+            if target.domain in done:  # gated: listed before ``done`` was read
                 logger.info("%s: already recorded, skipped", target.domain)
                 continue
-            record = scan_one(prober, db, target, options)
+            record = scan_one(prober, db, target, address, options)
             sink.write(json.dumps(record.to_json()) + "\n")
             sink.flush()
             records.append(record)

@@ -179,6 +179,19 @@ def test_cmd_scan_refusal_leaves_a_torn_out_as_it_was(tmp_path):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("flags", [[], ["--i-understand-scanning-ethics"]])
+def test_cmd_scan_resolves_each_target_once(tmp_path, monkeypatch, flags):
+    targets = tmp_path / "targets.csv"
+    targets.write_text("1,127.0.0.1:1\n2,127.0.0.1:2\n")
+    hosts = []
+    resolve = pipeline._resolve
+    monkeypatch.setattr(pipeline, "_resolve",
+                        lambda host: hosts.append(host) or resolve(host))
+    assert cli.main(["scan", "--targets", str(targets),
+                     "--out", str(tmp_path / "scan.jsonl"), *flags]) == 0
+    assert hosts == ["127.0.0.1", "127.0.0.1"]
+
+
 def test_cmd_scan_seed_applies_over_policy_file(tmp_path, monkeypatch):
     targets = tmp_path / "targets.csv"
     targets.write_text("1,localhost\n")

@@ -30,6 +30,22 @@ def test_spec_json_ignores_the_old_sslv2_emulation_key():
     assert fixtures.FixtureSpec.from_json(spec.to_json()) == spec
 
 
+@pytest.mark.parametrize("suite", ["-0x1", "0x1C02F", "2f", "0x_2f", " 0x2f"])
+def test_spec_json_takes_only_four_digit_suite_ids(suite):
+    """Suite ids are read as ``suite_label`` writes them: no sign, no fifth
+    digit, no missing ``0x``, no underscore, no space."""
+    with pytest.raises(ValueError, match="four hex digits"):
+        fixtures.FixtureSpec.from_json({"versions": ["TLS1.2"],
+                                        "suites": ["0xC02F", suite]})
+
+
+@pytest.mark.parametrize("prime", ["modp999", "ffff", ""])
+def test_spec_takes_only_named_dh_primes(prime):
+    with pytest.raises(fixtures.FixtureError, match="unknown DH prime"):
+        fixtures.FixtureSpec(versions=frozenset({Version.TLS1_2}),
+                             suites=(0x0033,), ffdhe_prime=prime)
+
+
 def test_bad_heartbeat_value_rejected():
     with pytest.raises(ValueError):
         fixtures.FixtureSpec(

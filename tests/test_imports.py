@@ -18,6 +18,10 @@ The engine dials in one place: ``HandshakeEngine._dial`` is the one
 ``create_connection`` call and the one handler of ``socket.timeout``, so a
 probe cannot grow its own connect or its own reading of a failure.
 
+The scan pipeline has one ethics gate: ``run_scan`` is the one caller of
+``_resolve`` and of ``_refuse_outside_loopback``, so each target is resolved
+once and a mixed target list is refused before anything is written.
+
 ``hashlib`` maps OpenSSL's libcrypto, several megabytes of resident memory,
 and only ``report.config_key`` needs it; a fresh interpreter checks that
 importing the package and probing a site leave it unloaded, since the test
@@ -110,6 +114,25 @@ def _timeout_handlers(node, func=None) -> list[str]:
 
 def test_only_dial_catches_socket_timeout():
     assert _timeout_handlers(_engine_tree()) == ["_dial"]
+
+
+def _users(node, name: str, func=None) -> list[str]:
+    """The enclosing function of each read of the name ``name`` under
+    ``node``, a call or any other."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else func
+        if isinstance(child, ast.Name) and child.id == name:
+            found.append(func)
+        found += _users(child, name, inner)
+    return found
+
+
+@pytest.mark.parametrize("name", ["_resolve", "_refuse_outside_loopback"])
+def test_only_run_scan_resolves_and_gates(name):
+    path = SRC / "pipeline.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _users(tree, name) == ["run_scan"]
 
 
 _LAZY_HASHLIB = """

@@ -3,9 +3,9 @@ import dataclasses
 import pytest
 from helpers import LoopbackPeer, until_closed
 
-from tlsaudit import dhprimes, fixtures
+from tlsaudit import dhprimes, fixtures, wire
 from tlsaudit.engine import (HandshakeOutcome, HeartbleedResult, HttpResult,
-                             ProbeStatus, ServerKexInfo)
+                             ProbeStatus)
 from tlsaudit.orchestrator import ProbePolicy, ProbeTrace, SiteProber
 from tlsaudit.registry import Auth, Version, cert_compatible
 
@@ -170,7 +170,7 @@ def test_entries_keep_engine_facts(db, fast_policy, monkeypatch):
     spec = dataclasses.replace(RICH_SPEC, heartbeat=fixtures.HEARTBEAT_PATCHED)
     prober = SiteProber(db, fast_policy)
     probe = prober.engine.probe  # the GET and both resumes go through it
-    uncommon = ServerKexInfo("FFDHE", dhprimes.named_prime("local1024"))
+    uncommon = wire.ServerKeyExchange("FFDHE", dhprimes.named_prime("local1024"))
 
     def marked(target, offer):
         outcome = probe(target, offer)

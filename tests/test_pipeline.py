@@ -99,7 +99,7 @@ def _scan_one_alerting_listener(db, policy, bind, target):
                       host=bind) as peer:
         record = pipeline.scan_one(SiteProber(db, policy), db,
                                    Target(1, target.format(port=peer.address[1])),
-                                   ScanOptions())
+                                   bind, ScanOptions())
     _ctype, _version, payload = peer.received[0]
     (_type, body), *_ = wire.iter_handshake_messages(payload)
     return record, wire.ClientHello.parse(body)
@@ -556,7 +556,7 @@ def test_scan_one_writes_the_trace_as_one_json_line(db, fast_policy, tmp_path):
     prober.probe_site = keeping_probe_site
     with fixtures.spawn(fixtures.bundled_corpus(db, seed=5)[0], db) as ep:
         record = pipeline.scan_one(prober, db, Target(1, f"{ep.host}:{ep.port}"),
-                                   ScanOptions(trace_dir=str(tmp_path)))
+                                   ep.host, ScanOptions(trace_dir=str(tmp_path)))
     text = Path(record.trace_ref).read_text(encoding="utf-8")
     assert "\n" not in text
     assert json.loads(text) == traces[0].to_json()
@@ -581,3 +581,60 @@ def test_scan_refuses_non_loopback_without_flag(db, fast_policy, tmp_path):
         run_scan([Target(1, "192.0.2.9:443")], fast_policy, db, out,
                  ScanOptions(allow_non_loopback=False))
     assert not out.exists() or out.read_text() == ""
+
+
+def test_run_scan_refuses_a_mixed_list_before_touching_disk(db, fast_policy,
+                                                            tmp_path):
+    """A loopback target ahead of a non-loopback one is refused with it:
+    the torn tail of ``out`` is not cut, and neither the trace directory nor
+    a missing output directory is made."""
+    targets = [Target(1, "127.0.0.1:1"), Target(2, "192.0.2.9:443")]
+    traces = tmp_path / "traces"
+    options = ScanOptions(allow_non_loopback=False, trace_dir=str(traces))
+    out = tmp_path / "scan.jsonl"
+    out.write_bytes(b'{"schema_version": 1, "domain": "127.0.0.1:9"}\n'
+                    b'{"schema_version": 1, "domain": "127.0.0.1:8", "ra')
+    before = out.read_bytes()
+    with pytest.raises(pipeline.ScanRefused,
+                       match="^192.0.2.9:443 resolves to non-loopback"):
+        run_scan(targets, fast_policy, db, out, options)
+    assert out.read_bytes() == before
+    assert not traces.exists()
+
+    missing = tmp_path / "missing" / "scan.jsonl"
+    with pytest.raises(pipeline.ScanRefused):
+        run_scan(targets, fast_policy, db, missing, options)
+    assert not missing.parent.exists()
+    assert not traces.exists()
+
+
+_RESOLVE = "resolve 127.0.0.1"
+
+
+@pytest.mark.parametrize("allow, events", [
+    (False, [_RESOLVE] * 3 + ["scan 127.0.0.1:2", "scan 127.0.0.1:3"]),
+    (True, [_RESOLVE, "scan 127.0.0.1:2", _RESOLVE, "scan 127.0.0.1:3"]),
+])
+def test_run_scan_resolves_each_target_once(db, fast_policy, tmp_path,
+                                            monkeypatch, allow, events):
+    """Gated, every target is resolved before the first is scanned, a
+    recorded one too, since the gate checks the whole list. Ungated, a target
+    is resolved as the scan reaches it, and a recorded one not at all."""
+    seen = []
+    resolve, scan_one = pipeline._resolve, pipeline.scan_one
+
+    def resolving(host):
+        seen.append(f"resolve {host}")
+        return resolve(host)
+
+    def scanning(prober, db, target, *rest):
+        seen.append(f"scan {target.domain}")
+        return scan_one(prober, db, target, *rest)
+
+    monkeypatch.setattr(pipeline, "_resolve", resolving)
+    monkeypatch.setattr(pipeline, "scan_one", scanning)
+    out = tmp_path / "scan.jsonl"
+    out.write_text('{"domain": "127.0.0.1:1"}\n')
+    run_scan([Target(n, f"127.0.0.1:{n}") for n in (1, 2, 3)], fast_policy,
+             db, out, ScanOptions(allow_non_loopback=allow))
+    assert seen == events

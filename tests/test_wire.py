@@ -194,7 +194,7 @@ def test_encoders_emit_the_golden_bytes(name):
 def test_engine_hello_record_matches_the_golden_bytes(db):
     offer = HandshakeOffer(suites=_BROWSER_UNION, sni_name="example.com",
                            extensions={"renegotiation_info"})
-    record = bytearray(HandshakeEngine(db)._hello_record(offer))
+    record = bytearray(HandshakeEngine(db, timeout=3.0)._hello_record(offer))
     record[11:43] = bytes(range(32))  # the hello's random, after 11 header bytes
     assert record.hex() == GOLDEN["client_hello_record"][1]
 
