@@ -335,11 +335,12 @@ class Recommendation:
 
 
 def consistent(config: Configuration, rec: Recommendation, db: CipherDb,
-               profiles=None) -> bool:
-    """Upper-bound semantics: evaluated over the union of library profiles,
-    since we cannot know which library the site runs. The union, and each
-    cipher string's expansion over it, are built once per db."""
-    profiles = tuple(profiles if profiles is not None else load_all_profiles())
+               profiles) -> bool:
+    """Upper-bound semantics: evaluated over the union of ``profiles``, as
+    ``load_all_profiles()`` gives them, since we cannot know which library the
+    site runs. The union, and each cipher string's expansion over it, are built
+    once per db."""
+    profiles = tuple(profiles)
     union = db.derived(("union", profiles), lambda: union_profile(profiles))
     if rec.cipher_expr is not None:
         expr = rec.cipher_expr

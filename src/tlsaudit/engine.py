@@ -2,7 +2,9 @@
 
 Each operation dials the ``(host, port)`` address it is given once, through
 ``HandshakeEngine._dial``: connect, run one exchange, close, and map a
-timeout, socket error or bad bytes to a ``ProbeStatus`` and a detail. A
+timeout, socket error or bad bytes to a ``ProbeStatus`` and a detail. The
+engine's timeout bounds the whole connection, from connect to the end of its
+exchange: every read and write gets only the time left before that deadline. A
 handshake drives its offer far enough to collect the evidence it needs
 (ServerHello, ServerKeyExchange, ticket), aborting early unless the offer
 resumes a session or asks for a GET. Record protection is not implemented:
@@ -26,6 +28,7 @@ import contextlib
 import os
 import socket
 import struct
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -134,11 +137,35 @@ class HeartbleedResult:
             raise ValueError("vulnerable result requires heartbeat ack and leaked bytes")
 
 
+class _DeadlineSocket:
+    """A connected socket whose every ``recv`` and ``sendall`` gets only the
+    time left before ``deadline`` (``time.monotonic``); past it, either
+    raises ``socket.timeout``."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self._sock = sock
+        self._deadline = deadline
+
+    def _arm(self) -> None:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise socket.timeout("deadline passed")
+        self._sock.settimeout(left)
+
+    def recv(self, n: int) -> bytes:
+        self._arm()
+        return self._sock.recv(n)
+
+    def sendall(self, data: bytes) -> None:
+        self._arm()
+        self._sock.sendall(data)
+
+
 @dataclass
 class _Connection:
     """What the server's records on one connection have shown so far."""
 
-    sock: socket.socket
+    sock: _DeadlineSocket
     db: CipherDb
     server_hello: Optional[ServerHello] = None
     kex: Optional[ServerKeyExchange] = None
@@ -268,14 +295,16 @@ class HandshakeEngine:
 
     # -- core exchange -----------------------------------------------------
 
-    def _dial(self, address: tuple[str, int], exchange: Callable[[socket.socket], object],
+    def _dial(self, address: tuple[str, int], exchange: Callable[[_DeadlineSocket], object],
               ) -> tuple[object, Optional[HandshakeOutcome]]:
-        """Connect, ``exchange(sock)``, close: ``(result, None)``, or ``(None,
-        failed)`` with the status and detail of what stopped it."""
+        """Connect, ``exchange(sock)``, close, all within ``timeout``: ``(result,
+        None)``, or ``(None, failed)`` with the status and detail of what
+        stopped it."""
+        deadline = time.monotonic() + self.timeout
         sock = None
         try:
             sock = socket.create_connection(address, timeout=self.timeout)
-            return exchange(sock), None
+            return exchange(_DeadlineSocket(sock, deadline)), None
         except socket.timeout:
             stage = "connect" if sock is None else "read"
             return None, HandshakeOutcome(ProbeStatus.TIMEOUT, error=f"{stage} timeout")
@@ -295,14 +324,14 @@ class HandshakeEngine:
             address, lambda sock: self._run(sock, offer, address[0]))
         return failed or outcome
 
-    def _open(self, sock: socket.socket, offer: HandshakeOffer) -> _Connection:
+    def _open(self, sock: _DeadlineSocket, offer: HandshakeOffer) -> _Connection:
         """Send ``offer``'s hello and read the server flight, up to any alert."""
         sock.sendall(self._hello_record(offer))
         conn = _Connection(sock, self.db)
         conn.read_until(_flight_done)
         return conn
 
-    def _run(self, sock: socket.socket, offer: HandshakeOffer,
+    def _run(self, sock: _DeadlineSocket, offer: HandshakeOffer,
              host: str) -> HandshakeOutcome:
         conn = self._open(sock, offer)
         if conn.alert is not None:

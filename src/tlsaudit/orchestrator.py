@@ -1,7 +1,8 @@
 """Per-site measurement: baseline browser emulation, version walk, cipher
 elimination, extension/compression/resumption probes, assembled into a
 Configuration plus a complete ProbeTrace. ``SiteProber._record`` is the
-only producer of trace entries: one pacing delay, one engine call, one entry."""
+only producer of trace entries: one pacing delay, one engine call, one entry.
+Each ``probe_site`` call keeps its state, pacing RNG too, in its own ``Site``."""
 from __future__ import annotations
 
 import logging
@@ -92,8 +93,6 @@ class ProbeTrace:
     partial: bool = False
     exclusion_reason: Optional[str] = None
     server_header: Optional[str] = None
-    # raw FFDHE prime of the last ServerKeyExchange seen by ``_probe``
-    dh_prime: Optional[bytes] = None
 
     @property
     def handshake_count(self) -> int:
@@ -110,12 +109,20 @@ class ProbeTrace:
             "eligible": self.exclusion_reason is None,
             "exclusion_reason": self.exclusion_reason,
             "server_header": self.server_header,
-            "entries": [
-                {"kind": e.kind, "offer": e.offer, "outcome": e.outcome,
-                 "retried": e.retried}
-                for e in self.entries
-            ],
+            "entries": [dict(vars(e)) for e in self.entries],  # every field
         }
+
+
+@dataclass
+class Site:
+    """The state of one ``probe_site`` call. Its pacing RNG is seeded from the
+    policy seed, SNI name and address, so no earlier site moves its delays."""
+    address: tuple[str, int]
+    sni_name: str = ""
+    trace: ProbeTrace = field(default_factory=ProbeTrace)
+    rng: random.Random = field(default_factory=random.Random)
+    # raw FFDHE prime of the last ServerKeyExchange seen by ``_probe``
+    dh_prime: Optional[bytes] = None
 
 
 def _offer_summary(offer: HandshakeOffer) -> dict:
@@ -163,105 +170,98 @@ def _heartbleed_summary(result: HeartbleedResult) -> dict:
 
 
 class SiteProber:
-    """Drives the full measurement for single targets, one site at a time.
-    Not for sharing across worker threads: every site draws its pacing
-    delays from the one ``_rng``, so they would follow thread scheduling."""
+    """Drives the full measurement for single targets. It keeps nothing of
+    a site's: each ``probe_site`` call builds its own ``Site``."""
 
     def __init__(self, db: CipherDb, policy: ProbePolicy):
         self.db = db
         self.policy = policy
         self.engine = HandshakeEngine(db, timeout=self.policy.timeout_s)
-        self._rng = random.Random(self.policy.seed)
 
     # -- plumbing ------------------------------------------------------------
 
-    def _pace(self) -> None:
+    def _pace(self, site: Site) -> None:
         if self.policy.delay_max_s > 0:
-            time.sleep(self._rng.uniform(self.policy.delay_min_s,
-                                         self.policy.delay_max_s))
+            time.sleep(site.rng.uniform(self.policy.delay_min_s,
+                                        self.policy.delay_max_s))
 
-    def _record(self, trace: ProbeTrace, kind: str, offer_summary: dict,
+    def _record(self, site: Site, kind: str, offer_summary: dict,
                 call: Callable[[], Any], summary=_outcome_summary) -> Any:
         """Pace, make one engine ``call`` and append the entry it earns."""
-        self._pace()
+        self._pace(site)
         result = call()
-        trace.entries.append(TraceEntry(kind, offer_summary, summary(result),
-                                        retried=getattr(result, "retried", False)))
+        site.trace.entries.append(TraceEntry(kind, offer_summary, summary(result),
+                                             retried=getattr(result, "retried", False)))
         return result
 
-    def _probe(self, trace: ProbeTrace, kind: str, address: tuple[str, int],
-               offer: HandshakeOffer) -> HandshakeOutcome:
-        outcome = self._record(trace, kind, _offer_summary(offer),
-                               lambda: self.engine.probe(address, offer))
+    def _probe(self, site: Site, kind: str, offer: HandshakeOffer) -> HandshakeOutcome:
+        outcome = self._record(site, kind, _offer_summary(offer),
+                               lambda: self.engine.probe(site.address, offer))
         kex = outcome.server_key_exchange
         if kex is not None and kex.group_kind == "FFDHE":
-            trace.dh_prime = kex.dh_prime
+            site.dh_prime = kex.dh_prime
         return outcome
 
     # -- sub-probes ------------------------------------------------------------
 
-    def baseline_probe(self, address: tuple[str, int], trace: ProbeTrace,
-                       sni_name: str = "") -> dict:
+    def baseline_probe(self, site: Site) -> Optional[HandshakeOutcome]:
         """Modern-browser emulation plus a GET; both must succeed for the
-        site to be eligible."""
+        site to be eligible. Returns the emulation's outcome, or None once
+        the trace's exclusion reason says why not."""
         offer = HandshakeOffer(
-            suites=browser_union(self.db), sni_name=sni_name,
+            suites=browser_union(self.db), sni_name=site.sni_name,
             extensions={"renegotiation_info"},
         )
-        outcome = self._probe(trace, "baseline", address, offer)
+        outcome = self._probe(site, "baseline", offer)
         if outcome.status != ProbeStatus.NEGOTIATED:
-            return {"eligible": False, "reason": outcome.status.value}
+            site.trace.exclusion_reason = outcome.status.value
+            return None
 
-        get = self._record(trace, "baseline_get", {"http_get": True},
+        get = self._record(site, "baseline_get", {"http_get": True},
                            lambda: self.engine.probe(
-                               address, replace(offer, http_get=True)))
+                               site.address, replace(offer, http_get=True)))
         if get.status != ProbeStatus.NEGOTIATED or get.http is None:
-            return {"eligible": False, "reason": "NO_HTTP"}
-        # the suite fixes the certificate's key type (RFC 5246 section 7.4.2)
-        auth = self.db[outcome.selected_suite].auth
-        return {
-            "eligible": True,
-            "cert_sig_alg": auth.value if auth in (Auth.RSA, Auth.ECDSA) else "OTHER",
-            "baseline_version": outcome.selected_version,
-            "server_header": get.http.server_header,
-        }
+            site.trace.exclusion_reason = "NO_HTTP"
+            return None
+        site.trace.server_header = get.http.server_header
+        return outcome
 
-    def version_walk(self, address: tuple[str, int], trace: ProbeTrace,
-                     baseline_version: Version, offer_suites: list[int]) -> set[Version]:
+    def version_walk(self, site: Site, baseline_version: Version,
+                     offer_suites: list[int]) -> set[Version]:
         versions = {baseline_version}
         last = baseline_version
         while last > Version.SSLv3:
             older = [v for v in _WALK_LADDER if v < last]
             offer = HandshakeOffer(suites=offer_suites, max_version=older[-1])
-            outcome = self._probe(trace, "version_walk", address, offer)
+            outcome = self._probe(site, "version_walk", offer)
             if outcome.status != ProbeStatus.NEGOTIATED:
                 break
             if outcome.selected_version >= last:
-                trace.partial = True
-                logger.warning("%s: version walk did not descend (%s)", address,
-                               outcome.selected_version.label)
+                site.trace.partial = True
+                logger.warning("%s: version walk did not descend (%s)",
+                               site.address, outcome.selected_version.label)
                 break
             versions.add(outcome.selected_version)
             last = outcome.selected_version
         # the two out-of-ladder checks
-        if self._record(trace, "sslv2_probe", {"sslv2": True},
-                        lambda: self.engine.sslv2_probe(address), _support_summary)[0]:
+        if self._record(site, "sslv2_probe", {"sslv2": True},
+                        lambda: self.engine.sslv2_probe(site.address),
+                        _support_summary)[0]:
             versions.add(Version.SSLv2)
-        if self._record(trace, "tls13_probe", {"tls13": True},
-                        lambda: self.engine.tls13_probe(address, offer_suites),
+        if self._record(site, "tls13_probe", {"tls13": True},
+                        lambda: self.engine.tls13_probe(site.address, offer_suites),
                         _support_summary)[0]:
             versions.add(Version.TLS1_3)
         return versions
 
-    def enumerate_ciphers(self, address: tuple[str, int], trace: ProbeTrace,
-                          offer_suites: list[int]) -> list[int]:
+    def enumerate_ciphers(self, site: Site, offer_suites: list[int]) -> list[int]:
         """Elimination loop over ``offer_suites``; returns the supported
         suites in selection order. Always |supported|+1 handshakes unless a
         transport failure cuts it short, which marks the trace partial."""
         remaining = offer_suites
         supported: list[int] = []
         while remaining:
-            outcome = self._probe(trace, "enumerate", address,
+            outcome = self._probe(site, "enumerate",
                                   HandshakeOffer(suites=list(remaining)))
             if outcome.status == ProbeStatus.NEGOTIATED:
                 suite = outcome.selected_suite
@@ -270,18 +270,16 @@ class SiteProber:
                 continue
             if outcome.status != ProbeStatus.TLS_ALERT:
                 # transport failure survived the retry: give up on the loop
-                trace.partial = True
+                site.trace.partial = True
             break
         return supported
 
-    def probe_preference(self, address: tuple[str, int], trace: ProbeTrace,
-                         supported: list[int]) -> bool:
+    def probe_preference(self, site: Site, supported: list[int]) -> bool:
         """Two opposite-order offers; preference holds iff the server picks
         the same suite both times and it is not simply our first listing."""
         order = sort_offer(self.db, supported)
-        first = self._probe(trace, "preference", address,
-                            HandshakeOffer(suites=order))
-        second = self._probe(trace, "preference", address,
+        first = self._probe(site, "preference", HandshakeOffer(suites=order))
+        second = self._probe(site, "preference",
                              HandshakeOffer(suites=list(reversed(order))))
         if (first.status != ProbeStatus.NEGOTIATED
                 or second.status != ProbeStatus.NEGOTIATED):
@@ -292,57 +290,55 @@ class SiteProber:
                              and second.selected_suite == order[-1])
         return not client_first_both
 
-    def probe_extensions(self, address: tuple[str, int], trace: ProbeTrace,
-                         offer_suites: list[int]) -> tuple[set[str], Optional[HeartbleedResult]]:
+    def probe_extensions(self, site: Site, offer_suites: list[int],
+                         ) -> tuple[set[str], Optional[HeartbleedResult]]:
         offer = HandshakeOffer(
             suites=offer_suites, extensions=set(_EXTENSION_PROBE_SET),
             sni_name="probe.invalid",
         )
-        outcome = self._probe(trace, "extensions", address, offer)
+        outcome = self._probe(site, "extensions", offer)
         acked = (set(outcome.acknowledged_extensions)
                  if outcome.status == ProbeStatus.NEGOTIATED else set())
         heartbleed = None
         if "heartbeat" in acked:
             heartbleed = self._record(
-                trace, "heartbleed", {"heartbeat_overread": True},
-                lambda: self.engine.heartbleed_probe(address, offer_suites),
+                site, "heartbleed", {"heartbeat_overread": True},
+                lambda: self.engine.heartbleed_probe(site.address, offer_suites),
                 _heartbleed_summary)
         return acked, heartbleed
 
-    def probe_compression(self, address: tuple[str, int], trace: ProbeTrace,
-                          offer_suites: list[int]) -> bool:
+    def probe_compression(self, site: Site, offer_suites: list[int]) -> bool:
         offer = HandshakeOffer(
             suites=offer_suites,
             compression_methods=[Compression.DEFLATE, Compression.LZS,
                                  Compression.NULL],
         )
-        outcome = self._probe(trace, "compression", address, offer)
+        outcome = self._probe(site, "compression", offer)
         return (outcome.status == ProbeStatus.NEGOTIATED
                 and bool(outcome.selected_compression))
 
-    def probe_resumption(self, address: tuple[str, int], trace: ProbeTrace,
-                         offer_suites: list[int]) -> dict:
+    def probe_resumption(self, site: Site, offer_suites: list[int]) -> dict:
         # mechanism 1: session id. Establish, then replay the id (or a
         # synthetic one, keeping the handshake budget constant).
         offer = HandshakeOffer(suites=offer_suites, complete=True)
-        est = self._probe(trace, "resume_establish_id", address, offer)
+        est = self._probe(site, "resume_establish_id", offer)
         artifacts = est.session_artifacts or SessionArtifacts()
         replay = replace(offer, resumption_session_id=(artifacts.session_id
                                                        or os.urandom(32)))
-        res = self._record(trace, "resume_id",
+        res = self._record(site, "resume_id",
                            {"session_id": bool(artifacts.session_id)},
-                           lambda: self.engine.probe(address, replay))
+                           lambda: self.engine.probe(site.address, replay))
 
         # mechanism 2: tickets
         offer = HandshakeOffer(suites=offer_suites, extensions={"session_ticket"},
                                complete=True)
-        est_t = self._probe(trace, "resume_establish_ticket", address, offer)
+        est_t = self._probe(site, "resume_establish_ticket", offer)
         t_artifacts = est_t.session_artifacts or SessionArtifacts()
         replay_t = replace(offer, resumption_ticket=(t_artifacts.ticket
                                                      or os.urandom(48)))
-        self._record(trace, "resume_ticket",
+        self._record(site, "resume_ticket",
                      {"ticket": t_artifacts.ticket is not None},
-                     lambda: self.engine.probe(address, replay_t))
+                     lambda: self.engine.probe(site.address, replay_t))
         return {
             "session_id_resumption": res.resumed,
             "session_tickets": t_artifacts.ticket is not None,
@@ -353,37 +349,37 @@ class SiteProber:
 
     def probe_site(self, address: tuple[str, int],
                    sni_name: str = "") -> tuple[Optional[Configuration], ProbeTrace]:
-        trace = ProbeTrace()
+        seed = self.policy.seed
+        site = Site(address, sni_name, rng=random.Random(
+            None if seed is None else f"{seed}/{sni_name}/{address[0]}/{address[1]}"))
         started = time.monotonic()
         try:
-            return self._probe_site(address, sni_name, trace)
+            return self._probe_site(site), site.trace
         finally:
-            trace.wall_time_s = time.monotonic() - started
+            site.trace.wall_time_s = time.monotonic() - started
 
-    def _probe_site(self, address, sni_name, trace):
-        baseline = self.baseline_probe(address, trace, sni_name)
-        if not baseline["eligible"]:
-            trace.exclusion_reason = baseline["reason"]
-            return None, trace
-        trace.server_header = baseline["server_header"]
-        cert_sig_alg = baseline["cert_sig_alg"]
-        auth = Auth.ECDSA if cert_sig_alg == "ECDSA" else Auth.RSA
-        offer_suites = cert_compatible(self.db, auth)
+    def _probe_site(self, site: Site) -> Optional[Configuration]:
+        baseline = self.baseline_probe(site)
+        if baseline is None:
+            return None
+        # the suite fixes the certificate's key type (RFC 5246 section 7.4.2)
+        auth = self.db[baseline.selected_suite].auth
+        offer_suites = cert_compatible(
+            self.db, Auth.ECDSA if auth == Auth.ECDSA else Auth.RSA)
 
-        versions = self.version_walk(address, trace,
-                                     baseline["baseline_version"], offer_suites)
-        supported = self.enumerate_ciphers(address, trace, offer_suites)
+        versions = self.version_walk(site, baseline.selected_version, offer_suites)
+        supported = self.enumerate_ciphers(site, offer_suites)
         if not supported:
-            trace.exclusion_reason = "NO_SUITES"
-            return None, trace
+            site.trace.exclusion_reason = "NO_SUITES"
+            return None
         preferred = supported[0]  # server's pick under the full offer
-        preference = self.probe_preference(address, trace, supported)
-        acked, heartbleed = self.probe_extensions(address, trace, offer_suites)
-        compression = self.probe_compression(address, trace, offer_suites)
-        resumption = self.probe_resumption(address, trace, offer_suites)
+        preference = self.probe_preference(site, supported)
+        acked, heartbleed = self.probe_extensions(site, offer_suites)
+        compression = self.probe_compression(site, offer_suites)
+        resumption = self.probe_resumption(site, offer_suites)
 
-        prime = trace.dh_prime
-        config = Configuration.assemble(
+        prime = site.dh_prime
+        return Configuration.assemble(
             self.db, frozenset(supported), preferred,
             versions=frozenset(versions),
             server_preference=preference,
@@ -393,6 +389,5 @@ class SiteProber:
             dh_prime_bits=None if prime is None else dhprimes.prime_bits(prime),
             dh_group_common=None if prime is None else dhprimes.prime_is_common(prime),
             heartbleed_vulnerable=bool(heartbleed and heartbleed.vulnerable),
-            cert_sig_alg=cert_sig_alg,
+            cert_sig_alg=auth.value if auth in (Auth.RSA, Auth.ECDSA) else "OTHER",
         )
-        return config, trace

@@ -114,3 +114,18 @@ def until_closed(conn) -> None:
     """A peer step: read and drop whatever comes until the client closes."""
     while conn.recv(4096):
         pass
+
+
+# the header of a 16 KB TLS handshake record, which no trickle completes
+TLS_RECORD_HEADER = bytes([wire.ContentType.HANDSHAKE, 3, 3, 0x40, 0x00])
+
+
+def trickles(prefix: bytes):
+    """A peer step: read the client's first bytes, then send ``prefix`` and
+    then zeros one byte every 0.2 s, 15 bytes (3 s) in all."""
+    def step(conn) -> None:
+        conn.recv(4096)
+        for byte in (prefix + bytes(15))[:15]:
+            conn.sendall(bytes([byte]))
+            time.sleep(0.2)
+    return step

@@ -4,7 +4,7 @@ import socket
 import time
 
 import pytest
-from helpers import LoopbackPeer, until_closed
+from helpers import TLS_RECORD_HEADER, LoopbackPeer, trickles, until_closed
 
 from tlsaudit import engine as engine_module
 from tlsaudit import fixtures, wire
@@ -376,6 +376,29 @@ def test_a_record_flood_is_a_protocol_error_within_the_timeout(db, call):
     assert time.monotonic() - started < timeout
     detail = f"more than {engine_module.READ_RECORD_CAP} records in one read"
     assert result == _failed(call, ProbeStatus.PROTOCOL_ERROR, detail)
+
+
+@pytest.mark.parametrize("call", ["probe", "sslv2_probe", "tls13_probe",
+                                  "heartbleed_probe"])
+def test_a_trickling_peer_is_a_read_timeout_within_the_timeout(db, call):
+    """A peer that sends a byte every 0.2 s never completes a record: the
+    timeout bounds the whole connection, not each read. ``probe`` dials
+    twice; its retry meets a peer that never answers."""
+    timeout = 0.5
+    calls = dict(_CALLS, probe=lambda eng, address: eng.probe(
+        address, HandshakeOffer(suites=[0xC02F])))
+    prefix = b"\xff\xff" if call == "sslv2_probe" else TLS_RECORD_HEADER
+    with LoopbackPeer(trickles(prefix)) as peer:
+        started = time.monotonic()
+        result = calls[call](HandshakeEngine(db, timeout=timeout), peer.address)
+        elapsed = time.monotonic() - started
+    dials = 2 if call == "probe" else 1
+    assert elapsed < dials * timeout + 0.25
+    if call == "probe":
+        assert result == HandshakeOutcome(ProbeStatus.TIMEOUT,
+                                          error="read timeout", retried=True)
+    else:
+        assert result == _failed(call, ProbeStatus.TIMEOUT, "read timeout")
 
 
 def test_a_failing_close_keeps_a_finished_exchange(db, monkeypatch):

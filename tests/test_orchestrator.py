@@ -1,12 +1,12 @@
 import dataclasses
 
 import pytest
-from helpers import LoopbackPeer, until_closed
+from helpers import TLS_RECORD_HEADER, LoopbackPeer, trickles, until_closed
 
-from tlsaudit import dhprimes, fixtures, wire
+from tlsaudit import dhprimes, fixtures, orchestrator, wire
 from tlsaudit.engine import (HandshakeOutcome, HeartbleedResult, HttpResult,
                              ProbeStatus)
-from tlsaudit.orchestrator import ProbePolicy, ProbeTrace, SiteProber
+from tlsaudit.orchestrator import ProbePolicy, ProbeTrace, Site, SiteProber
 from tlsaudit.registry import Auth, Version, cert_compatible
 
 RICH_SPEC = fixtures.FixtureSpec(
@@ -122,12 +122,13 @@ def test_certificate_key_type_comes_from_the_baseline_suite(
                         lambda target, suites: (False, None))
     offers = []
     monkeypatch.setattr(prober, "enumerate_ciphers",
-                        lambda target, trace, suites: offers.append(suites) or [])
-    baseline = prober.baseline_probe(("127.0.0.1", 1), ProbeTrace())
-    assert baseline["cert_sig_alg"] == key_type
+                        lambda site, suites: offers.append(suites) or [])
     config, trace = prober.probe_site(("127.0.0.1", 1))
     assert (config, trace.exclusion_reason) == (None, "NO_SUITES")
     assert offers == [cert_compatible(db, enumerated)]
+    monkeypatch.setattr(prober, "enumerate_ciphers", lambda site, suites: [suite])
+    config, _trace = prober.probe_site(("127.0.0.1", 1))
+    assert config.cert_sig_alg == key_type
 
 
 def test_heartbleed_error_reaches_trace(db, fast_policy, monkeypatch):
@@ -139,10 +140,10 @@ def test_heartbleed_error_reaches_trace(db, fast_policy, monkeypatch):
     monkeypatch.setattr(prober.engine, "heartbleed_probe",
                         lambda target, suites: next(results))
     for extra in ({"error": "TIMEOUT: read timeout"}, {}):
-        trace = ProbeTrace()
-        prober.probe_extensions(("127.0.0.1", 1), trace, [0xC02F])
-        assert trace.entries[-1].kind == "heartbleed"
-        assert trace.entries[-1].outcome == {
+        site = Site(("127.0.0.1", 1))
+        prober.probe_extensions(site, [0xC02F])
+        assert site.trace.entries[-1].kind == "heartbleed"
+        assert site.trace.entries[-1].outcome == {
             "acknowledged": True, "vulnerable": False, "evidence_len": 0, **extra}
 
 
@@ -155,11 +156,10 @@ def test_sslv2_error_reaches_trace(db, probed, monkeypatch):
     monkeypatch.setattr(prober.engine, "tls13_probe",
                         lambda target, suites: (False, None))
     with LoopbackPeer(until_closed) as peer:  # accepts, then never answers
-        trace = ProbeTrace()
-        versions = prober.version_walk(peer.address, trace,
-                                       Version.SSLv3, [0x002F])
+        site = Site(peer.address)
+        versions = prober.version_walk(site, Version.SSLv3, [0x002F])
     assert versions == {Version.SSLv3}
-    assert [e.outcome for e in trace.entries if e.kind == "sslv2_probe"] == [
+    assert [e.outcome for e in site.trace.entries if e.kind == "sslv2_probe"] == [
         {"supported": False, "error": "TIMEOUT: read timeout"}]
 
 
@@ -191,6 +191,61 @@ def test_entries_keep_engine_facts(db, fast_policy, monkeypatch):
         assert kinds.count(kind) == 1
     assert [e["kind"] for e in entries if not e["retried"]] == [
         "sslv2_probe", "tls13_probe", "heartbleed"]
+
+
+def test_a_trickling_site_is_excluded_for_timeout(db):
+    """Against a peer that sends a byte every 0.2 s, the baseline handshake
+    and its one retry each end at the timeout, and the site is excluded."""
+    timeout = 0.5
+    prober = SiteProber(db, ProbePolicy(timeout_s=timeout, delay_max_s=0.0))
+    with LoopbackPeer(trickles(TLS_RECORD_HEADER)) as peer:
+        config, trace = prober.probe_site(peer.address)
+    assert (config, trace.exclusion_reason) == (None, "TIMEOUT")
+    assert [(e.kind, e.retried) for e in trace.entries] == [("baseline", True)]
+    assert trace.wall_time_s < 2 * timeout + 0.25
+
+
+def test_each_site_draws_its_own_delays(db, monkeypatch):
+    """One pacing delay per trace entry, within the policy's bounds, and the
+    same for a site whichever site the prober ran before it."""
+    policy = ProbePolicy(timeout_s=3.0, delay_min_s=0.01, delay_max_s=0.02,
+                         seed=7)
+    delays = []
+    monkeypatch.setattr(orchestrator.time, "sleep", delays.append)
+    single = fixtures.FixtureSpec(versions=frozenset({Version.TLS1_2}),
+                                  suites=(0xC02F,), server_preference=True)
+    with fixtures.spawn(RICH_SPEC, db) as a, fixtures.spawn(single, db) as b:
+        runs = []
+        for order in ((a, b), (b, a)):
+            prober, drawn = SiteProber(db, policy), {}
+            for ep in order:
+                delays.clear()
+                _config, trace = prober.probe_site(ep.target)
+                assert len(delays) == trace.handshake_count
+                assert all(0.01 <= d <= 0.02 for d in delays)
+                drawn[ep.target] = list(delays)
+            runs.append(drawn)
+    assert runs[0] == runs[1]
+
+
+def test_a_prober_keeps_nothing_of_a_site(db, fast_policy):
+    prober = SiteProber(db, fast_policy)
+    before = dict(vars(prober))
+    assert set(before) == {"db", "policy", "engine"}
+    spec = fixtures.FixtureSpec(versions=frozenset({Version.TLS1_2}),
+                                suites=(0xC02F,), server_preference=True)
+    with fixtures.spawn(spec, db) as ep:
+        config, _trace = prober.probe_site(ep.target)
+    assert config is not None
+    assert vars(prober) == before
+
+
+def test_trace_fields_are_what_to_json_writes(probed):
+    """Every field is written; only ``handshake_count`` and ``eligible``
+    are derived."""
+    _config, trace = probed
+    fields = {f.name for f in dataclasses.fields(ProbeTrace)}
+    assert fields == set(trace.to_json()) - {"handshake_count", "eligible"}
 
 
 def test_policy_json_round_trip():
