@@ -468,8 +468,7 @@ class HandshakeEngine:
                     returned = len(wire.parse_heartbeat(conn.heartbeat)[2])
                     leaked = max(0, returned - len(payload_sent) - 16)  # minus padding
                     return HeartbleedResult(True, leaked > 0, evidence_len=leaked)
-            return HeartbleedResult(acknowledged, False,
-                                    error=None if conn.alert is None else "alert")
+            return HeartbleedResult(acknowledged, False)  # an alert answers too
 
         result, failed = self._dial(address, exchange)
         return result or HeartbleedResult(acknowledged, False,

@@ -2,7 +2,9 @@
 elimination, extension/compression/resumption probes, assembled into a
 Configuration plus a complete ProbeTrace. ``SiteProber._record`` is the
 only producer of trace entries: one pacing delay, one engine call, one entry.
-Each ``probe_site`` call keeps its state, pacing RNG too, in its own ``Site``."""
+Each ``probe_site`` call keeps its state, pacing RNG too, in its own ``Site``.
+The entries are the only place a site's evidence is kept: every
+configuration field can be derived again from their outcomes."""
 from __future__ import annotations
 
 import logging
@@ -90,7 +92,6 @@ class TraceEntry:
 class ProbeTrace:
     entries: list[TraceEntry] = field(default_factory=list)
     wall_time_s: float = 0.0
-    partial: bool = False
     exclusion_reason: Optional[str] = None
     server_header: Optional[str] = None
 
@@ -105,7 +106,6 @@ class ProbeTrace:
         return {
             "handshake_count": self.handshake_count,
             "wall_time_s": self.wall_time_s,
-            "partial": self.partial,
             "eligible": self.exclusion_reason is None,
             "exclusion_reason": self.exclusion_reason,
             "server_header": self.server_header,
@@ -121,8 +121,6 @@ class Site:
     sni_name: str = ""
     trace: ProbeTrace = field(default_factory=ProbeTrace)
     rng: random.Random = field(default_factory=random.Random)
-    # raw FFDHE prime of the last ServerKeyExchange seen by ``_probe``
-    dh_prime: Optional[bytes] = None
 
 
 def _offer_summary(offer: HandshakeOffer) -> dict:
@@ -149,6 +147,15 @@ def _outcome_summary(outcome: HandshakeOutcome) -> dict:
         out["error"] = outcome.error
     if outcome.resumed:
         out["resumed"] = True
+    if outcome.acknowledged_extensions:
+        out["extensions"] = sorted(outcome.acknowledged_extensions)
+    kex = outcome.server_key_exchange
+    if kex is not None and kex.group_kind == "FFDHE":  # the prime's class, not it
+        out["dh_prime_bits"] = dhprimes.prime_bits(kex.dh_prime)
+        out["dh_group_common"] = dhprimes.prime_is_common(kex.dh_prime)
+    artifacts = outcome.session_artifacts
+    if artifacts is not None and artifacts.ticket is not None:
+        out["ticket_lifetime_hint_s"] = artifacts.ticket_lifetime_hint_s
     return out
 
 
@@ -195,12 +202,8 @@ class SiteProber:
         return result
 
     def _probe(self, site: Site, kind: str, offer: HandshakeOffer) -> HandshakeOutcome:
-        outcome = self._record(site, kind, _offer_summary(offer),
-                               lambda: self.engine.probe(site.address, offer))
-        kex = outcome.server_key_exchange
-        if kex is not None and kex.group_kind == "FFDHE":
-            site.dh_prime = kex.dh_prime
-        return outcome
+        return self._record(site, kind, _offer_summary(offer),
+                            lambda: self.engine.probe(site.address, offer))
 
     # -- sub-probes ------------------------------------------------------------
 
@@ -237,7 +240,6 @@ class SiteProber:
             if outcome.status != ProbeStatus.NEGOTIATED:
                 break
             if outcome.selected_version >= last:
-                site.trace.partial = True
                 logger.warning("%s: version walk did not descend (%s)",
                                site.address, outcome.selected_version.label)
                 break
@@ -257,21 +259,16 @@ class SiteProber:
     def enumerate_ciphers(self, site: Site, offer_suites: list[int]) -> list[int]:
         """Elimination loop over ``offer_suites``; returns the supported
         suites in selection order. Always |supported|+1 handshakes unless a
-        transport failure cuts it short, which marks the trace partial."""
+        transport failure cuts it short."""
         remaining = offer_suites
         supported: list[int] = []
         while remaining:
             outcome = self._probe(site, "enumerate",
                                   HandshakeOffer(suites=list(remaining)))
-            if outcome.status == ProbeStatus.NEGOTIATED:
-                suite = outcome.selected_suite
-                supported.append(suite)
-                remaining = [s for s in remaining if s != suite]
-                continue
-            if outcome.status != ProbeStatus.TLS_ALERT:
-                # transport failure survived the retry: give up on the loop
-                site.trace.partial = True
-            break
+            if outcome.status != ProbeStatus.NEGOTIATED:
+                break
+            supported.append(outcome.selected_suite)
+            remaining = [s for s in remaining if s != outcome.selected_suite]
         return supported
 
     def probe_preference(self, site: Site, supported: list[int]) -> bool:
@@ -372,13 +369,15 @@ class SiteProber:
         if not supported:
             site.trace.exclusion_reason = "NO_SUITES"
             return None
+        # each supported suite was negotiated once, a DHE one with its group
+        dh = next((e.outcome for e in reversed(site.trace.entries)
+                   if e.kind == "enumerate" and "dh_prime_bits" in e.outcome), {})
         preferred = supported[0]  # server's pick under the full offer
         preference = self.probe_preference(site, supported)
         acked, heartbleed = self.probe_extensions(site, offer_suites)
         compression = self.probe_compression(site, offer_suites)
         resumption = self.probe_resumption(site, offer_suites)
 
-        prime = site.dh_prime
         return Configuration.assemble(
             self.db, frozenset(supported), preferred,
             versions=frozenset(versions),
@@ -386,8 +385,8 @@ class SiteProber:
             extensions=frozenset(acked),
             tls_compression=compression,
             **resumption,
-            dh_prime_bits=None if prime is None else dhprimes.prime_bits(prime),
-            dh_group_common=None if prime is None else dhprimes.prime_is_common(prime),
+            dh_prime_bits=dh.get("dh_prime_bits"),
+            dh_group_common=dh.get("dh_group_common"),
             heartbleed_vulnerable=bool(heartbleed and heartbleed.vulnerable),
             cert_sig_alg=auth.value if auth in (Auth.RSA, Auth.ECDSA) else "OTHER",
         )

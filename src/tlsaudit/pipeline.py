@@ -15,6 +15,7 @@ import ipaddress
 import json
 import logging
 import socket
+import urllib.parse
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -529,8 +530,9 @@ def scan_one(prober: SiteProber, db: CipherDb, target: Target,
     finished = _now()
     trace_ref = None
     if options.trace_dir:
+        # quoting is one-to-one, so no two targets share a trace file
         trace_path = (Path(options.trace_dir)
-                      / f"{target.domain.replace(':', '_')}.trace.json")
+                      / f"{urllib.parse.quote(target.domain, safe='')}.trace.json")
         trace_path.write_text(json.dumps(trace.to_json()), encoding="utf-8")
         trace_ref = str(trace_path)
 
@@ -540,7 +542,7 @@ def scan_one(prober: SiteProber, db: CipherDb, target: Target,
         return ScanRecord(domain=target.domain, rank=target.rank,
                           address=address,
                           eligibility=Eligibility.EXCLUDED,
-                          exclusion_reason=trace.exclusion_reason or "PROBE",
+                          exclusion_reason=trace.exclusion_reason,
                           asn=asn, trace_ref=trace_ref,
                           started_at=started, finished_at=finished)
 

@@ -5,6 +5,7 @@ capture) in addition to the normal pytest verdict.
 """
 
 import dataclasses
+import json
 import random
 import time
 from collections import Counter
@@ -12,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from helpers import random_configuration
+from helpers import configuration_from_trace, random_configuration
 from test_cipherstring import EXPANSION_CORPUS, oracle_expand
 from test_grading import _STRIP_FEATURES, strip_feature
 from test_report import make_records
@@ -128,6 +129,15 @@ def test_criterion_4_handshake_budget(corpus_run, capsys):
         for _spec, config, trace in results:
             assert 14 <= trace.handshake_count <= 93, trace.handshake_count
             assert trace.count("enumerate") == len(config.supported_suites) + 1
+
+
+def test_each_configuration_derives_from_its_trace(db, corpus_run):
+    """The trace's JSON alone, read back, gives the configuration again."""
+    results, _elapsed = corpus_run
+    for spec, config, trace in results:
+        trace_json = json.loads(json.dumps(trace.to_json()))
+        derived = configuration_from_trace(trace_json, db)
+        assert derived.to_json() == config.to_json(), spec
 
 
 # -- criterion 5: grader properties over 1000 seeded configurations -----------

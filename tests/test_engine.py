@@ -268,6 +268,22 @@ def test_heartbleed_probe_without_server_hello(db, server, error):
     assert result.error == error
 
 
+def test_heartbleed_probe_answered_by_an_alert(db):
+    """A server that acks heartbeat and then answers the request with an
+    alert has answered: no leak, and no error."""
+    hello = wire.ServerHello(Version.TLS1_2, bytes(32), b"", 0xC02F, 0,
+                             {wire.ExtType.HEARTBEAT: b"\x01"})
+    flight = wire.record(wire.ContentType.HANDSHAKE, Version.TLS1_2,
+                         hello.encode() + wire.encode_ecdhe_ske()
+                         + wire.handshake_message(wire.HsType.SERVER_HELLO_DONE, b""))
+    with LoopbackPeer(wire.read_record, flight, wire.read_record,
+                      wire.alert(wire.AlertDescription.UNEXPECTED_MESSAGE),
+                      until_closed) as peer:
+        result = HandshakeEngine(db, timeout=3.0).heartbleed_probe(
+            peer.address, [0xC02F])
+    assert result == HeartbleedResult(True, False)
+
+
 def test_heartbleed_result_invariant():
     with pytest.raises(ValueError):
         HeartbleedResult(heartbeat_acknowledged=False, vulnerable=True)

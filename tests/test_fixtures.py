@@ -357,7 +357,7 @@ def test_endpoint_serves_on_after_a_broken_connection(db, fast_policy, abuse):
     with fixtures.spawn(_SERVED_SPEC, db) as ep:
         abuse(ep)
         config, trace = SiteProber(db, fast_policy).probe_site(ep.target)
-    assert trace.exclusion_reason is None and not trace.partial
+    assert trace.exclusion_reason is None
     assert config.to_json() == fixtures.projection(_SERVED_SPEC, db).to_json()
 
 

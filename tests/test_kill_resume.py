@@ -5,7 +5,8 @@ this process and gets SIGKILL at seeded points: once after its k-th record
 line, and once, resumed, while a site is mid-probe. A last resume runs here
 to the end. Every target must then be recorded exactly once with no torn
 line, and every record and trace must equal an uninterrupted run's, apart
-from timestamps and the trace's ``wall_time_s``.
+from timestamps and the trace's ``wall_time_s``. Each graded record's
+configuration must also derive again from its own trace file.
 """
 
 import json
@@ -19,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from helpers import configuration_from_trace
 
 from tlsaudit import cli, fixtures
 
@@ -101,7 +103,7 @@ def _kill_when(args: list[str], ready) -> None:
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_a_killed_scan_resumes_exactly_once(endpoints, uninterrupted,
+def test_a_killed_scan_resumes_exactly_once(db, endpoints, uninterrupted,
                                             tmp_path, seed):
     rng = random.Random(seed)
     workdir = tmp_path / "scan"
@@ -124,3 +126,8 @@ def test_a_killed_scan_resumes_exactly_once(endpoints, uninterrupted,
     assert [r["domain"] for r in records] == [f"{ep.host}:{ep.port}"
                                               for ep in endpoints]
     assert (records, traces) == uninterrupted
+    graded = [r for r in records if r["eligibility"] == "GRADED"]
+    assert graded
+    for record in graded:
+        derived = configuration_from_trace(traces[record["trace_ref"]], db)
+        assert derived.to_json() == record["configuration"], record["domain"]

@@ -16,7 +16,7 @@ from helpers import LoopbackPeer
 
 from tlsaudit import fixtures, pipeline, wire
 from tlsaudit.grading import grade
-from tlsaudit.orchestrator import SiteProber
+from tlsaudit.orchestrator import ProbeTrace, SiteProber
 from tlsaudit.pipeline import (Eligibility, PipelineError, ScanOptions,
                                ScanRecord, Target, annotate_asn, load_asn_table,
                                load_targets, parse_prefix, parse_server_header,
@@ -560,6 +560,26 @@ def test_scan_one_writes_the_trace_as_one_json_line(db, fast_policy, tmp_path):
     text = Path(record.trace_ref).read_text(encoding="utf-8")
     assert "\n" not in text
     assert json.loads(text) == traces[0].to_json()
+
+
+def test_each_target_gets_its_own_trace_file(db, tmp_path):
+    """``localhost:8443`` and ``localhost_8443`` once shared one file."""
+    class StandIn:
+        """Answers each ``probe_site`` with the next trace; dials nothing."""
+        def __init__(self):
+            self.reasons = iter(["TLS_ALERT", "NO_HTTP"])
+
+        def probe_site(self, address, sni_name=""):
+            return None, ProbeTrace(exclusion_reason=next(self.reasons))
+
+    prober, options = StandIn(), ScanOptions(trace_dir=str(tmp_path))
+    records = [pipeline.scan_one(prober, db, Target(n, domain), "127.0.0.1",
+                                 options)
+               for n, domain in enumerate(["localhost:8443", "localhost_8443"])]
+    assert records[0].trace_ref != records[1].trace_ref
+    for record, reason in zip(records, ["TLS_ALERT", "NO_HTTP"]):
+        trace = json.loads(Path(record.trace_ref).read_text(encoding="utf-8"))
+        assert (record.exclusion_reason, trace["exclusion_reason"]) == (reason, reason)
 
 
 def test_run_scan_cuts_torn_tail_and_resumes(db, fast_policy, tmp_path):
