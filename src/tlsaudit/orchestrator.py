@@ -1,10 +1,11 @@
 """Per-site measurement: baseline browser emulation, version walk, cipher
-elimination, extension/compression/resumption probes, assembled into a
-Configuration plus a complete ProbeTrace. ``SiteProber._record`` is the
-only producer of trace entries: one pacing delay, one engine call, one entry.
+elimination, extension/compression/resumption probes, recorded in a complete
+ProbeTrace. ``SiteProber._record`` is the only producer of trace entries:
+one pacing delay, one engine call, one entry, timed in ``elapsed_ms``.
 Each ``probe_site`` call keeps its state, pacing RNG too, in its own ``Site``.
-The entries are the only place a site's evidence is kept: every
-configuration field can be derived again from their outcomes."""
+The entries are the only place a site's evidence is kept, and the phases
+only gather it: the configuration is derived from their outcomes, by
+``configuration_of``, which also rechecks a trace file offline."""
 from __future__ import annotations
 
 import logging
@@ -22,7 +23,7 @@ from .engine import (
 )
 from .registry import (
     INT, NULL, NUMBER, Auth, CipherDb, Version, browser_union, cert_compatible,
-    check_fields, sort_offer, suite_label,
+    check_fields, sort_offer, suite_id, suite_label,
 )
 from .wire import Compression
 
@@ -86,6 +87,7 @@ class TraceEntry:
     offer: dict
     outcome: dict
     retried: bool = False
+    elapsed_ms: float = 0.0  # the engine call alone, not the pacing delay
 
 
 @dataclass
@@ -196,9 +198,12 @@ class SiteProber:
                 call: Callable[[], Any], summary=_outcome_summary) -> Any:
         """Pace, make one engine ``call`` and append the entry it earns."""
         self._pace(site)
+        started = time.monotonic()
         result = call()
+        elapsed_ms = round((time.monotonic() - started) * 1000, 3)
         site.trace.entries.append(TraceEntry(kind, offer_summary, summary(result),
-                                             retried=getattr(result, "retried", False)))
+                                             retried=getattr(result, "retried", False),
+                                             elapsed_ms=elapsed_ms))
         return result
 
     def _probe(self, site: Site, kind: str, offer: HandshakeOffer) -> HandshakeOutcome:
@@ -230,8 +235,7 @@ class SiteProber:
         return outcome
 
     def version_walk(self, site: Site, baseline_version: Version,
-                     offer_suites: list[int]) -> set[Version]:
-        versions = {baseline_version}
+                     offer_suites: list[int]) -> None:
         last = baseline_version
         while last > Version.SSLv3:
             older = [v for v in _WALK_LADDER if v < last]
@@ -243,18 +247,13 @@ class SiteProber:
                 logger.warning("%s: version walk did not descend (%s)",
                                site.address, outcome.selected_version.label)
                 break
-            versions.add(outcome.selected_version)
             last = outcome.selected_version
         # the two out-of-ladder checks
-        if self._record(site, "sslv2_probe", {"sslv2": True},
-                        lambda: self.engine.sslv2_probe(site.address),
-                        _support_summary)[0]:
-            versions.add(Version.SSLv2)
-        if self._record(site, "tls13_probe", {"tls13": True},
-                        lambda: self.engine.tls13_probe(site.address, offer_suites),
-                        _support_summary)[0]:
-            versions.add(Version.TLS1_3)
-        return versions
+        self._record(site, "sslv2_probe", {"sslv2": True},
+                     lambda: self.engine.sslv2_probe(site.address), _support_summary)
+        self._record(site, "tls13_probe", {"tls13": True},
+                     lambda: self.engine.tls13_probe(site.address, offer_suites),
+                     _support_summary)
 
     def enumerate_ciphers(self, site: Site, offer_suites: list[int]) -> list[int]:
         """Elimination loop over ``offer_suites``; returns the supported
@@ -271,50 +270,32 @@ class SiteProber:
             remaining = [s for s in remaining if s != outcome.selected_suite]
         return supported
 
-    def probe_preference(self, site: Site, supported: list[int]) -> bool:
-        """Two opposite-order offers; preference holds iff the server picks
-        the same suite both times and it is not simply our first listing."""
+    def probe_preference(self, site: Site, supported: list[int]) -> None:
+        """Two opposite-order offers of the supported suites."""
         order = sort_offer(self.db, supported)
-        first = self._probe(site, "preference", HandshakeOffer(suites=order))
-        second = self._probe(site, "preference",
-                             HandshakeOffer(suites=list(reversed(order))))
-        if (first.status != ProbeStatus.NEGOTIATED
-                or second.status != ProbeStatus.NEGOTIATED):
-            return False
-        if first.selected_suite != second.selected_suite:
-            return False
-        client_first_both = (first.selected_suite == order[0]
-                             and second.selected_suite == order[-1])
-        return not client_first_both
+        self._probe(site, "preference", HandshakeOffer(suites=order))
+        self._probe(site, "preference", HandshakeOffer(suites=list(reversed(order))))
 
-    def probe_extensions(self, site: Site, offer_suites: list[int],
-                         ) -> tuple[set[str], Optional[HeartbleedResult]]:
+    def probe_extensions(self, site: Site, offer_suites: list[int]) -> None:
         offer = HandshakeOffer(
             suites=offer_suites, extensions=set(_EXTENSION_PROBE_SET),
             sni_name="probe.invalid",
         )
         outcome = self._probe(site, "extensions", offer)
-        acked = (set(outcome.acknowledged_extensions)
-                 if outcome.status == ProbeStatus.NEGOTIATED else set())
-        heartbleed = None
-        if "heartbeat" in acked:
-            heartbleed = self._record(
-                site, "heartbleed", {"heartbeat_overread": True},
-                lambda: self.engine.heartbleed_probe(site.address, offer_suites),
-                _heartbleed_summary)
-        return acked, heartbleed
+        if (outcome.status == ProbeStatus.NEGOTIATED
+                and "heartbeat" in outcome.acknowledged_extensions):
+            self._record(site, "heartbleed", {"heartbeat_overread": True},
+                         lambda: self.engine.heartbleed_probe(site.address,
+                                                              offer_suites),
+                         _heartbleed_summary)
 
-    def probe_compression(self, site: Site, offer_suites: list[int]) -> bool:
-        offer = HandshakeOffer(
+    def probe_compression(self, site: Site, offer_suites: list[int]) -> None:
+        self._probe(site, "compression", HandshakeOffer(
             suites=offer_suites,
             compression_methods=[Compression.DEFLATE, Compression.LZS,
-                                 Compression.NULL],
-        )
-        outcome = self._probe(site, "compression", offer)
-        return (outcome.status == ProbeStatus.NEGOTIATED
-                and bool(outcome.selected_compression))
+                                 Compression.NULL]))
 
-    def probe_resumption(self, site: Site, offer_suites: list[int]) -> dict:
+    def probe_resumption(self, site: Site, offer_suites: list[int]) -> None:
         # mechanism 1: session id. Establish, then replay the id (or a
         # synthetic one, keeping the handshake budget constant).
         offer = HandshakeOffer(suites=offer_suites, complete=True)
@@ -322,9 +303,8 @@ class SiteProber:
         artifacts = est.session_artifacts or SessionArtifacts()
         replay = replace(offer, resumption_session_id=(artifacts.session_id
                                                        or os.urandom(32)))
-        res = self._record(site, "resume_id",
-                           {"session_id": bool(artifacts.session_id)},
-                           lambda: self.engine.probe(site.address, replay))
+        self._record(site, "resume_id", {"session_id": bool(artifacts.session_id)},
+                     lambda: self.engine.probe(site.address, replay))
 
         # mechanism 2: tickets
         offer = HandshakeOffer(suites=offer_suites, extensions={"session_ticket"},
@@ -336,11 +316,6 @@ class SiteProber:
         self._record(site, "resume_ticket",
                      {"ticket": t_artifacts.ticket is not None},
                      lambda: self.engine.probe(site.address, replay_t))
-        return {
-            "session_id_resumption": res.resumed,
-            "session_tickets": t_artifacts.ticket is not None,
-            "ticket_lifetime_hint_s": t_artifacts.ticket_lifetime_hint_s,
-        }
 
     # -- the composite ---------------------------------------------------------
 
@@ -364,29 +339,89 @@ class SiteProber:
         offer_suites = cert_compatible(
             self.db, Auth.ECDSA if auth == Auth.ECDSA else Auth.RSA)
 
-        versions = self.version_walk(site, baseline.selected_version, offer_suites)
+        self.version_walk(site, baseline.selected_version, offer_suites)
         supported = self.enumerate_ciphers(site, offer_suites)
         if not supported:
             site.trace.exclusion_reason = "NO_SUITES"
             return None
-        # each supported suite was negotiated once, a DHE one with its group
-        dh = next((e.outcome for e in reversed(site.trace.entries)
-                   if e.kind == "enumerate" and "dh_prime_bits" in e.outcome), {})
-        preferred = supported[0]  # server's pick under the full offer
-        preference = self.probe_preference(site, supported)
-        acked, heartbleed = self.probe_extensions(site, offer_suites)
-        compression = self.probe_compression(site, offer_suites)
-        resumption = self.probe_resumption(site, offer_suites)
+        self.probe_preference(site, supported)
+        self.probe_extensions(site, offer_suites)
+        self.probe_compression(site, offer_suites)
+        self.probe_resumption(site, offer_suites)
+        return configuration_of(site.trace.to_json(), self.db)
 
-        return Configuration.assemble(
-            self.db, frozenset(supported), preferred,
-            versions=frozenset(versions),
-            server_preference=preference,
-            extensions=frozenset(acked),
-            tls_compression=compression,
-            **resumption,
-            dh_prime_bits=dh.get("dh_prime_bits"),
-            dh_group_common=dh.get("dh_group_common"),
-            heartbleed_vulnerable=bool(heartbleed and heartbleed.vulnerable),
-            cert_sig_alg=auth.value if auth in (Auth.RSA, Auth.ECDSA) else "OTHER",
-        )
+
+def configuration_of(trace_json: dict, db: CipherDb) -> Optional[Configuration]:
+    """The configuration that a trace's JSON shows, read from its entries
+    alone, or None for an excluded site. ``probe_site`` returns this, and a
+    trace file that ``scan --trace-dir`` wrote can be rechecked offline with
+    it. An eligible trace that lacks a graded site's evidence, such as a
+    second ``baseline`` entry or no ``enumerate`` entry that negotiated,
+    raises ``ValueError`` naming that kind."""
+    if not trace_json["eligible"]:
+        return None
+    entries = trace_json["entries"]
+
+    def of(kind: str, count: Optional[int] = None) -> list[dict]:
+        found = [e for e in entries if e["kind"] == kind]
+        if count is not None and len(found) != count:
+            raise ValueError(f"a graded trace holds {count} {kind!r} entries, "
+                             f"not {len(found)}")
+        return found
+
+    def outcome(kind: str) -> dict:
+        return of(kind, 1)[0]["outcome"]
+
+    def negotiated(kind: str) -> list[dict]:
+        return [e["outcome"] for e in of(kind)
+                if e["outcome"]["status"] == "NEGOTIATED"]
+
+    baseline = outcome("baseline")
+    if baseline["status"] != "NEGOTIATED":
+        raise ValueError("a graded trace's 'baseline' entry did not negotiate")
+    versions = {Version.from_label(baseline["version"])}
+    for walked in negotiated("version_walk"):  # the walk ends at a step not lower
+        version = Version.from_label(walked["version"])
+        if version < min(versions):
+            versions.add(version)
+    for kind, version in (("sslv2_probe", Version.SSLv2),
+                          ("tls13_probe", Version.TLS1_3)):
+        if outcome(kind)["supported"]:
+            versions.add(version)
+
+    # each supported suite was negotiated once, a DHE one with its group
+    enumerated = negotiated("enumerate")
+    if not enumerated:
+        raise ValueError("a graded trace holds no 'enumerate' entry that negotiated")
+    suites = [suite_id(o["suite"]) for o in enumerated]
+    dh = next((o for o in reversed(enumerated) if "dh_prime_bits" in o), {})
+    # preference holds iff the server picks the same suite from two opposite
+    # orders and it is not simply the client's first listing both times
+    preference = of("preference", 2)
+    picks = [e["outcome"].get("suite") for e in preference]
+    server_preference = (
+        all(e["outcome"]["status"] == "NEGOTIATED" for e in preference)
+        and picks[0] == picks[1]
+        and picks != [e["offer"]["suites"][0] for e in preference])
+
+    extensions = outcome("extensions")
+    compression = outcome("compression")
+    ticket = outcome("resume_establish_ticket")
+    # the suite fixes the certificate's key type (RFC 5246 section 7.4.2)
+    auth = db[suite_id(baseline["suite"])].auth
+    return Configuration.assemble(
+        db, suites, suites[0],  # the server's pick under the full offer
+        versions=frozenset(versions),
+        server_preference=server_preference,
+        extensions=frozenset(extensions.get("extensions", ())
+                             if extensions["status"] == "NEGOTIATED" else ()),
+        tls_compression=(compression["status"] == "NEGOTIATED"
+                         and bool(compression.get("compression"))),
+        session_id_resumption=outcome("resume_id").get("resumed", False),
+        session_tickets="ticket_lifetime_hint_s" in ticket,
+        ticket_lifetime_hint_s=ticket.get("ticket_lifetime_hint_s"),
+        dh_prime_bits=dh.get("dh_prime_bits"),
+        dh_group_common=dh.get("dh_group_common"),
+        heartbleed_vulnerable=any(e["outcome"]["vulnerable"] for e in of("heartbleed")),
+        cert_sig_alg=auth.value if auth in (Auth.RSA, Auth.ECDSA) else "OTHER",
+    )

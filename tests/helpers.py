@@ -1,5 +1,4 @@
-"""Shared generators for property-style tests, a scripted loopback peer,
-and a reference derivation of a configuration from its trace."""
+"""Shared generators for property-style tests and a scripted loopback peer."""
 
 import random
 import socket
@@ -8,7 +7,7 @@ import time
 
 from tlsaudit import wire
 from tlsaudit.configuration import Configuration, compute_kex_flags
-from tlsaudit.registry import Auth, CipherDb, Version, sort_offer, suite_id
+from tlsaudit.registry import CipherDb, Version, sort_offer
 
 ALL_VERSIONS = (Version.SSLv2, Version.SSLv3, Version.TLS1_0,
                 Version.TLS1_1, Version.TLS1_2, Version.TLS1_3)
@@ -131,55 +130,3 @@ def trickles(prefix: bytes):
             time.sleep(0.2)
     return step
 
-
-def configuration_from_trace(trace_json: dict, db: CipherDb) -> Configuration:
-    """The configuration that a graded trace's JSON shows, read from its
-    entries alone: a reference for the prober's own assembly."""
-    entries = trace_json["entries"]
-
-    def outcomes(kind):
-        return [e["outcome"] for e in entries if e["kind"] == kind]
-
-    def negotiated(kind):
-        return [o for o in outcomes(kind) if o["status"] == "NEGOTIATED"]
-
-    baseline, = negotiated("baseline")
-    versions = {Version.from_label(baseline["version"])}
-    for outcome in negotiated("version_walk"):
-        version = Version.from_label(outcome["version"])
-        if version < min(versions):
-            versions.add(version)
-    for kind, version in (("sslv2_probe", Version.SSLv2),
-                          ("tls13_probe", Version.TLS1_3)):
-        if outcomes(kind)[0]["supported"]:
-            versions.add(version)
-
-    enumerated = negotiated("enumerate")
-    suites = [suite_id(o["suite"]) for o in enumerated]
-    preference = [e for e in entries if e["kind"] == "preference"]
-    picks = [e["outcome"].get("suite") for e in preference]
-    server_preference = (
-        all(e["outcome"]["status"] == "NEGOTIATED" for e in preference)
-        and picks[0] == picks[1]
-        and picks != [e["offer"]["suites"][0] for e in preference])
-    dh = next((o for o in reversed(enumerated) if "dh_prime_bits" in o), {})
-    extensions, = outcomes("extensions")
-    compression, = outcomes("compression")
-    resume_id, = outcomes("resume_id")
-    ticket, = outcomes("resume_establish_ticket")
-    auth = db[suite_id(baseline["suite"])].auth
-    return Configuration.assemble(
-        db, suites, suites[0],
-        versions=frozenset(versions),
-        server_preference=server_preference,
-        extensions=frozenset(extensions.get("extensions", ())),
-        tls_compression=(compression["status"] == "NEGOTIATED"
-                         and bool(compression.get("compression"))),
-        session_id_resumption=resume_id.get("resumed", False),
-        session_tickets="ticket_lifetime_hint_s" in ticket,
-        ticket_lifetime_hint_s=ticket.get("ticket_lifetime_hint_s"),
-        dh_prime_bits=dh.get("dh_prime_bits"),
-        dh_group_common=dh.get("dh_group_common"),
-        heartbleed_vulnerable=any(o["vulnerable"] for o in outcomes("heartbleed")),
-        cert_sig_alg=auth.value if auth in (Auth.RSA, Auth.ECDSA) else "OTHER",
-    )

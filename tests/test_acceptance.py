@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from helpers import configuration_from_trace, random_configuration
+from helpers import random_configuration
 from test_cipherstring import EXPANSION_CORPUS, oracle_expand
 from test_grading import _STRIP_FEATURES, strip_feature
 from test_report import make_records
@@ -23,7 +23,7 @@ from tlsaudit.configuration import Configuration
 from tlsaudit.grading import (Category, Grade, derive_vulnerabilities,
                               downgrade_table, grade, grade_compression,
                               grade_preferred)
-from tlsaudit.orchestrator import ProbePolicy, SiteProber
+from tlsaudit.orchestrator import ProbePolicy, SiteProber, configuration_of
 from tlsaudit.pipeline import Eligibility
 from tlsaudit.registry import Version
 
@@ -136,7 +136,7 @@ def test_each_configuration_derives_from_its_trace(db, corpus_run):
     results, _elapsed = corpus_run
     for spec, config, trace in results:
         trace_json = json.loads(json.dumps(trace.to_json()))
-        derived = configuration_from_trace(trace_json, db)
+        derived = configuration_of(trace_json, db)
         assert derived.to_json() == config.to_json(), spec
 
 

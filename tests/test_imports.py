@@ -22,6 +22,10 @@ The scan pipeline has one ethics gate: ``run_scan`` is the one caller of
 ``_resolve`` and of ``_refuse_outside_loopback``, so each target is resolved
 once and a mixed target list is refused before anything is written.
 
+A site's configuration has one derivation: in the orchestrator,
+``Configuration.assemble`` is called only by ``configuration_of``, which
+reads a trace's JSON, so no probe phase can grow a result of its own.
+
 ``hashlib`` maps OpenSSL's libcrypto, several megabytes of resident memory,
 and only ``report.config_key`` needs it; a fresh interpreter checks that
 importing the package and probing a site leave it unloaded, since the test
@@ -118,11 +122,12 @@ def test_only_dial_catches_socket_timeout():
 
 def _users(node, name: str, func=None) -> list[str]:
     """The enclosing function of each read of the name ``name`` under
-    ``node``, a call or any other."""
+    ``node``, a call or any other, bare or as an attribute."""
     found = []
     for child in ast.iter_child_nodes(node):
         inner = child.name if isinstance(child, ast.FunctionDef) else func
-        if isinstance(child, ast.Name) and child.id == name:
+        if (isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name):
             found.append(func)
         found += _users(child, name, inner)
     return found
@@ -133,6 +138,12 @@ def test_only_run_scan_resolves_and_gates(name):
     path = SRC / "pipeline.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _users(tree, name) == ["run_scan"]
+
+
+def test_only_configuration_of_assembles_a_configuration():
+    path = SRC / "orchestrator.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _users(tree, "assemble") == ["configuration_of"]
 
 
 _LAZY_HASHLIB = """

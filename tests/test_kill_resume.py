@@ -5,8 +5,9 @@ this process and gets SIGKILL at seeded points: once after its k-th record
 line, and once, resumed, while a site is mid-probe. A last resume runs here
 to the end. Every target must then be recorded exactly once with no torn
 line, and every record and trace must equal an uninterrupted run's, apart
-from timestamps and the trace's ``wall_time_s``. Each graded record's
-configuration must also derive again from its own trace file.
+from timestamps, the trace's ``wall_time_s`` and its entries' ``elapsed_ms``.
+Each graded record's configuration must also derive again from its own trace
+file, through ``orchestrator.configuration_of``.
 """
 
 import json
@@ -20,9 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from helpers import configuration_from_trace
 
 from tlsaudit import cli, fixtures
+from tlsaudit.orchestrator import configuration_of
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SITES = 4
@@ -63,7 +64,8 @@ def _lines(path: Path) -> int:
 
 def _outputs(workdir: Path):
     """The scan's records and traces, without what differs between two runs:
-    timestamps, the trace's directory and its ``wall_time_s``."""
+    timestamps, the trace's directory, its ``wall_time_s`` and its entries'
+    ``elapsed_ms``."""
     data = (workdir / "scan.jsonl").read_bytes()
     assert data.endswith(b"\n"), "torn final line"
     records = [json.loads(line) for line in data.splitlines()]
@@ -74,6 +76,8 @@ def _outputs(workdir: Path):
     for path in (workdir / "traces").iterdir():
         traces[path.name] = json.loads(path.read_text(encoding="utf-8"))
         del traces[path.name]["wall_time_s"]
+        for entry in traces[path.name]["entries"]:
+            del entry["elapsed_ms"]
     return records, traces
 
 
@@ -129,5 +133,5 @@ def test_a_killed_scan_resumes_exactly_once(db, endpoints, uninterrupted,
     graded = [r for r in records if r["eligibility"] == "GRADED"]
     assert graded
     for record in graded:
-        derived = configuration_from_trace(traces[record["trace_ref"]], db)
+        derived = configuration_of(traces[record["trace_ref"]], db)
         assert derived.to_json() == record["configuration"], record["domain"]

@@ -6,8 +6,9 @@ from helpers import TLS_RECORD_HEADER, LoopbackPeer, trickles, until_closed
 from tlsaudit import dhprimes, fixtures, orchestrator, wire
 from tlsaudit.engine import (HandshakeOutcome, HeartbleedResult, HttpResult,
                              ProbeStatus)
-from tlsaudit.orchestrator import ProbePolicy, ProbeTrace, Site, SiteProber
-from tlsaudit.registry import Auth, Version, cert_compatible
+from tlsaudit.orchestrator import (ProbePolicy, ProbeTrace, Site, SiteProber,
+                                   configuration_of)
+from tlsaudit.registry import Auth, Version, cert_compatible, suite_label
 
 RICH_SPEC = fixtures.FixtureSpec(
     versions=frozenset({Version.TLS1_0, Version.TLS1_1, Version.TLS1_2}),
@@ -112,23 +113,67 @@ def test_uncommon_prime_detected(db, fast_policy):
 ], ids=["rsa", "ecdsa", "dss"])
 def test_certificate_key_type_comes_from_the_baseline_suite(
         db, fast_policy, monkeypatch, suite, key_type, enumerated):
+    def server(answers_all: bool):
+        """Picks ``suite`` when offered, else the offer's first suite; unless
+        ``answers_all``, it answers only the baseline and its GET."""
+        def probe(target, offer):
+            if not answers_all and "renegotiation_info" not in offer.extensions:
+                return HandshakeOutcome(ProbeStatus.TLS_ALERT, alert_code=40)
+            return HandshakeOutcome(
+                ProbeStatus.NEGOTIATED, selected_version=Version.TLS1_2,
+                selected_suite=suite if suite in offer.suites else offer.suites[0],
+                http=HttpResult(200, None))
+        return probe
+
     prober = SiteProber(db, fast_policy)
-    monkeypatch.setattr(prober.engine, "probe", lambda target, offer: HandshakeOutcome(
-        ProbeStatus.NEGOTIATED, selected_version=Version.TLS1_2,
-        selected_suite=suite if suite in offer.suites else offer.suites[0],
-        http=HttpResult(200, None)))
     monkeypatch.setattr(prober.engine, "sslv2_probe", lambda target: (False, None))
     monkeypatch.setattr(prober.engine, "tls13_probe",
                         lambda target, suites: (False, None))
-    offers = []
-    monkeypatch.setattr(prober, "enumerate_ciphers",
-                        lambda site, suites: offers.append(suites) or [])
+    monkeypatch.setattr(prober.engine, "probe", server(answers_all=False))
     config, trace = prober.probe_site(("127.0.0.1", 1))
     assert (config, trace.exclusion_reason) == (None, "NO_SUITES")
-    assert offers == [cert_compatible(db, enumerated)]
-    monkeypatch.setattr(prober, "enumerate_ciphers", lambda site, suites: [suite])
+    assert [e.offer["suites"] for e in trace.entries if e.kind == "enumerate"] == [
+        [suite_label(s) for s in cert_compatible(db, enumerated)]]
+    monkeypatch.setattr(prober.engine, "probe", server(answers_all=True))
     config, _trace = prober.probe_site(("127.0.0.1", 1))
     assert config.cert_sig_alg == key_type
+
+
+def test_an_excluded_trace_has_no_configuration(db):
+    trace = ProbeTrace(exclusion_reason="NO_HTTP")
+    assert configuration_of(trace.to_json(), db) is None
+
+
+# the kinds a graded trace holds a fixed number of
+COUNTED_KINDS = ["baseline", "sslv2_probe", "tls13_probe", "preference",
+                 "extensions", "compression", "resume_id",
+                 "resume_establish_ticket"]
+
+
+@pytest.mark.parametrize("kind", COUNTED_KINDS + ["enumerate"])
+def test_a_trace_without_a_kind_names_it(db, probed, kind):
+    """A trace file is input from outside the program: one that lacks a
+    kind of evidence raises ValueError naming that kind."""
+    trace_json = probed[1].to_json()
+    trace_json["entries"] = [e for e in trace_json["entries"] if e["kind"] != kind]
+    with pytest.raises(ValueError, match=f"'{kind}'"):
+        configuration_of(trace_json, db)
+
+
+@pytest.mark.parametrize("kind", COUNTED_KINDS)
+def test_a_trace_with_a_doubled_kind_names_it(db, probed, kind):
+    trace_json = probed[1].to_json()
+    trace_json["entries"] += [e for e in trace_json["entries"] if e["kind"] == kind]
+    with pytest.raises(ValueError, match=f"'{kind}'"):
+        configuration_of(trace_json, db)
+
+
+def test_a_graded_trace_whose_baseline_failed_names_it(db, probed):
+    trace_json = probed[1].to_json()
+    trace_json["entries"][0] = {**trace_json["entries"][0],
+                                "outcome": {"status": "TIMEOUT"}}
+    with pytest.raises(ValueError, match="'baseline'"):
+        configuration_of(trace_json, db)
 
 
 def test_heartbleed_error_reaches_trace(db, fast_policy, monkeypatch):
@@ -157,10 +202,10 @@ def test_sslv2_error_reaches_trace(db, probed, monkeypatch):
                         lambda target, suites: (False, None))
     with LoopbackPeer(until_closed) as peer:  # accepts, then never answers
         site = Site(peer.address)
-        versions = prober.version_walk(site, Version.SSLv3, [0x002F])
-    assert versions == {Version.SSLv3}
-    assert [e.outcome for e in site.trace.entries if e.kind == "sslv2_probe"] == [
-        {"supported": False, "error": "TIMEOUT: read timeout"}]
+        prober.version_walk(site, Version.SSLv3, [0x002F])
+    assert [(e.kind, e.outcome) for e in site.trace.entries] == [
+        ("sslv2_probe", {"supported": False, "error": "TIMEOUT: read timeout"}),
+        ("tls13_probe", {"supported": False})]
 
 
 def test_entries_keep_engine_facts(db, fast_policy, monkeypatch):
