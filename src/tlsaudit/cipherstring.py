@@ -55,7 +55,6 @@ class Term:
 @dataclass
 class CipherExpr:
     terms: list[Term]
-    ignored_directives: list[str] = field(default_factory=list)
 
     def __str__(self) -> str:
         return ":".join(str(t) for t in self.terms)
@@ -163,13 +162,11 @@ def parse_cipher_string(text: str) -> CipherExpr:
     if not text or not text.strip(":, "):
         raise CipherStringError("empty cipher string")
     terms: list[Term] = []
-    ignored: list[str] = []
     for m in _TOKEN_RE.finditer(text):
         token, offset = m.group(0), m.start()
         if token.startswith("@"):
             logger.warning("ignoring ordering directive %r at offset %d "
                            "(does not affect the support set)", token, offset)
-            ignored.append(token)
             continue
         modifier = Modifier.NONE
         body = token
@@ -187,7 +184,7 @@ def parse_cipher_string(text: str) -> CipherExpr:
         terms.append(Term(modifier, tuple(keywords)))
     if not terms:
         raise CipherStringError("cipher string contains no cipher terms")
-    return CipherExpr(terms=terms, ignored_directives=ignored)
+    return CipherExpr(terms=terms)
 
 
 def _keyword_set(db: CipherDb, keyword: str) -> frozenset[int]:
@@ -300,6 +297,9 @@ class Recommendation:
                 and self.session_tickets is None
                 and self.dh_params_bits is None):
             raise RecommendationError("recommendation carries no directives")
+        if self.dh_params_bits is not None and self.dh_params_bits < 1:
+            raise RecommendationError(f"dh_params_bits must be at least 1, "
+                                      f"not {self.dh_params_bits!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "Recommendation":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import sys
@@ -54,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--asn-table",
                         help="UTF-8 CSV of prefix,asn,as_name rows")
     p_scan.add_argument("--trace-dir", help="directory for per-site traces")
-    p_scan.add_argument("--seed", type=int, help="politeness jitter seed")
     p_scan.add_argument("--i-understand-scanning-ethics", action="store_true",
                         dest="ethics",
                         help="required to scan anything outside loopback")
@@ -103,11 +101,9 @@ def cmd_scan(args) -> int:
     if not targets:
         raise pipeline.PipelineError("no valid targets")
 
-    policy = ProbePolicy(delay_min_s=0.0, delay_max_s=0.0, seed=args.seed)
-    if args.policy:
-        policy = pipeline.load_policy(args.policy)
-        if args.seed is not None:
-            policy = dataclasses.replace(policy, seed=args.seed)
+    # without a policy file: the default timeout and no pacing
+    policy = (pipeline.load_policy(args.policy) if args.policy
+              else ProbePolicy(delay_max_s=0.0))
 
     options = pipeline.ScanOptions(
         allow_non_loopback=args.ethics,

@@ -97,13 +97,6 @@ class HandshakeOffer:
 
 
 @dataclass
-class SessionArtifacts:
-    session_id: bytes = b""
-    ticket: Optional[bytes] = None
-    ticket_lifetime_hint_s: Optional[int] = None
-
-
-@dataclass
 class HttpResult:
     status_code: int
     server_header: Optional[str]
@@ -117,7 +110,9 @@ class HandshakeOutcome:
     selected_compression: Optional[int] = None
     acknowledged_extensions: set[str] = field(default_factory=set)
     server_key_exchange: Optional[ServerKeyExchange] = None
-    session_artifacts: Optional[SessionArtifacts] = None
+    session_id: bytes = b""
+    ticket: Optional[bytes] = None
+    ticket_lifetime_hint_s: Optional[int] = None
     resumed: bool = False
     alert_code: Optional[int] = None
     error: Optional[str] = None
@@ -169,7 +164,8 @@ class _Connection:
     db: CipherDb
     server_hello: Optional[ServerHello] = None
     kex: Optional[ServerKeyExchange] = None
-    artifacts: SessionArtifacts = field(default_factory=SessionArtifacts)
+    ticket: Optional[bytes] = None
+    ticket_lifetime_hint_s: Optional[int] = None
     resumed: bool = False
     hello_done: bool = False
     finished: bool = False
@@ -229,8 +225,8 @@ class _Connection:
             self.kex = ServerKeyExchange.parse_for_suite(body, is_ffdhe)
         elif hs_type == HsType.NEW_SESSION_TICKET:
             nst = NewSessionTicket.parse(body)
-            self.artifacts.ticket = nst.ticket
-            self.artifacts.ticket_lifetime_hint_s = nst.lifetime_hint_s
+            self.ticket = nst.ticket
+            self.ticket_lifetime_hint_s = nst.lifetime_hint_s
         elif hs_type == HsType.SERVER_HELLO_DONE:
             self.hello_done = True
         elif hs_type == HsType.FINISHED:
@@ -342,9 +338,6 @@ class HandshakeEngine:
         resumed = conn.resumed
         selected_version = server_hello.selected_version
 
-        if server_hello.session_id:
-            conn.artifacts.session_id = server_hello.session_id
-
         http_result = None
         needs_completion = offer.complete or offer.http_get or resumed
         if needs_completion and selected_version != Version.TLS1_3:
@@ -367,7 +360,9 @@ class HandshakeEngine:
             selected_compression=server_hello.compression,
             acknowledged_extensions=conn.acked_extensions,
             server_key_exchange=conn.kex,
-            session_artifacts=conn.artifacts,
+            session_id=server_hello.session_id,
+            ticket=conn.ticket,
+            ticket_lifetime_hint_s=conn.ticket_lifetime_hint_s,
             resumed=bool(resumed_final),
             http=http_result,
         )

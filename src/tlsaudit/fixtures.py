@@ -57,7 +57,7 @@ from .dhprimes import (
 )
 from .registry import (
     KEX_RANK, Auth, CipherDb, CipherFamily, CipherMode, Kex, Mac, Version,
-    cert_compatible, sort_offer, suite_id, suite_label,
+    cert_compatible, sort_offer, suite_label,
 )
 from .wire import (
     VERSION_BY_WORD, AlertDescription, ClientHello, Compression, ContentType,
@@ -122,21 +122,6 @@ class FixtureSpec:
             "server_header": self.server_header,
             "cert_kind": self.cert_kind,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FixtureSpec":
-        return cls(
-            versions=frozenset(Version.from_label(v) for v in obj["versions"]),
-            suites=tuple(suite_id(s) for s in obj["suites"]),
-            server_preference=obj.get("server_preference", False),
-            session_id_cache=obj.get("session_id_cache", False),
-            tickets=obj.get("tickets"),
-            compression=obj.get("compression", False),
-            ffdhe_prime=obj.get("ffdhe_prime"),
-            heartbeat=obj.get("heartbeat", HEARTBEAT_OFF),
-            server_header=obj.get("server_header", "fixture"),
-            cert_kind=obj.get("cert_kind", "RSA"),
-        )
 
 
 # -- self-signed certificates (checked in; see the module docstring) -------

@@ -19,10 +19,10 @@ from . import dhprimes
 from .configuration import Configuration
 from .engine import (
     HandshakeEngine, HandshakeOffer, HandshakeOutcome, HeartbleedResult,
-    ProbeStatus, SessionArtifacts,
+    ProbeStatus,
 )
 from .registry import (
-    INT, NULL, NUMBER, Auth, CipherDb, Version, browser_union, cert_compatible,
+    INT, NULL, NUMBER, CipherDb, Version, browser_union, cert_compatible,
     check_fields, sort_offer, suite_id, suite_label,
 )
 from .wire import Compression
@@ -155,9 +155,8 @@ def _outcome_summary(outcome: HandshakeOutcome) -> dict:
     if kex is not None and kex.group_kind == "FFDHE":  # the prime's class, not it
         out["dh_prime_bits"] = dhprimes.prime_bits(kex.dh_prime)
         out["dh_group_common"] = dhprimes.prime_is_common(kex.dh_prime)
-    artifacts = outcome.session_artifacts
-    if artifacts is not None and artifacts.ticket is not None:
-        out["ticket_lifetime_hint_s"] = artifacts.ticket_lifetime_hint_s
+    if outcome.ticket is not None:
+        out["ticket_lifetime_hint_s"] = outcome.ticket_lifetime_hint_s
     return out
 
 
@@ -300,21 +299,18 @@ class SiteProber:
         # synthetic one, keeping the handshake budget constant).
         offer = HandshakeOffer(suites=offer_suites, complete=True)
         est = self._probe(site, "resume_establish_id", offer)
-        artifacts = est.session_artifacts or SessionArtifacts()
-        replay = replace(offer, resumption_session_id=(artifacts.session_id
+        replay = replace(offer, resumption_session_id=(est.session_id
                                                        or os.urandom(32)))
-        self._record(site, "resume_id", {"session_id": bool(artifacts.session_id)},
+        self._record(site, "resume_id", {"session_id": bool(est.session_id)},
                      lambda: self.engine.probe(site.address, replay))
 
         # mechanism 2: tickets
         offer = HandshakeOffer(suites=offer_suites, extensions={"session_ticket"},
                                complete=True)
         est_t = self._probe(site, "resume_establish_ticket", offer)
-        t_artifacts = est_t.session_artifacts or SessionArtifacts()
-        replay_t = replace(offer, resumption_ticket=(t_artifacts.ticket
+        replay_t = replace(offer, resumption_ticket=(est_t.ticket
                                                      or os.urandom(48)))
-        self._record(site, "resume_ticket",
-                     {"ticket": t_artifacts.ticket is not None},
+        self._record(site, "resume_ticket", {"ticket": est_t.ticket is not None},
                      lambda: self.engine.probe(site.address, replay_t))
 
     # -- the composite ---------------------------------------------------------
@@ -335,9 +331,10 @@ class SiteProber:
         if baseline is None:
             return None
         # the suite fixes the certificate's key type (RFC 5246 section 7.4.2)
-        auth = self.db[baseline.selected_suite].auth
-        offer_suites = cert_compatible(
-            self.db, Auth.ECDSA if auth == Auth.ECDSA else Auth.RSA)
+        offer_suites = cert_compatible(self.db, self.db[baseline.selected_suite].auth)
+        if not offer_suites:  # a key type the engine offers no suite for
+            site.trace.exclusion_reason = "NO_SUITES"
+            return None
 
         self.version_walk(site, baseline.selected_version, offer_suites)
         supported = self.enumerate_ciphers(site, offer_suites)
@@ -423,5 +420,5 @@ def configuration_of(trace_json: dict, db: CipherDb) -> Optional[Configuration]:
         dh_prime_bits=dh.get("dh_prime_bits"),
         dh_group_common=dh.get("dh_group_common"),
         heartbleed_vulnerable=any(e["outcome"]["vulnerable"] for e in of("heartbleed")),
-        cert_sig_alg=auth.value if auth in (Auth.RSA, Auth.ECDSA) else "OTHER",
+        cert_sig_alg=auth.value,
     )

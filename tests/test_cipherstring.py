@@ -53,9 +53,9 @@ def test_empty_string_rejected():
 def test_strength_directive_parsed_and_ignored(caplog):
     with caplog.at_level("WARNING"):
         expr = cs.parse_cipher_string("HIGH:@STRENGTH:@SECLEVEL=2")
-    assert expr.ignored_directives == ["@STRENGTH", "@SECLEVEL=2"]
-    assert len(expr.terms) == 1
-    assert "@STRENGTH" in caplog.text
+    assert expr.terms == [cs.Term(cs.Modifier.NONE, ("HIGH",))]
+    assert str(expr) == "HIGH"
+    assert "'@STRENGTH'" in caplog.text and "'@SECLEVEL=2'" in caplog.text
 
 
 ROUND_TRIP_CORPUS = [

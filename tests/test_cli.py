@@ -1,6 +1,7 @@
 import argparse
 import ast
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from tlsaudit import cli, fixtures, pipeline
 from tlsaudit.grading import grade
+from tlsaudit.orchestrator import ProbePolicy
 
 
 def write_defaults_jsonl(db, path):
@@ -192,7 +194,7 @@ def test_cmd_scan_resolves_each_target_once(tmp_path, monkeypatch, flags):
     assert hosts == ["127.0.0.1", "127.0.0.1"]
 
 
-def test_cmd_scan_seed_applies_over_policy_file(tmp_path, monkeypatch):
+def test_cmd_scan_policy_file_reaches_run_scan(tmp_path, monkeypatch):
     targets = tmp_path / "targets.csv"
     targets.write_text("1,localhost\n")
     policy_file = tmp_path / "policy.json"
@@ -201,12 +203,20 @@ def test_cmd_scan_seed_applies_over_policy_file(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli.pipeline, "run_scan",
                         lambda targets, policy, *rest: seen.append(policy))
-    base = ["scan", "--targets", str(targets), "--out",
-            str(tmp_path / "o.jsonl"), "--policy", str(policy_file)]
-    assert cli.main(base + ["--seed", "42"]) == 0
+    base = ["scan", "--targets", str(targets), "--out", str(tmp_path / "o.jsonl")]
+    assert cli.main(base + ["--policy", str(policy_file)]) == 0
     assert cli.main(base) == 0
-    assert [p.seed for p in seen] == [42, 3]
-    assert all(p.timeout_s == 2.5 and p.delay_max_s == 0.0 for p in seen)
+    assert seen == [ProbePolicy(timeout_s=2.5, delay_max_s=0.0, seed=3),
+                    ProbePolicy(timeout_s=5.0, delay_max_s=0.0)]
+
+
+def test_cmd_scan_has_no_seed_flag(tmp_path, capsys):
+    """The policy file's ``seed`` is the one seed of a scan's pacing."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--targets", str(tmp_path / "t.csv"),
+                  "--out", str(tmp_path / "o.jsonl"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_cmd_scan_asn_table_not_utf8(tmp_path, capsys):
@@ -324,6 +334,33 @@ def test_every_long_option_is_in_readme():
     assert sorted(o for o in options if o not in readme) == []
 
 
+def test_readme_synopsis_matches_the_parser():
+    """Each subcommand's ``--options`` in the README's ``sh`` synopsis are
+    exactly its parser's; the first line holds the top-level ones."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed: dict = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("tlsaudit "):
+            command = line.split()[1]
+            command = None if command.startswith("[") else command
+        listed.setdefault(command, set()).update(
+            re.findall(r"(?<![\w-])--[a-z][a-z-]*", line))
+
+    def long_options(parser):
+        return {o for action in parser._actions for o in action.option_strings
+                if o.startswith("--") and o != "--help"}
+
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    expected = {None: long_options(parser)}
+    expected.update((name, long_options(sub)) for name, sub in subparsers.items())
+    assert listed == expected
+
+
 def test_cmd_scan_bad_targets(tmp_path):
     assert cli.main(["scan", "--targets", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.jsonl")]) == 1
@@ -412,6 +449,8 @@ def test_cmd_check_rec_config_line_not_an_object(db, tmp_path, capsys, line):
     "5", "[1]", '{"protocols": 5}', '{"cipher_string": 5}',
     '{"dh_params_bits": "2048"}', '{"session_tickets": "no"}',
     '{"cipher_string": "HIGH", "source": 5}',
+    '{"cipher_string": "HIGH", "dh_params_bits": -5}',
+    '{"cipher_string": "HIGH", "dh_params_bits": 0}',
 ])
 def test_cmd_check_rec_rec_line_wrongly_typed(tmp_path, capsys, line):
     recs = tmp_path / "recs.jsonl"
@@ -606,16 +645,15 @@ def test_cmd_report_record_without_its_graded_fields(db, tmp_path, capsys,
         assert not out.exists()
 
 
-def test_cmd_fixtures(tmp_path, capsys):
+def test_cmd_fixtures(db, tmp_path, capsys):
     out_dir = tmp_path / "fx"
     assert cli.main(["fixtures", "--out-dir", str(out_dir),
                      "--seed", "4"]) == 0
     specs = sorted(out_dir.glob("spec-*.json"))
     assert len(specs) == 40
     assert (out_dir / "ubuntu_defaults.jsonl").exists()
-    # specs are valid and reloadable
-    from tlsaudit.fixtures import FixtureSpec
-    FixtureSpec.from_json(json.loads(specs[0].read_text()))
+    first = fixtures.bundled_corpus(db, seed=4)[0]
+    assert json.loads(specs[0].read_text()) == first.to_json()
 
 
 

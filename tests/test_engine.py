@@ -178,10 +178,9 @@ def test_session_id_resumption(engine, endpoint):
         max_version=Version.TLS1_2, min_version=Version.SSLv3,
         suites=[0xC02F], complete=True))
     assert establish.status is ProbeStatus.NEGOTIATED
-    artifacts = establish.session_artifacts
-    assert artifacts is not None and artifacts.session_id
+    assert establish.session_id
     resumed = engine.probe(endpoint.target, HandshakeOffer(
-        suites=[0xC02F], resumption_session_id=artifacts.session_id,
+        suites=[0xC02F], resumption_session_id=establish.session_id,
         complete=True))
     assert resumed.status is ProbeStatus.NEGOTIATED
     assert resumed.resumed
@@ -191,12 +190,11 @@ def test_ticket_resumption(engine, endpoint):
     establish = engine.probe(endpoint.target, HandshakeOffer(
         max_version=Version.TLS1_2, min_version=Version.SSLv3,
         suites=[0xC02F], extensions={"session_ticket"}, complete=True))
-    artifacts = establish.session_artifacts
-    assert artifacts is not None and artifacts.ticket
-    assert artifacts.ticket_lifetime_hint_s == 3600
+    assert establish.ticket
+    assert establish.ticket_lifetime_hint_s == 3600
     resumed = engine.probe(endpoint.target, HandshakeOffer(
         suites=[0xC02F], extensions={"session_ticket"},
-        resumption_ticket=artifacts.ticket, complete=True))
+        resumption_ticket=establish.ticket, complete=True))
     assert resumed.resumed
 
 

@@ -106,13 +106,13 @@ def test_uncommon_prime_detected(db, fast_policy):
     assert config.dh_group_common is False
 
 
-@pytest.mark.parametrize("suite, key_type, enumerated", [
-    (0xC02F, "RSA", Auth.RSA),      # ECDHE-RSA-AES128-GCM-SHA256
-    (0xC02B, "ECDSA", Auth.ECDSA),  # ECDHE-ECDSA-AES128-GCM-SHA256
-    (0x0032, "OTHER", Auth.RSA),    # DHE-DSS-AES128-SHA
+@pytest.mark.parametrize("suite, key_type", [
+    (0xC02F, Auth.RSA),    # ECDHE-RSA-AES128-GCM-SHA256
+    (0xC02B, Auth.ECDSA),  # ECDHE-ECDSA-AES128-GCM-SHA256
+    (0x0032, Auth.DSS),    # DHE-DSS-AES128-SHA; the engine offers no DSS suite
 ], ids=["rsa", "ecdsa", "dss"])
 def test_certificate_key_type_comes_from_the_baseline_suite(
-        db, fast_policy, monkeypatch, suite, key_type, enumerated):
+        db, fast_policy, monkeypatch, suite, key_type):
     def server(answers_all: bool):
         """Picks ``suite`` when offered, else the offer's first suite; unless
         ``answers_all``, it answers only the baseline and its GET."""
@@ -125,6 +125,8 @@ def test_certificate_key_type_comes_from_the_baseline_suite(
                 http=HttpResult(200, None))
         return probe
 
+    offer_suites = cert_compatible(db, key_type)
+    assert bool(offer_suites) == (key_type != Auth.DSS)
     prober = SiteProber(db, fast_policy)
     monkeypatch.setattr(prober.engine, "sslv2_probe", lambda target: (False, None))
     monkeypatch.setattr(prober.engine, "tls13_probe",
@@ -132,11 +134,15 @@ def test_certificate_key_type_comes_from_the_baseline_suite(
     monkeypatch.setattr(prober.engine, "probe", server(answers_all=False))
     config, trace = prober.probe_site(("127.0.0.1", 1))
     assert (config, trace.exclusion_reason) == (None, "NO_SUITES")
-    assert [e.offer["suites"] for e in trace.entries if e.kind == "enumerate"] == [
-        [suite_label(s) for s in cert_compatible(db, enumerated)]]
+    assert [e.offer["suites"] for e in trace.entries if e.kind == "enumerate"] == (
+        [[suite_label(s) for s in offer_suites]] if offer_suites else [])
     monkeypatch.setattr(prober.engine, "probe", server(answers_all=True))
-    config, _trace = prober.probe_site(("127.0.0.1", 1))
-    assert config.cert_sig_alg == key_type
+    config, trace = prober.probe_site(("127.0.0.1", 1))
+    if offer_suites:
+        assert config.cert_sig_alg == key_type.value
+    else:  # excluded right after the baseline and its GET: no walk, no offers
+        assert (config, trace.exclusion_reason) == (None, "NO_SUITES")
+        assert [e.kind for e in trace.entries] == ["baseline", "baseline_get"]
 
 
 def test_an_excluded_trace_has_no_configuration(db):
