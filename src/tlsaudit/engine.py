@@ -4,12 +4,13 @@ Each operation dials the ``(host, port)`` address it is given once, through
 ``HandshakeEngine._dial``: connect, run one exchange, close, and map a
 timeout, socket error or bad bytes to a ``ProbeStatus`` and a detail. The
 engine's timeout bounds the whole connection, from connect to the end of its
-exchange: every read and write gets only the time left before that deadline. A
-handshake drives its offer far enough to collect the evidence it needs
-(ServerHello, ServerKeyExchange, ticket), aborting early unless the offer
-resumes a session or asks for a GET. Record protection is not implemented:
-the engine reads configuration evidence off the plaintext flight, which is
-sufficient for the bundled endpoints and keeps remote load minimal.
+exchange: every read and write gets only the time left before that deadline,
+and every read only the bytes left under ``READ_BYTE_CAP``. A handshake
+drives its offer far enough to collect the evidence it needs (ServerHello,
+ServerKeyExchange, ticket), aborting early unless the offer resumes a session
+or asks for a GET. Record protection is not implemented: the engine reads
+configuration evidence off the plaintext flight, which is sufficient for the
+bundled endpoints and keeps remote load minimal.
 
 ``handshake`` keeps the status and detail in its outcome; the SSLv2, TLS 1.3
 and Heartbleed probes give ``"<STATUS>: <detail>"`` in one error field, None
@@ -18,8 +19,8 @@ probes never call it: ``perfbench/layers.py`` pairs each traced engine call
 with one trace entry, and a nested ``probe`` would add a second.
 
 One driver, ``_Connection.read_until``, folds server records into that
-connection's state until the caller has what it needs, an alert arrives or
-``READ_RECORD_CAP`` records have come. SSLv2 has its own record format, so
+connection's state until the caller has what it needs or an alert arrives;
+the socket bounds its time and bytes. SSLv2 has its own record format, so
 its probe reads its one reply itself.
 """
 from __future__ import annotations
@@ -42,10 +43,10 @@ from .wire import (
 )
 
 HEARTBLEED_OVERREAD_CAP = 16 * 1024
-HTTP_READ_CAP = 16 * 1024  # response bytes read while seeking the headers' end
-# records one read_until accepts: a flight or HTTP head in 512-byte records
-# needs far fewer, and a flood of skipped records (HelloRequest) has no end
-READ_RECORD_CAP = 256
+# bytes one connection may read: a 100 KiB certificate list (OpenSSL's
+# SSL_MAX_CERT_LIST_DEFAULT) plus a 16 KiB heartbeat echo or HTTP head fits
+# with room to spare, and a flood of records or an endless body ends here
+READ_BYTE_CAP = 256 * 1024
 
 _KNOWN_EXTENSIONS = frozenset(EXTENSION_CODES)
 # what the hello carries for an offered extension; any other is empty
@@ -135,11 +136,13 @@ class HeartbleedResult:
 class _DeadlineSocket:
     """A connected socket whose every ``recv`` and ``sendall`` gets only the
     time left before ``deadline`` (``time.monotonic``); past it, either
-    raises ``socket.timeout``."""
+    raises ``socket.timeout``. ``recv`` also reads at most the bytes left
+    under ``READ_BYTE_CAP``, and once they are spent raises ``WireError``."""
 
     def __init__(self, sock: socket.socket, deadline: float):
         self._sock = sock
         self._deadline = deadline
+        self._bytes_left = READ_BYTE_CAP
 
     def _arm(self) -> None:
         left = self._deadline - time.monotonic()
@@ -148,8 +151,12 @@ class _DeadlineSocket:
         self._sock.settimeout(left)
 
     def recv(self, n: int) -> bytes:
+        if not self._bytes_left:
+            raise WireError(f"more than {READ_BYTE_CAP} bytes on one connection")
         self._arm()
-        return self._sock.recv(n)
+        data = self._sock.recv(min(n, self._bytes_left))
+        self._bytes_left -= len(data)
+        return data
 
     def sendall(self, data: bytes) -> None:
         self._arm()
@@ -181,18 +188,11 @@ class _Connection:
                 if code in EXTENSION_NAMES}
 
     def read_until(self, done) -> bool:
-        """Read server records into this state until ``done(self)`` holds.
-
-        Returns False when an alert (now or earlier) stops the read first;
-        raises ``WireError`` past ``READ_RECORD_CAP`` records.
-        """
-        records = 0
+        """Read server records into this state until ``done(self)`` holds;
+        False when an alert (now or earlier) stops the read first."""
         while not done(self):
             if self.alert is not None:
                 return False
-            records += 1
-            if records > READ_RECORD_CAP:
-                raise WireError(f"more than {READ_RECORD_CAP} records in one read")
             ctype, _ver, payload = wire.read_record(self.sock)
             if ctype == ContentType.ALERT:
                 self.alert = payload
@@ -393,11 +393,10 @@ class HandshakeEngine:
                    "Connection: close\r\n\r\n").encode()
         conn.sock.sendall(wire.record(ContentType.APPLICATION_DATA, version, request))
         try:
-            # only the headers are parsed: read to their end, or to the cap
-            conn.read_until(lambda c: b"\r\n\r\n" in c.app_data
-                            or len(c.app_data) >= HTTP_READ_CAP)
+            # only the headers are parsed: read to their end
+            conn.read_until(lambda c: b"\r\n\r\n" in c.app_data)
         except WireError:
-            pass  # the server closed the connection, or sent too many records
+            pass  # the server closed the connection, or sent too many bytes
         return _parse_http(bytes(conn.app_data))
 
     # -- retry wrapper (the caller-visible API) ----------------------------

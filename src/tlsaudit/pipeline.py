@@ -434,7 +434,7 @@ def _now() -> str:
 def _resolve(host: str) -> Optional[str]:
     try:
         infos = socket.getaddrinfo(host, None, proto=socket.IPPROTO_TCP)
-    except OSError:
+    except (OSError, UnicodeError):  # UnicodeError: a name with no IDNA form
         return None
     for family in (socket.AF_INET, socket.AF_INET6):
         for info in infos:
@@ -573,9 +573,9 @@ def run_scan(targets: Iterable[Target], policy: ProbePolicy, db: CipherDb,
     before ``out_path``, its directory or the trace directory is touched.
     With it set, each target is resolved as the scan reaches it.
 
-    Records are flushed as they complete. Domains already recorded in
-    ``out_path`` are skipped, so a rerun of an interrupted scan resumes where
-    it left off and writes each record exactly once.
+    Records are flushed as they complete. A domain already recorded in
+    ``out_path``, or listed twice, is skipped, so each domain is recorded once
+    and a rerun of an interrupted scan resumes where it left off.
     """
     options = options or ScanOptions()
     out = Path(out_path)
@@ -597,12 +597,13 @@ def run_scan(targets: Iterable[Target], policy: ProbePolicy, db: CipherDb,
     records: list[ScanRecord] = []
     with open(out, "a", encoding="utf-8") as sink:
         for target, address in resolved:
-            if target.domain in done:  # gated: listed before ``done`` was read
+            if target.domain in done:  # gated: resolved before ``done`` had it
                 logger.info("%s: already recorded, skipped", target.domain)
                 continue
             record = scan_one(prober, db, target, address, options)
             sink.write(json.dumps(record.to_json()) + "\n")
             sink.flush()
+            done.add(target.domain)
             records.append(record)
     return records
 

@@ -194,6 +194,22 @@ def test_cmd_scan_resolves_each_target_once(tmp_path, monkeypatch, flags):
     assert hosts == ["127.0.0.1", "127.0.0.1"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--i-understand-scanning-ethics"]])
+def test_cmd_scan_records_a_name_without_an_idna_form_as_dns(tmp_path, flags):
+    """``getaddrinfo`` raises ``UnicodeError`` for an empty label or one
+    over 63 characters; the scan records the name EXCLUDED and goes on."""
+    domains = ["localhost:1", "a..b", "x" * 64 + ".test", "localhost:2"]
+    targets = tmp_path / "targets.csv"
+    targets.write_text("".join(f"{n},{d}\n" for n, d in enumerate(domains, 1)))
+    out = tmp_path / "scan.jsonl"
+    assert cli.main(["scan", "--targets", str(targets), "--out", str(out),
+                     *flags]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["domain"] for r in records] == domains
+    assert [(r["eligibility"], r["exclusion_reason"]) for r in records[1:3]] == [
+        ("EXCLUDED", "DNS")] * 2
+
+
 def test_cmd_scan_policy_file_reaches_run_scan(tmp_path, monkeypatch):
     targets = tmp_path / "targets.csv"
     targets.write_text("1,localhost\n")

@@ -1,9 +1,12 @@
 import errno
 import os
 import socket
+import struct
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from helpers import TLS_RECORD_HEADER, LoopbackPeer, trickles, until_closed
 
 from tlsaudit import engine as engine_module
@@ -170,7 +173,7 @@ def test_http_read_stops_at_the_headers_or_the_cap(db, engine, monkeypatch,
     assert big.status is plain.status is ProbeStatus.NEGOTIATED
     assert big.http == plain.http == engine_module.HttpResult(
         200, "nginx/1.14.0 (Ubuntu)")
-    assert read[1] <= engine_module.HTTP_READ_CAP + chunk
+    assert read[1] <= engine_module.READ_BYTE_CAP
 
 
 def test_session_id_resumption(engine, endpoint):
@@ -371,25 +374,75 @@ def test_a_silent_peer_is_a_read_timeout(db, call):
     assert result == _failed(call, ProbeStatus.TIMEOUT, "read timeout")
 
 
-def _floods_hello_requests(conn):
-    """Reads the ClientHello, then sends empty HelloRequest records, which
-    the engine skips, until the client hangs up."""
-    wire.read_record(conn)
-    hello_request = wire.record(wire.ContentType.HANDSHAKE, Version.TLS1_2,
-                                wire.handshake_message(0, b""))
-    while True:
-        conn.sendall(hello_request * 64)
+_BYTE_CAP_DETAIL = f"more than {engine_module.READ_BYTE_CAP} bytes on one connection"
+
+
+# an empty HelloRequest, which the engine skips
+_HELLO_REQUEST = wire.record(wire.ContentType.HANDSHAKE, Version.TLS1_2,
+                             wire.handshake_message(0, b""))
+# a whole Certificate message in one full-size record
+_CERTIFICATE_RECORD = wire.record(
+    wire.ContentType.HANDSHAKE, Version.TLS1_2,
+    wire.handshake_message(wire.HsType.CERTIFICATE, bytes(wire.MAX_RECORD - 4)))
+
+
+def _floods(records: bytes):
+    """A peer step: read the ClientHello, then send ``records``, which never
+    end the server flight, again and again until the client hangs up."""
+    def step(conn) -> None:
+        wire.read_record(conn)
+        while True:
+            conn.sendall(records)
+    return step
 
 
 @pytest.mark.parametrize("call", ["handshake", "tls13_probe", "heartbleed_probe"])
 def test_a_record_flood_is_a_protocol_error_within_the_timeout(db, call):
     timeout = 1.0
     started = time.monotonic()
-    with LoopbackPeer(_floods_hello_requests) as peer:
+    with LoopbackPeer(_floods(_HELLO_REQUEST * 64)) as peer:
         result = _CALLS[call](HandshakeEngine(db, timeout=timeout), peer.address)
     assert time.monotonic() - started < timeout
-    detail = f"more than {engine_module.READ_RECORD_CAP} records in one read"
-    assert result == _failed(call, ProbeStatus.PROTOCOL_ERROR, detail)
+    assert result == _failed(call, ProbeStatus.PROTOCOL_ERROR, _BYTE_CAP_DETAIL)
+
+
+def _dial_as(monkeypatch, sock_class) -> None:
+    """Make each connection the engine dials a ``sock_class`` socket."""
+    def connect(address, timeout):
+        sock = sock_class(fileno=create_connection(address).detach())
+        sock.settimeout(timeout)
+        return sock
+
+    create_connection = socket.create_connection
+    monkeypatch.setattr(engine_module.socket, "create_connection", connect)
+
+
+@pytest.fixture
+def client_reads(monkeypatch):
+    """The bytes read on each connection the engine dials, counted on the
+    client's side, one entry per dial."""
+    reads = []
+
+    class Counting(socket.socket):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            reads.append(0)
+
+        def recv(self, n, *flags):
+            data = super().recv(n, *flags)
+            reads[-1] += len(data)
+            return data
+
+    _dial_as(monkeypatch, Counting)
+    return reads
+
+
+@pytest.mark.parametrize("call", ["handshake", "tls13_probe", "heartbleed_probe"])
+def test_a_stream_of_full_records_stops_at_the_byte_cap(db, client_reads, call):
+    with LoopbackPeer(_floods(_CERTIFICATE_RECORD)) as peer:
+        result = _CALLS[call](HandshakeEngine(db, timeout=3.0), peer.address)
+    assert client_reads == [engine_module.READ_BYTE_CAP]
+    assert result == _failed(call, ProbeStatus.PROTOCOL_ERROR, _BYTE_CAP_DETAIL)
 
 
 @pytest.mark.parametrize("call", ["probe", "sslv2_probe", "tls13_probe",
@@ -421,14 +474,66 @@ def test_a_failing_close_keeps_a_finished_exchange(db, monkeypatch):
             super().close()
             raise OSError("close failed")
 
-    def connect(address, timeout):
-        sock = FailingClose(fileno=create_connection(address).detach())
-        sock.settimeout(timeout)
-        return sock
-
-    create_connection = socket.create_connection
-    monkeypatch.setattr(engine_module.socket, "create_connection", connect)
+    _dial_as(monkeypatch, FailingClose)
     hello = wire.encode_sslv2_server_hello(fixtures.fixture_certificate("RSA"))
     with LoopbackPeer(wire.read_sslv2_record, hello) as peer:
         assert HandshakeEngine(db, timeout=3.0).sslv2_probe(peer.address) == (
             True, None)
+
+
+def _server_flight(version: Version, heartbeat: bool) -> bytes:
+    """A ServerHello for the suite every call offers, and ServerHelloDone."""
+    extensions = {wire.ExtType.HEARTBEAT: b"\x01"} if heartbeat else {}
+    if version is Version.TLS1_3:
+        extensions[wire.ExtType.SUPPORTED_VERSIONS] = struct.pack(">H", version.value)
+    hello = wire.ServerHello(min(version, Version.TLS1_2), bytes(32), b"",
+                             0xC02F, 0, extensions)
+    done = wire.handshake_message(wire.HsType.SERVER_HELLO_DONE, b"")
+    return wire.record(wire.ContentType.HANDSHAKE, Version.TLS1_2,
+                       hello.encode() + done)
+
+
+_PIECES = st.one_of(
+    # a record of any content type
+    st.builds(lambda ctype, payload: wire.record(ctype, Version.TLS1_2, payload),
+              st.sampled_from(list(wire.ContentType)) | st.integers(0, 255),
+              st.binary(max_size=48)),
+    st.builds(_server_flight, st.sampled_from(
+        [Version.TLS1_0, Version.TLS1_2, Version.TLS1_3]), st.booleans()),
+    st.integers(1, 512).map(lambda n: _HELLO_REQUEST * n),  # a burst
+    st.integers(1, 20).map(lambda n: _CERTIFICATE_RECORD * n),  # to 320 KiB
+    # a header that claims more than 18 KiB
+    st.integers(18 * 1024 + 1, 0xFFFF).map(
+        lambda n: struct.pack(">BHH", wire.ContentType.HANDSHAKE, 0x0303, n)),
+    st.sampled_from([0.15, 0.25]),  # a stall, under or past the timeout
+)
+
+
+@st.composite
+def _peer_scripts(draw) -> list:
+    """Steps of a ``LoopbackPeer`` that reads the client's opening, then
+    sends pieces, each maybe split over two segments, and stalls."""
+    steps = [lambda conn: conn.recv(4096)]
+    for piece in draw(st.lists(_PIECES, min_size=1, max_size=3)):
+        cut = draw(st.integers(0, len(piece))) if isinstance(piece, bytes) else 0
+        steps += [piece[:cut], 0.005, piece[cut:]] if cut else [piece]
+    return steps
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(call=st.sampled_from(sorted(_CALLS)), script=_peer_scripts())
+def test_a_hostile_peer_ends_each_call_within_its_bounds(db, client_reads,
+                                                          call, script):
+    """Whatever a peer sends, each call returns without raising, within its
+    timeout and a margin, having read at most ``READ_BYTE_CAP`` bytes."""
+    timeout = 0.2
+    client_reads.clear()
+    with LoopbackPeer(*script) as peer:
+        started = time.monotonic()
+        _CALLS[call](HandshakeEngine(db, timeout=timeout), peer.address)
+        elapsed = time.monotonic() - started
+    assert elapsed < timeout + 0.25
+    assert len(client_reads) == 1
+    assert client_reads[0] <= engine_module.READ_BYTE_CAP

@@ -16,7 +16,9 @@ the package declares no runtime dependency.
 
 The engine dials in one place: ``HandshakeEngine._dial`` is the one
 ``create_connection`` call and the one handler of ``socket.timeout``, so a
-probe cannot grow its own connect or its own reading of a failure.
+probe cannot grow its own connect or its own reading of a failure. Its
+``_DeadlineSocket`` is the one caller of ``recv`` and ``settimeout``, so no
+read can escape the connection's deadline or its byte cap.
 
 The scan pipeline has one ethics gate: ``run_scan`` is the one caller of
 ``_resolve`` and of ``_refuse_outside_loopback``, so each target is resolved
@@ -131,6 +133,16 @@ def _users(node, name: str, func=None) -> list[str]:
             found.append(func)
         found += _users(child, name, inner)
     return found
+
+
+@pytest.mark.parametrize("method, user", [("recv", "recv"),
+                                          ("settimeout", "_arm")])
+def test_only_the_deadline_socket_reads_or_sets_a_timeout(method, user):
+    tree = _engine_tree()
+    deadline_socket = next(node for node in tree.body
+                           if isinstance(node, ast.ClassDef)
+                           and node.name == "_DeadlineSocket")
+    assert _users(tree, method) == _users(deadline_socket, method) == [user]
 
 
 @pytest.mark.parametrize("name", ["_resolve", "_refuse_outside_loopback"])

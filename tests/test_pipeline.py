@@ -628,6 +628,18 @@ def test_run_scan_refuses_a_mixed_list_before_touching_disk(db, fast_policy,
     assert not traces.exists()
 
 
+@pytest.mark.parametrize("allow", [False, True])
+def test_run_scan_records_a_domain_listed_twice_once(db, fast_policy, tmp_path,
+                                                     allow):
+    # a closed loopback port: the site is excluded after its baseline
+    targets = [Target(1, "127.0.0.1:1"), Target(2, "127.0.0.1:1")]
+    out = tmp_path / "scan.jsonl"
+    records = run_scan(targets, fast_policy, db, out,
+                       ScanOptions(allow_non_loopback=allow))
+    assert [r.domain for r in records] == ["127.0.0.1:1"]
+    assert [r.domain for r in pipeline.load_records(out)] == ["127.0.0.1:1"]
+
+
 _RESOLVE = "resolve 127.0.0.1"
 
 
