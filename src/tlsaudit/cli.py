@@ -220,9 +220,9 @@ def cmd_check_rec(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report_mod.kind(args.which)  # an unknown kind fails before the long load
-    records = pipeline.load_records(args.records)
-    data = report_mod.build(records, args.which)
+    # the stream opens the file at its first record, so an unknown kind
+    # fails before the long read
+    data = report_mod.build(pipeline.iter_records(args.records), args.which)
     report_mod.emit(args.which, data, args.format, args.out)
     return EXIT_OK
 

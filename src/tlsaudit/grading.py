@@ -220,17 +220,18 @@ def grade(config: Configuration, db: CipherDb) -> GradeReport:
 
 def downgrade_table(reports) -> dict[Grade, dict[Category, float]]:
     """For each grade level below A, the fraction of graded sites whose
-    overall landed exactly there because of each category."""
-    reports = list(reports)
+    overall landed exactly there because of each category. ``reports`` is
+    any iterable, read once."""
     table = {g: {c: 0 for c in Category} for g in (Grade.B, Grade.C, Grade.F)}
+    n = 0
     for report in reports:
+        n += 1
         g = report.overall
         if g == Grade.A:
             continue
         for category, cat_grade in report.per_category.items():
             if cat_grade == g:
                 table[g][category] += 1
-    n = len(reports)
     return {
         g: {c: (count / n if n else 0.0) for c, count in row.items()}
         for g, row in table.items()

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .configuration import Configuration
 from .grading import GradeReport, grade
@@ -608,11 +608,13 @@ def run_scan(targets: Iterable[Target], policy: ProbePolicy, db: CipherDb,
     return records
 
 
-def load_records(path) -> list[ScanRecord]:
-    """The records of a scan JSONL file. A corpus backs many thousand
-    records with a few hundred distinct configurations and grade reports, so
-    each distinct one is decoded once and shared (see ``ScanRecord``)."""
-    records = []
+def iter_records(path) -> Iterator[ScanRecord]:
+    """The records of a scan JSONL file, one at a time in file order. A
+    corpus backs many thousand records with a few hundred distinct
+    configurations and grade reports, so each distinct one is decoded once
+    and shared (see ``ScanRecord``). A file that cannot be read, is not
+    UTF-8 or holds a malformed line raises ``PipelineError`` when the stream
+    reaches the fault, which may be after many records have passed."""
     configurations = SharedDecoder(Configuration.from_json)
     grade_reports = SharedDecoder(GradeReport.from_json)
     with open_input(path, "records") as fh:
@@ -621,8 +623,14 @@ def load_records(path) -> list[ScanRecord]:
             if not line:
                 continue
             try:
-                records.append(ScanRecord.from_json(
-                    parse_json(line), configurations, grade_reports))
+                record = ScanRecord.from_json(
+                    parse_json(line), configurations, grade_reports)
             except (ValueError, KeyError, TypeError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad record: {exc}")
-    return records
+            yield record
+
+
+def load_records(path) -> list[ScanRecord]:
+    """Every record of a scan JSONL file, in a list: ``iter_records`` for a
+    caller that reads the records more than once."""
+    return list(iter_records(path))

@@ -1,30 +1,40 @@
 """Corpus-level aggregation: grade distributions, CDFs by group rank,
 configuration dominance, and downgrade-reason tables.
 
-All operations are pure folds over an immutable record list; outputs are
-deterministic (ties broken lexicographically) so emitted files are stable.
-A fold that groups by configuration computes ``config_key`` once per
-distinct configuration, in a dict that lives for that one fold.
+Each report is one fold over a stream of records: it reads any iterable
+once and keeps only per-grade, per-AS and per-configuration counters, so its
+memory grows with the number of distinct groups, not of records. The
+``records`` kind keeps nothing: its rows are made as the records pass, and
+``emit`` writes each as it comes. Outputs are deterministic (ties broken
+lexicographically) so emitted files are stable. A fold that groups by
+configuration computes ``config_key`` once per distinct configuration, in a
+dict that lives for that one fold.
 
-``hashlib`` is imported inside ``config_key``, not at the top: its
-``_hashlib`` maps OpenSSL's libcrypto (about 3.6 MB of resident memory),
-and only the ``cdf-config`` and ``dominance`` kinds hash. Every process that
-imports this module, ``tlsaudit scan`` among them, would pay for it
-otherwise.
+``config_key`` takes its SHA-256 from the interpreter's built-in module
+(``_sha2``, ``_sha256`` before Python 3.12), as ``random`` does for SHA-512:
+``hashlib`` would map OpenSSL's libcrypto, about 3.6 MB of resident memory,
+for the same digest.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
+import os
 from collections import Counter, defaultdict
-from typing import Iterable, Optional
+from collections.abc import Iterator
+from typing import Callable, Iterable, Optional
 
 from .configuration import Configuration
 from .grading import Category, Grade, downgrade_table
 from .pipeline import (Eligibility, PipelineError, ScanRecord, is_ip_literal,
                        split_target)
+
+try:
+    from _sha2 import sha256
+except ImportError:  # Python 3.10 and 3.11
+    from _sha256 import sha256
 
 GRADE_ORDER = (Grade.A, Grade.B, Grade.C, Grade.F)
 
@@ -32,52 +42,48 @@ GRADE_ORDER = (Grade.A, Grade.B, Grade.C, Grade.F)
 def config_key(config: Configuration) -> str:
     """Canonical hash of a Configuration. Identical grading-relevant fields
     give identical keys regardless of serialization order."""
-    import hashlib  # maps OpenSSL's libcrypto; only two report kinds hash
     canonical = json.dumps(config.to_json(), sort_keys=True,
                            separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _graded(records: Iterable[ScanRecord]) -> list[ScanRecord]:
-    return [r for r in records if r.eligibility is Eligibility.GRADED]
+def _graded(records: Iterable[ScanRecord]) -> Iterator[ScanRecord]:
+    return (r for r in records if r.eligibility is Eligibility.GRADED)
 
 
 def grade_distribution(records: Iterable[ScanRecord]) -> dict:
-    records = list(records)
-    graded = _graded(records)
-    counts = Counter(r.grade_report.overall for r in graded)
-    total = len(graded)
+    counts: Counter = Counter()
+    excluded = 0
+    for r in records:
+        if r.eligibility is Eligibility.GRADED:
+            counts[r.grade_report.overall] += 1
+        else:
+            excluded += 1
+    total = sum(counts.values())
     return {
         "counts": {g.value: counts.get(g, 0) for g in GRADE_ORDER},
         "proportions": {g.value: (counts.get(g, 0) / total if total else 0.0)
                         for g in GRADE_ORDER},
         "graded": total,
-        "excluded": sum(1 for r in records
-                        if r.eligibility is Eligibility.EXCLUDED),
+        "excluded": excluded,
     }
 
 
-def _config_keys(records: list[ScanRecord]) -> list[str]:
-    """``config_key`` of each record's configuration, computed once per
-    distinct configuration."""
+def _config_keyer() -> Callable[[ScanRecord], str]:
+    """``config_key`` of a record's configuration, computed once per
+    distinct configuration for the one fold that makes this keyer."""
     keys: dict[Configuration, str] = {}
-    out = []
-    for r in records:
+
+    def key_of(r: ScanRecord) -> str:
         key = keys.get(r.configuration)
         if key is None:
             key = keys[r.configuration] = config_key(r.configuration)
-        out.append(key)
-    return out
+        return key
+    return key_of
 
 
-def _groups(graded: list[ScanRecord], group_key: str) -> list[Optional[str]]:
-    """Each record's group id under ``group_key``; None for no group."""
-    if group_key == "asn":
-        return [None if r.asn is None else str(r.asn["number"])
-                for r in graded]
-    if group_key == "config":
-        return _config_keys(graded)
-    raise ValueError(f"unknown group key {group_key!r}")
+def _asn_of(r: ScanRecord) -> Optional[str]:
+    return None if r.asn is None else str(r.asn["number"])
 
 
 def cdf_by_group_rank(records: Iterable[ScanRecord],
@@ -86,51 +92,58 @@ def cdf_by_group_rank(records: Iterable[ScanRecord],
 
     Groups are ranked by descending total site count (ties by group id);
     each grade's series is monotone and ends at 1.0 when the grade occurs.
+    A record with no group (no ASN) is left out.
     """
-    graded = _graded(records)
-    grouped = [(r.grade_report.overall, group)
-               for r, group in zip(graded, _groups(graded, group_key))
-               if group is not None]
-    group_totals: Counter = Counter(group for _g, group in grouped)
-    ranked = sorted(group_totals, key=lambda g: (-group_totals[g], g))
-
+    if group_key == "asn":
+        group_of = _asn_of
+    elif group_key == "config":
+        group_of = _config_keyer()
+    else:
+        raise ValueError(f"unknown group key {group_key!r}")
     per_grade_group: dict[Grade, Counter] = defaultdict(Counter)
-    grade_totals: Counter = Counter()
-    for g, group in grouped:
-        per_grade_group[g][group] += 1
-        grade_totals[g] += 1
+    for r in _graded(records):
+        group = group_of(r)
+        if group is not None:
+            per_grade_group[r.grade_report.overall][group] += 1
+
+    group_totals: Counter = Counter()
+    for counts in per_grade_group.values():
+        group_totals.update(counts)
+    ranked = sorted(group_totals, key=lambda g: (-group_totals[g], g))
 
     series: dict[str, list[tuple[int, float]]] = {}
     for grade in GRADE_ORDER:
-        if not grade_totals[grade]:
+        counts = per_grade_group.get(grade, Counter())
+        total = sum(counts.values())
+        if not total:
             series[grade.value] = []
             continue
         points = []
         running = 0
         for k, group in enumerate(ranked, start=1):
-            running += per_grade_group[grade].get(group, 0)
-            points.append((k, running / grade_totals[grade]))
+            running += counts.get(group, 0)
+            points.append((k, running / total))
         series[grade.value] = points
     return series
 
 
 def dominance(records: Iterable[ScanRecord]) -> dict:
     """Per-configuration site counts and the five most dominant
-    configurations within each AS."""
-    graded = _graded(records)
-    keyed = list(zip(graded, _config_keys(graded)))
-    config_counts: Counter = Counter(key for _r, key in keyed)
-    ordered = sorted(config_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
+    configurations within each AS, named as its first record names it."""
+    key_of = _config_keyer()
+    config_counts: Counter = Counter()
     per_as: dict[str, Counter] = defaultdict(Counter)
     as_names: dict[str, str] = {}
-    for r, key in keyed:
+    for r in _graded(records):
+        key = key_of(r)
+        config_counts[key] += 1
         if r.asn is None:
             continue
         asn = str(r.asn["number"])
         per_as[asn][key] += 1
         as_names.setdefault(asn, r.asn.get("name", ""))
 
+    ordered = sorted(config_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     top5 = {}
     for asn in sorted(per_as, key=lambda a: (-sum(per_as[a].values()), a)):
         rows = sorted(per_as[asn].items(), key=lambda kv: (-kv[1], kv[0]))[:5]
@@ -147,12 +160,11 @@ def _tld(domain: str) -> Optional[str]:
     return host.removesuffix(".").rsplit(".", 1)[-1].lower()
 
 
-def per_record_rows(records: Iterable[ScanRecord]) -> list[dict]:
+def per_record_rows(records: Iterable[ScanRecord]) -> Iterator[dict]:
     """Tidy per-record rows (grade, server, tld, rank) for external
-    statistics tooling."""
-    rows = []
+    statistics tooling, one per graded record as it passes."""
     for r in _graded(records):
-        rows.append({
+        yield {
             "domain": r.domain,
             "rank": r.rank,
             "grade": r.grade_report.overall.value,
@@ -160,13 +172,11 @@ def per_record_rows(records: Iterable[ScanRecord]) -> list[dict]:
             "os_hint": r.os_hint,
             "asn": (r.asn or {}).get("number"),
             "tld": _tld(r.domain),
-        })
-    return rows
+        }
 
 
 def downgrades(records: Iterable[ScanRecord]) -> dict:
-    reports = [r.grade_report for r in _graded(records)]
-    table = downgrade_table(reports)
+    table = downgrade_table(r.grade_report for r in _graded(records))
     return {
         g.value: {c.value: frac for c, frac in row.items()}
         for g, row in table.items()
@@ -206,14 +216,14 @@ def _dominance_rows(report: dict):
             yield "as_top5", asn, info["as_name"], key, count
 
 
-def _records_rows(rows: list[dict]):
+def _records_rows(rows: Iterable[dict]):
     columns = ("domain", "rank", "grade", "server", "os_hint", "asn", "tld")
     yield columns
     for row in rows:
         yield [row[k] for k in columns]  # csv writes None as ""
 
 
-# report kind -> (builder over the record list, CSV rows of a built report,
+# report kind -> (fold over a record stream, CSV rows of a built report,
 # header first)
 _KINDS = {
     "dist": (grade_distribution, _distribution_rows),
@@ -236,19 +246,55 @@ def kind(which: str):
 
 
 def build(records: Iterable[ScanRecord], which: str):
+    """Report ``which`` over ``records``, which it reads once. The
+    ``records`` kind is a lazy stream of rows that ``emit`` consumes."""
     builder, _ = kind(which)
-    return builder(list(records))
+    return builder(records)
+
+
+@contextlib.contextmanager
+def _replacing(out_path):
+    """A UTF-8 text file that replaces ``out_path`` once the block ends
+    without an error. It is written beside the real path, and removed on an
+    error, so ``out_path`` stays as it was. A path that exists but is not a
+    regular file (``/dev/stdout``, a pipe) is written in place."""
+    path = os.path.realpath(out_path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_json_array(rows: Iterable, fh) -> None:
+    """``json.dumps(list(rows))``, written one element at a time."""
+    fh.write("[")
+    for n, row in enumerate(rows):
+        if n:
+            fh.write(", ")
+        fh.write(json.dumps(row))
+    fh.write("]\n")
 
 
 def emit(which: str, data, fmt: str, out_path) -> None:
-    """Write a built report as UTF-8 CSV or JSON with LF line endings."""
-    if fmt == "json":
-        text = json.dumps(data) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(kind(which)[1](data))
-        text = buf.getvalue()
-    else:
+    """Write a built report as UTF-8 CSV or JSON with LF line endings. A
+    report that is a stream of rows is written as the rows come; either way
+    ``out_path`` changes only once the whole report is written."""
+    _, rows = kind(which)
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    with _replacing(out_path) as fh:
+        if fmt == "csv":
+            csv.writer(fh, lineterminator="\n").writerows(rows(data))
+        elif isinstance(data, Iterator):
+            _write_json_array(data, fh)
+        else:
+            fh.write(json.dumps(data) + "\n")

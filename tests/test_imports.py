@@ -29,9 +29,11 @@ A site's configuration has one derivation: in the orchestrator,
 reads a trace's JSON, so no probe phase can grow a result of its own.
 
 ``hashlib`` maps OpenSSL's libcrypto, several megabytes of resident memory,
-and only ``report.config_key`` needs it; a fresh interpreter checks that
-importing the package and probing a site leave it unloaded, since the test
-process itself has loaded it long before.
+for digests the interpreter's built-in modules also make: ``report.config_key``
+takes its SHA-256 from ``_sha2`` (``_sha256`` before Python 3.12). No module
+imports ``hashlib``, and a fresh interpreter checks that importing the
+package, probing a site and the commands that hash leave libcrypto unloaded,
+since the test process itself has loaded it long before.
 """
 
 import ast
@@ -83,12 +85,27 @@ def test_no_module_imports_socketserver():
     assert importers == []
 
 
+# the built-in SHA-256 module is ``_sha256`` before Python 3.12 and ``_sha2``
+# from 3.12; ``report`` imports whichever the interpreter has, so one of the
+# two is missing from any one interpreter's ``sys.stdlib_module_names``
+_BUILTIN_SHA256 = {"_sha2", "_sha256"}
+
+
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
                          ids=lambda p: p.relative_to(SRC).as_posix())
 def test_probe_path_imports_only_the_standard_library(path):
     modules = _imported_modules(ast.parse(path.read_text(encoding="utf-8"),
                                           filename=str(path)))
-    assert sorted(modules - sys.stdlib_module_names - {"tlsaudit"}) == []
+    assert sorted(modules - sys.stdlib_module_names - _BUILTIN_SHA256
+                  - {"tlsaudit"}) == []
+
+
+def test_no_module_imports_hashlib():
+    importers = [path.relative_to(SRC).as_posix()
+                 for path in sorted(SRC.rglob("*.py"))
+                 if "hashlib" in _imported_modules(ast.parse(
+                     path.read_text(encoding="utf-8"), filename=str(path)))]
+    assert importers == []
 
 
 def _engine_tree() -> ast.Module:
@@ -158,12 +175,13 @@ def test_only_configuration_of_assembles_a_configuration():
     assert _users(tree, "assemble") == ["configuration_of"]
 
 
-_LAZY_HASHLIB = """
-import importlib, pkgutil, sys
+_NO_LIBCRYPTO = """
+import importlib, json, pkgutil, sys, tempfile
+from pathlib import Path
 import tlsaudit
 for module in pkgutil.iter_modules(tlsaudit.__path__):
     importlib.import_module("tlsaudit." + module.name)
-from tlsaudit import fixtures, report
+from tlsaudit import cli, fixtures
 from tlsaudit.grading import grade
 from tlsaudit.orchestrator import ProbePolicy, SiteProber
 from tlsaudit.pipeline import Eligibility, ScanRecord
@@ -177,14 +195,20 @@ with fixtures.spawn(spec, db) as endpoint:
 assert config is not None
 assert "_hashlib" not in sys.modules, "loaded by import or probe"
 record = ScanRecord(domain="site.test", eligibility=Eligibility.GRADED,
+                    asn={"number": 64500, "name": "AS-TEST"},
                     configuration=config, grade_report=grade(config, db))
-report.build([record], "dominance")
-assert "_hashlib" in sys.modules, "not loaded by a dominance build"
+with tempfile.TemporaryDirectory() as d:
+    records = Path(d, "records.jsonl")
+    records.write_text(json.dumps(record.to_json()) + "\\n")
+    for which in ("dominance", "cdf-config"):
+        assert cli.main(["report", "--records", str(records), "--which",
+                         which, "--out", str(Path(d, which))]) == 0
+        assert "_hashlib" not in sys.modules, f"loaded by report {which}"
 """
 
 
-def test_only_config_key_loads_libcrypto():
+def test_no_tlsaudit_path_loads_libcrypto():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    done = subprocess.run([sys.executable, "-c", _LAZY_HASHLIB], env=env,
+    done = subprocess.run([sys.executable, "-c", _NO_LIBCRYPTO], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

@@ -157,7 +157,7 @@ def test_unknown_kind_rejected(db, rng):
 
 def test_per_record_rows(db, rng):
     records = make_records(db, rng, 50)
-    rows = report_mod.per_record_rows(records)
+    rows = list(report_mod.per_record_rows(records))
     graded = [r for r in records if r.eligibility is Eligibility.GRADED]
     assert len(rows) == len(graded)
     assert all(row["grade"] in "ABCF" for row in rows)

@@ -10,10 +10,12 @@ under two names.
 """
 
 import hashlib
+import io
 import json
+import os
 import random
-import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -175,3 +177,84 @@ def test_a_list_and_a_generator_give_the_same_bytes(corpora, tmp_path, which):
             report_mod.emit(which, report_mod.build(source, which), fmt, out)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# -- all-or-nothing output ------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def late_faults(db, tmp_path_factory):
+    """Two files whose fault comes after many valid records: a malformed
+    last line, and a byte that is not UTF-8 past the first read buffers.
+    Each maps to the first line of the error ``report`` must print."""
+    d = tmp_path_factory.mktemp("faults")
+    valid = [json.dumps(line) + "\n" for line in corpus_lines(db, 11, 120)]
+    head = "".join(valid).encode("utf-8")
+    assert len(head) > 8 * io.DEFAULT_BUFFER_SIZE
+    bad_line, bad_byte = d / "bad-line.jsonl", d / "bad-byte.jsonl"
+    bad_line.write_bytes(head + b'{"domain": "late.test"\n')
+    bad_byte.write_bytes(head + b'{"domain": "caf\xe9.test"}\n')
+    return {
+        "malformed-last-line": (
+            bad_line, f"error: {bad_line}:{len(valid) + 1}: bad record: "),
+        "non-utf-8-byte": (
+            bad_byte, "error: cannot read records: 'utf-8' codec can't "
+                      "decode byte 0xe9"),
+    }
+
+
+@pytest.mark.parametrize("fault", ["malformed-last-line", "non-utf-8-byte"])
+@pytest.mark.parametrize("which", KINDS)
+def test_a_late_fault_leaves_no_output(late_faults, tmp_path, capsys, which,
+                                       fault):
+    path, prefix = late_faults[fault]
+    for fmt in FORMATS:
+        for before in (None, b"an earlier report\n"):
+            out = tmp_path / f"{which}.{fmt}"
+            if before is not None:
+                out.write_bytes(before)
+            listing = sorted(tmp_path.iterdir())
+            assert cli.main(["report", "--records", str(path), "--which",
+                             which, "--format", fmt, "--out", str(out)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(prefix)
+            assert sorted(tmp_path.iterdir()) == listing
+            if before is None:
+                assert not out.exists()
+            else:
+                assert out.read_bytes() == before
+
+
+def test_a_report_over_a_non_regular_file_is_written_in_place(corpora,
+                                                              tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with ThreadPoolExecutor(1) as pool:
+        read = pool.submit(fifo.read_bytes)
+        assert cli.main(["report", "--records", str(corpora["mixed"]),
+                         "--which", "dist", "--out", str(fifo)]) == 0
+        assert read.result(timeout=10).startswith(b"grade,count,proportion\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+
+# -- flat memory ----------------------------------------------------------------
+
+_SMALL = 400
+
+
+@pytest.mark.parametrize("which", ["records", "dominance"])
+def test_memory_does_not_grow_with_the_records(db, tmp_path, which):
+    """The traced peak of a fold and its emission over ten times the
+    records stays within 1.2 times the peak over the smaller file."""
+    peaks = []
+    for n in (_SMALL, 10 * _SMALL):
+        path = tmp_path / f"{n}.jsonl"
+        write_corpus(path, corpus_lines(db, 7, n))
+        tracemalloc.start()
+        try:
+            report_mod.emit(which, report_mod.build(
+                pipeline.iter_records(path), which), "json",
+                tmp_path / f"{n}.json")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
