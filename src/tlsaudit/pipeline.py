@@ -113,7 +113,7 @@ class Target:
 class ScanRecord:
     """One target's line of a scan's JSONL output.
 
-    Records that ``load_records`` reads from one file share their
+    Records that ``iter_records`` reads from one file share their
     ``configuration`` when its JSON is equal, and their ``grade_report``
     likewise, so a corpus holds one object per distinct value (unless its
     values rarely repeat: see ``registry.SharedDecoder``). Neither object may

@@ -78,11 +78,16 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     return names
 
 
+def _importers(module: str) -> list[str]:
+    """Each source file that imports ``module`` anywhere."""
+    return [path.relative_to(SRC).as_posix()
+            for path in sorted(SRC.rglob("*.py"))
+            if module in _imported_modules(ast.parse(
+                path.read_text(encoding="utf-8"), filename=str(path)))]
+
+
 def test_no_module_imports_socketserver():
-    importers = [path.name for path in sorted(SRC.glob("*.py"))
-                 if "socketserver" in _imported_modules(ast.parse(
-                     path.read_text(encoding="utf-8"), filename=str(path)))]
-    assert importers == []
+    assert _importers("socketserver") == []
 
 
 # the built-in SHA-256 module is ``_sha256`` before Python 3.12 and ``_sha2``
@@ -101,11 +106,7 @@ def test_probe_path_imports_only_the_standard_library(path):
 
 
 def test_no_module_imports_hashlib():
-    importers = [path.relative_to(SRC).as_posix()
-                 for path in sorted(SRC.rglob("*.py"))
-                 if "hashlib" in _imported_modules(ast.parse(
-                     path.read_text(encoding="utf-8"), filename=str(path)))]
-    assert importers == []
+    assert _importers("hashlib") == []
 
 
 def _engine_tree() -> ast.Module:

@@ -15,7 +15,6 @@ import json
 import os
 import random
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -163,8 +162,9 @@ def test_report_output_is_pinned(corpora, tmp_path, which):
             assert cli.main(["report", "--records", str(path), "--which",
                              which, "--format", fmt, "--out", str(out)]) == 0
             got[name, fmt] = _sha256(out)
-    assert got == {key: digest for (name, kind, fmt), digest in _PINNED.items()
-                   for key in [(name, fmt)] if kind == which}
+    assert got == {(name, fmt): digest
+                   for (name, kind, fmt), digest in _PINNED.items()
+                   if kind == which}
 
 
 @pytest.mark.parametrize("which", KINDS)
@@ -228,12 +228,18 @@ def test_a_report_over_a_non_regular_file_is_written_in_place(corpora,
                                                               tmp_path):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    with ThreadPoolExecutor(1) as pool:
-        read = pool.submit(fifo.read_bytes)
+    # a reader opened without blocking lets the report open the FIFO; had
+    # the report replaced it, the read would find no writer and no bytes
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
         assert cli.main(["report", "--records", str(corpora["mixed"]),
                          "--which", "dist", "--out", str(fifo)]) == 0
-        assert read.result(timeout=10).startswith(b"grade,count,proportion\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert written.startswith(b"grade,count,proportion\n")
+    assert fifo.is_fifo()
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 # -- flat memory ----------------------------------------------------------------

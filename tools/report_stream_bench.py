@@ -11,7 +11,8 @@ script first checks that its lines equal that function's at 1,000 records.
 The smaller sizes are prefixes of the larger ones, as in that function.
 
 Each report runs in a fresh process that calls ``tlsaudit.cli.main``, timed
-from spawn to exit; its peak RSS is the child's own ``VmHWM``. The runs of one kind and size
+from spawn to exit; its CPU time is the child's user plus system time from
+``os.wait4``, and its peak RSS the child's own ``VmHWM``. The runs of one kind and size
 alternate between the trees, the first tree first on even runs. Each
 output is compared across trees byte for byte.
 
@@ -102,16 +103,19 @@ sys.exit(code)
 def run_report(src: str, records: Path, which: str, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", _CHILD, "report",
-                           "--records", str(records), "--which", which,
-                           "--out", str(out)], env=env, capture_output=True,
-                          text=True)
+    proc = subprocess.Popen([sys.executable, "-c", _CHILD, "report",
+                             "--records", str(records), "--which", which,
+                             "--out", str(out)], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    peak_kb = proc.stdout.read()
+    _pid, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
-    assert done.returncode == 0, f"{src} {which}: {done.stderr}"
+    proc.stdout.close()
+    assert os.waitstatus_to_exitcode(status) == 0, f"{src} {which} failed"
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     out.unlink()
-    return {"wall_s": wall, "peak_rss_mb": int(done.stdout) / 1024,
-            "sha256": digest}
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "peak_rss_mb": int(peak_kb) / 1024, "sha256": digest}
 
 
 _GC_CHILD = """
@@ -184,9 +188,12 @@ def main() -> None:
             for src, rs in runs.items():
                 row = {"src": src, "records": n, "kind": which,
                        "wall_s": [round(r["wall_s"], 3) for r in rs],
+                       "cpu_s": [round(r["cpu_s"], 3) for r in rs],
                        "peak_rss_mb": [round(r["peak_rss_mb"], 2) for r in rs],
                        "wall_s_median": round(statistics.median(
                            r["wall_s"] for r in rs), 3),
+                       "cpu_s_median": round(statistics.median(
+                           r["cpu_s"] for r in rs), 3),
                        "peak_rss_mb_median": round(statistics.median(
                            r["peak_rss_mb"] for r in rs), 2),
                        "outputs_identical": len(digests) == 1}
