@@ -22,7 +22,8 @@ from .configuration import Configuration
 from .grading import grade
 from .orchestrator import ProbePolicy
 from .registry import (
-    OBJECT, STR, SharedDecoder, check_fields, load_registry, parse_json,
+    OBJECT, STR, SharedDecoder, SharedLayout, check_fields, load_registry,
+    parse_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -33,9 +34,9 @@ EXIT_POLICY = 2
 EXIT_RUNTIME = 3
 
 # a ``grade --in`` or ``check-rec --configs`` line: a configuration, or an
-# object holding one with a label
+# object holding one with a label (which ``SharedLayout`` may have decoded)
 _LABELED_FIELDS = (("label", STR, "a string"),
-                   ("configuration", OBJECT, "an object"))
+                   ("configuration", OBJECT | {Configuration}, "an object"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,9 +102,10 @@ def cmd_scan(args) -> int:
     if not targets:
         raise pipeline.PipelineError("no valid targets")
 
-    # without a policy file: the default timeout and no pacing
-    policy = (pipeline.load_policy(args.policy) if args.policy
-              else ProbePolicy(delay_max_s=0.0))
+    # without a policy file: a policy file's defaults, unpaced when the
+    # ethics gate keeps the scan on loopback
+    policy = (pipeline.load_policy(args.policy) if args.policy else
+              ProbePolicy() if args.ethics else ProbePolicy(delay_max_s=0.0))
 
     options = pipeline.ScanOptions(
         allow_non_loopback=args.ethics,
@@ -124,17 +126,20 @@ def cmd_grade(args) -> int:
     errors = 0
     graded = []
     # a corpus repeats a few configurations many times: decode and grade each
-    # once
+    # once, and find a repeat by its text
     configurations = SharedDecoder(Configuration.from_json)
+    parse = SharedLayout((("configuration", configurations),))
     reports: dict[Configuration, dict] = {}
     with pipeline.open_input(args.infile, "configurations") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = check_fields(parse_json(line), _LABELED_FIELDS)
+                obj = check_fields(parse(line), _LABELED_FIELDS)
                 label = obj.get("label")
-                config = configurations(obj.get("configuration", obj))
+                config = obj.get("configuration", obj)
+                if type(config) is not Configuration:
+                    config = configurations(config)
                 result = reports.get(config)
                 if result is None:
                     result = reports[config] = grade(config, db).to_json()

@@ -29,7 +29,7 @@ from .grading import GradeReport, grade
 from .orchestrator import ProbePolicy, SiteProber
 from .registry import (
     INT, NULL, OBJECT, STR, CipherDb, SharedDecoder, check_fields, enum_decoder,
-    parse_json,
+    SharedLayout, parse_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -67,13 +67,13 @@ class Eligibility(Enum):
 _eligibility_of = enum_decoder(Eligibility)
 _DOMAIN = ("domain", STR, "a string")
 # the eligibility's type is checked by its decoder, the configuration's and
-# the grade report's by theirs
+# the grade report's by theirs, unless ``SharedLayout`` has decoded them
 _RECORD_FIELDS = (
     _DOMAIN, ("rank", INT | NULL, "an integer or null"),
     ("server_software", OBJECT | NULL, "an object or null"),
     ("asn", OBJECT | NULL, "an object or null"),
-    ("configuration", OBJECT | NULL, "an object or null"),
-    ("grade_report", OBJECT | NULL, "an object or null"),
+    ("configuration", OBJECT | NULL | {Configuration}, "an object or null"),
+    ("grade_report", OBJECT | NULL | {GradeReport}, "an object or null"),
     *((name, STR | NULL, "a string or null") for name in (
         "address", "started_at", "finished_at", "os_hint", "trace_ref",
         "exclusion_reason")),
@@ -116,8 +116,9 @@ class ScanRecord:
     Records that ``iter_records`` reads from one file share their
     ``configuration`` when its JSON is equal, and their ``grade_report``
     likewise, so a corpus holds one object per distinct value (unless its
-    values rarely repeat: see ``registry.SharedDecoder``). Neither object may
-    be mutated: a change would show in every record sharing it.
+    values rarely repeat: see ``registry.SharedDecoder``), found by its text
+    or else by its value. Neither object may be mutated: a change would show
+    in every record sharing it.
     """
 
     domain: str
@@ -168,7 +169,8 @@ class ScanRecord:
                   ) -> "ScanRecord":
         """Read ``to_json`` output back. ``configurations`` and
         ``grade_reports`` are a reader's shared decoders: records read with
-        the same decoders share equal-valued objects."""
+        the same decoders share equal-valued objects. ``obj`` may hold them
+        decoded already, as ``registry.SharedLayout`` gives them."""
         configurations = configurations or Configuration.from_json
         grade_reports = grade_reports or GradeReport.from_json
         check_fields(obj, _RECORD_FIELDS, required=("domain", "eligibility"))
@@ -184,13 +186,16 @@ class ScanRecord:
             server_software=obj.get("server_software"),
             os_hint=obj.get("os_hint"),
             asn=obj.get("asn"),
-            configuration=(configurations(obj["configuration"])
-                           if obj.get("configuration") is not None else None),
-            grade_report=(grade_reports(obj["grade_report"])
-                          if obj.get("grade_report") is not None else None),
+            configuration=_decoded(configurations, obj.get("configuration")),
+            grade_report=_decoded(grade_reports, obj.get("grade_report")),
             trace_ref=obj.get("trace_ref"),
             exclusion_reason=obj.get("exclusion_reason"),
         )
+
+
+def _decoded(decode, value):
+    """``decode(value)`` for a JSON object; None or a decoded one as it is."""
+    return decode(value) if type(value) is dict else value
 
 
 # -- target ingestion -----------------------------------------------------------
@@ -612,11 +617,16 @@ def iter_records(path) -> Iterator[ScanRecord]:
     """The records of a scan JSONL file, one at a time in file order. A
     corpus backs many thousand records with a few hundred distinct
     configurations and grade reports, so each distinct one is decoded once
-    and shared (see ``ScanRecord``). A file that cannot be read, is not
+    and shared (see ``ScanRecord``). In a line laid out as ``run_scan``
+    writes it, each is found by its text and only the rest of the line is
+    parsed (``registry.SharedLayout`` says when); any other line is parsed
+    whole, to the same record. A file that cannot be read, is not
     UTF-8 or holds a malformed line raises ``PipelineError`` when the stream
     reaches the fault, which may be after many records have passed."""
     configurations = SharedDecoder(Configuration.from_json)
     grade_reports = SharedDecoder(GradeReport.from_json)
+    parse = SharedLayout((("configuration", configurations),
+                          ("grade_report", grade_reports)), "trace_ref")
     with open_input(path, "records") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -624,7 +634,7 @@ def iter_records(path) -> Iterator[ScanRecord]:
                 continue
             try:
                 record = ScanRecord.from_json(
-                    parse_json(line), configurations, grade_reports)
+                    parse(line), configurations, grade_reports)
             except (ValueError, KeyError, TypeError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad record: {exc}")
             yield record

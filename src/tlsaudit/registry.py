@@ -189,10 +189,15 @@ class SharedDecoder:
     ``check_fields`` tells apart never share an object. A decode that
     raises stores nothing, so each bad value raises again.
 
-    Only repeats repay a key: each holds about 0.7 kB for a configuration,
-    and the memo keeps it until the reader returns. So once the memo holds
-    more than ``PROBE`` values, and more values than calls it has answered
-    from them, it is dropped, and every later value is decoded on its own.
+    ``text`` keys the same memo by a value's JSON text as well, so a repeat
+    found by its text (``SharedLayout``) is not parsed. A new text is parsed
+    and looked up by value: equal values in other text share one object.
+
+    Only repeats repay a key: each holds about 0.7 kB for a configuration
+    (its text about 0.8 kB), and the memo keeps it until the reader returns.
+    So once a new value leaves the memo with more than ``PROBE`` keys, and
+    more keys than calls it has answered from them, it is dropped with both
+    kinds of key, and every later value is decoded on its own.
     """
 
     PROBE = 4096
@@ -217,6 +222,79 @@ class SharedDecoder:
         if len(memo) > max(self.hits, self.PROBE):
             self.memo = None
         return found
+
+    def text(self, text: str):
+        """``self(parse_json(text))``, looked up and kept by ``text`` too;
+        None when that raises an input error, and once the memo is dropped."""
+        memo = self.memo
+        if memo is None:
+            return None
+        found = memo.get(text)
+        if found is not None:
+            self.hits += 1
+            return found
+        try:
+            found = self(parse_json(text))
+        except (ValueError, KeyError, TypeError):
+            return None
+        if self.memo is not None:  # the call above may have dropped it
+            memo[text] = found
+        return found
+
+
+class SharedLayout:
+    """A reader's ``parse_json(line)`` that takes each member named in
+    ``members``, ``(name, SharedDecoder)`` pairs, from its decoder's memo by
+    its text, and parses only the rest of the line.
+
+    The texts are found in the layout that ``json.dumps`` writes by default:
+    the members one after another in the order given, then the key
+    ``follower`` or, with none, the line's closing brace. The line is parsed
+    with member n's text replaced by the string ``"\\u000<n>"``. With the
+    decoded values put in, that is ``parse_json(line)`` when the line holds
+    no ``\\u000`` escape, each text decodes without error, and the parse is
+    an object whose members are exactly their placeholders: one complete
+    value replaced by another leaves the rest of the parse as it was, and a
+    duplicate key, or a match inside a string or a nested object, fails the
+    last test. Any other line is parsed whole, and raises as ``parse_json``.
+    """
+
+    __slots__ = ("parts", "names")
+
+    def __init__(self, members: tuple, follower: Optional[str] = None):
+        afters = [name for name, _ in members[1:]] + [follower]
+        self.parts = [
+            (f'"{name}": {{', None if after is None else f'}}, "{after}": ',
+             decoder, f'"\\u000{n}"')
+            for n, ((name, decoder), after) in enumerate(zip(members, afters))]
+        self.names = [(name, chr(n)) for n, (name, _) in enumerate(members)]
+
+    def __call__(self, line: str):
+        if "\\u000" in line:
+            return parse_json(line)
+        pieces, values, at = [], [], 0
+        for key, stop, decoder, token in self.parts:
+            start = line.find(key, at)
+            brace = start + len(key) - 1
+            end = line.find(stop, brace) + 1 if stop else len(line.rstrip()) - 1
+            value = decoder.text(line[brace:end]) if 0 <= start < end else None
+            if value is None:
+                return parse_json(line)
+            pieces += (line[at:brace], token)
+            values.append(value)
+            at = end
+        pieces.append(line[at:])
+        try:
+            obj = parse_json("".join(pieces))
+        except ValueError:
+            return parse_json(line)
+        if type(obj) is not dict:
+            return parse_json(line)
+        for (name, placeholder), value in zip(self.names, values):
+            if obj.get(name) != placeholder:
+                return parse_json(line)
+            obj[name] = value
+        return obj
 
 
 AEAD_MODES = frozenset({CipherMode.GCM, CipherMode.CCM, CipherMode.POLY1305})

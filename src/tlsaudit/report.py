@@ -257,12 +257,21 @@ def _replacing(out_path):
     """A UTF-8 text file that replaces ``out_path`` once the block ends
     without an error. It is written beside the real path, and removed on an
     error, so ``out_path`` stays as it was. A path that exists but is not a
-    regular file (``/dev/stdout``, a pipe) is written in place."""
+    regular file (``/dev/stdout``, a pipe) is written in place. A
+    ``<real path>.<pid>.tmp`` that a killed run left, one whose pid no
+    longer runs, is removed first."""
     path = os.path.realpath(out_path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
+    directory, name = os.path.split(path)
+    with contextlib.suppress(OSError):
+        for entry in os.listdir(directory):
+            pid = entry[len(name) + 1:-4]
+            if (entry == f"{name}.{pid}.tmp" and pid.isdecimal()
+                    and not _runs(int(pid))):
+                os.remove(os.path.join(directory, entry))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -272,6 +281,17 @@ def _replacing(out_path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _runs(pid: int) -> bool:
+    """Whether a process ``pid`` runs, ours or not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):  # another user's, or past any pid
+        pass
+    return True
 
 
 def _write_json_array(rows: Iterable, fh) -> None:

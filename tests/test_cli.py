@@ -226,6 +226,25 @@ def test_cmd_scan_policy_file_reaches_run_scan(tmp_path, monkeypatch):
                     ProbePolicy(timeout_s=5.0, delay_max_s=0.0)]
 
 
+def test_cmd_scan_without_a_policy_paces_only_beyond_loopback(tmp_path,
+                                                             monkeypatch):
+    """Without ``--policy``, a scan that may leave loopback paces as a
+    policy file's defaults do (0-2 s a handshake, 5 s a connection); a
+    loopback-only scan is not paced. ``run_scan`` is stubbed: no socket."""
+    targets = tmp_path / "targets.csv"
+    targets.write_text("1,localhost\n")
+    seen = []
+    monkeypatch.setattr(cli.pipeline, "run_scan",
+                        lambda targets, policy, *rest: seen.append(policy))
+    base = ["scan", "--targets", str(targets), "--out", str(tmp_path / "o.jsonl")]
+    assert cli.main(base + ["--i-understand-scanning-ethics"]) == 0
+    assert cli.main(base) == 0
+    assert seen == [ProbePolicy(), ProbePolicy(delay_max_s=0.0)]
+    assert seen[0] == ProbePolicy.from_json({})
+    assert (seen[0].delay_min_s, seen[0].delay_max_s, seen[0].timeout_s) == (
+        0.0, 2.0, 5.0)
+
+
 def test_cmd_scan_has_no_seed_flag(tmp_path, capsys):
     """The policy file's ``seed`` is the one seed of a scan's pacing."""
     with pytest.raises(SystemExit) as exc:

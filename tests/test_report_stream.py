@@ -14,7 +14,10 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +243,32 @@ def test_a_report_over_a_non_regular_file_is_written_in_place(corpora,
     assert written.startswith(b"grade,count,proportion\n")
     assert fifo.is_fifo()
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+_CHILD = "import sys; from tlsaudit import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def test_a_stale_temporary_file_is_removed(corpora, tmp_path):
+    """A ``report`` killed before its rename leaves ``<out>.<pid>.tmp``.
+    The next ``report`` to that ``--out`` removes such a file once its pid
+    no longer runs, here a child that has exited, and leaves alone the file
+    of a pid that runs, here this test's. The report runs in a child, whose
+    own temporary file has another name."""
+    exited = subprocess.Popen([sys.executable, "-c", "pass"])
+    exited.wait()
+    out = tmp_path / "dist.csv"
+    stale, live, other = (tmp_path / f"dist.csv.{tag}.tmp" for tag in (
+        exited.pid, os.getpid(), "x1"))
+    for path in (stale, live, other):
+        path.write_text("partial")
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", _CHILD, "report", "--records",
+                    str(corpora["mixed"]), "--which", "dist", "--out",
+                    str(out)], env=dict(os.environ, PYTHONPATH=str(src)),
+                   check=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [out.name, live.name, other.name])
+    assert out.read_text().startswith("grade,count,proportion\n")
 
 
 # -- flat memory ----------------------------------------------------------------

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_configuration
-from tlsaudit import cli, pipeline
+from tlsaudit import cli, pipeline, registry
 from tlsaudit.configuration import Configuration
 from tlsaudit.grading import grade
 from tlsaudit.pipeline import Eligibility, PipelineError, ScanRecord
@@ -53,11 +53,22 @@ def _reversed(obj: dict) -> dict:
 # wrongly typed and so an input error
 _VARIANTS = ("same", "reordered", "one-for-true", "float-for-int")
 
+# how a line differs from the writer's layout, which ``SharedLayout`` reads
+# by text: none; a placeholder's escape in a string; the member's key text
+# in a string, in a key (an escaped quote starts it) or nested one level
+# down; a second member after the real one, the last holding the member's
+# placeholder string; the shared member first; a malformed member; the
+# line in a list; the line cut short
+_TWISTS = ("writer", "escape", "marker-in-string", "marker-in-key", "nested",
+           "second-null", "second-object", "second-placeholder",
+           "member-first", "malformed", "listed", "truncated")
+
 
 @st.composite
 def _lines(draw, pool):
-    """(configuration JSON, grade report JSON, separators) per line: pool
-    values repeated, some reordered, some wrongly typed."""
+    """(configuration JSON, grade report JSON, separators, twist, another
+    configuration JSON, cut) per line: pool values repeated, some reordered,
+    some wrongly typed, some in the writer's layout and some not."""
     out = []
     for _ in range(draw(st.integers(1, 12))):
         config, report = draw(st.sampled_from(pool))
@@ -71,18 +82,86 @@ def _lines(draw, pool):
             config["server_preference"] = int(config["server_preference"])
         elif variant == "float-for-int":
             config["dh_prime_bits"] = float(config["dh_prime_bits"])
-        separators = draw(st.sampled_from(((", ", ": "), (",", ":"))))
-        out.append((config, report, separators))
+        # the writer's layout about half the time, twisted or compact else
+        separators = draw(st.sampled_from(((", ", ": "), (", ", ": "),
+                                           (",", ":"))))
+        twist = draw(st.one_of(st.just("writer"), st.sampled_from(_TWISTS)))
+        out.append((config, report, separators, twist,
+                    draw(st.sampled_from(pool))[0], draw(st.floats(0, 1))))
     return out
+
+
+def _line(members: list, name: str, twist: str, other: dict, cut: float,
+          separators) -> str:
+    """The JSON text of an object of ``members`` (key, value) as
+    ``json.dumps`` writes it with ``separators``, with ``twist`` applied
+    around the shared member ``name``; the first string member is the one
+    a twist of a string changes."""
+    item, key = separators
+    text = {k: json.dumps(v, separators=separators) for k, v in members}
+    order = [k for k, _ in members]
+    string = next(k for k, v in members if type(v) is str)
+    if twist == "escape":
+        text[string] = json.dumps(f"x{chr(cut >= 0.5)}y")
+    elif twist == "marker-in-string":
+        text[string] = json.dumps(f'"{name}": {{"{name}": {{}}, "trace_ref": ')
+    elif twist in ("marker-in-key", "nested"):
+        inner = {f'v"{name}': {"a": 1}} if twist == "marker-in-key" else {
+            name: other}
+        order.insert(0, "note")
+        text["note"] = json.dumps(inner, separators=separators)
+    elif twist.startswith("second-"):
+        order.append(f"{name}-2")
+        text[f"{name}-2"] = json.dumps({"second-null": None,
+                                        "second-object": other,
+                                        "second-placeholder": "\x00"}[twist],
+                                       separators=separators)
+    elif twist == "member-first":
+        order.remove(name)
+        order.insert(0, name)
+    elif twist == "malformed":
+        text[name] = text[name][:-1] + item + "}"
+    line = "{" + item.join(f'{json.dumps(k.removesuffix("-2"))}{key}{text[k]}'
+                           for k in order) + "}"
+    if twist == "listed":
+        return f"[{line}]"
+    return line[:max(1, int(cut * len(line)))] if twist == "truncated" else line
+
+
+def _record_line(n: int, config, report, separators, twist, other,
+                 cut) -> str:
+    """A GRADED record's line: in the writer's layout, with ``trace_ref``
+    and ``exclusion_reason`` after the grade report, unless ``twist`` or
+    ``separators`` says otherwise."""
+    members = [("schema_version", 1), ("domain", f"x{n}.test"),
+               ("rank", n + 1), ("address", "192.0.2.1"),
+               ("started_at", None), ("finished_at", None),
+               ("eligibility", "GRADED"),
+               ("server_software", {"name": "nginx", "version": "1.18.0"}),
+               ("os_hint", None), ("asn", {"number": 64500 + n % 3,
+                                           "name": "AS"}),
+               ("configuration", config), ("grade_report", report),
+               ("trace_ref", None), ("exclusion_reason", None)]
+    if twist == "member-first":
+        members.insert(0, members.pop(11))  # the grade report first
+        twist = "writer"
+    return _line(members, "configuration", twist, other, cut, separators)
+
+
+def _grade_line(n: int, config, separators, twist, other, cut) -> str:
+    """A ``grade --in`` line: ``{"label": .., "configuration": {..}}``,
+    unless ``twist`` or ``separators`` says otherwise."""
+    return _line([("label", f"c{n}"), ("configuration", config)],
+                 "configuration", twist, other, cut, separators)
 
 
 def _fresh_records(lines: list[str]):
     """What a fresh decode of each line gives: the records, or the first bad
-    line's number and message."""
+    line's number and message. The reader strips each line."""
     records = []
     for lineno, line in enumerate(lines, start=1):
         try:
-            records.append(ScanRecord.from_json(json.loads(line)))
+            records.append(ScanRecord.from_json(json.loads(line.strip())))
         except (ValueError, KeyError, TypeError) as exc:
             return None, (lineno, str(exc))
     return records, None
@@ -123,29 +202,26 @@ _PROBES = pytest.mark.parametrize("probe", [SharedDecoder.PROBE, 1],
 def test_load_records_decodes_as_each_line_alone(db, pool, tmp_path,
                                                  monkeypatch, probe, data):
     monkeypatch.setattr(SharedDecoder, "PROBE", probe)
-    lines = []
-    for n, (config, report, separators) in enumerate(data.draw(_lines(pool))):
-        lines.append(json.dumps(
-            {"domain": f"x{n}.test", "eligibility": "GRADED",
-             "asn": {"number": 64500 + n % 3, "name": "AS"},
-             "configuration": config, "grade_report": report},
-            separators=separators))
+    lines = [_record_line(n, *drawn)
+             for n, drawn in enumerate(data.draw(_lines(pool)))]
     _assert_loads_as_fresh(tmp_path, lines, check_sharing=probe > 1)
 
 
 def _fresh_grades(db, lines: list[str]):
     """``grade --in`` output lines and stderr lines, decoding each line
-    alone."""
+    alone, as read from the file with its newline."""
     out, err = [], []
     for lineno, line in enumerate(lines, start=1):
         try:
-            obj = check_fields(json.loads(line), cli._LABELED_FIELDS)
-            config = Configuration.from_json(obj["configuration"])
+            obj = check_fields(json.loads(line + "\n"), cli._LABELED_FIELDS)
+            config = Configuration.from_json(obj.get("configuration", obj))
         except (ValueError, KeyError, TypeError) as exc:
             err.append(f"line {lineno}: invalid record: {exc}")
             continue
-        out.append(json.dumps({"grade_report": grade(config, db).to_json(),
-                               "label": obj["label"]}))
+        out_obj = {"grade_report": grade(config, db).to_json()}
+        if "label" in obj:
+            out_obj["label"] = obj["label"]
+        out.append(json.dumps(out_obj))
     return out, err
 
 
@@ -155,9 +231,8 @@ def _fresh_grades(db, lines: list[str]):
 def test_grade_in_grades_as_each_line_alone(db, pool, tmp_path, capsys,
                                             monkeypatch, probe, data):
     monkeypatch.setattr(SharedDecoder, "PROBE", probe)
-    lines = [json.dumps({"label": f"c{n}", "configuration": config},
-                        separators=separators)
-             for n, (config, _report, separators)
+    lines = [_grade_line(n, config, *rest)
+             for n, (config, _report, *rest)
              in enumerate(data.draw(_lines(pool)))]
     infile, outfile = tmp_path / "configs.jsonl", tmp_path / "grades.jsonl"
     infile.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -378,3 +453,83 @@ def test_load_records_memory_per_record_without_repeats(db, tmp_path,
         tracemalloc.stop()
     assert len({repr(r.configuration) for r in records}) > 0.99 * count
     assert peak <= 5_200 * count, f"{peak / count:.0f} B per record"
+
+
+def test_each_text_is_decoded_once_and_no_line_is_parsed_whole(
+        db, tmp_path, monkeypatch, capsys):
+    """On a seeded 1,000-record corpus in the writer's layout, both readers
+    run ``Configuration.from_json`` once per distinct configuration text,
+    and ``parse_json`` never receives a whole line that holds one: each
+    text is parsed alone on its first line, and the rest of every line
+    without it."""
+    rng = random.Random(17)
+    configs = [random_configuration(rng, db) for _ in range(40)]
+    reports = [grade(config, db) for config in configs]
+    records = []
+    for n in range(1_000):
+        k = min(int(rng.paretovariate(1.0)) - 1, len(configs) - 1)
+        graded = n % 10 != 9
+        records.append(json.dumps(ScanRecord(
+            domain=f"site{n}.example.com", rank=n + 1, address="192.0.2.1",
+            eligibility=Eligibility.GRADED if graded else Eligibility.EXCLUDED,
+            asn={"number": 64500 + n % 30, "name": "AS"},
+            configuration=configs[k] if graded else None,
+            grade_report=reports[k] if graded else None,
+            exclusion_reason=None if graded else "DNS").to_json()))
+    shared = [line for line in records if '"configuration": {' in line]
+    texts = {json.dumps(json.loads(line)["configuration"]) for line in shared}
+    labeled = [json.dumps({"label": f"c{n}", "configuration":
+                           json.loads(line)["configuration"]})
+               for n, line in enumerate(shared)]
+    assert 1 < len(texts) < 40 and len(shared) == 900
+
+    decoded, parsed = [], []
+    from_json, parse_json = Configuration.from_json, registry.parse_json
+    monkeypatch.setattr(Configuration, "from_json",
+                        lambda obj: decoded.append(obj) or from_json(obj))
+    monkeypatch.setattr(registry, "parse_json",
+                        lambda text: parsed.append(text) or parse_json(text))
+    for lines, read in (
+            (records, lambda path: [r.to_json()
+                                    for r in pipeline.load_records(path)]),
+            (labeled, lambda path: cli.main(["grade", "--in", str(path),
+                                             "--out", str(tmp_path / "o")]))):
+        path = tmp_path / "in.jsonl"
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        decoded.clear()
+        parsed.clear()
+        got = read(path)
+        assert got == 0 or got == [json.loads(line) for line in lines]
+        assert len(decoded) == len(texts)
+        assert sorted(text for text in parsed if text in texts) == sorted(texts)
+        whole = {text.strip() for text in parsed}
+        assert not whole & set(shared) and not whole & set(labeled)
+    assert capsys.readouterr().err == ""
+
+
+def test_grade_in_memory_per_line_without_repeats(db, tmp_path, monkeypatch):
+    """``grade --in`` over 2,000 lines, each with its own configuration:
+    once the memo is dropped, its keys, the texts among them, are freed,
+    and the run peaks at 4,400-4,700 bytes a line under ``tracemalloc``,
+    as it did before texts were keys. Keeping every text and ``marshal``
+    key until the end peaked at about 6,400. ``PROBE`` is lowered so that
+    the memo is dropped early in a small file."""
+    monkeypatch.setattr(SharedDecoder, "PROBE", 512)
+    rng = random.Random(3)
+    count = 2_000
+    infile = tmp_path / "configs.jsonl"
+    with open(infile, "w", encoding="utf-8") as fh:
+        for n in range(count):
+            fh.write(json.dumps({"label": f"c{n}", "configuration":
+                                 random_configuration(rng, db).to_json()})
+                     + "\n")
+    tracemalloc.start()
+    try:
+        code = cli.main(["grade", "--in", str(infile),
+                         "--out", str(tmp_path / "grades.jsonl")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak <= 5_400 * count, f"{peak / count:.0f} B per line"
