@@ -1,10 +1,12 @@
 """``report`` as one pass over a record stream: pinned output bytes, any
 iterable in, all-or-nothing output, and memory that does not grow with the
-number of records.
+number of records; and the pinned outputs of ``grade`` and ``check-rec``.
 
-The pinned digests are those of the outputs written when every kind still
-loaded the whole file into a list, so a fold that reads each record once
-must give the same bytes. The corpus holds what the folds treat specially:
+The pinned report digests are those of the outputs written when every kind
+still loaded the whole file into a list, so a fold that reads each record
+once must give the same bytes. The ``grade`` and ``check-rec`` digests are
+those of the outputs written when each command still gathered its output in
+a list and wrote it at the end. The corpus holds what the folds treat specially:
 excluded records, records without an ASN, IP-literal domains, and one ASN
 under two names.
 """
@@ -180,6 +182,102 @@ def test_a_list_and_a_generator_give_the_same_bytes(corpora, tmp_path, which):
             report_mod.emit(which, report_mod.build(source, which), fmt, out)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# -- grade and check-rec outputs ------------------------------------------------
+
+def grade_lines(db, seed: int, n: int):
+    """``grade --in`` lines over the configurations of ``corpus_lines``:
+    most labelled (some with a non-ASCII label), every fifth bare, and a
+    blank, a malformed and a wrongly typed line among them."""
+    for i, line in enumerate(corpus_lines(db, seed, n)):
+        config = line["configuration"]
+        if config is None:
+            yield "\n" if i % 3 else '{"not": "a config"}\n'
+        elif i % 5 == 0:
+            yield json.dumps(config) + "\n"
+        elif i % 17 == 4:
+            yield json.dumps({"label": f"s-{i}",
+                              "configuration": dict(config, versions=None)}) + "\n"
+        else:
+            label = f"caf\u00e9-{i}" if i % 4 == 1 else f"site-{i}"
+            yield json.dumps({"label": label, "configuration": config}) + "\n"
+
+
+_KEYWORDS = ("ALL", "HIGH", "MEDIUM", "LOW", "aRSA", "ECDHE", "DHE", "RSA",
+             "AESGCM", "AES", "CHACHA20", "3DES", "RC4", "MD5", "SHA",
+             "aNULL", "eNULL", "EXPORT", "BOGUS")
+
+
+def recommendation_lines(seed: int, n: int):
+    """``check-rec --recs`` lines: random cipher strings with and without
+    the other directives, some of which no stock default can meet."""
+    rng = random.Random(seed)
+    for i in range(n):
+        terms = [rng.choice(_KEYWORDS[:11])] + [
+            rng.choice(("!", "+", "-", "")) + rng.choice(_KEYWORDS[:-1])
+            for _ in range(rng.randint(0, 4))]
+        rec = {"cipher_string": ":".join(terms), "source": {"id": f"rec-{i}"}}
+        if rng.random() < 0.6:
+            rec["protocols"] = sorted(rng.sample(
+                ["TLS1.0", "TLS1.1", "TLS1.2", "TLS1.3"], rng.randint(1, 3)))
+        if rng.random() < 0.5:
+            rec["server_preference"] = rng.random() < 0.7
+        if rng.random() < 0.3:
+            rec["dh_params_bits"] = rng.choice((1024, 2048, 4096))
+        yield json.dumps(rec) + "\n"
+
+
+@pytest.fixture(scope="module")
+def offline_inputs(db, tmp_path_factory):
+    """The pinned ``grade --in``, ``--recs`` and ``--configs`` files."""
+    d = tmp_path_factory.mktemp("offline")
+    paths = {name: d / f"{name}.jsonl" for name in ("in", "recs", "configs")}
+    paths["in"].write_text("".join(grade_lines(db, 0x5EED, 240)),
+                           encoding="utf-8")
+    paths["recs"].write_text("".join(recommendation_lines(0x5EED, 30)),
+                             encoding="utf-8")
+    configs = [line["configuration"] for line in corpus_lines(db, 5, 40)
+               if line["configuration"] is not None]
+    paths["configs"].write_text("".join(
+        json.dumps(config if n % 4 == 0 else
+                   {"label": f"cfg-{n}", "configuration": config}) + "\n"
+        for n, config in enumerate(configs[:12])), encoding="utf-8")
+    return paths
+
+
+# command -> (argv over the ``offline_inputs`` paths, exit code, number of
+# stderr lines, SHA-256 of the output)
+_PINNED_OFFLINE = {
+    "grade": (
+        ["grade", "--in", "{in}"], 1, 18,
+        "b9138c70b4b555cd9d0c2854450bf248c717a69fc465f056621ec9d05aac2c54"),
+    "check-rec-defaults": (
+        ["check-rec", "--recs", "{recs}", "--defaults"], 0, 0,
+        "bc43bdb63c0138d2c86937d3e17a803c653a1cc3785ba0d1c57eb7e50703e253"),
+    "check-rec-configs": (
+        ["check-rec", "--recs", "{recs}", "--configs", "{configs}"], 0, 0,
+        "7b13a95be219e943d49c0a4ed5223e7309361f674d5dd0e7d1931eb462e4aa17"),
+}
+
+
+def test_offline_inputs_are_pinned(offline_inputs):
+    assert {name: _sha256(path) for name, path in offline_inputs.items()} == {
+        "in": "c9b85ebad525f9a479f37d9bf26196e80fbbc8cdf6499b09a8775cd6cd75a561",
+        "recs": "7f54598e5dbb052f7da9438a2b43273428e19aece00c81afe20fe2315bb82838",
+        "configs":
+            "98211db756a74f20c29443b18b4ee14cdd6cbcec4f7c3468969357b20575d8c0"}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_OFFLINE))
+def test_grade_and_check_rec_outputs_are_pinned(offline_inputs, tmp_path,
+                                                capsys, command):
+    argv, code, errors, digest = _PINNED_OFFLINE[command]
+    out = tmp_path / "out.jsonl"
+    argv = [arg.format_map(offline_inputs) for arg in argv]
+    assert cli.main(argv + ["--out", str(out)]) == code
+    assert len(capsys.readouterr().err.splitlines()) == errors
+    assert _sha256(out) == digest
 
 
 # -- all-or-nothing output ------------------------------------------------------
