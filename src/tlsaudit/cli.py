@@ -3,15 +3,17 @@
 Subcommands: ``scan`` (the only one that opens sockets), ``grade``,
 ``check-rec``, ``report``, and ``fixtures``. Exit codes: 0 success,
 1 input error, 2 policy/ethics refusal, 3 runtime failure. An input file that
-cannot be read, is not UTF-8, or holds a malformed line is a
-``pipeline.PipelineError``, which ``main`` alone reports: one ``error:`` line,
-exit 1 (``grade`` reports each bad line instead, and goes on past it).
+cannot be read, is not UTF-8, or holds a malformed line, or an output file
+that cannot be written, is a ``pipeline.PipelineError``, which ``main`` alone
+reports: one ``error:`` line, exit 1 (``grade`` reports each bad line
+instead, and goes on past it). Every command but ``scan`` opens its output
+first, with ``pipeline.open_output``, and writes each line as its input
+passes; the file is replaced only once the output is whole.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import sys
@@ -88,14 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_jsonl(path, objects) -> None:
-    """One JSON line per object, to ``path`` or, when it is None, stdout."""
-    with (open(path, "w", encoding="utf-8") if path
-          else contextlib.nullcontext(sys.stdout)) as out:
-        for obj in objects:
-            out.write(json.dumps(obj) + "\n")
-
-
 def cmd_scan(args) -> int:
     db = load_registry()
     targets = pipeline.load_targets(args.targets)
@@ -124,34 +118,32 @@ def cmd_scan(args) -> int:
 def cmd_grade(args) -> int:
     db = load_registry()
     errors = 0
-    graded = []
-    # a corpus repeats a few configurations many times: decode and grade each
-    # once, and find a repeat by its text
+    # a corpus repeats a few configurations many times: find a repeat by its
+    # text, decode and grade it once, and keep its report's JSON text
     configurations = SharedDecoder(Configuration.from_json)
     parse = SharedLayout((("configuration", configurations),))
-    reports: dict[Configuration, dict] = {}
-    with pipeline.open_input(args.infile, "configurations") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    reports: dict[Configuration, str] = {}
+    with pipeline.open_output(args.out, "grades") as out:
+        for lineno, line in pipeline.input_lines(args.infile,
+                                                 "configurations"):
             try:
                 obj = check_fields(parse(line), _LABELED_FIELDS)
                 label = obj.get("label")
                 config = obj.get("configuration", obj)
                 if type(config) is not Configuration:
                     config = configurations(config)
-                result = reports.get(config)
-                if result is None:
-                    result = reports[config] = grade(config, db).to_json()
+                report = reports.get(config)
+                if report is None:
+                    report = reports[config] = json.dumps(
+                        grade(config, db).to_json())
             except (ValueError, KeyError, TypeError) as exc:
                 print(f"line {lineno}: invalid record: {exc}", file=sys.stderr)
                 errors += 1
                 continue
-            out_obj = {"grade_report": result}
-            if label is not None:
-                out_obj["label"] = label
-            graded.append(out_obj)
-    _write_jsonl(args.out, graded)
+            # the text of json.dumps({"grade_report": ..., "label": label})
+            out.write(f'{{"grade_report": {report}}}\n' if label is None else
+                      f'{{"grade_report": {report}, '
+                      f'"label": {json.dumps(label)}}}\n')
     return EXIT_INPUT if errors else EXIT_OK
 
 
@@ -160,75 +152,58 @@ def cmd_check_rec(args) -> int:
     if not args.configs and not args.defaults:
         raise pipeline.PipelineError("need --configs or --defaults")
     profiles = cipherstring.load_all_profiles()
-
-    # label -> configuration; a label names one line
-    configs: dict[str, Configuration] = {}
-    if args.configs:
-        with pipeline.open_input(args.configs, "configs file") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = check_fields(parse_json(line), _LABELED_FIELDS)
-                    label = obj.get("label", f"config-{lineno}")
-                    if label in configs:
-                        raise ValueError(f"label {label!r} is already used")
-                    configs[label] = Configuration.from_json(
-                        obj.get("configuration", obj))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise pipeline.PipelineError(
-                        f"bad configs file: line {lineno}: {exc}") from None
-
     defaults = ([(label, config, cipherstring.load_profile(profile_name))
                  for label, config, profile_name
                  in fixtures.ubuntu_default_configurations(db)]
                 if args.defaults else None)
-
-    recs = []
-    with pipeline.open_input(args.recs, "recommendations") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with pipeline.open_output(args.out, "recommendation checks") as out:
+        # label -> configuration; a label names one line
+        configs: dict[str, Configuration] = {}
+        for lineno, line in (pipeline.input_lines(args.configs, "configs file")
+                             if args.configs else ()):
             try:
-                recs.append(cipherstring.Recommendation.from_json(
-                    parse_json(line)))
+                obj = check_fields(parse_json(line), _LABELED_FIELDS)
+                label = obj.get("label", f"config-{lineno}")
+                if label in configs:
+                    raise ValueError(f"label {label!r} is already used")
+                configs[label] = Configuration.from_json(
+                    obj.get("configuration", obj))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise pipeline.PipelineError(
+                    f"bad configs file: line {lineno}: {exc}") from None
+
+        for lineno, line in pipeline.input_lines(args.recs, "recommendations"):
+            try:
+                rec = cipherstring.Recommendation.from_json(parse_json(line))
             except ValueError as exc:  # CipherStringError, RecommendationError
                 raise pipeline.PipelineError(
                     f"bad recs file: line {lineno}: {exc}") from None
-
-    results = []
-    for rec in recs:
-        entry: dict = {"recommendation": rec.to_json()}
-        if defaults is not None:
+            entry: dict = {"recommendation": rec.to_json()}
             try:
-                per_default, summary = cipherstring.grade_recommendation(
-                    rec, defaults, db, profiles)
+                if defaults is not None:
+                    per_default, summary = cipherstring.grade_recommendation(
+                        rec, defaults, db, profiles)
+                    entry.update(grades={
+                        label: (r if isinstance(r, dict) else r.to_json())
+                        for label, r in per_default.items()
+                    }, best=summary["best"].value, worst=summary["worst"].value)
+                if configs:
+                    entry["consistent"] = {
+                        label: cipherstring.consistent(config, rec, db, profiles)
+                        for label, config in configs.items()
+                    }
             except cipherstring.RecommendationError as exc:
                 entry["error"] = str(exc)
-                results.append(entry)
-                continue
-            entry["grades"] = {
-                label: (r if isinstance(r, dict) else r.to_json())
-                for label, r in per_default.items()
-            }
-            entry["best"] = summary["best"].value
-            entry["worst"] = summary["worst"].value
-        if configs:
-            entry["consistent"] = {
-                label: cipherstring.consistent(config, rec, db, profiles)
-                for label, config in configs.items()
-            }
-        results.append(entry)
-
-    _write_jsonl(args.out, results)
+            out.write(json.dumps(entry) + "\n")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    # the stream opens the file at its first record, so an unknown kind
-    # fails before the long read
-    data = report_mod.build(pipeline.iter_records(args.records), args.which)
-    report_mod.emit(args.which, data, args.format, args.out)
+    with pipeline.open_output(args.out, "report") as out:
+        # the stream opens the records file at its first record, so an
+        # unknown kind fails before the long read
+        data = report_mod.build(pipeline.iter_records(args.records), args.which)
+        report_mod.emit(args.which, data, args.format, out)
     return EXIT_OK
 
 
@@ -238,12 +213,14 @@ def cmd_fixtures(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = fixtures.bundled_corpus(db, seed=args.seed)
     for n, spec in enumerate(specs):
-        path = out_dir / f"spec-{n:03d}.json"
-        path.write_text(json.dumps(spec.to_json()) + "\n", encoding="utf-8")
-    with open(out_dir / "ubuntu_defaults.jsonl", "w", encoding="utf-8") as fh:
+        with pipeline.open_output(out_dir / f"spec-{n:03d}.json",
+                                  "fixture spec") as out:
+            out.write(json.dumps(spec.to_json()) + "\n")
+    with pipeline.open_output(out_dir / "ubuntu_defaults.jsonl",
+                              "stock defaults") as out:
         for label, config, profile in fixtures.ubuntu_default_configurations(db):
-            fh.write(json.dumps({"label": label, "profile": profile,
-                                 "configuration": config.to_json()}) + "\n")
+            out.write(json.dumps({"label": label, "profile": profile,
+                                  "configuration": config.to_json()}) + "\n")
     print(f"wrote {len(specs)} fixture specs and the stock defaults "
           f"to {out_dir}")
     return EXIT_OK

@@ -14,11 +14,13 @@ import datetime
 import ipaddress
 import json
 import logging
+import os
 import socket
+import sys
 import urllib.parse
 from array import array
 from bisect import bisect_left
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -57,6 +59,75 @@ def open_input(path, what: str, mode: str = "r", newline: Optional[str] = None):
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise PipelineError(f"cannot read {what}: {exc}") from exc
+
+
+def input_lines(path, what: str) -> Iterator[tuple[int, str]]:
+    """``(number, line)`` of each line of an input file that is not blank,
+    read through ``open_input``. The caller's loop body runs outside the
+    input's block, so its own errors, a write's among them, pass as they
+    are."""
+    with open_input(path, what) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
+
+
+@contextmanager
+def open_output(path, what: str):
+    """Open an output file as UTF-8 text, or stdout when ``path`` is None.
+    The file is written as ``<real path>.<pid>.tmp``, which replaces
+    ``path`` once the block ends without an error and is removed on one, so
+    ``path`` stays as it was. A path that exists but is not a regular file
+    (``/dev/stdout``, a pipe) is written in place. Such a ``.tmp`` that a
+    killed run left, one whose pid no longer runs, is removed first. An
+    ``OSError`` from creating, writing or replacing the file is a
+    ``PipelineError`` ``cannot write <what>: <reason>`` naming ``path``."""
+    try:
+        if path is None:
+            yield sys.stdout
+            sys.stdout.flush()
+            return
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            return
+        real = os.path.realpath(path)
+        directory, name = os.path.split(real)
+        with suppress(OSError):
+            for entry in os.listdir(directory):
+                pid = entry[len(name) + 1:-4]
+                if (entry == f"{name}.{pid}.tmp" and pid.isdecimal()
+                        and not _runs(int(pid))):
+                    os.remove(os.path.join(directory, entry))
+        tmp = f"{real}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            os.replace(tmp, real)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
+    except OSError as exc:
+        if path is None:  # so that the interpreter's flush at exit succeeds
+            with suppress(OSError, ValueError):
+                fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+        elif exc.filename is not None:  # the given path, not the .tmp one
+            exc = OSError(exc.errno, exc.strerror, str(path))
+        raise PipelineError(f"cannot write {what}: {exc}") from exc
+
+
+def _runs(pid: int) -> bool:
+    """Whether a process ``pid`` runs, ours or not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):  # another user's, or past any pid
+        pass
+    return True
 
 
 class Eligibility(Enum):
@@ -627,17 +698,13 @@ def iter_records(path) -> Iterator[ScanRecord]:
     grade_reports = SharedDecoder(GradeReport.from_json)
     parse = SharedLayout((("configuration", configurations),
                           ("grade_report", grade_reports)), "trace_ref")
-    with open_input(path, "records") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = ScanRecord.from_json(
-                    parse(line), configurations, grade_reports)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise PipelineError(f"{path}:{lineno}: bad record: {exc}")
-            yield record
+    for lineno, line in input_lines(path, "records"):
+        try:
+            record = ScanRecord.from_json(
+                parse(line.strip()), configurations, grade_reports)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise PipelineError(f"{path}:{lineno}: bad record: {exc}")
+        yield record
 
 
 def load_records(path) -> list[ScanRecord]:

@@ -5,10 +5,11 @@ Each report is one fold over a stream of records: it reads any iterable
 once and keeps only per-grade, per-AS and per-configuration counters, so its
 memory grows with the number of distinct groups, not of records. The
 ``records`` kind keeps nothing: its rows are made as the records pass, and
-``emit`` writes each as it comes. Outputs are deterministic (ties broken
-lexicographically) so emitted files are stable. A fold that groups by
-configuration computes ``config_key`` once per distinct configuration, in a
-dict that lives for that one fold.
+``emit`` writes each as it comes, to a handle from ``pipeline.open_output``
+that replaces the file only once the report is whole. Outputs are
+deterministic (ties broken lexicographically) so emitted files are stable.
+A fold that groups by configuration computes ``config_key`` once per
+distinct configuration, in a dict that lives for that one fold.
 
 ``config_key`` takes its SHA-256 from the interpreter's built-in module
 (``_sha2``, ``_sha256`` before Python 3.12), as ``random`` does for SHA-512:
@@ -18,10 +19,8 @@ for the same digest.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
-import os
 from collections import Counter, defaultdict
 from collections.abc import Iterator
 from typing import Callable, Iterable, Optional
@@ -252,48 +251,6 @@ def build(records: Iterable[ScanRecord], which: str):
     return builder(records)
 
 
-@contextlib.contextmanager
-def _replacing(out_path):
-    """A UTF-8 text file that replaces ``out_path`` once the block ends
-    without an error. It is written beside the real path, and removed on an
-    error, so ``out_path`` stays as it was. A path that exists but is not a
-    regular file (``/dev/stdout``, a pipe) is written in place. A
-    ``<real path>.<pid>.tmp`` that a killed run left, one whose pid no
-    longer runs, is removed first."""
-    path = os.path.realpath(out_path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        return
-    directory, name = os.path.split(path)
-    with contextlib.suppress(OSError):
-        for entry in os.listdir(directory):
-            pid = entry[len(name) + 1:-4]
-            if (entry == f"{name}.{pid}.tmp" and pid.isdecimal()
-                    and not _runs(int(pid))):
-                os.remove(os.path.join(directory, entry))
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def _runs(pid: int) -> bool:
-    """Whether a process ``pid`` runs, ours or not."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (OSError, OverflowError):  # another user's, or past any pid
-        pass
-    return True
-
-
 def _write_json_array(rows: Iterable, fh) -> None:
     """``json.dumps(list(rows))``, written one element at a time."""
     fh.write("[")
@@ -304,17 +261,15 @@ def _write_json_array(rows: Iterable, fh) -> None:
     fh.write("]\n")
 
 
-def emit(which: str, data, fmt: str, out_path) -> None:
-    """Write a built report as UTF-8 CSV or JSON with LF line endings. A
-    report that is a stream of rows is written as the rows come; either way
-    ``out_path`` changes only once the whole report is written."""
+def emit(which: str, data, fmt: str, fh) -> None:
+    """Write a built report to ``fh`` as CSV or JSON with LF line endings. A
+    report that is a stream of rows is written as the rows come."""
     _, rows = kind(which)
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    with _replacing(out_path) as fh:
-        if fmt == "csv":
-            csv.writer(fh, lineterminator="\n").writerows(rows(data))
-        elif isinstance(data, Iterator):
-            _write_json_array(data, fh)
-        else:
-            fh.write(json.dumps(data) + "\n")
+    if fmt == "csv":
+        csv.writer(fh, lineterminator="\n").writerows(rows(data))
+    elif isinstance(data, Iterator):
+        _write_json_array(data, fh)
+    else:
+        fh.write(json.dumps(data) + "\n")

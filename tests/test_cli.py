@@ -329,6 +329,18 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
            "delay_min_ms (3000) must not exceed delay_max_ms (2000)"),
           (b'{"delay_min_ms": 500, "delay_max_ms": 0}',
            "delay_min_ms (500) must not exceed delay_max_ms (0)"))),
+    # an --out in a missing directory, opened before the input is read:
+    # read first, each input would be an error of its own
+    *(({name: content}, argv + ["--out", "{report}/out"],
+       f"error: cannot write {what}: [Errno 2] No such file or directory: "
+       "'{report}/out'")
+      for name, content, argv, what in (
+          ("in", b'{"not": "a config"}\n', ["grade", "--in", "{in}"],
+           "grades"),
+          ("recs", b'{"protocols": ["TLSv9"]}\n',
+           ["check-rec", "--defaults", "--recs", "{recs}"],
+           "recommendation checks"),
+          ("records", b"not json\n", _RECORDS[:-2], "report"))),
 ], ids=["targets-latin-1", "grade-in-latin-1", "recs-latin-1",
         "records-latin-1", "resume-not-json", "resume-domain-list",
         "resume-without-domain",
@@ -338,7 +350,8 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
         "report-kind-before-records",
         "policy-negative-timeout", "policy-nan-timeout", "policy-zero-timeout",
         "policy-negative-delay", "policy-min-above-default-max",
-        "policy-min-above-max"])
+        "policy-min-above-max", "grade-out-dir-missing",
+        "check-rec-out-dir-missing", "report-out-dir-missing"])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, files, argv,
                                           prefix):
     paths = {name: str(tmp_path / name) for name in (
@@ -351,6 +364,7 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, files, argv,
     assert len(err) == 1 and err[0].startswith(prefix.format_map(paths))
     assert {name: Path(paths[name]).read_bytes() for name in files} == files
     assert not Path(paths["report"]).exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_every_long_option_is_in_readme():

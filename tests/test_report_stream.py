@@ -1,18 +1,22 @@
 """``report`` as one pass over a record stream: pinned output bytes, any
-iterable in, all-or-nothing output, and memory that does not grow with the
-number of records; and the pinned outputs of ``grade`` and ``check-rec``.
+iterable in, and memory that does not grow with the number of records. The
+pinned outputs of ``grade`` and ``check-rec``, whose memory does not grow
+either. And the one writer of all three, ``pipeline.open_output``: output
+all or nothing, a stale temporary file removed, a closed stdout one error.
 
 The pinned report digests are those of the outputs written when every kind
 still loaded the whole file into a list, so a fold that reads each record
 once must give the same bytes. The ``grade`` and ``check-rec`` digests are
 those of the outputs written when each command still gathered its output in
-a list and wrote it at the end. The corpus holds what the folds treat specially:
-excluded records, records without an ASN, IP-literal domains, and one ASN
-under two names.
+a list and wrote it at the end. The corpus holds what the folds treat
+specially: excluded records, records without an ASN, IP-literal domains,
+and one ASN under two names.
 """
 
+import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -179,7 +183,8 @@ def test_a_list_and_a_generator_give_the_same_bytes(corpora, tmp_path, which):
         outputs = []
         for n, source in enumerate((records, (r for r in records))):
             out = tmp_path / f"{n}.{fmt}"
-            report_mod.emit(which, report_mod.build(source, which), fmt, out)
+            with pipeline.open_output(out, "report") as fh:
+                report_mod.emit(which, report_mod.build(source, which), fmt, fh)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -202,6 +207,15 @@ def grade_lines(db, seed: int, n: int):
         else:
             label = f"caf\u00e9-{i}" if i % 4 == 1 else f"site-{i}"
             yield json.dumps({"label": label, "configuration": config}) + "\n"
+
+
+def config_lines(db, seed: int, n: int):
+    """``grade --in`` lines, each a labelled configuration of the first
+    ``n`` records of ``corpus_lines``."""
+    for line in corpus_lines(db, seed, n):
+        if line["configuration"] is not None:
+            yield json.dumps({"label": line["domain"],
+                              "configuration": line["configuration"]}) + "\n"
 
 
 _KEYWORDS = ("ALL", "HIGH", "MEDIUM", "LOW", "aRSA", "ECDHE", "DHE", "RSA",
@@ -282,40 +296,71 @@ def test_grade_and_check_rec_outputs_are_pinned(offline_inputs, tmp_path,
 
 # -- all-or-nothing output ------------------------------------------------------
 
+def _argv(which: str, path, fmt: str, configs) -> list[str]:
+    """The arguments, but ``--out``, of report kind ``which``, or of
+    ``grade`` or ``check-rec --configs``, reading ``path``."""
+    if which == "grade":
+        return ["grade", "--in", str(path)]
+    if which == "check-rec":
+        return ["check-rec", "--recs", str(path), "--configs", str(configs)]
+    return ["report", "--records", str(path), "--which", which,
+            "--format", fmt]
+
+
+# the input each command reads, named as its read errors name it
+_INPUT = {"grade": "configurations", "check-rec": "recommendations",
+          **dict.fromkeys(KINDS, "records")}
+
+
 @pytest.fixture(scope="module")
 def late_faults(db, tmp_path_factory):
-    """Two files whose fault comes after many valid records: a malformed
-    last line, and a byte that is not UTF-8 past the first read buffers.
-    Each maps to the first line of the error ``report`` must print."""
+    """For each input, files whose fault comes after many valid lines: a
+    malformed last line, and a byte that is not UTF-8 past the first read
+    buffers. Each maps to the first line of the error the command must
+    print. ``grade`` reports a malformed line and goes on past it, so its
+    input has only the second."""
     d = tmp_path_factory.mktemp("faults")
-    valid = [json.dumps(line) + "\n" for line in corpus_lines(db, 11, 120)]
-    head = "".join(valid).encode("utf-8")
-    assert len(head) > 8 * io.DEFAULT_BUFFER_SIZE
-    bad_line, bad_byte = d / "bad-line.jsonl", d / "bad-byte.jsonl"
-    bad_line.write_bytes(head + b'{"domain": "late.test"\n')
-    bad_byte.write_bytes(head + b'{"domain": "caf\xe9.test"}\n')
-    return {
-        "malformed-last-line": (
-            bad_line, f"error: {bad_line}:{len(valid) + 1}: bad record: "),
-        "non-utf-8-byte": (
-            bad_byte, "error: cannot read records: 'utf-8' codec can't "
-                      "decode byte 0xe9"),
+    malformed = {"records": "error: {path}:{lineno}: bad record: ",
+                 "recommendations": "error: bad recs file: line {lineno}: "}
+    heads = {
+        "records": [json.dumps(line) + "\n"
+                    for line in corpus_lines(db, 11, 120)],
+        "configurations": list(config_lines(db, 11, 120)),
+        "recommendations": list(recommendation_lines(11, 800)),
     }
+    faults = {}
+    for name, valid in heads.items():
+        head = "".join(valid).encode("utf-8")
+        assert len(head) > 8 * io.DEFAULT_BUFFER_SIZE
+        bad_line, bad_byte = (d / f"{name}-bad-{fault}.jsonl"
+                              for fault in ("line", "byte"))
+        bad_line.write_bytes(head + b'{"domain": "late.test"\n')
+        bad_byte.write_bytes(head + b'{"domain": "caf\xe9.test"}\n')
+        faults[name, "non-utf-8-byte"] = (
+            bad_byte, f"error: cannot read {name}: 'utf-8' codec can't "
+                      "decode byte 0xe9")
+        if name in malformed:
+            faults[name, "malformed-last-line"] = (bad_line, malformed[
+                name].format(path=bad_line, lineno=len(valid) + 1))
+    return faults
 
 
-@pytest.mark.parametrize("fault", ["malformed-last-line", "non-utf-8-byte"])
-@pytest.mark.parametrize("which", KINDS)
-def test_a_late_fault_leaves_no_output(late_faults, tmp_path, capsys, which,
-                                       fault):
-    path, prefix = late_faults[fault]
-    for fmt in FORMATS:
+@pytest.mark.parametrize("which, fault", [
+    *((which, fault) for which in KINDS
+      for fault in ("malformed-last-line", "non-utf-8-byte")),
+    ("grade", "non-utf-8-byte"),
+    ("check-rec", "malformed-last-line"), ("check-rec", "non-utf-8-byte")])
+def test_a_late_fault_leaves_no_output(late_faults, offline_inputs, tmp_path,
+                                       capsys, which, fault):
+    path, prefix = late_faults[_INPUT[which], fault]
+    for fmt in FORMATS if which in KINDS else FORMATS[:1]:
         for before in (None, b"an earlier report\n"):
             out = tmp_path / f"{which}.{fmt}"
             if before is not None:
                 out.write_bytes(before)
             listing = sorted(tmp_path.iterdir())
-            assert cli.main(["report", "--records", str(path), "--which",
-                             which, "--format", fmt, "--out", str(out)]) == 1
+            assert cli.main(_argv(which, path, fmt, offline_inputs["configs"])
+                            + ["--out", str(out)]) == 1
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(prefix)
             assert sorted(tmp_path.iterdir()) == listing
@@ -344,29 +389,74 @@ def test_a_report_over_a_non_regular_file_is_written_in_place(corpora,
 
 
 _CHILD = "import sys; from tlsaudit import cli; sys.exit(cli.main(sys.argv[1:]))"
+_CHILD_ENV = dict(os.environ, PYTHONPATH=str(
+    Path(__file__).resolve().parent.parent / "src"))
 
 
-def test_a_stale_temporary_file_is_removed(corpora, tmp_path):
-    """A ``report`` killed before its rename leaves ``<out>.<pid>.tmp``.
-    The next ``report`` to that ``--out`` removes such a file once its pid
-    no longer runs, here a child that has exited, and leaves alone the file
-    of a pid that runs, here this test's. The report runs in a child, whose
-    own temporary file has another name."""
+@pytest.mark.parametrize("which", ["dist", "grade", "check-rec"])
+def test_a_stale_temporary_file_is_removed(corpora, offline_inputs, tmp_path,
+                                           which):
+    """A command killed before its rename leaves ``<out>.<pid>.tmp``. The
+    next one to that ``--out`` removes such a file once its pid no longer
+    runs, here a child that has exited, and leaves alone the file of a pid
+    that runs, here this test's. The command runs in a child, whose own
+    temporary file has another name, and writes its whole output."""
     exited = subprocess.Popen([sys.executable, "-c", "pass"])
     exited.wait()
-    out = tmp_path / "dist.csv"
-    stale, live, other = (tmp_path / f"dist.csv.{tag}.tmp" for tag in (
+    out = tmp_path / "out.txt"
+    stale, live, other = (tmp_path / f"out.txt.{tag}.tmp" for tag in (
         exited.pid, os.getpid(), "x1"))
     for path in (stale, live, other):
         path.write_text("partial")
-    src = Path(__file__).resolve().parent.parent / "src"
-    subprocess.run([sys.executable, "-c", _CHILD, "report", "--records",
-                    str(corpora["mixed"]), "--which", "dist", "--out",
-                    str(out)], env=dict(os.environ, PYTHONPATH=str(src)),
-                   check=True)
+    path = {"dist": corpora["mixed"], "grade": offline_inputs["in"],
+            "check-rec": offline_inputs["recs"]}[which]
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD,
+         *_argv(which, path, "csv", offline_inputs["configs"]),
+         "--out", str(out)], env=_CHILD_ENV, capture_output=True)
+    assert done.returncode == (1 if which == "grade" else 0)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [out.name, live.name, other.name])
-    assert out.read_text().startswith("grade,count,proportion\n")
+    assert _sha256(out) == {
+        "dist": _PINNED["mixed", "dist", "csv"],
+        "grade": _PINNED_OFFLINE["grade"][-1],
+        "check-rec": _PINNED_OFFLINE["check-rec-configs"][-1]}[which]
+
+
+@pytest.mark.parametrize("which", ["grade", "check-rec"])
+def test_a_closed_stdout_is_one_error_line(db, offline_inputs, tmp_path,
+                                           which):
+    """``grade --in big.jsonl | head -1``: the reader leaves after one line,
+    long before the output is written. The command stops at its next write
+    with exit 1 and one ``error:`` line: no traceback, and no ``Exception
+    ignored`` when the interpreter flushes stdout at exit."""
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(config_lines(db, 3, 1200) if which == "grade"
+                            else recommendation_lines(3, 600)),
+                    encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CHILD,
+         *_argv(which, path, "csv", offline_inputs["configs"])],
+        env=_CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert json.loads(child.stdout.readline())
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == 1
+    what = "grades" if which == "grade" else "recommendation checks"
+    assert err.splitlines() == [
+        f"error: cannot write {what}: [Errno 32] Broken pipe"]
+
+
+def test_a_report_to_dev_stdout_is_written_in_place(corpora):
+    """``/dev/stdout`` is no regular file, here a pipe: the report is
+    written through it, not beside the pipe its real path names."""
+    done = subprocess.run([sys.executable, "-c", _CHILD, "report",
+                           "--records", str(corpora["mixed"]), "--which",
+                           "dist", "--out", "/dev/stdout"], env=_CHILD_ENV,
+                          capture_output=True, check=True)
+    assert hashlib.sha256(done.stdout).hexdigest() == _PINNED[
+        "mixed", "dist", "csv"]
 
 
 # -- flat memory ----------------------------------------------------------------
@@ -384,10 +474,31 @@ def test_memory_does_not_grow_with_the_records(db, tmp_path, which):
         write_corpus(path, corpus_lines(db, 7, n))
         tracemalloc.start()
         try:
-            report_mod.emit(which, report_mod.build(
-                pipeline.iter_records(path), which), "json",
-                tmp_path / f"{n}.json")
+            with pipeline.open_output(tmp_path / f"{n}.json", "report") as out:
+                report_mod.emit(which, report_mod.build(
+                    pipeline.iter_records(path), which), "json", out)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_grade_memory_does_not_grow_with_the_lines(db, tmp_path, capsys):
+    """On a corpus whose configurations repeat, the traced peak of
+    ``grade --in`` over 20,000 lines stays within 1.1 times its peak over
+    2,000: each line is written as it is graded, not kept. A first run
+    warms what a process loads once. (About 230 kB either way.)"""
+    lines = list(itertools.islice(config_lines(db, 7, 23_000), 20_000))
+    peaks = []
+    for n in (2_000, 2_000, 20_000):
+        path = tmp_path / f"{n}.jsonl"
+        path.write_text("".join(lines[:n]), encoding="utf-8")
+        gc.collect()  # the cycles an earlier run left
+        tracemalloc.start()
+        try:
+            assert cli.main(["grade", "--in", str(path), "--out",
+                             str(tmp_path / "grades.jsonl")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.1 * peaks[1], peaks

@@ -1,5 +1,6 @@
-"""Wall time and peak RSS of each ``tlsaudit report`` kind on the benchmark's
-``analyze`` corpus at scale, for one or more source trees.
+"""Wall time and peak RSS of each ``tlsaudit report`` kind, and of
+``tlsaudit grade``, on the benchmark's ``analyze`` corpus at scale, for one
+or more source trees.
 
     python3 tools/report_stream_bench.py --src OLD/src --src NEW/src \\
         --sizes 10000 100000 --runs 3 --work /tmp/rs --out figures.json
@@ -9,6 +10,9 @@ The corpus of N records is the records of
 JSONL one record at a time so that the generator itself stays small; the
 script first checks that its lines equal that function's at 1,000 records.
 The smaller sizes are prefixes of the larger ones, as in that function.
+The kind ``grade`` runs ``grade --in`` over that function's ``grade_inputs``
+for the same records: one ``{"label": "cfg-<record index>", "configuration":
+…}`` line per configured record.
 
 Each report runs in a fresh process that calls ``tlsaudit.cli.main``, timed
 from spawn to exit; its CPU time is the child's user plus system time from
@@ -85,6 +89,14 @@ def write_corpora(work: Path, sizes: list[int]) -> dict[int, Path]:
                 fh.write(line)
     for fh in handles.values():
         fh.close()
+    for n, path in paths.items():
+        with open(path, encoding="utf-8") as src, \
+                open(work / f"configs-{n}.jsonl", "w", encoding="utf-8") as dst:
+            for i, line in enumerate(src):
+                config = json.loads(line)["configuration"]
+                if config:
+                    dst.write(json.dumps({"label": f"cfg-{i}",
+                                          "configuration": config}) + "\n")
     return paths
 
 
@@ -102,9 +114,13 @@ sys.exit(code)
 
 def run_report(src: str, records: Path, which: str, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
+    if which == "grade":
+        configs = records.with_name(records.name.replace("records", "configs"))
+        argv = ["grade", "--in", str(configs)]
+    else:
+        argv = ["report", "--records", str(records), "--which", which]
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", _CHILD, "report",
-                             "--records", str(records), "--which", which,
+    proc = subprocess.Popen([sys.executable, "-c", _CHILD, *argv,
                              "--out", str(out)], env=env,
                             stdout=subprocess.PIPE, text=True)
     peak_kb = proc.stdout.read()
@@ -154,7 +170,8 @@ def main() -> None:
     parser.add_argument("--src", action="append", required=True,
                         help="a tree's src directory; give one per tree")
     parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 100_000])
-    parser.add_argument("--kinds", nargs="+", default=list(KINDS))
+    parser.add_argument("--kinds", nargs="+", default=list(KINDS),
+                        help="report kinds, and grade")
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--gc", metavar="KIND",
                         help="time the cyclic GC in one run of KIND instead")
