@@ -179,21 +179,22 @@ def cmd_check_rec(args) -> int:
                 raise pipeline.PipelineError(
                     f"bad recs file: line {lineno}: {exc}") from None
             entry: dict = {"recommendation": rec.to_json()}
-            try:
-                if defaults is not None:
+            if defaults is not None:
+                try:
                     per_default, summary = cipherstring.grade_recommendation(
                         rec, defaults, db, profiles)
-                    entry.update(grades={
-                        label: (r if isinstance(r, dict) else r.to_json())
-                        for label, r in per_default.items()
-                    }, best=summary["best"].value, worst=summary["worst"].value)
-                if configs:
-                    entry["consistent"] = {
-                        label: cipherstring.consistent(config, rec, db, profiles)
-                        for label, config in configs.items()
-                    }
-            except cipherstring.RecommendationError as exc:
-                entry["error"] = str(exc)
+                except cipherstring.RecommendationError as exc:
+                    out.write(json.dumps({**entry, "error": str(exc)}) + "\n")
+                    continue
+                entry.update(grades={
+                    label: (r if isinstance(r, dict) else r.to_json())
+                    for label, r in per_default.items()
+                }, best=summary["best"].value, worst=summary["worst"].value)
+            if configs:
+                entry["consistent"] = {
+                    label: cipherstring.consistent(config, rec, db, profiles)
+                    for label, config in configs.items()
+                }
             out.write(json.dumps(entry) + "\n")
     return EXIT_OK
 
