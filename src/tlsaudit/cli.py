@@ -211,7 +211,7 @@ def cmd_report(args) -> int:
 def cmd_fixtures(args) -> int:
     db = load_registry()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    pipeline.make_directory(out_dir, "fixture specs")
     specs = fixtures.bundled_corpus(db, seed=args.seed)
     for n, spec in enumerate(specs):
         with pipeline.open_output(out_dir / f"spec-{n:03d}.json",

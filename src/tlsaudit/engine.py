@@ -372,14 +372,11 @@ class HandshakeEngine:
         """Complete the message flow (no record protection is applied), then
         send the GET when the offer asks for one, naming the SNI name or else
         the dialled ``host`` in its Host header."""
-        flight = b""
+        flight = wire.finished_records(version)
         if not conn.resumed:
             cke = wire.handshake_message(HsType.CLIENT_KEY_EXCHANGE,
                                          wire.vec16(os.urandom(48)))
-            flight += wire.record(ContentType.HANDSHAKE, version, cke)
-        flight += wire.record(ContentType.CHANGE_CIPHER_SPEC, version, b"\x01")
-        fin = wire.handshake_message(HsType.FINISHED, os.urandom(12))
-        flight += wire.record(ContentType.HANDSHAKE, version, fin)
+            flight = wire.record(ContentType.HANDSHAKE, version, cke) + flight
         conn.sock.sendall(flight)
 
         # the server's finished flight (full handshake) incl. any ticket

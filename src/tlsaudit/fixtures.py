@@ -10,9 +10,11 @@ Each server flight goes out in one write, as the engine's client flights
 do and as real TLS stacks do; split writes would stall every completed
 handshake on Nagle's algorithm against the peer's delayed ACK.
 
-After its hello flight the server reads every client record in one loop,
-``FixtureEndpoint._serve_records``, full and abbreviated handshakes alike; a
-record the handshake does not allow at that point ends the connection.
+``FixtureEndpoint._serve`` is the one loop that reads a client record and
+writes a reply: ``_hello_reply`` answers the first record and
+``_record_reply`` each later one, full and abbreviated handshakes alike,
+each returning its reply's bytes and the state the next record is read in.
+A record the handshake does not allow at that point ends the connection.
 
 Each endpoint runs one thread for its whole life: it accepts and serves its
 connections one at a time, in arrival order; a waiting connection sits in
@@ -60,8 +62,8 @@ from .registry import (
     cert_compatible, sort_offer, suite_label,
 )
 from .wire import (
-    VERSION_BY_WORD, AlertDescription, ClientHello, Compression, ContentType,
-    ExtType, HsType, NewSessionTicket, ServerHello, WireError,
+    AlertDescription, ClientHello, Compression, ContentType, ExtType, HsType,
+    NewSessionTicket, ServerHello, WireError,
 )
 
 logger = logging.getLogger(__name__)
@@ -214,21 +216,44 @@ class FixtureEndpoint:
             sock.close()
 
     def _serve(self, sock: socket.socket) -> None:
+        """The one reader of a connection's client records and the one writer
+        of its replies: each record gets at most one reply, in one write,
+        until a reply's state is None. A read error after the first record
+        ends the connection unlogged; any other error reaches ``_handle``."""
         sock.settimeout(5.0)
         first = sock.recv(1, socket.MSG_PEEK)
         if not first:
             return
         if first[0] & 0x80:  # an SSLv2 header; no TLS content type has it
-            self._serve_sslv2(sock)
-            return
-        ctype, _ver, payload = wire.read_record(sock)
+            wire.read_sslv2_record(sock)
+            answered = Version.SSLv2 in self.spec.versions
+            self._log({"event": "sslv2_hello", "answered": answered})
+            reply, state = (wire.encode_sslv2_server_hello(self.cert_der)
+                            if answered else b""), None
+        else:
+            ctype, _ver, payload = wire.read_record(sock)
+            reply, state = self._hello_reply(ctype, payload)
+        while True:
+            if reply:
+                sock.sendall(reply)
+            if state is None:
+                return
+            try:
+                ctype, _ver, payload = wire.read_record(sock)
+            except (WireError, socket.timeout, OSError):
+                return
+            reply, state = self._record_reply(state, ctype, payload)
+
+    def _hello_reply(self, ctype: int, payload: bytes):
+        """The reply to a connection's first TLS record, and the state
+        ``(version, finished, ticket_wanted)`` the next record is read in;
+        None when the connection ends after the reply."""
+        unexpected = wire.alert(AlertDescription.UNEXPECTED_MESSAGE), None
         if ctype != ContentType.HANDSHAKE:
-            sock.sendall(wire.alert(AlertDescription.UNEXPECTED_MESSAGE))
-            return
+            return unexpected
         messages = list(wire.iter_handshake_messages(payload))
         if not messages or messages[0][0] != HsType.CLIENT_HELLO:
-            sock.sendall(wire.alert(AlertDescription.UNEXPECTED_MESSAGE))
-            return
+            return unexpected
         hello = ClientHello.parse(messages[0][1])
         self._log({
             "event": "client_hello",
@@ -238,46 +263,33 @@ class FixtureEndpoint:
             "compression": list(hello.compression),
             "session_id": hello.session_id.hex(),
         })
-        self._negotiate(sock, hello)
-
-    def _serve_sslv2(self, sock: socket.socket) -> None:
-        wire.read_sslv2_record(sock)
-        if Version.SSLv2 in self.spec.versions:
-            self._log({"event": "sslv2_hello", "answered": True})
-            sock.sendall(wire.encode_sslv2_server_hello(self.cert_der))
-        else:
-            self._log({"event": "sslv2_hello", "answered": False})
-
-    def _client_supported_versions(self, hello: ClientHello) -> list[Version]:
-        raw = hello.extensions.get(ExtType.SUPPORTED_VERSIONS)
-        if raw is None or not raw:
-            return []
-        body = raw[1:1 + raw[0]]
-        words = struct.unpack_from(f">{len(body) >> 1}H", body)
-        return [VERSION_BY_WORD[w] for w in words if w in VERSION_BY_WORD]
-
-    def _negotiate(self, sock: socket.socket, hello: ClientHello) -> None:
         spec, db = self.spec, self.db
 
-        client_sv = self._client_supported_versions(hello)
-        if Version.TLS1_3 in client_sv and Version.TLS1_3 in spec.versions:
-            self._send_tls13_hello(sock, hello)
-            return
+        raw = hello.extensions.get(ExtType.SUPPORTED_VERSIONS) or b"\x00"
+        words = raw[1:1 + raw[0]]
+        if (Version.TLS1_3 in spec.versions and Version.TLS1_3.value
+                in struct.unpack_from(f">{len(words) >> 1}H", words)):
+            suite = next((s for s in (0x1301, 0x1302, 0x1303)
+                          if s in hello.suites), 0x1301)
+            sh = ServerHello(version=Version.TLS1_2, random=os.urandom(32),
+                             session_id=hello.session_id, suite=suite,
+                             compression=Compression.NULL,
+                             extensions={ExtType.SUPPORTED_VERSIONS: b"\x03\x04"})
+            return wire.record(ContentType.HANDSHAKE, Version.TLS1_2,
+                               sh.encode()), None
 
         tls_versions = [v for v in spec.versions
                         if v not in (Version.SSLv2, Version.TLS1_3)
                         and v <= hello.version]
         if not tls_versions:
-            sock.sendall(wire.alert(AlertDescription.PROTOCOL_VERSION))
-            return
+            return wire.alert(AlertDescription.PROTOCOL_VERSION), None
         version = max(tls_versions, key=lambda v: v.value)
 
         offered = set(hello.suites)
         usable = [s for s in spec.suites
                   if s in offered and db[s].min_version <= version]
         if not usable:
-            sock.sendall(wire.alert(AlertDescription.HANDSHAKE_FAILURE))
-            return
+            return wire.alert(AlertDescription.HANDSHAKE_FAILURE), None
         if spec.server_preference:
             suite = usable[0]
         else:
@@ -301,26 +313,25 @@ class FixtureEndpoint:
         if ExtType.HEARTBEAT in hello.extensions and spec.heartbeat != HEARTBEAT_OFF:
             acked[ExtType.HEARTBEAT] = b"\x01"
 
-        # abbreviated flows
-        if (spec.session_id_cache and hello.session_id
-                and hello.session_id in self._session_cache):
-            self._send_abbreviated(sock, version, suite, selected_compression,
-                                   hello.session_id, acked)
-            return
-        if (client_ticket and spec.tickets is not None
-                and client_ticket in self._tickets):
-            self._send_abbreviated(sock, version, suite, selected_compression,
-                                   b"", acked)
-            return
-
-        session_id = os.urandom(32) if spec.session_id_cache else b""
-        if session_id:
-            self._session_cache.add(session_id)
+        # the caches hold only what this endpoint issued, so a hit implies
+        # the spec resumes that way; only an id hit echoes the id
+        id_hit = hello.session_id in self._session_cache
+        resumed = id_hit or client_ticket in self._tickets
+        if resumed:
+            self._log({"event": "abbreviated", "suite": suite_label(suite)})
+            session_id = hello.session_id if id_hit else b""
+        else:
+            session_id = os.urandom(32) if spec.session_id_cache else b""
+            if session_id:
+                self._session_cache.add(session_id)
 
         flight = ServerHello(version=version, random=os.urandom(32),
                              session_id=session_id, suite=suite,
                              compression=selected_compression,
                              extensions=acked).encode()
+        if resumed:
+            return (wire.record(ContentType.HANDSHAKE, version, flight)
+                    + wire.finished_records(version)), (version, True, False)
         flight += wire.encode_certificate([self.cert_der])
         info = db[suite]
         if info.kex == Kex.DHE:
@@ -328,88 +339,57 @@ class FixtureEndpoint:
         elif info.kex == Kex.ECDHE:
             flight += wire.encode_ecdhe_ske()
         flight += wire.handshake_message(HsType.SERVER_HELLO_DONE, b"")
-        sock.sendall(wire.record(ContentType.HANDSHAKE, version, flight))
+        return (wire.record(ContentType.HANDSHAKE, version, flight),
+                (version, False, ExtType.SESSION_TICKET in acked))
 
-        self._serve_records(sock, version, finished=False,
-                            ticket_wanted=ExtType.SESSION_TICKET in acked)
+    def _record_reply(self, state, ctype: int, payload: bytes):
+        """The reply to a client record after the server's hello flight, and
+        the state the next record is read in. Before the client's Finished:
+        skip ChangeCipherSpec, answer heartbeats, and on Finished send the
+        server's finished flight, with a ticket first when negotiated. After
+        it: answer heartbeats and the first GET or HEAD. An alert or a
+        record out of place ends the connection."""
+        version, finished, ticket_wanted = state
+        if ctype == ContentType.HEARTBEAT:
+            return self._heartbeat_reply(state, payload)
+        if not finished and ctype == ContentType.CHANGE_CIPHER_SPEC:
+            return b"", state
+        if not finished and ctype == ContentType.HANDSHAKE:
+            hs_types = [t for t, _body in wire.iter_handshake_messages(payload)]
+            if HsType.FINISHED not in hs_types:
+                return b"", state
+            flight = b""
+            if ticket_wanted:
+                token = os.urandom(48)
+                self._tickets.add(token)
+                flight = wire.record(
+                    ContentType.HANDSHAKE, version,
+                    NewSessionTicket(self.spec.tickets, token).encode())
+            return (flight + wire.finished_records(version),
+                    (version, True, ticket_wanted))
+        if finished and ctype == ContentType.APPLICATION_DATA:
+            if not payload.startswith((b"GET", b"HEAD")):
+                return b"", state
+            self._log({"event": "http_request"})
+            return self._http_response(version), None
+        return b"", None
 
-    def _send_tls13_hello(self, sock: socket.socket, hello: ClientHello) -> None:
-        suite = next((s for s in (0x1301, 0x1302, 0x1303) if s in hello.suites),
-                     0x1301)
-        sh = ServerHello(
-            version=Version.TLS1_2, random=os.urandom(32),
-            session_id=hello.session_id, suite=suite,
-            compression=Compression.NULL,
-            extensions={ExtType.SUPPORTED_VERSIONS: b"\x03\x04"},
-        )
-        sock.sendall(wire.record(ContentType.HANDSHAKE, Version.TLS1_2,
-                                 sh.encode()))
-
-    def _send_abbreviated(self, sock, version, suite, compression,
-                          session_id, acked) -> None:
-        self._log({"event": "abbreviated", "suite": suite_label(suite)})
-        hello = ServerHello(version=version, random=os.urandom(32),
-                            session_id=session_id, suite=suite,
-                            compression=compression, extensions=acked).encode()
-        sock.sendall(wire.record(ContentType.HANDSHAKE, version, hello)
-                     + _finished_records(version))
-        self._serve_records(sock, version, finished=True)
-
-    def _serve_records(self, sock, version: Version, finished: bool,
-                       ticket_wanted: bool = False) -> None:
-        """Every client record after the server's hello flight, until the
-        connection ends. Before the client's Finished: skip ChangeCipherSpec,
-        answer heartbeats, and on Finished send the server's finished flight,
-        with a ticket first when negotiated. After it: answer heartbeats and
-        the first GET or HEAD. An alert, a read error or a record out of
-        place ends the connection."""
-        while True:
-            try:
-                ctype, _ver, payload = wire.read_record(sock)
-            except (WireError, socket.timeout, OSError):
-                return
-            if ctype == ContentType.HEARTBEAT:
-                if not self._answer_heartbeat(sock, version, payload):
-                    return
-            elif not finished and ctype == ContentType.CHANGE_CIPHER_SPEC:
-                pass
-            elif not finished and ctype == ContentType.HANDSHAKE:
-                hs_types = [t for t, _body in wire.iter_handshake_messages(payload)]
-                if HsType.FINISHED in hs_types:
-                    finished = True
-                    flight = b""
-                    if ticket_wanted:
-                        token = os.urandom(48)
-                        self._tickets.add(token)
-                        flight = wire.record(
-                            ContentType.HANDSHAKE, version,
-                            NewSessionTicket(self.spec.tickets, token).encode())
-                    sock.sendall(flight + _finished_records(version))
-            elif finished and ctype == ContentType.APPLICATION_DATA:
-                if payload.startswith((b"GET", b"HEAD")):
-                    self._log({"event": "http_request"})
-                    self._send_http_response(sock, version)
-                    return
-            else:
-                return
-
-    def _send_http_response(self, sock, version: Version) -> None:
+    def _http_response(self, version: Version) -> bytes:
         head = (f"HTTP/1.1 200 OK\r\nServer: {self.spec.server_header}\r\n"
                 f"Content-Length: {len(_FIXTURE_BODY)}\r\n"
                 "Connection: close\r\n\r\n").encode()
-        sock.sendall(wire.record(ContentType.APPLICATION_DATA, version,
-                                 head + _FIXTURE_BODY))
+        return wire.record(ContentType.APPLICATION_DATA, version,
+                           head + _FIXTURE_BODY)
 
-    def _answer_heartbeat(self, sock, version: Version, payload: bytes) -> bool:
+    def _heartbeat_reply(self, state, payload: bytes):
         if self.spec.heartbeat == HEARTBEAT_OFF:
-            sock.sendall(wire.alert(AlertDescription.UNEXPECTED_MESSAGE))
-            return False
+            return wire.alert(AlertDescription.UNEXPECTED_MESSAGE), None
         try:
             msg_type, claimed, rest = wire.parse_heartbeat(payload)
         except WireError:
-            return False
+            return b"", None
         if msg_type != wire.HEARTBEAT_REQUEST:
-            return True
+            return b"", state
         actual = rest[:max(0, len(rest) - 16)]  # strip sender padding
         if self.spec.heartbeat == HEARTBEAT_VULNERABLE:
             # the defining bug: trust the claimed length
@@ -418,17 +398,8 @@ class FixtureEndpoint:
             echo = actual[:claimed] if claimed < len(actual) else actual
         self._log({"event": "heartbeat", "claimed": claimed,
                    "echoed": len(echo)})
-        sock.sendall(wire.record(
-            ContentType.HEARTBEAT, version,
-            wire.encode_heartbeat(wire.HEARTBEAT_RESPONSE, len(echo), echo)))
-        return True
-
-
-def _finished_records(version: Version) -> bytes:
-    """The ChangeCipherSpec and Finished records that close a server flight."""
-    return (wire.record(ContentType.CHANGE_CIPHER_SPEC, version, b"\x01")
-            + wire.record(ContentType.HANDSHAKE, version,
-                          wire.handshake_message(HsType.FINISHED, os.urandom(12))))
+        body = wire.encode_heartbeat(wire.HEARTBEAT_RESPONSE, len(echo), echo)
+        return wire.record(ContentType.HEARTBEAT, state[0], body), state
 
 
 def spawn(spec: FixtureSpec, db: CipherDb) -> FixtureEndpoint:

@@ -114,9 +114,25 @@ def open_output(path, what: str):
                 fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
                 os.dup2(null, fd)
                 os.close(null)
-        elif exc.filename is not None:  # the given path, not the .tmp one
-            exc = OSError(exc.errno, exc.strerror, str(path))
-        raise PipelineError(f"cannot write {what}: {exc}") from exc
+        raise _cannot_write(exc, what, path) from exc
+
+
+def make_directory(directory, what: str, path=None) -> None:
+    """Create ``directory`` and any missing parents. An ``OSError`` is a
+    ``PipelineError`` ``cannot write <what>: <reason>`` naming ``path``, the
+    output the directory is made for, or else ``directory``."""
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(exc, what, path or directory) from exc
+
+
+def _cannot_write(exc: OSError, what: str, path) -> PipelineError:
+    """``cannot write <what>: <reason>``, the reason naming the given
+    ``path``, not a file made from it (the ``.tmp``, a parent directory)."""
+    if path is not None and exc.filename is not None:
+        exc = OSError(exc.errno, exc.strerror, str(path))
+    return PipelineError(f"cannot write {what}: {exc}")
 
 
 def _runs(pid: int) -> bool:
@@ -137,10 +153,11 @@ class Eligibility(Enum):
 
 _eligibility_of = enum_decoder(Eligibility)
 _DOMAIN = ("domain", STR, "a string")
+_SCHEMA = ("schema_version", INT, str(RECORD_SCHEMA_VERSION))
 # the eligibility's type is checked by its decoder, the configuration's and
 # the grade report's by theirs, unless ``SharedLayout`` has decoded them
 _RECORD_FIELDS = (
-    _DOMAIN, ("rank", INT | NULL, "an integer or null"),
+    _DOMAIN, _SCHEMA, ("rank", INT | NULL, "an integer or null"),
     ("server_software", OBJECT | NULL, "an object or null"),
     ("asn", OBJECT | NULL, "an object or null"),
     ("configuration", OBJECT | NULL | {Configuration}, "an object or null"),
@@ -238,13 +255,18 @@ class ScanRecord:
                   configurations: Optional[SharedDecoder] = None,
                   grade_reports: Optional[SharedDecoder] = None
                   ) -> "ScanRecord":
-        """Read ``to_json`` output back. ``configurations`` and
+        """Read ``to_json`` output back; a record without a
+        ``schema_version`` is read as this one. ``configurations`` and
         ``grade_reports`` are a reader's shared decoders: records read with
         the same decoders share equal-valued objects. ``obj`` may hold them
         decoded already, as ``registry.SharedLayout`` gives them."""
         configurations = configurations or Configuration.from_json
         grade_reports = grade_reports or GradeReport.from_json
         check_fields(obj, _RECORD_FIELDS, required=("domain", "eligibility"))
+        version = obj.get("schema_version", RECORD_SCHEMA_VERSION)
+        if version != RECORD_SCHEMA_VERSION:  # an int, by its _SCHEMA row
+            raise ValueError(f"schema_version must be {RECORD_SCHEMA_VERSION}, "
+                             f"not {version!r}")
         if obj.get("asn") is not None:
             check_fields(obj["asn"], _ASN_FIELDS, "asn.", required=("number",))
         return cls(
@@ -561,7 +583,7 @@ def _recorded_domains(out: Path) -> set[str]:
     scanned again. A complete line that is not a JSON object with a string
     ``"domain"`` is a ``PipelineError``, raised before ``out`` is changed."""
     done: set[str] = set()
-    if not out.exists():
+    if not os.path.exists(out):  # also for a name too long to exist
         return done
     with open_input(out, "scan output", "r+b") as fh:
         end = 0
@@ -647,7 +669,9 @@ def run_scan(targets: Iterable[Target], policy: ProbePolicy, db: CipherDb,
     ``options.allow_non_loopback`` is set, every target is resolved first,
     and one outside loopback refuses the whole list with ``ScanRefused``
     before ``out_path``, its directory or the trace directory is touched.
-    With it set, each target is resolved as the scan reaches it.
+    With it set, each target is resolved as the scan reaches it. Either
+    directory or ``out_path`` that cannot be made or opened is a
+    ``PipelineError`` ``cannot write …``.
 
     Records are flushed as they complete. A domain already recorded in
     ``out_path``, or listed twice, is skipped, so each domain is recorded once
@@ -665,13 +689,17 @@ def run_scan(targets: Iterable[Target], policy: ProbePolicy, db: CipherDb,
         for target, address in resolved:
             _refuse_outside_loopback(target, address)
 
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_directory(out.parent, "scan output", out_path)
     done.update(_recorded_domains(out))
     if options.trace_dir:
-        Path(options.trace_dir).mkdir(parents=True, exist_ok=True)
+        make_directory(options.trace_dir, "traces")
     prober = SiteProber(db, policy)
     records: list[ScanRecord] = []
-    with open(out, "a", encoding="utf-8") as sink:
+    try:
+        sink = open(out, "a", encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_write(exc, "scan output", out_path) from exc
+    with sink:
         for target, address in resolved:
             if target.domain in done:  # gated: resolved before ``done`` had it
                 logger.info("%s: already recorded, skipped", target.domain)

@@ -206,11 +206,18 @@ def handshake_message(hs_type: int, body: bytes) -> bytes:
     return bytes([hs_type]) + vec24(body)
 
 
+def finished_records(version: Version) -> bytes:
+    """The ChangeCipherSpec and Finished records that end either flight."""
+    return (record(ContentType.CHANGE_CIPHER_SPEC, version, b"\x01")
+            + record(ContentType.HANDSHAKE, version,
+                     handshake_message(HsType.FINISHED, os.urandom(12))))
+
+
 def read_record(sock) -> tuple[int, int, bytes]:
     """Read one TLS record; returns (content_type, version_word, payload)."""
     header = _recv_exact(sock, 5)
     ctype, ver, length = _RECORD_HEADER.unpack(header)
-    if ctype not in _CONTENT_TYPES and not (0x80 & ctype):
+    if ctype not in _CONTENT_TYPES:
         raise WireError(f"not a TLS record (content type {ctype})")
     if length > MAX_RECORD + 2048:
         raise WireError(f"oversized record ({length} bytes)")
@@ -438,10 +445,7 @@ SSLV2_CIPHER_KINDS = [0x010080, 0x020080, 0x040080, 0x050080, 0x060040, 0x0700C0
 
 def encode_sslv2_client_hello() -> bytes:
     challenge = os.urandom(16)
-    specs = b"".join(
-        bytes([(k >> 16) & 0xFF, (k >> 8) & 0xFF, k & 0xFF])
-        for k in SSLV2_CIPHER_KINDS
-    )
+    specs = b"".join(k.to_bytes(3, "big") for k in SSLV2_CIPHER_KINDS)
     body = (bytes([SSLV2_CLIENT_HELLO]) + struct.pack(">H", Version.SSLv2.value)
             + struct.pack(">HHH", len(specs), 0, len(challenge))
             + specs + challenge)
@@ -451,8 +455,7 @@ def encode_sslv2_client_hello() -> bytes:
 def encode_sslv2_server_hello(cert: bytes = b"") -> bytes:
     spec = bytes([0x01, 0x00, 0x80])
     body = (bytes([SSLV2_SERVER_HELLO, 0, 1])  # no session hit, X.509 cert type
-            + struct.pack(">H", Version.SSLv2.value)
-            + struct.pack(">HHH", len(cert), len(spec), 16)
+            + struct.pack(">HHHH", Version.SSLv2.value, len(cert), len(spec), 16)
             + cert + spec + os.urandom(16))
     return struct.pack(">H", 0x8000 | len(body)) + body
 
@@ -472,6 +475,5 @@ def parse_sslv2_server_hello(data: bytes) -> bool:
     """True iff the bytes begin a valid SSLv2 ServerHello."""
     if len(data) < 2 or not (data[0] & 0x80):
         return False
-    length = ((data[0] & 0x7F) << 8) | data[1]
-    body = data[2:2 + length]
+    body = data[2:2 + (_U16.unpack_from(data)[0] & 0x7FFF)]
     return len(body) >= 5 and body[0] == SSLV2_SERVER_HELLO

@@ -1,6 +1,8 @@
 import argparse
 import ast
+import errno
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -341,6 +343,24 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
            ["check-rec", "--defaults", "--recs", "{recs}"],
            "recommendation checks"),
           ("records", b"not json\n", _RECORDS[:-2], "report"))),
+    # an output directory that is, or lies under, a regular file: made
+    # after the ethics gate and before any site is probed
+    *(({"targets": b"1,localhost\n", "configs": b"a file\n"}, argv,
+       f"error: cannot write {what}: [Errno {code}] {os.strerror(code)}: "
+       f"'{{configs}}/{name}'")
+      for argv, what, code, name in (
+          (["scan", "--targets", "{targets}", "--out", "{configs}/x.jsonl"],
+           "scan output", errno.EEXIST, "x.jsonl"),
+          (["scan", "--targets", "{targets}", "--out", "{configs}/sub/x.jsonl"],
+           "scan output", errno.ENOTDIR, "sub/x.jsonl"),
+          (_SCAN + ["--trace-dir", "{configs}/sub"],
+           "traces", errno.ENOTDIR, "sub"),
+          (["fixtures", "--out-dir", "{configs}/sub"],
+           "fixture specs", errno.ENOTDIR, "sub"))),
+    # a scan output whose directory exists but that cannot be opened
+    ({"targets": b"1,localhost\n"}, _SCAN[:-1] + ["{out}" + "x" * 300],
+     f"error: cannot write scan output: [Errno {errno.ENAMETOOLONG}] "
+     f"{os.strerror(errno.ENAMETOOLONG)}: '{{out}}{'x' * 300}'"),
 ], ids=["targets-latin-1", "grade-in-latin-1", "recs-latin-1",
         "records-latin-1", "resume-not-json", "resume-domain-list",
         "resume-without-domain",
@@ -351,7 +371,10 @@ _RECORDS = ["report", "--records", "{records}", "--which", "dist",
         "policy-negative-timeout", "policy-nan-timeout", "policy-zero-timeout",
         "policy-negative-delay", "policy-min-above-default-max",
         "policy-min-above-max", "grade-out-dir-missing",
-        "check-rec-out-dir-missing", "report-out-dir-missing"])
+        "check-rec-out-dir-missing", "report-out-dir-missing",
+        "scan-out-dir-a-file", "scan-out-dir-under-a-file",
+        "trace-dir-under-a-file", "fixtures-out-dir-under-a-file",
+        "scan-out-name-too-long"])
 def test_bad_input_file_is_one_error_line(tmp_path, capsys, files, argv,
                                           prefix):
     paths = {name: str(tmp_path / name) for name in (
@@ -615,12 +638,18 @@ def _record_field(name, value):
      "a suite id must be 0x and four hex digits, not '0x1C02F'"),
     (lambda record: record["configuration"].update(preferred_suite="0x_c0_2f"),
      "a suite id must be 0x and four hex digits, not '0x_c0_2f'"),
+    *((_record_field("schema_version", version),
+       f"schema_version must be 1, not {version!r}")
+      for version in ("banana", 99, "1", 1.0, True, None)),
 ], ids=["asn-list", "asn-without-number", "domain-int",
         "server-software-string", "categories-list", "without-domain",
         "without-eligibility", "empty-configuration",
         "configuration-without-session-tickets", "without-overall",
         "without-categories", "negative-suite", "spaced-suite",
-        "five-digit-preferred-suite", "underscored-preferred-suite"])
+        "five-digit-preferred-suite", "underscored-preferred-suite",
+        "schema-version-string", "schema-version-99",
+        "schema-version-numeric-string", "schema-version-float",
+        "schema-version-true", "schema-version-null"])
 def test_cmd_report_wrongly_typed_record_field(db, tmp_path, capsys, edit,
                                                message):
     from tlsaudit.pipeline import Eligibility, ScanRecord

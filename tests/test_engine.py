@@ -157,10 +157,11 @@ def test_http_read_stops_at_the_headers_or_the_cap(db, engine, monkeypatch,
     response = head + b"x" * (4 << 20)
     chunk = 16 * 1024
 
-    def send_in_records(sock, version):
-        for start in range(0, len(response), chunk):
-            sock.sendall(wire.record(wire.ContentType.APPLICATION_DATA, version,
-                                     response[start:start + chunk]))
+    def in_records(version):
+        # one reply of many records, which the engine reads one by one
+        return b"".join(wire.record(wire.ContentType.APPLICATION_DATA, version,
+                                    response[start:start + chunk])
+                        for start in range(0, len(response), chunk))
 
     read = []
     parse = engine_module._parse_http
@@ -168,12 +169,12 @@ def test_http_read_stops_at_the_headers_or_the_cap(db, engine, monkeypatch,
                         lambda raw: read.append(len(raw)) or parse(raw))
     with fixtures.spawn(RICH_SPEC, db) as ep:
         plain = engine.probe(ep.target, _get_offer([0xC02F]))
-        ep._send_http_response = send_in_records
+        ep._http_response = in_records
         big = engine.probe(ep.target, _get_offer([0xC02F]))
     assert big.status is plain.status is ProbeStatus.NEGOTIATED
     assert big.http == plain.http == engine_module.HttpResult(
         200, "nginx/1.14.0 (Ubuntu)")
-    assert read[1] <= engine_module.READ_BYTE_CAP
+    assert read[0] < chunk <= read[1] <= engine_module.READ_BYTE_CAP
 
 
 def test_session_id_resumption(engine, endpoint):

@@ -56,6 +56,24 @@ def test_record_read_round_trip():
         b.close()
 
 
+@pytest.mark.parametrize("ctype", [0, 19, 25, 0x80, 0x90, 0xFF])
+def test_an_unknown_record_type_is_refused_at_its_header(ctype):
+    a, b = socket.socketpair()
+    with a, b:
+        body = b"abcd" * 4096
+        a.sendall(bytes([ctype]) + b"\x03\x03" + len(body).to_bytes(2, "big")
+                  + body)
+        with pytest.raises(wire.WireError) as err:
+            wire.read_record(b)
+        assert str(err.value) == f"not a TLS record (content type {ctype})"
+        # only the five header bytes were consumed
+        a.close()
+        rest = b""
+        while chunk := b.recv(65536):
+            rest += chunk
+        assert rest == body
+
+
 def test_client_hello_round_trip():
     hello = wire.ClientHello(
         version=Version.TLS1_2, random=os.urandom(32),
