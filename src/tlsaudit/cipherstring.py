@@ -26,7 +26,8 @@ from . import grading
 from .configuration import Configuration
 from .registry import (
     BOOL, INT, LIST, NULL, OBJECT, STR, Auth, CipherDb, CipherFamily,
-    CipherMode, CipherSuiteInfo, Kex, Mac, Version, check_fields, sort_offer,
+    CipherMode, CipherSuiteInfo, Fields, Kex, Mac, Version, check_fields,
+    sort_offer,
 )
 
 logger = logging.getLogger(__name__)
@@ -274,12 +275,12 @@ class RecommendationError(ValueError):
     pass
 
 
-_FIELDS = (("cipher_string", STR | NULL, "a string or null"),
-           ("protocols", LIST | NULL, "a list or null"),
-           ("server_preference", BOOL | NULL, "a bool or null"),
-           ("session_tickets", BOOL | NULL, "a bool or null"),
-           ("dh_params_bits", INT | NULL, "an integer or null"),
-           ("source", OBJECT, "an object"))
+_FIELDS = Fields(("cipher_string", STR | NULL, "a string or null"),
+                 ("protocols", LIST | NULL, "a list or null"),
+                 ("server_preference", BOOL | NULL, "a bool or null"),
+                 ("session_tickets", BOOL | NULL, "a bool or null"),
+                 ("dh_params_bits", INT | NULL, "an integer or null"),
+                 ("source", OBJECT, "an object"))
 
 
 @dataclass
@@ -334,6 +335,14 @@ class Recommendation:
         return out
 
 
+def _expansion(expr: CipherExpr, db: CipherDb,
+               suites: frozenset[int]) -> frozenset[int]:
+    """The suites of ``expand(expr, db, suites)``, built once per db, terms
+    and suite set."""
+    return db.derived(("allowed", tuple(expr.terms), suites),
+                      lambda: frozenset(expand(expr, db, suites)))
+
+
 def consistent(config: Configuration, rec: Recommendation, db: CipherDb,
                profiles) -> bool:
     """Upper-bound semantics: evaluated over the union of ``profiles``, as
@@ -343,10 +352,7 @@ def consistent(config: Configuration, rec: Recommendation, db: CipherDb,
     profiles = tuple(profiles)
     union = db.derived(("union", profiles), lambda: union_profile(profiles))
     if rec.cipher_expr is not None:
-        expr = rec.cipher_expr
-        allowed = db.derived(
-            ("allowed", tuple(expr.terms), union.suites),
-            lambda: frozenset(expand(expr, db, union.suites)))
+        allowed = _expansion(rec.cipher_expr, db, union.suites)
         supported = config.supported_suites
         if not (supported & allowed):
             return False
@@ -370,10 +376,11 @@ def consistent(config: Configuration, rec: Recommendation, db: CipherDb,
 def apply_to_default(rec: Recommendation, default: Configuration,
                      db: CipherDb, library_profile: LibraryProfile) -> Configuration:
     """Missing directives keep the default's setting; present ones override.
-    Component and kex flags are recomputed from the resulting suite set."""
-    suites = set(default.supported_suites)
+    Component and kex flags are recomputed from the resulting suite set. A
+    cipher string's expansion over a profile is built once per db."""
+    suites = default.supported_suites
     if rec.cipher_expr is not None:
-        suites = set(expand(rec.cipher_expr, db, library_profile.suites))
+        suites = _expansion(rec.cipher_expr, db, library_profile.suites)
         if not suites:
             raise RecommendationError(
                 "recommendation leaves no usable cipher suites on this profile")
@@ -398,7 +405,7 @@ def apply_to_default(rec: Recommendation, default: Configuration,
         dh_bits, dh_common = None, None
     preferred = sort_offer(db, suites)[0]
     return Configuration.assemble(
-        db, frozenset(suites), preferred,
+        db, suites, preferred,
         versions=versions,
         server_preference=preference,
         extensions=default.extensions,

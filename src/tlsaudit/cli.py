@@ -24,8 +24,8 @@ from .configuration import Configuration
 from .grading import grade
 from .orchestrator import ProbePolicy
 from .registry import (
-    OBJECT, STR, SharedDecoder, SharedLayout, check_fields, load_registry,
-    parse_json,
+    OBJECT, STR, Fields, SharedDecoder, SharedLayout, check_fields,
+    load_registry, parse_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -37,8 +37,8 @@ EXIT_RUNTIME = 3
 
 # a ``grade --in`` or ``check-rec --configs`` line: a configuration, or an
 # object holding one with a label (which ``SharedLayout`` may have decoded)
-_LABELED_FIELDS = (("label", STR, "a string"),
-                   ("configuration", OBJECT | {Configuration}, "an object"))
+_LABELED_FIELDS = Fields(("label", STR, "a string"),
+                         ("configuration", OBJECT | {Configuration}, "an object"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,7 +152,8 @@ def cmd_check_rec(args) -> int:
     if not args.configs and not args.defaults:
         raise pipeline.PipelineError("need --configs or --defaults")
     profiles = cipherstring.load_all_profiles()
-    defaults = ([(label, config, cipherstring.load_profile(profile_name))
+    by_name = {profile.name: profile for profile in profiles}
+    defaults = ([(label, config, by_name[profile_name])
                  for label, config, profile_name
                  in fixtures.ubuntu_default_configurations(db)]
                 if args.defaults else None)

@@ -7,7 +7,7 @@ from typing import Optional
 
 from .registry import (
     AEAD_MODES, BOOL, INT, LIST, NULL, OBJECT, STR, CipherDb, CipherFamily,
-    CipherMode, Kex, Version, check_fields, suite_id,
+    CipherMode, Fields, Version, check_fields, suite_id,
 )
 
 COMPONENT_FLAG_NAMES = (
@@ -21,7 +21,7 @@ _KEX_FLAG_SET = frozenset(KEX_FLAG_NAMES)
 # The JSON type of each field, those ``to_json`` writes. Python's ``==``
 # makes 1 equal true and 1024.0 equal 1024, but their JSON (and so their
 # report key) differs.
-_FIELDS = (
+_FIELDS = Fields(
     ("versions", LIST, "a list"), ("supported_suites", LIST, "a list"),
     ("component_flags", OBJECT, "an object"),
     ("component_flags[]", BOOL, "a bool"),
@@ -36,40 +36,46 @@ _FIELDS = (
     ("ticket_lifetime_hint_s", INT | NULL, "an integer or null"),
     ("dh_prime_bits", INT | NULL, "an integer or null"),
     ("cert_sig_alg", STR | NULL, "a string or null"),
+    required=("versions", "supported_suites", "component_flags", "kex_flags",
+              "preferred_suite", "server_preference", "tls_compression",
+              "session_id_resumption", "session_tickets"),
 )
 
 
-def compute_component_flags(db: CipherDb, suites) -> dict[str, bool]:
-    flags = {name: False for name in COMPONENT_FLAG_NAMES}
+def _suite_flags(info) -> tuple[str, ...]:
+    """The names of the component and kex flags that one suite sets."""
+    fam, mode = info.cipher_family, info.cipher_mode
+    names = [fam.value, info.mac.value, info.kex.value]
+    if fam == CipherFamily.AES and mode == CipherMode.GCM:
+        names.append("AES_GCM")
+    if info.is_aead or mode in AEAD_MODES:
+        names.append("AEAD")
+    if mode == CipherMode.CBC:
+        names.append("CBC")
+    if info.is_export:
+        names.append("EXPORT")
+    return tuple(names)
+
+
+def _flags(db: CipherDb, suites, flag_names: tuple[str, ...]) -> dict[str, bool]:
+    """Each of ``flag_names``, True when a suite in ``suites`` sets it. The
+    flags of each suite are found once per db."""
+    by_suite = db.derived(("flags", flag_names), lambda: {
+        sid: tuple(name for name in _suite_flags(info) if name in flag_names)
+        for sid, info in db.suites.items()})
+    flags = dict.fromkeys(flag_names, False)
     for suite_id in suites:
-        info = db.get(suite_id)
-        if info is None:
-            continue
-        fam = info.cipher_family
-        if fam.value in flags:
-            flags[fam.value] = True
-        if fam == CipherFamily.AES and info.cipher_mode == CipherMode.GCM:
-            flags["AES_GCM"] = True
-        if info.is_aead or info.cipher_mode in AEAD_MODES:
-            flags["AEAD"] = True
-        if info.cipher_mode == CipherMode.CBC:
-            flags["CBC"] = True
-        if info.mac.value in flags:
-            flags[info.mac.value] = True
-        if info.is_export:
-            flags["EXPORT"] = True
+        for name in by_suite.get(suite_id, ()):
+            flags[name] = True
     return flags
+
+
+def compute_component_flags(db: CipherDb, suites) -> dict[str, bool]:
+    return _flags(db, suites, COMPONENT_FLAG_NAMES)
 
 
 def compute_kex_flags(db: CipherDb, suites) -> dict[str, bool]:
-    flags = {name: False for name in KEX_FLAG_NAMES}
-    for suite_id in suites:
-        info = db.get(suite_id)
-        if info is None:
-            continue
-        if info.kex in (Kex.RSA, Kex.DHE, Kex.ECDHE):
-            flags[info.kex.value] = True
-    return flags
+    return _flags(db, suites, KEX_FLAG_NAMES)
 
 
 class ConfigError(ValueError):
@@ -161,24 +167,22 @@ class Configuration:
     def from_json(cls, obj: dict) -> "Configuration":
         """Read ``to_json`` output back; a field of another JSON type
         (``1`` for ``true``, ``1024.0`` for ``1024``) is a ValueError."""
-        check_fields(obj, _FIELDS, required=(
-            "versions", "supported_suites", "component_flags", "kex_flags",
-            "preferred_suite", "server_preference", "tls_compression",
-            "session_id_resumption", "session_tickets"))
+        check_fields(obj, _FIELDS)
+        get = obj.get
         return cls(
-            versions=frozenset(Version.from_label(v) for v in obj["versions"]),
+            versions=frozenset(map(Version.from_label, obj["versions"])),
             supported_suites=frozenset(map(suite_id, obj["supported_suites"])),
             component_flags=dict(obj["component_flags"]),
             kex_flags=dict(obj["kex_flags"]),
             preferred_suite=suite_id(obj["preferred_suite"]),
             server_preference=obj["server_preference"],
-            extensions=frozenset(obj.get("extensions", [])),
+            extensions=frozenset(get("extensions", ())),
             tls_compression=obj["tls_compression"],
             session_id_resumption=obj["session_id_resumption"],
             session_tickets=obj["session_tickets"],
-            ticket_lifetime_hint_s=obj.get("ticket_lifetime_hint_s"),
-            dh_prime_bits=obj.get("dh_prime_bits"),
-            dh_group_common=obj.get("dh_group_common"),
-            heartbleed_vulnerable=obj.get("heartbleed_vulnerable", False),
-            cert_sig_alg=obj.get("cert_sig_alg"),
+            ticket_lifetime_hint_s=get("ticket_lifetime_hint_s"),
+            dh_prime_bits=get("dh_prime_bits"),
+            dh_group_common=get("dh_group_common"),
+            heartbleed_vulnerable=get("heartbleed_vulnerable", False),
+            cert_sig_alg=get("cert_sig_alg"),
         )

@@ -13,7 +13,9 @@ from enum import Enum
 from functools import total_ordering
 
 from .configuration import Configuration
-from .registry import LIST, OBJECT, CipherDb, Kex, Version, check_fields, enum_decoder
+from .registry import (
+    LIST, OBJECT, CipherDb, Fields, Kex, Version, check_fields, enum_decoder,
+)
 
 
 @total_ordering
@@ -55,8 +57,10 @@ _GRADE_RANK = {Grade.A: 3, Grade.B: 2, Grade.C: 1, Grade.F: 0}
 _grade_of = enum_decoder(Grade)
 _category_of = enum_decoder(Category)
 # a value's grade or category is checked by its decoder
-_REPORT_FIELDS = (("categories", OBJECT, "an object"),
-                  ("reasons", OBJECT, "an object"), ("reasons[]", LIST, "a list"))
+_REPORT_FIELDS = Fields(("categories", OBJECT, "an object"),
+                        ("reasons", OBJECT, "an object"),
+                        ("reasons[]", LIST, "a list"),
+                        required=("categories", "overall"))
 
 # ciphers/MAC: supporting anything in these sets caps the category. 3DES is
 # deliberately in none of them and stays uncapped.
@@ -99,7 +103,7 @@ class GradeReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GradeReport":
-        check_fields(obj, _REPORT_FIELDS, required=("categories", "overall"))
+        check_fields(obj, _REPORT_FIELDS)
         per = {_category_of(c): _grade_of(g)
                for c, g in obj["categories"].items()}
         reasons = {

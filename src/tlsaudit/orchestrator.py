@@ -22,8 +22,8 @@ from .engine import (
     ProbeStatus,
 )
 from .registry import (
-    INT, NULL, NUMBER, CipherDb, Version, browser_union, cert_compatible,
-    check_fields, sort_offer, suite_id, suite_label,
+    INT, NULL, NUMBER, CipherDb, Fields, Version, browser_union,
+    cert_compatible, check_fields, sort_offer, suite_id, suite_label,
 )
 from .wire import Compression
 
@@ -38,10 +38,10 @@ _EXTENSION_PROBE_SET = frozenset({
 })
 
 
-_POLICY_FIELDS = (("timeout_ms", NUMBER, "a number"),
-                  ("delay_min_ms", NUMBER, "a number"),
-                  ("delay_max_ms", NUMBER, "a number"),
-                  ("seed", INT | NULL, "an integer or null"))
+_POLICY_FIELDS = Fields(("timeout_ms", NUMBER, "a number"),
+                        ("delay_min_ms", NUMBER, "a number"),
+                        ("delay_max_ms", NUMBER, "a number"),
+                        ("seed", INT | NULL, "an integer or null"))
 # a policy's upper bound on any time; a socket timeout of about 300 years
 # overflows, and ``float(10**400)`` already does
 _DAY_MS = 86_400_000

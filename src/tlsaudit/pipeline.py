@@ -30,8 +30,8 @@ from .configuration import Configuration
 from .grading import GradeReport, grade
 from .orchestrator import ProbePolicy, SiteProber
 from .registry import (
-    INT, NULL, OBJECT, STR, CipherDb, SharedDecoder, check_fields, enum_decoder,
-    SharedLayout, parse_json,
+    INT, NULL, OBJECT, STR, CipherDb, Fields, SharedDecoder, SharedLayout,
+    check_fields, enum_decoder, parse_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -156,7 +156,7 @@ _DOMAIN = ("domain", STR, "a string")
 _SCHEMA = ("schema_version", INT, str(RECORD_SCHEMA_VERSION))
 # the eligibility's type is checked by its decoder, the configuration's and
 # the grade report's by theirs, unless ``SharedLayout`` has decoded them
-_RECORD_FIELDS = (
+_RECORD_FIELDS = Fields(
     _DOMAIN, _SCHEMA, ("rank", INT | NULL, "an integer or null"),
     ("server_software", OBJECT | NULL, "an object or null"),
     ("asn", OBJECT | NULL, "an object or null"),
@@ -165,8 +165,11 @@ _RECORD_FIELDS = (
     *((name, STR | NULL, "a string or null") for name in (
         "address", "started_at", "finished_at", "os_hint", "trace_ref",
         "exclusion_reason")),
+    required=("domain", "eligibility"),
 )
-_ASN_FIELDS = (("number", INT, "an integer"), ("name", STR, "a string"))
+_ASN_FIELDS = Fields(("number", INT, "an integer"), ("name", STR, "a string"),
+                     required=("number",))
+_DOMAIN_FIELDS = Fields(_DOMAIN, required=("domain",))
 
 
 def split_target(target: str) -> tuple[str, int]:
@@ -225,8 +228,9 @@ class ScanRecord:
 
     def __post_init__(self):
         graded = self.eligibility is Eligibility.GRADED
-        for name in ("configuration", "grade_report"):
-            if (getattr(self, name) is not None) is not graded:
+        for name, value in (("configuration", self.configuration),
+                            ("grade_report", self.grade_report)):
+            if (value is not None) is not graded:
                 raise PipelineError(f"{self.eligibility.value} records "
                                     f"{'need a' if graded else 'carry no'} {name}")
 
@@ -260,29 +264,31 @@ class ScanRecord:
         ``grade_reports`` are a reader's shared decoders: records read with
         the same decoders share equal-valued objects. ``obj`` may hold them
         decoded already, as ``registry.SharedLayout`` gives them."""
-        configurations = configurations or Configuration.from_json
-        grade_reports = grade_reports or GradeReport.from_json
-        check_fields(obj, _RECORD_FIELDS, required=("domain", "eligibility"))
-        version = obj.get("schema_version", RECORD_SCHEMA_VERSION)
+        check_fields(obj, _RECORD_FIELDS)
+        get = obj.get
+        version = get("schema_version", RECORD_SCHEMA_VERSION)
         if version != RECORD_SCHEMA_VERSION:  # an int, by its _SCHEMA row
             raise ValueError(f"schema_version must be {RECORD_SCHEMA_VERSION}, "
                              f"not {version!r}")
-        if obj.get("asn") is not None:
-            check_fields(obj["asn"], _ASN_FIELDS, "asn.", required=("number",))
+        asn = get("asn")
+        if asn is not None:
+            check_fields(asn, _ASN_FIELDS, "asn.")
         return cls(
             domain=obj["domain"],
-            rank=obj.get("rank"),
-            address=obj.get("address"),
-            started_at=obj.get("started_at"),
-            finished_at=obj.get("finished_at"),
+            rank=get("rank"),
+            address=get("address"),
+            started_at=get("started_at"),
+            finished_at=get("finished_at"),
             eligibility=_eligibility_of(obj["eligibility"]),
-            server_software=obj.get("server_software"),
-            os_hint=obj.get("os_hint"),
-            asn=obj.get("asn"),
-            configuration=_decoded(configurations, obj.get("configuration")),
-            grade_report=_decoded(grade_reports, obj.get("grade_report")),
-            trace_ref=obj.get("trace_ref"),
-            exclusion_reason=obj.get("exclusion_reason"),
+            server_software=get("server_software"),
+            os_hint=get("os_hint"),
+            asn=asn,
+            configuration=_decoded(configurations or Configuration.from_json,
+                                   get("configuration")),
+            grade_report=_decoded(grade_reports or GradeReport.from_json,
+                                  get("grade_report")),
+            trace_ref=get("trace_ref"),
+            exclusion_reason=get("exclusion_reason"),
         )
 
 
@@ -596,8 +602,8 @@ def _recorded_domains(out: Path) -> set[str]:
             if not line.strip():
                 continue
             try:
-                domain = check_fields(parse_json(line), (_DOMAIN,),
-                                      required=("domain",))["domain"]
+                domain = check_fields(parse_json(line),
+                                      _DOMAIN_FIELDS)["domain"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise PipelineError(f"{out}:{lineno}: bad record: {exc}") from None
             done.add(domain)

@@ -10,7 +10,6 @@ import csv
 import functools
 import json
 import marshal
-import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -139,19 +138,73 @@ BOOL, INT, NUMBER, STR, LIST, OBJECT, NULL = (
     frozenset({type(None)}))
 
 
-def check_fields(obj, fields, where: str = "", required=()) -> dict:
+class _Absent:
+    """The type of what ``Fields`` reads for a field that an object lacks."""
+
+
+_ABSENT = _Absent()
+
+
+class Fields:
+    """A row table of ``check_fields``: rows ``(name, types, expected)`` in
+    the order their faults are reported, and the names an object must hold.
+    It is split once into plain rows and element rows (``name[]``). A plain
+    row's types admit ``_Absent`` unless its name is required, so one loop
+    checks both the presence and the type of each field that has a row."""
+
+    __slots__ = ("rows", "required", "plain", "present", "elements")
+
+    def __init__(self, *rows, required=()):
+        self.rows, self.required = rows, required
+        self.plain = tuple((name, types if name in required
+                            else types | {_Absent})
+                           for name, types, _ in rows if name[-1] != "]")
+        # a required field whose type its decoder checks has no row
+        named = {name for name, _, _ in rows}
+        self.present = tuple(name for name in required if name not in named)
+        self.elements = tuple((name[:-2], types)
+                              for name, types, _ in rows if name[-1] == "]")
+
+    def fit(self, obj) -> bool:
+        """Whether ``check_fields`` passes ``obj``: one loop over the plain
+        rows, and one set test per element row."""
+        if type(obj) is not dict:
+            return False
+        get = obj.get
+        for name, types in self.plain:
+            if type(get(name, _ABSENT)) not in types:
+                return False
+        for name in self.present:
+            if name not in obj:
+                return False
+        for name, types in self.elements:
+            items = get(name)
+            items = (items.values() if type(items) is dict
+                     else items if type(items) is list else ())
+            if not types.issuperset(map(type, items)):
+                return False
+        return True
+
+
+def check_fields(obj, fields: Fields, where: str = "") -> dict:
     """``obj``, once it is known to be a JSON object whose fields have the
     types ``fields`` gives: the one field-type check of every input decoder.
-    A row ``(name, types, expected)`` raises ``ValueError("<where><name>
-    must be <expected>, not <value!r>")``. A row for ``name[]`` checks each
-    element of the list or object in field ``name``, after that field's own
-    row. A field ``obj`` lacks is not checked, unless ``required`` names it."""
+    A field that ``fields.required`` names and ``obj`` lacks raises
+    ``ValueError("<where><name> is required")``. A row ``(name, types,
+    expected)`` raises ``ValueError("<where><name> must be <expected>, not
+    <value!r>")``. A row for ``name[]`` checks each element of the list or
+    object in field ``name``, after that field's own row. A field ``obj``
+    lacks is not checked. Only an object that ``fields.fit`` fails goes
+    through the required names and then the rows in order, which words its
+    first fault."""
+    if fields.fit(obj):
+        return obj
     if type(obj) is not dict:
         raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
-    for name in required:
+    for name in fields.required:
         if name not in obj:
             raise ValueError(f"{where}{name} is required")
-    for name, types, expected in fields:
+    for name, types, expected in fields.rows:
         if name[-1] != "]":
             if name in obj and type(obj[name]) not in types:
                 raise ValueError(f"{where}{name} must be {expected}, not {obj[name]!r}")
@@ -167,11 +220,27 @@ def check_fields(obj, fields, where: str = "", required=()) -> dict:
     return obj
 
 
+# the C scanner that ``json.loads`` runs, and its whitespace skip
+_scan_json = json.JSONDecoder().scan_once
+_json_space = json.decoder.WHITESPACE.match
+
+
 def parse_json(text):
     """``json.loads(text)``: the one JSON parse of every input line and file.
-    JSON nested deeper than the interpreter's recursion limit is a
-    ValueError, like any other malformed JSON, not a RecursionError."""
+    A ``str`` that starts with its value goes straight to the decoder's C
+    scanner, which ``json.loads`` reaches through three Python calls; any
+    other input, and any text that fails there, goes to ``json.loads``,
+    which parses it again and raises its own error. JSON nested deeper than
+    the interpreter's recursion limit is a ValueError, like any other
+    malformed JSON, not a RecursionError."""
     try:
+        if type(text) is str:
+            try:
+                obj, end = _scan_json(text, 0)
+            except (StopIteration, ValueError):
+                return json.loads(text)
+            if end == len(text) or _json_space(text, end).end() == len(text):
+                return obj
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
@@ -249,43 +318,56 @@ class SharedLayout:
 
     The texts are found in the layout that ``json.dumps`` writes by default:
     the members one after another in the order given, then the key
-    ``follower`` or, with none, the line's closing brace. The line is parsed
-    with member n's text replaced by the string ``"\\u000<n>"``. With the
-    decoded values put in, that is ``parse_json(line)`` when the line holds
-    no ``\\u000`` escape, each text decodes without error, and the parse is
-    an object whose members are exactly their placeholders: one complete
-    value replaced by another leaves the rest of the parse as it was, and a
-    duplicate key, or a match inside a string or a nested object, fails the
-    last test. Any other line is parsed whole, and raises as ``parse_json``.
+    ``follower`` or, with none, the line's closing brace. Each text is an
+    object that starts right after its key and ends where the next key's
+    ``}, "<key>": `` starts; those texts are built once, with the offset of
+    each next member's ``{``. So a line costs a ``find`` for the first key
+    and one per member, a memo lookup per member, and one parse: of the
+    rest of the line, with member n's text replaced by the string
+    ``"\\u000<n>"``. With the decoded values put in, that is
+    ``parse_json(line)`` when the rest holds no other ``\\u000`` escape,
+    each text decodes without error, and the parse is an object whose
+    members are exactly their placeholders: one complete value replaced by
+    another leaves the rest of the parse as it was, and a duplicate key, or
+    a match inside a string or a nested object, fails the last test. Any
+    other line is parsed whole, and raises as ``parse_json``.
     """
 
-    __slots__ = ("parts", "names")
+    __slots__ = ("key", "parts", "tokens", "names")
 
     def __init__(self, members: tuple, follower: Optional[str] = None):
-        afters = [name for name, _ in members[1:]] + [follower]
-        self.parts = [
-            (f'"{name}": {{', None if after is None else f'}}, "{after}": ',
-             decoder, f'"\\u000{n}"')
-            for n, ((name, decoder), after) in enumerate(zip(members, afters))]
-        self.names = [(name, chr(n)) for n, (name, _) in enumerate(members)]
+        names = [name for name, _ in members]
+        self.key = f'"{names[0]}": {{'
+        # each member's decoder, the text that ends it (None for the line's
+        # closing brace), and how far the next member's "{" is past its end
+        stops = [None if after is None else f'}}, "{after}": '
+                 for after in names[1:] + [follower]]
+        self.parts = [(decoder, stop, len(stop) - 1 if stop else 0)
+                      for (_, decoder), stop in zip(members, stops)]
+        # what replaces the members, from the first key to the last "}"
+        self.tokens = ", ".join(f'"{name}": "\\u000{n}"'
+                                for n, name in enumerate(names))
+        self.names = [(name, chr(n)) for n, name in enumerate(names)]
 
     def __call__(self, line: str):
-        if "\\u000" in line:
+        start = line.find(self.key)
+        if start < 0:
             return parse_json(line)
-        pieces, values, at = [], [], 0
-        for key, stop, decoder, token in self.parts:
-            start = line.find(key, at)
-            brace = start + len(key) - 1
+        brace = start + len(self.key) - 1
+        values = []
+        for decoder, stop, skip in self.parts:
             end = line.find(stop, brace) + 1 if stop else len(line.rstrip()) - 1
-            value = decoder.text(line[brace:end]) if 0 <= start < end else None
+            value = (decoder.text(line[brace:end])
+                     if brace < end and line[brace] == "{" else None)
             if value is None:
                 return parse_json(line)
-            pieces += (line[at:brace], token)
             values.append(value)
-            at = end
-        pieces.append(line[at:])
+            brace = end + skip
+        rest = line[:start] + self.tokens + line[end:]
+        if rest.count("\\u000") != len(values):
+            return parse_json(line)
         try:
-            obj = parse_json("".join(pieces))
+            obj = parse_json(rest)
         except ValueError:
             return parse_json(line)
         if type(obj) is not dict:
@@ -461,16 +543,17 @@ def suite_label(suite_id: int) -> str:
     return f"0x{suite_id:04X}"
 
 
-_SUITE_ID = re.compile(r"0x[0-9A-Fa-f]{4}")
-
-
 def suite_id(text: str) -> int:
     """The id that ``suite_label`` writes as ``text``: ``0x`` and four hex
     digits, in either case. A sign, spaces, underscores or another number of
     digits is a ValueError."""
-    if not (isinstance(text, str) and _SUITE_ID.fullmatch(text)):
-        raise ValueError(f"a suite id must be 0x and four hex digits, not {text!r}")
-    return int(text, 16)
+    if (isinstance(text, str) and len(text) == 6 and text[:2] == "0x"
+            and text.isascii() and text[2:].isalnum()):
+        try:
+            return int(text, 16)
+        except ValueError:  # a letter past F
+            pass
+    raise ValueError(f"a suite id must be 0x and four hex digits, not {text!r}")
 
 
 def _offer_ranks(db: CipherDb) -> dict[int, int]:
