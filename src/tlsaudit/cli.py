@@ -4,10 +4,10 @@ Subcommands: ``scan`` (the only one that opens sockets), ``grade``,
 ``check-rec``, ``report``, and ``fixtures``. Exit codes: 0 success,
 1 input error, 2 policy/ethics refusal, 3 runtime failure. An input file that
 cannot be read, is not UTF-8, or holds a malformed line, or an output file
-that cannot be written, is a ``pipeline.PipelineError``, which ``main`` alone
+that cannot be written, is a ``records.PipelineError``, which ``main`` alone
 reports: one ``error:`` line, exit 1 (``grade`` reports each bad line
 instead, and goes on past it). Every command but ``scan`` opens its output
-first, with ``pipeline.open_output``, and writes each line as its input
+first, with ``records.open_output``, and writes each line as its input
 passes; the file is replaced only once the output is whole.
 """
 
@@ -19,7 +19,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import cipherstring, fixtures, pipeline, report as report_mod
+from . import cipherstring, fixtures, pipeline, records, report as report_mod
 from .configuration import Configuration
 from .grading import grade
 from .orchestrator import ProbePolicy
@@ -35,10 +35,18 @@ EXIT_INPUT = 1
 EXIT_POLICY = 2
 EXIT_RUNTIME = 3
 
+
+class _ReportText(str):
+    """A grade report's JSON text, as ``grade``'s decoder makes it from a
+    configuration: a type that no JSON value has, so a string in the line is
+    never taken for one."""
+
+
 # a ``grade --in`` or ``check-rec --configs`` line: a configuration, or an
-# object holding one with a label (which ``SharedLayout`` may have decoded)
+# object holding one with a label (which ``SharedLayout`` may have decoded
+# to its grade report's text)
 _LABELED_FIELDS = Fields(("label", STR, "a string"),
-                         ("configuration", OBJECT | {Configuration}, "an object"))
+                         ("configuration", OBJECT | {_ReportText}, "an object"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +102,7 @@ def cmd_scan(args) -> int:
     db = load_registry()
     targets = pipeline.load_targets(args.targets)
     if not targets:
-        raise pipeline.PipelineError("no valid targets")
+        raise records.PipelineError("no valid targets")
 
     # without a policy file: a policy file's defaults, unpaced when the
     # ethics gate keeps the scan on loopback
@@ -119,23 +127,19 @@ def cmd_grade(args) -> int:
     db = load_registry()
     errors = 0
     # a corpus repeats a few configurations many times: find a repeat by its
-    # text, decode and grade it once, and keep its report's JSON text
-    configurations = SharedDecoder(Configuration.from_json)
-    parse = SharedLayout((("configuration", configurations),))
-    reports: dict[Configuration, str] = {}
-    with pipeline.open_output(args.out, "grades") as out:
-        for lineno, line in pipeline.input_lines(args.infile,
-                                                 "configurations"):
+    # text, and decode and grade it once, straight to its report's JSON text
+    reports = SharedDecoder(lambda obj: _ReportText(json.dumps(
+        grade(Configuration.from_json(obj), db).to_json())))
+    parse = SharedLayout((("configuration", reports),))
+    with records.open_output(args.out, "grades") as out:
+        for lineno, line in records.input_lines(args.infile,
+                                                "configurations"):
             try:
                 obj = check_fields(parse(line), _LABELED_FIELDS)
                 label = obj.get("label")
-                config = obj.get("configuration", obj)
-                if type(config) is not Configuration:
-                    config = configurations(config)
-                report = reports.get(config)
-                if report is None:
-                    report = reports[config] = json.dumps(
-                        grade(config, db).to_json())
+                report = obj.get("configuration", obj)
+                if type(report) is not _ReportText:
+                    report = reports(report)
             except (ValueError, KeyError, TypeError) as exc:
                 print(f"line {lineno}: invalid record: {exc}", file=sys.stderr)
                 errors += 1
@@ -150,17 +154,17 @@ def cmd_grade(args) -> int:
 def cmd_check_rec(args) -> int:
     db = load_registry()
     if not args.configs and not args.defaults:
-        raise pipeline.PipelineError("need --configs or --defaults")
+        raise records.PipelineError("need --configs or --defaults")
     profiles = cipherstring.load_all_profiles()
     by_name = {profile.name: profile for profile in profiles}
     defaults = ([(label, config, by_name[profile_name])
                  for label, config, profile_name
                  in fixtures.ubuntu_default_configurations(db)]
                 if args.defaults else None)
-    with pipeline.open_output(args.out, "recommendation checks") as out:
+    with records.open_output(args.out, "recommendation checks") as out:
         # label -> configuration; a label names one line
         configs: dict[str, Configuration] = {}
-        for lineno, line in (pipeline.input_lines(args.configs, "configs file")
+        for lineno, line in (records.input_lines(args.configs, "configs file")
                              if args.configs else ()):
             try:
                 obj = check_fields(parse_json(line), _LABELED_FIELDS)
@@ -170,14 +174,14 @@ def cmd_check_rec(args) -> int:
                 configs[label] = Configuration.from_json(
                     obj.get("configuration", obj))
             except (ValueError, KeyError, TypeError) as exc:
-                raise pipeline.PipelineError(
+                raise records.PipelineError(
                     f"bad configs file: line {lineno}: {exc}") from None
 
-        for lineno, line in pipeline.input_lines(args.recs, "recommendations"):
+        for lineno, line in records.input_lines(args.recs, "recommendations"):
             try:
                 rec = cipherstring.Recommendation.from_json(parse_json(line))
             except ValueError as exc:  # CipherStringError, RecommendationError
-                raise pipeline.PipelineError(
+                raise records.PipelineError(
                     f"bad recs file: line {lineno}: {exc}") from None
             entry: dict = {"recommendation": rec.to_json()}
             if defaults is not None:
@@ -201,10 +205,10 @@ def cmd_check_rec(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with pipeline.open_output(args.out, "report") as out:
+    with records.open_output(args.out, "report") as out:
         # the stream opens the records file at its first record, so an
         # unknown kind fails before the long read
-        data = report_mod.build(pipeline.iter_records(args.records), args.which)
+        data = report_mod.build(records.iter_records(args.records), args.which)
         report_mod.emit(args.which, data, args.format, out)
     return EXIT_OK
 
@@ -212,14 +216,14 @@ def cmd_report(args) -> int:
 def cmd_fixtures(args) -> int:
     db = load_registry()
     out_dir = Path(args.out_dir)
-    pipeline.make_directory(out_dir, "fixture specs")
+    records.make_directory(out_dir, "fixture specs")
     specs = fixtures.bundled_corpus(db, seed=args.seed)
     for n, spec in enumerate(specs):
-        with pipeline.open_output(out_dir / f"spec-{n:03d}.json",
-                                  "fixture spec") as out:
+        with records.open_output(out_dir / f"spec-{n:03d}.json",
+                                 "fixture spec") as out:
             out.write(json.dumps(spec.to_json()) + "\n")
-    with pipeline.open_output(out_dir / "ubuntu_defaults.jsonl",
-                              "stock defaults") as out:
+    with records.open_output(out_dir / "ubuntu_defaults.jsonl",
+                             "stock defaults") as out:
         for label, config, profile in fixtures.ubuntu_default_configurations(db):
             out.write(json.dumps({"label": label, "profile": profile,
                                   "configuration": config.to_json()}) + "\n")
@@ -244,7 +248,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
-    except pipeline.PipelineError as exc:
+    except records.PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except KeyboardInterrupt:

@@ -90,7 +90,7 @@ class Version(Enum):
         try:
             return _VERSION_BY_LABEL[label]
         except (KeyError, TypeError):
-            raise RegistryError(f"unknown protocol version {label!r}") from None
+            raise RegistryError(f"unknown protocol version {shown(label)}") from None
 
     # Version cannot be subclassed, so a class-identity check is the
     # isinstance check; ``_value_`` skips Enum's ``value`` descriptor
@@ -117,17 +117,36 @@ _VERSION_BY_LABEL = {label: v for v, label in _VERSION_LABELS.items()}
 
 
 def enum_decoder(enum_cls: type[Enum]) -> Callable[[object], Enum]:
-    """``enum_cls(value)`` through a value -> member dict. A value that is not
-    in the dict goes to ``enum_cls(value)``, so a member passes through and
-    an unknown value raises the enum's own ValueError."""
+    """``enum_cls(value)`` through a value -> member dict: a member passes
+    through, and an unknown value raises the ValueError ``enum_cls(value)``
+    raises, with the value ``shown``."""
     members = {member.value: member for member in enum_cls}
 
     def decode(value):
         try:
             return members[value]
         except (KeyError, TypeError):
-            return enum_cls(value)
+            if type(value) is enum_cls:
+                return value
+            raise ValueError(f"{shown(value)} is not a valid "
+                             f"{enum_cls.__qualname__}") from None
     return decode
+
+
+def shown(value, depth: int = 32) -> str:
+    """``repr(value)`` of an input value, for an error message, with each
+    list or object nested more than ``depth`` deep written ``[...]`` or
+    ``{...}``. A value nested near the recursion limit parses, but its own
+    ``repr`` raises RecursionError wherever the stack is deeper than where
+    it was parsed, which would make an input error a crash."""
+    if type(value) not in (list, dict) or not value:
+        return repr(value)
+    if not depth:
+        return "[...]" if type(value) is list else "{...}"
+    if type(value) is list:
+        return f"[{', '.join([shown(item, depth - 1) for item in value])}]"
+    return "{" + ", ".join([f"{key!r}: {shown(item, depth - 1)}"
+                            for key, item in value.items()]) + "}"
 
 
 # JSON types as ``json.loads`` gives them, for ``check_fields`` rows; a type
@@ -192,8 +211,8 @@ def check_fields(obj, fields: Fields, where: str = "") -> dict:
     A field that ``fields.required`` names and ``obj`` lacks raises
     ``ValueError("<where><name> is required")``. A row ``(name, types,
     expected)`` raises ``ValueError("<where><name> must be <expected>, not
-    <value!r>")``. A row for ``name[]`` checks each element of the list or
-    object in field ``name``, after that field's own row. A field ``obj``
+    <shown(value)>")``. A row for ``name[]`` checks each element of the list
+    or object in field ``name``, after that field's own row. A field ``obj``
     lacks is not checked. Only an object that ``fields.fit`` fails goes
     through the required names and then the rows in order, which words its
     first fault."""
@@ -207,7 +226,8 @@ def check_fields(obj, fields: Fields, where: str = "") -> dict:
     for name, types, expected in fields.rows:
         if name[-1] != "]":
             if name in obj and type(obj[name]) not in types:
-                raise ValueError(f"{where}{name} must be {expected}, not {obj[name]!r}")
+                raise ValueError(
+                    f"{where}{name} must be {expected}, not {shown(obj[name])}")
             continue
         name = name[:-2]
         items = obj.get(name)
@@ -216,7 +236,8 @@ def check_fields(obj, fields: Fields, where: str = "") -> dict:
         for key, value in items:
             if type(value) not in types:
                 raise ValueError(
-                    f"{where}{name}[{key!r}] must be {expected}, not {value!r}")
+                    f"{where}{name}[{key!r}] must be {expected}, "
+                    f"not {shown(value)}")
     return obj
 
 
@@ -553,7 +574,8 @@ def suite_id(text: str) -> int:
             return int(text, 16)
         except ValueError:  # a letter past F
             pass
-    raise ValueError(f"a suite id must be 0x and four hex digits, not {text!r}")
+    raise ValueError("a suite id must be 0x and four hex digits, "
+                     f"not {shown(text)}")
 
 
 def _offer_ranks(db: CipherDb) -> dict[int, int]:

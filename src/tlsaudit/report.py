@@ -5,7 +5,7 @@ Each report is one fold over a stream of records: it reads any iterable
 once and keeps only per-grade, per-AS and per-configuration counters, so its
 memory grows with the number of distinct groups, not of records. The
 ``records`` kind keeps nothing: its rows are made as the records pass, and
-``emit`` writes each as it comes, to a handle from ``pipeline.open_output``
+``emit`` writes each as it comes, to a handle from ``records.open_output``
 that replaces the file only once the report is whole. Outputs are
 deterministic (ties broken lexicographically) so emitted files are stable.
 A fold that groups by configuration computes ``config_key`` once per
@@ -27,8 +27,8 @@ from typing import Callable, Iterable, Optional
 
 from .configuration import Configuration
 from .grading import Category, Grade, downgrade_table
-from .pipeline import (Eligibility, PipelineError, ScanRecord, is_ip_literal,
-                       split_target)
+from .records import (Eligibility, PipelineError, ScanRecord, is_ip_literal,
+                      split_target)
 
 try:
     from _sha2 import sha256

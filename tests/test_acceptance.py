@@ -24,7 +24,7 @@ from tlsaudit.grading import (Category, Grade, derive_vulnerabilities,
                               downgrade_table, grade, grade_compression,
                               grade_preferred)
 from tlsaudit.orchestrator import ProbePolicy, SiteProber, configuration_of
-from tlsaudit.pipeline import Eligibility
+from tlsaudit.records import Eligibility
 from tlsaudit.registry import Version
 
 

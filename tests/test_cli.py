@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 from tlsaudit import cli, fixtures, pipeline
+from tlsaudit.configuration import Configuration
 from tlsaudit.grading import grade
 from tlsaudit.orchestrator import ProbePolicy
+from tlsaudit.records import PipelineError, ScanRecord
+from tlsaudit.registry import parse_json
 
 
 def write_defaults_jsonl(db, path):
@@ -567,7 +570,7 @@ def test_cmd_report_unknown_kind(tmp_path):
 def test_cmd_report_dist(db, tmp_path):
     from helpers import random_configuration
     import random
-    from tlsaudit.pipeline import Eligibility, ScanRecord
+    from tlsaudit.records import Eligibility, ScanRecord
     rng = random.Random(5)
     records = tmp_path / "records.jsonl"
     with open(records, "w") as fh:
@@ -590,7 +593,7 @@ def test_cmd_report_dist(db, tmp_path):
     ("supported_suites", None), ("versions", None), ("dh_prime_bits", [1024]),
 ])
 def test_cmd_report_wrongly_typed_field(db, tmp_path, capsys, field, value):
-    from tlsaudit.pipeline import Eligibility, ScanRecord
+    from tlsaudit.records import Eligibility, ScanRecord
     config = fixtures.ubuntu_default_configurations(db)[0][1]
     good = ScanRecord(domain="a.test", eligibility=Eligibility.GRADED,
                       configuration=config,
@@ -652,7 +655,7 @@ def _record_field(name, value):
         "schema-version-true", "schema-version-null"])
 def test_cmd_report_wrongly_typed_record_field(db, tmp_path, capsys, edit,
                                                message):
-    from tlsaudit.pipeline import Eligibility, ScanRecord
+    from tlsaudit.records import Eligibility, ScanRecord
     config = fixtures.ubuntu_default_configurations(db)[0][1]
     good = ScanRecord(domain="a.test", eligibility=Eligibility.GRADED,
                       asn={"number": 64500, "name": "AS-TEST"},
@@ -673,7 +676,7 @@ def test_cmd_report_wrongly_typed_record_field(db, tmp_path, capsys, edit,
 
 
 def test_cmd_report_int_flag(db, tmp_path, capsys):
-    from tlsaudit.pipeline import Eligibility, ScanRecord
+    from tlsaudit.records import Eligibility, ScanRecord
     config = fixtures.ubuntu_default_configurations(db)[0][1]
     good = ScanRecord(domain="a.test", eligibility=Eligibility.GRADED,
                       configuration=config,
@@ -691,7 +694,7 @@ def test_cmd_report_int_flag(db, tmp_path, capsys):
 
 
 def _graded_line(db, **fields):
-    from tlsaudit.pipeline import Eligibility, ScanRecord
+    from tlsaudit.records import Eligibility, ScanRecord
     config = fixtures.ubuntu_default_configurations(db)[0][1]
     record = ScanRecord(domain="a", eligibility=Eligibility.GRADED,
                         configuration=config,
@@ -793,8 +796,42 @@ def test_json_nested_near_the_recursion_limit_is_an_input_error(db, tmp_path,
     for text in nested:
         records.write_text(f'{{"domain": "a", "eligibility": "GRADED", '
                            f'"configuration": {text}}}\n')
-        with pytest.raises(pipeline.PipelineError):
+        with pytest.raises(PipelineError):
             pipeline.load_records(records)
+
+
+def _deeper(frames: int, call, *args):
+    """``call(*args)``, made ``frames`` Python frames further down the
+    stack."""
+    return _deeper(frames - 1, call, *args) if frames else call(*args)
+
+
+@pytest.mark.parametrize("field", ["versions", "supported_suites",
+                                   "server_preference", "eligibility"])
+def test_a_value_nested_near_the_limit_is_an_input_error_further_down(db,
+                                                                      field):
+    """A value that parses just under the recursion limit, decoded 50
+    frames further down the stack than it was parsed, as a reader may do:
+    an input error, never the RecursionError of a ``repr`` of the whole
+    value in its message, which ``main`` would report as a crash."""
+    if field == "eligibility":
+        template, decode = {"domain": "a", "eligibility": "X"}, ScanRecord.from_json
+    else:
+        template = dict(fixtures.ubuntu_default_configurations(db)[0][1]
+                        .to_json(), **{field: "X"})
+        decode = Configuration.from_json
+    limit = sys.getrecursionlimit()
+    parsed = 0
+    for depth in range(limit - 150, limit + 5):
+        try:
+            obj = parse_json(json.dumps(template).replace(
+                '"X"', "[" * depth + "]" * depth))
+        except ValueError:
+            continue
+        parsed += 1
+        with pytest.raises(ValueError):
+            _deeper(50, decode, obj)
+    assert parsed
 
 
 # -- check-rec --configs labels ---------------------------------------------------
@@ -827,7 +864,7 @@ def test_cli_parses_json_only_through_parse_json():
     that turns a RecursionError into an input error."""
     src = Path(__file__).resolve().parent.parent / "src" / "tlsaudit"
     calls = [f"{module}:{node.lineno}"
-             for module in ("cli.py", "pipeline.py")
+             for module in ("cli.py", "pipeline.py", "records.py")
              for node in ast.walk(ast.parse((src / module).read_text(
                  encoding="utf-8")))
              if isinstance(node, ast.Call)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from test_report_stream import corpus_lines, write_corpus
 from tlsaudit import (cipherstring, cli, configuration, grading, orchestrator,
                       pipeline, registry)
+from tlsaudit import records as records_mod
 from tlsaudit.configuration import Configuration
 from tlsaudit.grading import GradeReport
 from tlsaudit.registry import check_fields, parse_json
@@ -97,9 +98,9 @@ def test_parse_json_returns_or_raises_as_json_loads_on_the_edges(text):
 
 TABLES = {
     "configuration._FIELDS": configuration._FIELDS,
-    "pipeline._RECORD_FIELDS": pipeline._RECORD_FIELDS,
-    "pipeline._ASN_FIELDS": pipeline._ASN_FIELDS,
-    "pipeline._DOMAIN_FIELDS": pipeline._DOMAIN_FIELDS,
+    "records._RECORD_FIELDS": records_mod._RECORD_FIELDS,
+    "records._ASN_FIELDS": records_mod._ASN_FIELDS,
+    "records._DOMAIN_FIELDS": records_mod._DOMAIN_FIELDS,
     "grading._REPORT_FIELDS": grading._REPORT_FIELDS,
     "cli._LABELED_FIELDS": cli._LABELED_FIELDS,
     "cipherstring._FIELDS": cipherstring._FIELDS,
@@ -111,7 +112,7 @@ def test_every_row_table_is_listed():
     """Each module's ``Fields`` tables are in ``TABLES``."""
     found = {f"{module.__name__.rsplit('.', 1)[1]}.{name}"
              for module in (cipherstring, cli, configuration, grading,
-                            orchestrator, pipeline, registry)
+                            orchestrator, pipeline, records_mod, registry)
              for name, value in vars(module).items()
              if type(value) is registry.Fields}
     assert found == set(TABLES)
@@ -264,6 +265,19 @@ def test_check_fields_agrees_with_the_row_order_loop(data):
                       data.draw(st.sampled_from(("", "asn."))))
 
 
+@settings(max_examples=300, deadline=None)
+@given(value=_VALUES)
+def test_shown_is_repr_within_its_depth(value):
+    """The value of an error message is written as ``repr`` writes it."""
+    assert registry.shown(value) == repr(value)
+
+
+def test_shown_cuts_what_lies_deeper():
+    assert registry.shown([[1, {"a": [2]}], [[]], {}], 2) == \
+        "[[1, {...}], [[]], {}]"
+    assert registry.shown([[[[0]]]] * 2, 1) == "[[...], [...]]"
+
+
 # -- the decode work of a corpus, by count -------------------------------------
 
 def test_a_corpus_decodes_each_text_once_and_parses_no_line_whole(
@@ -309,7 +323,7 @@ def test_a_corpus_decodes_each_text_once_and_parses_no_line_whole(
     monkeypatch.setattr(registry, "parse_json",
                         lambda text: parsed.append(text.strip()) or parse(text))
 
-    assert sum(1 for _ in pipeline.iter_records(records)) == len(lines)
+    assert sum(1 for _ in records_mod.iter_records(records)) == len(lines)
     assert calls == {"config": len(configs), "report": len(reports), "loads": 0}
     assert not set(parsed) & shared
     assert sorted(text for text in parsed if text in configs | reports) == \

@@ -13,7 +13,7 @@ from tlsaudit import engine as engine_module
 from tlsaudit import fixtures, wire
 from tlsaudit.engine import (HandshakeEngine, HandshakeOffer, HandshakeOutcome,
                              HeartbleedResult, OfferError, ProbeStatus)
-from tlsaudit.pipeline import split_target
+from tlsaudit.records import split_target
 from tlsaudit.registry import Version
 
 RICH_SPEC = fixtures.FixtureSpec(

@@ -34,6 +34,10 @@ takes its SHA-256 from ``_sha2`` (``_sha256`` before Python 3.12). No module
 imports ``hashlib``, and a fresh interpreter checks that importing the
 package, probing a site and the commands that hash leave libcrypto unloaded,
 since the test process itself has loaded it long before.
+
+The offline half reads records, not servers: importing ``report``,
+``records``, ``grading`` or ``cipherstring`` in a fresh interpreter loads no
+``socket`` and none of the prober's modules.
 """
 
 import ast
@@ -185,7 +189,7 @@ for module in pkgutil.iter_modules(tlsaudit.__path__):
 from tlsaudit import cli, fixtures
 from tlsaudit.grading import grade
 from tlsaudit.orchestrator import ProbePolicy, SiteProber
-from tlsaudit.pipeline import Eligibility, ScanRecord
+from tlsaudit.records import Eligibility, ScanRecord
 from tlsaudit.registry import load_registry
 
 db = load_registry()
@@ -213,3 +217,19 @@ def test_no_tlsaudit_path_loads_libcrypto():
     done = subprocess.run([sys.executable, "-c", _NO_LIBCRYPTO], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+_PROBER = ("socket", "tlsaudit.pipeline", "tlsaudit.engine",
+           "tlsaudit.orchestrator", "tlsaudit.wire", "tlsaudit.fixtures")
+
+
+@pytest.mark.parametrize("module", ["report", "records", "grading",
+                                    "cipherstring"])
+def test_offline_modules_load_no_prober(module):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, tlsaudit.{module}; "
+         f"print(sorted(set({_PROBER!r}) & sys.modules.keys()))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

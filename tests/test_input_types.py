@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from tlsaudit import cli, fixtures
 from tlsaudit.grading import grade
-from tlsaudit.pipeline import Eligibility, ScanRecord
+from tlsaudit.records import Eligibility, ScanRecord
 from tlsaudit.registry import Version
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tlsaudit"
@@ -188,8 +188,8 @@ DECODERS = [
     ("configuration.py", "Configuration.from_json"),
     ("grading.py", "GradeReport.from_json"),
     ("cipherstring.py", "Recommendation.from_json"),
-    ("pipeline.py", "ScanRecord.from_json"),
-    ("pipeline.py", "_recorded_domains"),
+    ("records.py", "ScanRecord.from_json"),
+    ("records.py", "recorded_domains"),
     ("orchestrator.py", "ProbePolicy.from_json"),
 ]
 

@@ -1,6 +1,6 @@
 """One target parser, and an engine that dials the address it is given.
 
-``pipeline.split_target`` reads every ``host:port`` form the package
+``records.split_target`` reads every ``host:port`` form the package
 accepts, IPv6 included. This parses each source file and looks for another
 colon splitter, a ``.rpartition(":")`` or ``.rsplit(":", ...)`` call, so a
 second parser that reads ``::1`` as ``":"`` port 1 cannot come back. The
@@ -41,7 +41,7 @@ def test_split_target_is_the_only_colon_splitter():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [(path.name, func) for func in _colon_splits(tree)]
-    assert found == [("pipeline.py", "split_target")]
+    assert found == [("records.py", "split_target")]
 
 
 def test_engine_never_asks_for_its_peer():

@@ -17,10 +17,11 @@ from helpers import LoopbackPeer
 from tlsaudit import fixtures, pipeline, wire
 from tlsaudit.grading import grade
 from tlsaudit.orchestrator import ProbeTrace, SiteProber
-from tlsaudit.pipeline import (Eligibility, PipelineError, ScanOptions,
-                               ScanRecord, Target, annotate_asn, load_asn_table,
-                               load_targets, parse_prefix, parse_server_header,
-                               run_scan, split_target)
+from tlsaudit.pipeline import (ScanOptions, Target, annotate_asn,
+                               load_asn_table, load_targets, parse_prefix,
+                               parse_server_header, run_scan)
+from tlsaudit.records import (Eligibility, PipelineError, ScanRecord,
+                              split_target)
 from tlsaudit.registry import Version
 
 

@@ -6,11 +6,11 @@ from collections import Counter, defaultdict
 import pytest
 
 from helpers import random_configuration
-from tlsaudit import fixtures, pipeline
+from tlsaudit import fixtures
 from tlsaudit import report as report_mod
 from tlsaudit.configuration import Configuration
 from tlsaudit.grading import grade
-from tlsaudit.pipeline import Eligibility, ScanRecord
+from tlsaudit.records import Eligibility, ScanRecord, open_output
 
 
 def make_records(db, rng, n, n_as=12):
@@ -133,7 +133,7 @@ def test_emit_csv_and_json(db, rng, tmp_path):
     records = make_records(db, rng, 60)
     dist = report_mod.build(records, "dist")
     csv_path = tmp_path / "dist.csv"
-    with pipeline.open_output(csv_path, "report") as out:
+    with open_output(csv_path, "report") as out:
         report_mod.emit("dist", dist, "csv", out)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "grade,count,proportion"
@@ -141,12 +141,12 @@ def test_emit_csv_and_json(db, rng, tmp_path):
 
     cdf = report_mod.build(records, "cdf-config")
     cdf_path = tmp_path / "cdf.csv"
-    with pipeline.open_output(cdf_path, "report") as out:
+    with open_output(cdf_path, "report") as out:
         report_mod.emit("cdf-config", cdf, "csv", out)
     assert cdf_path.read_text().splitlines()[0] == "k,grade,fraction"
 
     json_path = tmp_path / "dist.json"
-    with pipeline.open_output(json_path, "report") as out:
+    with open_output(json_path, "report") as out:
         report_mod.emit("dist", dist, "json", out)
     assert json.loads(json_path.read_text()) == dist
 
@@ -193,7 +193,7 @@ def test_ip_literal_tld_is_an_empty_csv_cell(db, rng, tmp_path):
     record = dataclasses.replace(make_records(db, rng, 1, n_as=1)[0],
                                  domain="127.0.0.1:8443")
     path = tmp_path / "records.csv"
-    with pipeline.open_output(path, "report") as out:
+    with open_output(path, "report") as out:
         report_mod.emit("records", report_mod.build([record], "records"),
                         "csv", out)
     header, row = path.read_text(encoding="utf-8").splitlines()

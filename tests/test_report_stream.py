@@ -1,7 +1,7 @@
 """``report`` as one pass over a record stream: pinned output bytes, any
 iterable in, and memory that does not grow with the number of records. The
 pinned outputs of ``grade`` and ``check-rec``, whose memory does not grow
-either. And the one writer of all three, ``pipeline.open_output``: output
+either. And the one writer of all three, ``records.open_output``: output
 all or nothing, a stale temporary file removed, a closed stdout one error.
 
 The pinned report digests are those of the outputs written when every kind
@@ -31,6 +31,7 @@ from helpers import random_configuration, reassemble
 from tlsaudit import cli, fixtures, pipeline
 from tlsaudit import report as report_mod
 from tlsaudit.grading import grade
+from tlsaudit.records import iter_records, open_output
 
 KINDS = ("dist", "cdf-asn", "cdf-config", "downgrades", "dominance", "records")
 FORMATS = ("csv", "json")
@@ -183,7 +184,7 @@ def test_a_list_and_a_generator_give_the_same_bytes(corpora, tmp_path, which):
         outputs = []
         for n, source in enumerate((records, (r for r in records))):
             out = tmp_path / f"{n}.{fmt}"
-            with pipeline.open_output(out, "report") as fh:
+            with open_output(out, "report") as fh:
                 report_mod.emit(which, report_mod.build(source, which), fmt, fh)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
@@ -474,9 +475,9 @@ def test_memory_does_not_grow_with_the_records(db, tmp_path, which):
         write_corpus(path, corpus_lines(db, 7, n))
         tracemalloc.start()
         try:
-            with pipeline.open_output(tmp_path / f"{n}.json", "report") as out:
+            with open_output(tmp_path / f"{n}.json", "report") as out:
                 report_mod.emit(which, report_mod.build(
-                    pipeline.iter_records(path), which), "json", out)
+                    iter_records(path), which), "json", out)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

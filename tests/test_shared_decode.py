@@ -27,7 +27,7 @@ from helpers import random_configuration
 from tlsaudit import cli, pipeline, registry
 from tlsaudit.configuration import Configuration
 from tlsaudit.grading import grade
-from tlsaudit.pipeline import Eligibility, PipelineError, ScanRecord
+from tlsaudit.records import Eligibility, PipelineError, ScanRecord
 from tlsaudit.registry import SharedDecoder, check_fields
 
 _SETTINGS = settings(max_examples=60, deadline=None,
@@ -509,27 +509,29 @@ def test_each_text_is_decoded_once_and_no_line_is_parsed_whole(
 
 
 def test_grade_in_memory_per_line_without_repeats(db, tmp_path, monkeypatch):
-    """``grade --in`` over 2,000 lines, each with its own configuration:
-    once the memo is dropped, its keys, the texts among them, are freed,
-    and the run peaks at 4,400-4,700 bytes a line under ``tracemalloc``,
-    as it did before texts were keys. Keeping every text and ``marshal``
-    key until the end peaked at about 6,400. ``PROBE`` is lowered so that
-    the memo is dropped early in a small file."""
+    """``grade --in`` over 2,000 and 4,000 lines, each with its own
+    configuration: once the memo is dropped, its keys, the texts among them,
+    are freed, and nothing else keeps a configuration or its report, so the
+    peak under ``tracemalloc`` does not grow with the lines (0.6-1.2 MB;
+    keeping each configuration's report until the end peaked at 7.8 and
+    14.4 MB). ``PROBE`` is lowered so that the memo is dropped early in
+    a small file."""
     monkeypatch.setattr(SharedDecoder, "PROBE", 512)
     rng = random.Random(3)
-    count = 2_000
-    infile = tmp_path / "configs.jsonl"
-    with open(infile, "w", encoding="utf-8") as fh:
-        for n in range(count):
-            fh.write(json.dumps({"label": f"c{n}", "configuration":
-                                 random_configuration(rng, db).to_json()})
-                     + "\n")
-    tracemalloc.start()
-    try:
-        code = cli.main(["grade", "--in", str(infile),
-                         "--out", str(tmp_path / "grades.jsonl")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == cli.EXIT_OK
-    assert peak <= 5_400 * count, f"{peak / count:.0f} B per line"
+    lines = [json.dumps({"label": f"c{n}", "configuration":
+                         random_configuration(rng, db).to_json()}) + "\n"
+             for n in range(4_000)]
+    peaks = []
+    for count in (2_000, 4_000):
+        infile = tmp_path / f"configs-{count}.jsonl"
+        infile.write_text("".join(lines[:count]), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = cli.main(["grade", "--in", str(infile),
+                             "--out", str(tmp_path / "grades.jsonl")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+    assert peaks[1] <= 500 * 4_000, f"{peaks[1] / 4_000:.0f} B per line"

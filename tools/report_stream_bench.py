@@ -47,7 +47,7 @@ def corpus_lines(db, seed: int, records: int):
     one at a time: the same draws from the same generator, in order."""
     import inputs
     from tlsaudit.grading import grade
-    from tlsaudit.pipeline import Eligibility, ScanRecord
+    from tlsaudit.records import Eligibility, ScanRecord
     rng = random.Random(f"analyze/{seed}")
     pool = inputs._configuration_pool(db, rng, POOL)
     reports = [grade(config, db) for config in pool]
