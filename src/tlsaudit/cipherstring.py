@@ -404,8 +404,8 @@ def apply_to_default(rec: Recommendation, default: Configuration,
     if not has_dhe:
         dh_bits, dh_common = None, None
     preferred = sort_offer(db, suites)[0]
-    return Configuration.assemble(
-        db, suites, preferred,
+    return Configuration(
+        supported_suites=suites, preferred_suite=preferred,
         versions=versions,
         server_preference=preference,
         extensions=default.extensions,

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``scan`` (the only one that opens sockets), ``grade``,
-``check-rec``, ``report``, and ``fixtures``. Exit codes: 0 success,
+``check-rec``, ``report``, and ``fixtures``. The prober and the fixture
+server are imported by the commands that use them, so ``grade``, ``report``
+and ``check-rec --configs`` load no ``socket``. Exit codes: 0 success,
 1 input error, 2 policy/ethics refusal, 3 runtime failure. An input file that
 cannot be read, is not UTF-8, or holds a malformed line, or an output file
 that cannot be written, is a ``records.PipelineError``, which ``main`` alone
@@ -19,10 +21,9 @@ import logging
 import sys
 from pathlib import Path
 
-from . import cipherstring, fixtures, pipeline, records, report as report_mod
+from . import cipherstring, records, report as report_mod
 from .configuration import Configuration
 from .grading import grade
-from .orchestrator import ProbePolicy
 from .registry import (
     OBJECT, STR, Fields, SharedDecoder, SharedLayout, check_fields,
     load_registry, parse_json,
@@ -99,6 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_scan(args) -> int:
+    from . import pipeline
+    from .orchestrator import ProbePolicy
     db = load_registry()
     targets = pipeline.load_targets(args.targets)
     if not targets:
@@ -157,10 +160,12 @@ def cmd_check_rec(args) -> int:
         raise records.PipelineError("need --configs or --defaults")
     profiles = cipherstring.load_all_profiles()
     by_name = {profile.name: profile for profile in profiles}
-    defaults = ([(label, config, by_name[profile_name])
-                 for label, config, profile_name
-                 in fixtures.ubuntu_default_configurations(db)]
-                if args.defaults else None)
+    defaults = None
+    if args.defaults:
+        from . import fixtures
+        defaults = [(label, config, by_name[profile_name])
+                    for label, config, profile_name
+                    in fixtures.ubuntu_default_configurations(db)]
     with records.open_output(args.out, "recommendation checks") as out:
         # label -> configuration; a label names one line
         configs: dict[str, Configuration] = {}
@@ -214,6 +219,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from . import fixtures
     db = load_registry()
     out_dir = Path(args.out_dir)
     records.make_directory(out_dir, "fixture specs")

@@ -445,8 +445,8 @@ def projection(spec: FixtureSpec, db: CipherDb) -> Configuration:
     if spec.heartbeat != HEARTBEAT_OFF:
         extensions.add("heartbeat")
 
-    return Configuration.assemble(
-        db, frozenset(supported), preferred,
+    return Configuration(
+        supported_suites=supported, preferred_suite=preferred,
         versions=spec.versions,
         server_preference=detected_preference,
         extensions=frozenset(extensions),

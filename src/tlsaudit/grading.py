@@ -14,7 +14,8 @@ from functools import total_ordering
 
 from .configuration import Configuration
 from .registry import (
-    LIST, OBJECT, CipherDb, Fields, Kex, Version, check_fields, enum_decoder,
+    AEAD_MODES, LIST, OBJECT, CipherDb, CipherFamily, CipherMode, Fields, Kex,
+    Version, check_fields, enum_decoder,
 )
 
 
@@ -75,6 +76,34 @@ TICKET_B_FROM = 86400
 TICKET_C_ABOVE = 604800
 
 
+def _suite_flags(info) -> tuple[str, ...]:
+    """The names of what one suite uses: its cipher family, MAC and key
+    exchange, and ``AES_GCM``, ``AEAD``, ``CBC`` and ``EXPORT`` when they
+    apply."""
+    fam, mode = info.cipher_family, info.cipher_mode
+    names = [fam.value, info.mac.value, info.kex.value]
+    if fam == CipherFamily.AES and mode == CipherMode.GCM:
+        names.append("AES_GCM")
+    if info.is_aead or mode in AEAD_MODES:
+        names.append("AEAD")
+    if mode == CipherMode.CBC:
+        names.append("CBC")
+    if info.is_export:
+        names.append("EXPORT")
+    return tuple(names)
+
+
+def flags(db: CipherDb, suites) -> frozenset[str]:
+    """The names that some suite of ``suites`` sets (``_suite_flags``); a
+    suite the db lacks sets none. A configuration's grade reads what it
+    uses from here, so it follows its suites alone. The names of each suite
+    are found once per db."""
+    by_suite = db.derived("flags", lambda: {
+        sid: frozenset(_suite_flags(info)) for sid, info in db.suites.items()})
+    none = frozenset()
+    return none.union(*[by_suite.get(sid, none) for sid in suites])
+
+
 @dataclass(frozen=True)
 class VulnFlags:
     crime: bool = False
@@ -114,11 +143,15 @@ class GradeReport:
                    downgrade_reasons=reasons)
 
 
-def derive_vulnerabilities(config: Configuration) -> VulnFlags:
+def derive_vulnerabilities(config: Configuration, db: CipherDb) -> VulnFlags:
+    return _vulnerabilities(config, flags(db, config.supported_suites))
+
+
+def _vulnerabilities(config: Configuration, names: frozenset[str]) -> VulnFlags:
     return VulnFlags(
         crime=config.tls_compression,
-        poodle=(Version.SSLv3 in config.versions) and config.component_flags["CBC"],
-        freak=config.component_flags["EXPORT"] and config.kex_flags["RSA"],
+        poodle=Version.SSLv3 in config.versions and "CBC" in names,
+        freak="EXPORT" in names and "RSA" in names,
         heartbleed=config.heartbleed_vulnerable,
     )
 
@@ -134,9 +167,9 @@ def grade_protocol(config: Configuration) -> Grade:
     return Grade.A
 
 
-def grade_key_exchange(config: Configuration) -> Grade:
+def grade_key_exchange(config: Configuration, names: frozenset[str]) -> Grade:
     bits = config.dh_prime_bits
-    if config.kex_flags["DHE"]:
+    if "DHE" in names:
         if bits is None:
             # group never observed; can't vouch for its size
             return Grade.B
@@ -149,18 +182,17 @@ def grade_key_exchange(config: Configuration) -> Grade:
             return Grade.B
         return Grade.B
     # no finite-field group observed: ECDHE-only forward secrecy is optimal
-    if config.kex_flags["ECDHE"]:
+    if "ECDHE" in names:
         return Grade.A
     return Grade.B
 
 
-def grade_ciphers_mac(config: Configuration) -> Grade:
-    flags = config.component_flags
-    if any(flags[name] for name in CAP_F_COMPONENTS):
+def grade_ciphers_mac(names: frozenset[str]) -> Grade:
+    if not names.isdisjoint(CAP_F_COMPONENTS):
         return Grade.F
-    if any(flags[name] for name in CAP_C_COMPONENTS):
+    if not names.isdisjoint(CAP_C_COMPONENTS):
         return Grade.C
-    if any(flags[name] for name in CAP_B_COMPONENTS) or not flags["AEAD"]:
+    if not names.isdisjoint(CAP_B_COMPONENTS) or "AEAD" not in names:
         return Grade.B
     return Grade.A
 
@@ -203,11 +235,12 @@ _CATEGORIES_BY_NAME = sorted(Category, key=lambda c: c.value)
 
 
 def grade(config: Configuration, db: CipherDb) -> GradeReport:
-    vulns = derive_vulnerabilities(config)
+    names = flags(db, config.supported_suites)
+    vulns = _vulnerabilities(config, names)
     per = {
         Category.PROTOCOL: grade_protocol(config),
-        Category.KEY_EXCHANGE: grade_key_exchange(config),
-        Category.CIPHERS_MAC: grade_ciphers_mac(config),
+        Category.KEY_EXCHANGE: grade_key_exchange(config, names),
+        Category.CIPHERS_MAC: grade_ciphers_mac(names),
         Category.PREFERRED: grade_preferred(config, db),
         Category.COMPRESSION: grade_compression(config),
         Category.TICKET_LIFETIME: grade_ticket_lifetime(config),

@@ -406,8 +406,9 @@ def configuration_of(trace_json: dict, db: CipherDb) -> Optional[Configuration]:
     ticket = outcome("resume_establish_ticket")
     # the suite fixes the certificate's key type (RFC 5246 section 7.4.2)
     auth = db[suite_id(baseline["suite"])].auth
-    return Configuration.assemble(
-        db, suites, suites[0],  # the server's pick under the full offer
+    return Configuration(
+        supported_suites=suites,
+        preferred_suite=suites[0],  # the server's pick under the full offer
         versions=frozenset(versions),
         server_preference=server_preference,
         extensions=frozenset(extensions.get("extensions", ())

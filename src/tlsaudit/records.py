@@ -31,7 +31,12 @@ from .registry import (
 
 logger = logging.getLogger(__name__)
 
-RECORD_SCHEMA_VERSION = 1
+# A version-1 record's configuration also held two flag objects, which
+# followed from its suites. ``ScanRecord.from_json`` reads both versions:
+# ``Configuration.from_json`` ignores the flags, so a record grades as its
+# suites imply.
+RECORD_SCHEMA_VERSION = 2
+_SCHEMA_VERSIONS = (1, RECORD_SCHEMA_VERSION)
 
 
 class PipelineError(ValueError):
@@ -144,7 +149,7 @@ class Eligibility(Enum):
 
 _eligibility_of = enum_decoder(Eligibility)
 _DOMAIN = ("domain", STR, "a string")
-_SCHEMA = ("schema_version", INT, str(RECORD_SCHEMA_VERSION))
+_SCHEMA = ("schema_version", INT, "1 or 2")
 # the eligibility's type is checked by its decoder, the configuration's and
 # the grade report's by theirs, unless ``SharedLayout`` has decoded them
 _RECORD_FIELDS = Fields(
@@ -253,17 +258,17 @@ class ScanRecord:
                   configurations: Optional[SharedDecoder] = None,
                   grade_reports: Optional[SharedDecoder] = None
                   ) -> "ScanRecord":
-        """Read ``to_json`` output back; a record without a
-        ``schema_version`` is read as this one. ``configurations`` and
-        ``grade_reports`` are a reader's shared decoders: records read with
-        the same decoders share equal-valued objects. ``obj`` may hold them
-        decoded already, as ``registry.SharedLayout`` gives them."""
+        """Read ``to_json`` output back, of either schema version; a record
+        without a ``schema_version`` is read as the current one.
+        ``configurations`` and ``grade_reports`` are a reader's shared
+        decoders: records read with the same decoders share equal-valued
+        objects. ``obj`` may hold them decoded already, as
+        ``registry.SharedLayout`` gives them."""
         check_fields(obj, _RECORD_FIELDS)
         get = obj.get
         version = get("schema_version", RECORD_SCHEMA_VERSION)
-        if version != RECORD_SCHEMA_VERSION:  # an int, by its _SCHEMA row
-            raise ValueError(f"schema_version must be {RECORD_SCHEMA_VERSION}, "
-                             f"not {version!r}")
+        if version not in _SCHEMA_VERSIONS:  # an int, by its _SCHEMA row
+            raise ValueError(f"schema_version must be 1 or 2, not {version!r}")
         asn = get("asn")
         if asn is not None:
             check_fields(asn, _ASN_FIELDS, "asn.")

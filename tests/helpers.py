@@ -6,7 +6,8 @@ import threading
 import time
 
 from tlsaudit import wire
-from tlsaudit.configuration import Configuration, compute_kex_flags
+from tlsaudit.configuration import Configuration
+from tlsaudit.grading import flags
 from tlsaudit.registry import CipherDb, Version, sort_offer
 
 ALL_VERSIONS = (Version.SSLv2, Version.SSLv3, Version.TLS1_0,
@@ -21,12 +22,11 @@ def random_configuration(rng: random.Random, db: CipherDb) -> Configuration:
         versions = frozenset({Version.TLS1_2})
     tickets = rng.random() < 0.5
     hint = rng.choice([None, 300, 86400, 604800, 10_000_000]) if tickets else None
-    kex = compute_kex_flags(db, suites)
     dh_bits = (rng.choice([None, 512, 768, 1024, 2048])
-               if kex["DHE"] else None)
+               if "DHE" in flags(db, suites) else None)
     dh_common = (rng.random() < 0.5) if dh_bits is not None else None
-    return Configuration.assemble(
-        db, suites, preferred_suite=rng.choice(suites),
+    return Configuration(
+        supported_suites=suites, preferred_suite=rng.choice(suites),
         versions=versions,
         server_preference=rng.random() < 0.5,
         tls_compression=rng.random() < 0.2,
@@ -41,15 +41,14 @@ def random_configuration(rng: random.Random, db: CipherDb) -> Configuration:
 
 def reassemble(db: CipherDb, config: Configuration, *, suites=None,
                versions=None, tls_compression=None) -> Configuration:
-    """Copy a Configuration with some grading inputs replaced; flags and the
-    preferred suite are re-projected so invariants keep holding."""
+    """Copy a Configuration with some grading inputs replaced; the DH group
+    and the preferred suite are re-projected so invariants keep holding."""
     suites = sorted(config.supported_suites) if suites is None else sorted(suites)
     preferred = (config.preferred_suite if config.preferred_suite in suites
                  else sort_offer(db, suites)[0])
-    kex = compute_kex_flags(db, suites)
-    dh_bits = config.dh_prime_bits if kex["DHE"] else None
-    return Configuration.assemble(
-        db, suites, preferred_suite=preferred,
+    dh_bits = config.dh_prime_bits if "DHE" in flags(db, suites) else None
+    return Configuration(
+        supported_suites=suites, preferred_suite=preferred,
         versions=config.versions if versions is None else frozenset(versions),
         server_preference=config.server_preference,
         extensions=config.extensions,
@@ -63,6 +62,30 @@ def reassemble(db: CipherDb, config: Configuration, *, suites=None,
         heartbleed_vulnerable=config.heartbleed_vulnerable,
         cert_sig_alg=config.cert_sig_alg,
     )
+
+
+# the flags a version-1 configuration held beside its suites, in the order
+# that version wrote them
+V1_COMPONENT_FLAGS = (
+    "DES", "TRIPLE_DES", "RC4", "IDEA", "SEED", "CAMELLIA", "ARIA", "CHACHA",
+    "AES", "AES_GCM", "AEAD", "CBC", "MD5", "SHA1", "SHA256", "SHA384",
+    "NULL", "EXPORT",
+)
+V1_KEX_FLAGS = ("RSA", "DHE", "ECDHE")
+
+
+def version_1_json(db: CipherDb, config: Configuration, names=None) -> dict:
+    """``config.to_json()`` as record schema version 1 wrote it: with a
+    ``component_flags`` and a ``kex_flags`` object after the suites, each
+    flag true when ``names`` holds it; by default ``names`` is what the
+    suites imply, as a scan wrote them."""
+    if names is None:
+        names = flags(db, config.supported_suites)
+    obj = config.to_json()
+    head = {key: obj.pop(key) for key in ("versions", "supported_suites")}
+    return {**head,
+            "component_flags": {n: n in names for n in V1_COMPONENT_FLAGS},
+            "kex_flags": {n: n in names for n in V1_KEX_FLAGS}, **obj}
 
 
 class LoopbackPeer:

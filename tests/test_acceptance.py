@@ -188,8 +188,8 @@ def test_criterion_7_consistency(db, capsys):
         rec = cs.Recommendation.from_json({"cipher_string": "ECDHE+AESGCM"})
 
         def config_of(suites):
-            return Configuration.assemble(
-                db, suites, preferred_suite=suites[0],
+            return Configuration(
+                supported_suites=suites, preferred_suite=suites[0],
                 versions=frozenset({Version.TLS1_2}), server_preference=True)
 
         match = config_of([0xC02B, 0xC02F])
@@ -270,14 +270,14 @@ def test_criterion_9_vulnerability_truth_table(db, capsys):
                 versions.add(Version.SSLv3)
             if export_rsa:
                 suites.append(0x0003)               # RSA-kex export suite
-            config = Configuration.assemble(
-                db, suites, preferred_suite=0xC02F,
+            config = Configuration(
+                supported_suites=suites, preferred_suite=0xC02F,
                 versions=frozenset(versions),
                 server_preference=True,
                 tls_compression=compression,
                 heartbleed_vulnerable=heartbleed,
             )
-            vulns = derive_vulnerabilities(config)
+            vulns = derive_vulnerabilities(config, db)
             assert vulns.crime == compression
             assert vulns.poodle == ssl3_cbc
             assert vulns.freak == export_rsa

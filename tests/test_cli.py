@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import errno
 import json
 import os
@@ -9,12 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from helpers import version_1_json
 from tlsaudit import cli, fixtures, pipeline
+from tlsaudit import report as report_mod
 from tlsaudit.configuration import Configuration
-from tlsaudit.grading import grade
+from tlsaudit.grading import flags, grade
 from tlsaudit.orchestrator import ProbePolicy
 from tlsaudit.records import PipelineError, ScanRecord
-from tlsaudit.registry import parse_json
+from tlsaudit.registry import Kex, parse_json, sort_offer
 
 
 def write_defaults_jsonl(db, path):
@@ -110,24 +113,61 @@ def test_cmd_grade_loosely_typed_scalar(db, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1
 
 
-def _int_flag(config_json: dict) -> dict:
-    """``config_json`` with its ``AES`` flag written as ``1``: equal to
-    ``true`` under ``==``, but a different report key."""
-    flags = dict(config_json["component_flags"])
-    flags["AES"] = int(flags["AES"])
-    return dict(config_json, component_flags=flags)
+def _int_flag(db, config: Configuration) -> dict:
+    """``config`` in its version-1 JSON, with its ``AES`` flag written as
+    ``1``: a flag, and a type, that no reader reads any more."""
+    obj = version_1_json(db, config)
+    obj["component_flags"]["AES"] = 1
+    return obj
 
 
 def test_cmd_grade_int_flag(db, tmp_path, capsys):
-    good = fixtures.ubuntu_default_configurations(db)[0][1].to_json()
+    config = fixtures.ubuntu_default_configurations(db)[0][1]
     infile = tmp_path / "configs.jsonl"
-    infile.write_text(json.dumps(good) + "\n" + json.dumps(_int_flag(good)) + "\n")
+    infile.write_text(json.dumps(config.to_json()) + "\n"
+                      + json.dumps(_int_flag(db, config)) + "\n")
     out = tmp_path / "grades.jsonl"
-    assert cli.main(["grade", "--in", str(infile), "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"line 2: invalid record: component_flags['AES'] must be "
-                   f"a bool, not {int(good['component_flags']['AES'])}"]
-    assert len(out.read_text().splitlines()) == 1
+    assert cli.main(["grade", "--in", str(infile), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.dumps({"grade_report": grade(config, db).to_json()})
+    assert out.read_text().splitlines() == [report, report]
+
+
+def _only_ecdhe_flagged(db, config: Configuration) -> dict:
+    """A version-1 line whose flags deny every component and every key
+    exchange but ECDHE, whatever the suites use."""
+    return version_1_json(db, config, {"ECDHE"})
+
+
+def _dhe_flagged_without_its_suites(db, config: Configuration) -> dict:
+    """A version-1 line whose configuration offers no DHE suite but has a
+    512-bit DH group and its ``DHE`` flag set."""
+    suites = [s for s in config.supported_suites if db[s].kex is not Kex.DHE]
+    stripped = dataclasses.replace(
+        config, supported_suites=suites, dh_prime_bits=512,
+        preferred_suite=sort_offer(db, suites)[0])
+    return version_1_json(db, stripped, flags(db, suites) | {"DHE"})
+
+
+@pytest.mark.parametrize("label, contradict, want", [
+    ("Nginx-16.04-1.0.2g", _only_ecdhe_flagged, "C"),
+    ("Apache-18.04-1.1.0g", _dhe_flagged_without_its_suites, "B"),
+])
+def test_cmd_grade_follows_the_suites_not_the_flags(db, tmp_path, capsys,
+                                                    label, contradict, want):
+    """Flags that contradict the suites once graded C as B, and B as F."""
+    config = {lbl: c for lbl, c, _ in
+              fixtures.ubuntu_default_configurations(db)}[label]
+    line = contradict(db, config)
+    infile = tmp_path / "configs.jsonl"
+    infile.write_text(json.dumps({"label": label, "configuration": line})
+                      + "\n")
+    out = tmp_path / "grades.jsonl"
+    assert cli.main(["grade", "--in", str(infile), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    got = json.loads(out.read_text())["grade_report"]
+    assert got["overall"] == want
+    assert got == grade(Configuration.from_json(line), db).to_json()
 
 
 def test_cmd_scan_fixture_targets(db, tmp_path):
@@ -222,7 +262,7 @@ def test_cmd_scan_policy_file_reaches_run_scan(tmp_path, monkeypatch):
     policy_file.write_text(json.dumps({"timeout_ms": 2500, "delay_max_ms": 0,
                                        "seed": 3}))
     seen = []
-    monkeypatch.setattr(cli.pipeline, "run_scan",
+    monkeypatch.setattr(pipeline, "run_scan",
                         lambda targets, policy, *rest: seen.append(policy))
     base = ["scan", "--targets", str(targets), "--out", str(tmp_path / "o.jsonl")]
     assert cli.main(base + ["--policy", str(policy_file)]) == 0
@@ -239,7 +279,7 @@ def test_cmd_scan_without_a_policy_paces_only_beyond_loopback(tmp_path,
     targets = tmp_path / "targets.csv"
     targets.write_text("1,localhost\n")
     seen = []
-    monkeypatch.setattr(cli.pipeline, "run_scan",
+    monkeypatch.setattr(pipeline, "run_scan",
                         lambda targets, policy, *rest: seen.append(policy))
     base = ["scan", "--targets", str(targets), "--out", str(tmp_path / "o.jsonl")]
     assert cli.main(base + ["--i-understand-scanning-ethics"]) == 0
@@ -494,16 +534,17 @@ def test_cmd_check_rec_wrongly_typed_config(db, tmp_path, capsys):
 def test_cmd_check_rec_int_flag_config(db, tmp_path, capsys):
     recs = tmp_path / "recs.jsonl"
     recs.write_text(json.dumps({"cipher_string": "HIGH"}) + "\n")
-    config = fixtures.ubuntu_default_configurations(db)[0][1].to_json()
+    config = fixtures.ubuntu_default_configurations(db)[0][1]
     configs = tmp_path / "configs.jsonl"
-    configs.write_text(json.dumps(config) + "\n\n"
-                       + json.dumps(_int_flag(config)) + "\n")
+    configs.write_text(json.dumps(config.to_json()) + "\n\n"
+                       + json.dumps(_int_flag(db, config)) + "\n")
     out = tmp_path / "out.jsonl"
     assert cli.main(["check-rec", "--recs", str(recs), "--configs",
-                     str(configs), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: bad configs file: line 3: component_flags['AES'] must be a bool")
-    assert not out.exists()
+                     str(configs), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    [entry] = [json.loads(line) for line in out.read_text().splitlines()]
+    assert list(entry["consistent"]) == ["config-1", "config-3"]
+    assert entry["consistent"]["config-1"] == entry["consistent"]["config-3"]
 
 
 @pytest.mark.parametrize("line", ["[1]", "5"])
@@ -642,7 +683,7 @@ def _record_field(name, value):
     (lambda record: record["configuration"].update(preferred_suite="0x_c0_2f"),
      "a suite id must be 0x and four hex digits, not '0x_c0_2f'"),
     *((_record_field("schema_version", version),
-       f"schema_version must be 1, not {version!r}")
+       f"schema_version must be 1 or 2, not {version!r}")
       for version in ("banana", 99, "1", 1.0, True, None)),
 ], ids=["asn-list", "asn-without-number", "domain-int",
         "server-software-string", "categories-list", "without-domain",
@@ -676,21 +717,22 @@ def test_cmd_report_wrongly_typed_record_field(db, tmp_path, capsys, edit,
 
 
 def test_cmd_report_int_flag(db, tmp_path, capsys):
+    """A version-1 record and a version-2 one of one configuration count as
+    one configuration under one key."""
     from tlsaudit.records import Eligibility, ScanRecord
     config = fixtures.ubuntu_default_configurations(db)[0][1]
     good = ScanRecord(domain="a.test", eligibility=Eligibility.GRADED,
                       configuration=config,
                       grade_report=grade(config, db)).to_json()
-    bad = dict(good, configuration=_int_flag(good["configuration"]))
+    old = dict(good, schema_version=1, configuration=_int_flag(db, config))
     records = tmp_path / "records.jsonl"
-    records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-    out = tmp_path / "out.csv"
+    records.write_text(json.dumps(good) + "\n" + json.dumps(old) + "\n")
+    out = tmp_path / "out.json"
     assert cli.main(["report", "--records", str(records), "--which",
-                     "dominance", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {records}:2: bad record: ")
-    assert "component_flags['AES'] must be a bool" in err
-    assert not out.exists()
+                     "dominance", "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["config_counts"] == [
+        [report_mod.config_key(config), 2]]
 
 
 def _graded_line(db, **fields):

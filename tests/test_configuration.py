@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (V1_COMPONENT_FLAGS, V1_KEX_FLAGS, random_configuration,
+                     version_1_json)
 from tlsaudit import fixtures
 from tlsaudit.configuration import Configuration
+from tlsaudit.grading import grade
+from tlsaudit.records import Eligibility, ScanRecord
 from tlsaudit.registry import Version
 
 # one field changed to another valid value; every other field kept
@@ -104,12 +108,36 @@ def test_from_json_integer_field_takes_only_an_int_or_null(db, field, value):
 ])
 @pytest.mark.parametrize("value", [1, 0, 1.0, "true", None])
 def test_from_json_flag_takes_only_a_bool(db, field, flag, value):
-    # 1 == True and hash(1) == hash(True): an int flag would compare equal
-    # to the bool one while its report key differs
-    obj = _json_with_every_scalar_set(db)
-    flags = dict(obj[field], **{flag: value})
-    with pytest.raises(ValueError, match=rf"{field}\['{flag}'\] must be a bool"):
-        Configuration.from_json(dict(obj, **{field: flags}))
-    for ok in (True, False):
-        config = Configuration.from_json(dict(obj, **{field: dict(flags, **{flag: ok})}))
-        assert getattr(config, field)[flag] is ok
+    # The name is kept from when a flag had to be a bool. The flags of a
+    # version-1 configuration are now read by nothing: a flag of any value,
+    # a bool among them, decodes to the configuration its suites give.
+    config = Configuration.from_json(_json_with_every_scalar_set(db))
+    for wrote in (value, True, False):
+        obj = version_1_json(db, config)
+        obj[field][flag] = wrote
+        assert Configuration.from_json(obj) == config
+
+
+def test_version_1_json_decodes_and_grades_as_version_2(db):
+    """Over seeded random configurations, the version-1 JSON, with the
+    flags the suites imply or with random ones, decodes equal to the
+    version-2 JSON, in a configuration or in a scan record, and gets the
+    same grade report."""
+    rng = random.Random(36)
+    every_flag = V1_COMPONENT_FLAGS + V1_KEX_FLAGS
+    for _ in range(1000):
+        config = random_configuration(rng, db)
+        report = grade(config, db)
+        v2 = config.to_json()
+        noise = {name for name in every_flag if rng.random() < 0.5}
+        record = ScanRecord(domain="a.test", eligibility=Eligibility.GRADED,
+                            configuration=config, grade_report=report).to_json()
+        assert record["schema_version"] == 2
+        assert Configuration.from_json(v2) == config
+        for v1 in (version_1_json(db, config),
+                   version_1_json(db, config, noise)):
+            again = Configuration.from_json(v1)
+            assert again == config and grade(again, db) == report
+            assert ScanRecord.from_json(dict(
+                record, schema_version=1, configuration=v1)) == \
+                ScanRecord.from_json(record)

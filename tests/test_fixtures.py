@@ -7,6 +7,7 @@ import pytest
 
 from tlsaudit import fixtures, wire
 from tlsaudit.engine import HandshakeEngine, HandshakeOffer, ProbeStatus
+from tlsaudit.grading import flags
 from tlsaudit.orchestrator import SiteProber
 from tlsaudit.registry import Version
 from tlsaudit.wire import ContentType
@@ -43,7 +44,7 @@ def test_projection_reflects_spec(db):
     assert config.session_tickets and config.ticket_lifetime_hint_s == 600
     assert config.session_id_resumption
     assert config.tls_compression
-    assert config.kex_flags["ECDHE"] and config.kex_flags["RSA"]
+    assert {"ECDHE", "RSA"} <= flags(db, config.supported_suites)
 
 
 def test_projection_no_preference_uses_offer_order(db):

@@ -104,10 +104,10 @@ def test_preferred_and_compression_ranges(db, rng):
 
 def test_vulnerability_derivation_corners(db):
     base = fixtures.ubuntu_default_configurations(db)[7][1]  # a B-grade config
-    vulns = derive_vulnerabilities(base)
+    vulns = derive_vulnerabilities(base, db)
     assert not vulns.crime and not vulns.heartbleed
     compressed = dataclasses.replace(base, tls_compression=True)
-    assert derive_vulnerabilities(compressed).crime
+    assert derive_vulnerabilities(compressed, db).crime
 
 
 def test_downgrade_table_single_report():

@@ -24,8 +24,8 @@ The scan pipeline has one ethics gate: ``run_scan`` is the one caller of
 ``_resolve`` and of ``_refuse_outside_loopback``, so each target is resolved
 once and a mixed target list is refused before anything is written.
 
-A site's configuration has one derivation: in the orchestrator,
-``Configuration.assemble`` is called only by ``configuration_of``, which
+A site's configuration has one derivation: in the orchestrator, the
+``Configuration`` constructor is called only by ``configuration_of``, which
 reads a trace's JSON, so no probe phase can grow a result of its own.
 
 ``hashlib`` maps OpenSSL's libcrypto, several megabytes of resident memory,
@@ -37,7 +37,8 @@ since the test process itself has loaded it long before.
 
 The offline half reads records, not servers: importing ``report``,
 ``records``, ``grading`` or ``cipherstring`` in a fresh interpreter loads no
-``socket`` and none of the prober's modules.
+``socket`` and none of the prober's modules, and neither does running
+``report``, ``grade --in`` or ``check-rec --configs`` through ``cli.main``.
 """
 
 import ast
@@ -144,16 +145,19 @@ def test_only_dial_catches_socket_timeout():
     assert _timeout_handlers(_engine_tree()) == ["_dial"]
 
 
-def _users(node, name: str, func=None) -> list[str]:
+def _users(node, name: str, func=None, calls: bool = False) -> list[str]:
     """The enclosing function of each read of the name ``name`` under
-    ``node``, a call or any other, bare or as an attribute."""
+    ``node``, a call or any other, bare or as an attribute; with ``calls``,
+    of each call of it alone."""
     found = []
     for child in ast.iter_child_nodes(node):
         inner = child.name if isinstance(child, ast.FunctionDef) else func
-        if (isinstance(child, ast.Name) and child.id == name
-                or isinstance(child, ast.Attribute) and child.attr == name):
+        read = (child if not calls else
+                child.func if isinstance(child, ast.Call) else None)
+        if (isinstance(read, ast.Name) and read.id == name
+                or isinstance(read, ast.Attribute) and read.attr == name):
             found.append(func)
-        found += _users(child, name, inner)
+        found += _users(child, name, inner, calls)
     return found
 
 
@@ -177,7 +181,7 @@ def test_only_run_scan_resolves_and_gates(name):
 def test_only_configuration_of_assembles_a_configuration():
     path = SRC / "orchestrator.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _users(tree, "assemble") == ["configuration_of"]
+    assert _users(tree, "Configuration", calls=True) == ["configuration_of"]
 
 
 _NO_LIBCRYPTO = """
@@ -230,6 +234,47 @@ def test_offline_modules_load_no_prober(module):
     done = subprocess.run(
         [sys.executable, "-c", f"import sys, tlsaudit.{module}; "
          f"print(sorted(set({_PROBER!r}) & sys.modules.keys()))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+_OFFLINE_CLI = """
+import json, sys, tempfile
+from pathlib import Path
+from tlsaudit import cli
+from tlsaudit.configuration import Configuration
+from tlsaudit.grading import grade
+from tlsaudit.records import Eligibility, ScanRecord
+from tlsaudit.registry import Version, load_registry
+
+config = Configuration(versions={Version.TLS1_2}, supported_suites=[0xC02F],
+                       preferred_suite=0xC02F, server_preference=True)
+record = ScanRecord(domain="site.test", eligibility=Eligibility.GRADED,
+                    configuration=config,
+                    grade_report=grade(config, load_registry()))
+with tempfile.TemporaryDirectory() as d:
+    for name, obj in (("records", record.to_json()),
+                      ("configs", config.to_json()),
+                      ("recs", {"cipher_string": "HIGH"})):
+        Path(d, name).write_text(json.dumps(obj) + "\\n")
+    argv = [arg.format(d=d) for arg in sys.argv[1:]]
+    assert cli.main(argv + ["--out", str(Path(d, "out"))]) == 0
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--records", "{d}/records", "--which", "dominance"],
+    ["grade", "--in", "{d}/configs"],
+    ["check-rec", "--recs", "{d}/recs", "--configs", "{d}/configs"],
+], ids=["report", "grade", "check-rec"])
+def test_offline_commands_load_no_prober(argv):
+    """``cli`` imports the prober and the fixture server only inside the
+    commands that use them."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_CLI + "print(sorted(set("
+         f"{_PROBER!r}) & sys.modules.keys()))", *argv],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

@@ -17,7 +17,8 @@ def _config(db, suite_names, **kw):
     suites = [by_name[n] for n in suite_names]
     kw.setdefault("versions", frozenset({Version.TLS1_2}))
     kw.setdefault("server_preference", True)
-    return Configuration.assemble(db, suites, preferred_suite=suites[0], **kw)
+    return Configuration(supported_suites=suites, preferred_suite=suites[0],
+                         **kw)
 
 
 ECDHE_GCM = [

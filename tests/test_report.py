@@ -50,7 +50,7 @@ def test_config_key_is_pinned(db):
     label, config, _profile = fixtures.ubuntu_default_configurations(db)[0]
     assert label == "Nginx-14.04-1.0.1f"
     assert report_mod.config_key(config) == (
-        "d6a9910e88ff9753b631788cb25c2595ecb26ef3957382297e8945af4398e4c5")
+        "e0d33eabc9f0d6155ee3adf367fffe5f07e5b866faa1bd3e652fd44cea0bdfd9")
 
 
 def test_distribution_trivial_and_empty(db, rng):

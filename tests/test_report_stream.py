@@ -27,11 +27,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_configuration, reassemble
+from helpers import random_configuration, reassemble, version_1_json
 from tlsaudit import cli, fixtures, pipeline
 from tlsaudit import report as report_mod
 from tlsaudit.grading import grade
-from tlsaudit.records import iter_records, open_output
+from tlsaudit.records import RECORD_SCHEMA_VERSION, iter_records, open_output
 
 KINDS = ("dist", "cdf-asn", "cdf-config", "downgrades", "dominance", "records")
 FORMATS = ("csv", "json")
@@ -40,21 +40,24 @@ _DOMAINS = ("10.0.0.{i}", "[2001:db8::{i:x}]:443", "127.0.0.1:{port}",
             "Site{i}.Example.COM.", "host{i}.test:8443")
 
 
-def corpus_lines(db, seed: int, n: int, pool_size: int = 8):
+def corpus_lines(db, seed: int, n: int, pool_size: int = 8,
+                 version: int = RECORD_SCHEMA_VERSION):
     """``n`` scan-record dicts over ``pool_size`` random configurations, the
     stock defaults and one A-grade configuration: every tenth record
     excluded, every sixth graded one without an ASN, every seventh on an IP
-    literal, and AS 64501 renamed halfway through."""
+    literal, and AS 64501 renamed halfway through. They are written in
+    record schema ``version``; in version 1 each configuration holds the
+    flags its suites imply."""
     rng = random.Random(seed)
     defaults = [config for _label, config, _profile
                 in fixtures.ubuntu_default_configurations(db)]
     configs = ([random_configuration(rng, db) for _ in range(pool_size)]
                + defaults + [reassemble(db, defaults[2],
                                         suites=[0xC02F, 0xCCA8])])
-    pool = [(config.to_json(), grade(config, db).to_json())
-            for config in configs]
+    pool = [(config.to_json() if version > 1 else version_1_json(db, config),
+             grade(config, db).to_json()) for config in configs]
     for i in range(n):
-        line = {"schema_version": 1, "domain": f"site{i}.example.org",
+        line = {"schema_version": version, "domain": f"site{i}.example.org",
                 "rank": None if i % 11 == 5 else i + 1,
                 "address": "127.0.0.1", "started_at": None,
                 "finished_at": None, "eligibility": "EXCLUDED",
@@ -89,11 +92,12 @@ def write_corpus(path, lines) -> None:
 
 @pytest.fixture(scope="module")
 def corpora(db, tmp_path_factory):
-    """The pinned corpus, and a file with no graded record in it."""
+    """The pinned corpus, and a version-1 file with no graded record in
+    it."""
     d = tmp_path_factory.mktemp("stream")
     mixed, ungraded = d / "mixed.jsonl", d / "ungraded.jsonl"
     write_corpus(mixed, corpus_lines(db, 0x5EED, 240))
-    write_corpus(ungraded, (line for line in corpus_lines(db, 3, 60)
+    write_corpus(ungraded, (line for line in corpus_lines(db, 3, 60, version=1)
                             if line["eligibility"] == "EXCLUDED"))
     with open(ungraded, "a", encoding="utf-8") as fh:
         fh.write("\n")
@@ -115,17 +119,17 @@ _PINNED = {
     ("mixed", "cdf-asn", "json"):
         "b58d33dc38c0ef9e2cb0bd72e16bb4d259b4c681c8d205f2293222ecb79da038",
     ("mixed", "cdf-config", "csv"):
-        "561ba5bd018d4f11085c9565d34ebeaa4fe9a7f928d3cc56d1cbb15a05206931",
+        "24c177ea16a48a9d3406bb229558e33d1132119da7dc8eabf25fe6ddebd90bd2",
     ("mixed", "cdf-config", "json"):
-        "7e562a8a0f9d7f3d7c76118c4e35700739199fb47d43915191995e4f4730c8a3",
+        "a44718f7deaaa76668c129462f8d6294a148c8a4105f8744e4d0a45276a8bbe3",
     ("mixed", "downgrades", "csv"):
         "d8df32261dc23d1d8cd62630d11d59a9bbba762beb152aaafa736f359be3033b",
     ("mixed", "downgrades", "json"):
         "c49e20db701d59154b73685930d0f483c70b5c304310ae01602414e38b9a09d8",
     ("mixed", "dominance", "csv"):
-        "7bc67a11dcf7e6c0c2b56d2efc2f2dd555c2eb057d252901b74c66d1df4eae58",
+        "15d1dcec2258708db68530d5b8fb822c4074e9925c0aaf0c225af9edfad8b15f",
     ("mixed", "dominance", "json"):
-        "8f592978fecde78daff581b9c8722feaceb518d01fc771ffd05b97a534bd85b1",
+        "387a6ca3cd26391d8bcb92e21598d7202dd6eb8310c9af9d42de57271ff464e2",
     ("mixed", "records", "csv"):
         "b20e5ba058352edd5860d76d9880d1437f0f76b0df5178030e877db21abad70c",
     ("mixed", "records", "json"):
@@ -159,7 +163,7 @@ _PINNED = {
 
 def test_corpus_is_pinned(corpora):
     assert {name: _sha256(path) for name, path in corpora.items()} == {
-        "mixed": "03d4ac145c02d8e4912209df0ba0a99c54652fcf314072dc18676e8fc6f82d79",
+        "mixed": "a5f7d6468d8f11692b4224310a14e1284b42c86959f572925e769235acbd6e3d",
         "ungraded": "d85fe56b33f9f89bf10da38d72ee9bb9810e6eace2a9ba1cc26f84d0149ccf65"}
 
 
@@ -175,6 +179,28 @@ def test_report_output_is_pinned(corpora, tmp_path, which):
     assert got == {(name, fmt): digest
                    for (name, kind, fmt), digest in _PINNED.items()
                    if kind == which}
+
+
+def test_a_version_1_corpus_reports_as_its_version_2_form(db, corpora,
+                                                          tmp_path):
+    """The pinned corpus as record schema version 1 wrote it, each
+    configuration holding the flags its suites imply, gives the bytes of
+    every report kind that its version-2 form gives."""
+    old = tmp_path / "mixed-v1.jsonl"
+    write_corpus(old, corpus_lines(db, 0x5EED, 240, version=1))
+    # the digest this corpus was pinned at while version 1 was written
+    assert _sha256(old) == (
+        "03d4ac145c02d8e4912209df0ba0a99c54652fcf314072dc18676e8fc6f82d79")
+    for which in KINDS:
+        for fmt in FORMATS:
+            outputs = []
+            for path in (old, corpora["mixed"]):
+                out = tmp_path / f"{path.stem}-{which}.{fmt}"
+                assert cli.main(["report", "--records", str(path), "--which",
+                                 which, "--format", fmt, "--out",
+                                 str(out)]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1], (which, fmt)
 
 
 @pytest.mark.parametrize("which", KINDS)
@@ -278,10 +304,10 @@ _PINNED_OFFLINE = {
 
 def test_offline_inputs_are_pinned(offline_inputs):
     assert {name: _sha256(path) for name, path in offline_inputs.items()} == {
-        "in": "c9b85ebad525f9a479f37d9bf26196e80fbbc8cdf6499b09a8775cd6cd75a561",
+        "in": "c40c6c87c986773ba3270021e147bf1229e5bb07938ef5d211143d433d0d70ba",
         "recs": "7f54598e5dbb052f7da9438a2b43273428e19aece00c81afe20fe2315bb82838",
         "configs":
-            "98211db756a74f20c29443b18b4ee14cdd6cbcec4f7c3468969357b20575d8c0"}
+            "8f46ff9f2ee7a4c0a3066aa1e2ef5e19e779c608972ee36eb37d039d5d7ac641"}
 
 
 @pytest.mark.parametrize("command", sorted(_PINNED_OFFLINE))
@@ -326,7 +352,7 @@ def late_faults(db, tmp_path_factory):
     heads = {
         "records": [json.dumps(line) + "\n"
                     for line in corpus_lines(db, 11, 120)],
-        "configurations": list(config_lines(db, 11, 120)),
+        "configurations": list(config_lines(db, 11, 160)),
         "recommendations": list(recommendation_lines(11, 800)),
     }
     faults = {}

@@ -76,8 +76,8 @@ def _lines(draw, pool):
         config = json.loads(json.dumps(config))
         if variant == "reordered":
             config = _reversed(config)
-            config["component_flags"] = _reversed(config["component_flags"])
             report = _reversed(report)
+            report["categories"] = _reversed(report["categories"])
         elif variant == "one-for-true":
             config["server_preference"] = int(config["server_preference"])
         elif variant == "float-for-int":
