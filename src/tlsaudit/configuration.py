@@ -34,7 +34,7 @@ class ConfigError(ValueError):
     """Configuration violates its own invariants."""
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Configuration:
     """A recovered configuration, used as a value: equal configurations
     hash alike, so callers may key dicts and sets on them and do the work a
@@ -101,18 +101,11 @@ class Configuration:
         version-1 record's configuration holds."""
         check_fields(obj, _FIELDS)
         get = obj.get
-        return cls(
-            versions=frozenset(map(Version.from_label, obj["versions"])),
-            supported_suites=frozenset(map(suite_id, obj["supported_suites"])),
-            preferred_suite=suite_id(obj["preferred_suite"]),
-            server_preference=obj["server_preference"],
-            extensions=frozenset(get("extensions", ())),
-            tls_compression=obj["tls_compression"],
-            session_id_resumption=obj["session_id_resumption"],
-            session_tickets=obj["session_tickets"],
-            ticket_lifetime_hint_s=get("ticket_lifetime_hint_s"),
-            dh_prime_bits=get("dh_prime_bits"),
-            dh_group_common=get("dh_group_common"),
-            heartbleed_vulnerable=get("heartbleed_vulnerable", False),
-            cert_sig_alg=get("cert_sig_alg"),
-        )
+        return cls(frozenset(map(Version.from_label, obj["versions"])),
+                   frozenset(map(suite_id, obj["supported_suites"])),
+                   suite_id(obj["preferred_suite"]), obj["server_preference"],
+                   frozenset(get("extensions", ())), obj["tls_compression"],
+                   obj["session_id_resumption"], obj["session_tickets"],
+                   get("ticket_lifetime_hint_s"), get("dh_prime_bits"),
+                   get("dh_group_common"), get("heartbleed_vulnerable", False),
+                   get("cert_sig_alg"))

@@ -112,7 +112,7 @@ class VulnFlags:
     heartbleed: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class GradeReport:
     per_category: dict[Category, Grade]
     overall: Grade
@@ -139,8 +139,7 @@ class GradeReport:
             _grade_of(g): [_category_of(c) for c in cats]
             for g, cats in obj.get("reasons", {}).items()
         }
-        return cls(per_category=per, overall=_grade_of(obj["overall"]),
-                   downgrade_reasons=reasons)
+        return cls(per, _grade_of(obj["overall"]), reasons)
 
 
 def derive_vulnerabilities(config: Configuration, db: CipherDb) -> VulnFlags:
@@ -251,24 +250,23 @@ def grade(config: Configuration, db: CipherDb) -> GradeReport:
     # levels some category landed on, each list sorted by category name
     reasons = {g: cats for g in (Grade.B, Grade.C, Grade.F)
                if (cats := [c for c in _CATEGORIES_BY_NAME if per[c] == g])}
-    return GradeReport(per_category=per, overall=overall,
-                       downgrade_reasons=reasons)
+    return GradeReport(per, overall, reasons)
 
 
 def downgrade_table(reports) -> dict[Grade, dict[Category, float]]:
     """For each grade level below A, the fraction of graded sites whose
     overall landed exactly there because of each category. ``reports`` is
     any iterable, read once."""
-    table = {g: {c: 0 for c in Category} for g in (Grade.B, Grade.C, Grade.F)}
+    table = {g: dict.fromkeys(Category, 0) for g in (Grade.B, Grade.C, Grade.F)}
     n = 0
     for report in reports:
         n += 1
         g = report.overall
-        if g == Grade.A:
-            continue
-        for category, cat_grade in report.per_category.items():
-            if cat_grade == g:
-                table[g][category] += 1
+        row = table.get(g)
+        if row is not None:
+            for category, cat_grade in report.per_category.items():
+                if cat_grade is g:
+                    row[category] += 1
     return {
         g: {c: (count / n if n else 0.0) for c, count in row.items()}
         for g, row in table.items()

@@ -199,7 +199,7 @@ def is_ip_literal(host: str) -> bool:
     return True
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanRecord:
     """One target's line of a scan's JSONL output.
 
@@ -208,7 +208,9 @@ class ScanRecord:
     likewise, so a corpus holds one object per distinct value (unless its
     values rarely repeat: see ``registry.SharedDecoder``), found by its text
     or else by its value. Neither object may be mutated: a change would show
-    in every record sharing it.
+    in every record sharing it. Like ``Configuration`` and ``GradeReport``,
+    a record is slotted: it has no ``__dict__`` for ``vars()`` to read, and
+    takes no attribute but its fields.
     """
 
     domain: str
@@ -272,23 +274,14 @@ class ScanRecord:
         asn = get("asn")
         if asn is not None:
             check_fields(asn, _ASN_FIELDS, "asn.")
-        return cls(
-            domain=obj["domain"],
-            rank=get("rank"),
-            address=get("address"),
-            started_at=get("started_at"),
-            finished_at=get("finished_at"),
-            eligibility=_eligibility_of(obj["eligibility"]),
-            server_software=get("server_software"),
-            os_hint=get("os_hint"),
-            asn=asn,
-            configuration=_decoded(configurations or Configuration.from_json,
-                                   get("configuration")),
-            grade_report=_decoded(grade_reports or GradeReport.from_json,
-                                  get("grade_report")),
-            trace_ref=get("trace_ref"),
-            exclusion_reason=get("exclusion_reason"),
-        )
+        return cls(obj["domain"], _eligibility_of(obj["eligibility"]),
+                   get("rank"), get("address"), get("started_at"),
+                   get("finished_at"), get("server_software"), get("os_hint"),
+                   asn, _decoded(configurations or Configuration.from_json,
+                                 get("configuration")),
+                   _decoded(grade_reports or GradeReport.from_json,
+                            get("grade_report")),
+                   get("trace_ref"), get("exclusion_reason"))
 
 
 def _decoded(decode, value):

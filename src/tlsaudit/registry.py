@@ -300,10 +300,17 @@ class SharedDecoder:
         self.hits = 0
 
     def __call__(self, obj):
+        if self.memo is None:
+            return self.decode(obj)
+        return self.keyed(marshal.dumps(obj, 2), obj)
+
+    def keyed(self, key, obj):
+        """``decode(obj)``, kept under ``key`` while the memo lasts, by the
+        rule above; for values that are keys of their own, ``key`` may be
+        ``obj``."""
         memo = self.memo
         if memo is None:
             return self.decode(obj)
-        key = marshal.dumps(obj, 2)
         found = memo.get(key)
         if found is not None:
             self.hits += 1
@@ -564,16 +571,29 @@ def suite_label(suite_id: int) -> str:
     return f"0x{suite_id:04X}"
 
 
+# the id of each label that ``suite_id`` has read in ``suite_label``'s form
+_SUITE_IDS: dict[str, int] = {}
+
+
 def suite_id(text: str) -> int:
     """The id that ``suite_label`` writes as ``text``: ``0x`` and four hex
     digits, in either case. A sign, spaces, underscores or another number of
-    digits is a ValueError."""
+    digits is a ValueError. The id of a label that ``suite_label`` writes is
+    kept, so the memo holds at most one label per id."""
+    try:
+        return _SUITE_IDS[text]
+    except (KeyError, TypeError):  # a label not kept, or an unhashable value
+        pass
     if (isinstance(text, str) and len(text) == 6 and text[:2] == "0x"
             and text.isascii() and text[2:].isalnum()):
         try:
-            return int(text, 16)
+            found = int(text, 16)
         except ValueError:  # a letter past F
             pass
+        else:
+            if text == suite_label(found):
+                _SUITE_IDS[text] = found
+            return found
     raise ValueError("a suite id must be 0x and four hex digits, "
                      f"not {shown(text)}")
 

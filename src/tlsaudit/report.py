@@ -9,7 +9,8 @@ memory grows with the number of distinct groups, not of records. The
 that replaces the file only once the report is whole. Outputs are
 deterministic (ties broken lexicographically) so emitted files are stable.
 A fold that groups by configuration computes ``config_key`` once per
-distinct configuration, in a dict that lives for that one fold.
+distinct configuration in a memo for that one fold, which is dropped, as a
+``registry.SharedDecoder``'s is, once configurations rarely repeat.
 
 ``config_key`` takes its SHA-256 from the interpreter's built-in module
 (``_sha2``, ``_sha256`` before Python 3.12), as ``random`` does for SHA-512:
@@ -29,6 +30,7 @@ from .configuration import Configuration
 from .grading import Category, Grade, downgrade_table
 from .records import (Eligibility, PipelineError, ScanRecord, is_ip_literal,
                       split_target)
+from .registry import SharedDecoder
 
 try:
     from _sha2 import sha256
@@ -70,15 +72,11 @@ def grade_distribution(records: Iterable[ScanRecord]) -> dict:
 
 def _config_keyer() -> Callable[[ScanRecord], str]:
     """``config_key`` of a record's configuration, computed once per
-    distinct configuration for the one fold that makes this keyer."""
-    keys: dict[Configuration, str] = {}
-
-    def key_of(r: ScanRecord) -> str:
-        key = keys.get(r.configuration)
-        if key is None:
-            key = keys[r.configuration] = config_key(r.configuration)
-        return key
-    return key_of
+    distinct configuration for the one fold that makes this keyer, in a
+    ``SharedDecoder`` keyed by the configuration: its memo is dropped once
+    configurations rarely repeat."""
+    keys = SharedDecoder(config_key)
+    return lambda r: keys.keyed(r.configuration, r.configuration)
 
 
 def _asn_of(r: ScanRecord) -> Optional[str]:

@@ -226,6 +226,16 @@ def test_cmd_scan_refusal_leaves_a_torn_out_as_it_was(tmp_path):
     assert out.read_bytes() == before
 
 
+def _unpaced(tmp_path, flags: list[str]) -> list[str]:
+    """``flags``, and with ``--i-understand-scanning-ethics`` a policy that
+    does not pace, so that the scan sleeps no 0-2 s delay a handshake."""
+    if "--i-understand-scanning-ethics" not in flags:
+        return flags
+    policy = tmp_path / "unpaced.json"
+    policy.write_text(json.dumps({"delay_max_ms": 0}))
+    return [*flags, "--policy", str(policy)]
+
+
 @pytest.mark.parametrize("flags", [[], ["--i-understand-scanning-ethics"]])
 def test_cmd_scan_resolves_each_target_once(tmp_path, monkeypatch, flags):
     targets = tmp_path / "targets.csv"
@@ -235,7 +245,8 @@ def test_cmd_scan_resolves_each_target_once(tmp_path, monkeypatch, flags):
     monkeypatch.setattr(pipeline, "_resolve",
                         lambda host: hosts.append(host) or resolve(host))
     assert cli.main(["scan", "--targets", str(targets),
-                     "--out", str(tmp_path / "scan.jsonl"), *flags]) == 0
+                     "--out", str(tmp_path / "scan.jsonl"),
+                     *_unpaced(tmp_path, flags)]) == 0
     assert hosts == ["127.0.0.1", "127.0.0.1"]
 
 
@@ -248,7 +259,7 @@ def test_cmd_scan_records_a_name_without_an_idna_form_as_dns(tmp_path, flags):
     targets.write_text("".join(f"{n},{d}\n" for n, d in enumerate(domains, 1)))
     out = tmp_path / "scan.jsonl"
     assert cli.main(["scan", "--targets", str(targets), "--out", str(out),
-                     *flags]) == 0
+                     *_unpaced(tmp_path, flags)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["domain"] for r in records] == domains
     assert [(r["eligibility"], r["exclusion_reason"]) for r in records[1:3]] == [

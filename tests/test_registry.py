@@ -1,5 +1,6 @@
 import pytest
 
+from tlsaudit import registry
 from tlsaudit.registry import (Auth, CipherDb, CipherFamily, CipherSuiteInfo,
                                CipherMode, Kex, Mac, RegistryError, Version,
                                browser_union, cert_compatible, load_registry,
@@ -86,3 +87,18 @@ def test_suite_id_reads_what_suite_label_writes(db):
 def test_suite_id_rejects_other_forms(text):
     with pytest.raises(ValueError, match="0x and four hex digits"):
         suite_id(text)
+
+
+def test_suite_id_keeps_one_label_per_id():
+    """``suite_id`` keeps only labels in ``suite_label``'s form, so its memo
+    holds at most one label per id however the input spells them, and a
+    form it refuses, or a value it cannot hash, is refused after the id's
+    label has been kept."""
+    for text in ("0xc02f", "0xC02f", "0xC02F", "0xc02F", "0xC02F"):
+        assert suite_id(text) == 0xC02F
+    assert registry._SUITE_IDS["0xC02F"] == 0xC02F
+    assert all(label == suite_label(sid)
+               for label, sid in registry._SUITE_IDS.items())
+    for text in ("0XC02F", ["0xC02F"]):
+        with pytest.raises(ValueError, match="0x and four hex digits"):
+            suite_id(text)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -11,6 +12,7 @@ from tlsaudit import report as report_mod
 from tlsaudit.configuration import Configuration
 from tlsaudit.grading import grade
 from tlsaudit.records import Eligibility, ScanRecord, open_output
+from tlsaudit.registry import SharedDecoder
 
 
 def make_records(db, rng, n, n_as=12):
@@ -255,3 +257,55 @@ def test_config_folds_key_each_distinct_configuration_once(db, rng,
     calls.clear()
     assert report_mod.build(records, "dominance") == want_dominance
     assert len(calls) == 12
+
+
+def distinct_records(db, count):
+    """A generator of ``count`` graded records whose configurations never
+    repeat, each decoded on its own from the seed-3 configurations, as
+    ``iter_records`` gives them once its memo is dropped."""
+    rng = random.Random(3)
+    pool = [random_configuration(rng, db) for _ in range(count)]
+    pool = [(config.to_json(), grade(config, db)) for config in pool]
+    return (ScanRecord(domain=f"x{n}.test", eligibility=Eligibility.GRADED,
+                       asn={"number": n % 7, "name": "AS"},
+                       configuration=Configuration.from_json(config),
+                       grade_report=report)
+            for n, (config, report) in enumerate(pool))
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_config_keyer_memo_is_bounded(db, monkeypatch):
+    """With ``SharedDecoder.PROBE`` lowered, keying twice the distinct
+    configurations peaks within 1.2 times the smaller count's peak: the
+    keyer drops its memo by ``SharedDecoder``'s rule. It kept every
+    configuration it keyed, about 1.5 kB each, for the whole fold."""
+    monkeypatch.setattr(SharedDecoder, "PROBE", 64)
+    peaks = []
+    for count in (1_000, 2_000):
+        records, key_of = distinct_records(db, count), report_mod._config_keyer()
+        peaks.append(_traced_peak(lambda: all(map(key_of, records))))
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("which", ["cdf-config", "dominance"])
+def test_config_folds_grow_by_their_groups_alone(db, monkeypatch, which):
+    """Over configurations that never repeat, a fold keeps per distinct
+    configuration only what its report holds for that group: its key and
+    counts, and for ``cdf-config`` a point per grade. So its traced peak
+    grows by under 1,000 bytes per added configuration (about 570 for
+    ``cdf-config`` and 300 for ``dominance``), where keeping each
+    configuration for the whole fold grew it by 1,700-2,100."""
+    monkeypatch.setattr(SharedDecoder, "PROBE", 64)
+    peaks = []
+    for count in (1_000, 2_000):
+        records = distinct_records(db, count)
+        peaks.append(_traced_peak(lambda: report_mod.build(records, which)))
+    assert peaks[1] - peaks[0] <= 1_000 * 1_000, peaks

@@ -32,6 +32,7 @@ from tlsaudit import cli, fixtures, pipeline
 from tlsaudit import report as report_mod
 from tlsaudit.grading import grade
 from tlsaudit.records import RECORD_SCHEMA_VERSION, iter_records, open_output
+from tlsaudit.registry import SharedDecoder
 
 KINDS = ("dist", "cdf-asn", "cdf-config", "downgrades", "dominance", "records")
 FORMATS = ("csv", "json")
@@ -319,6 +320,28 @@ def test_grade_and_check_rec_outputs_are_pinned(offline_inputs, tmp_path,
     assert cli.main(argv + ["--out", str(out)]) == code
     assert len(capsys.readouterr().err.splitlines()) == errors
     assert _sha256(out) == digest
+
+
+def test_no_output_depends_on_shared_objects(corpora, offline_inputs,
+                                             tmp_path, capsys, monkeypatch):
+    """Every report kind, ``grade --in`` and ``check-rec --configs`` write
+    the bytes pinned above, which the tests above check with each distinct
+    value decoded once and shared, also when each memo is dropped at the
+    second distinct value that no call has repeated: most records then hold
+    objects of their own, and the folds key each configuration alone."""
+    monkeypatch.setattr(SharedDecoder, "PROBE", 1)
+    for (name, which, fmt), digest in _PINNED.items():
+        out = tmp_path / f"{name}-{which}.{fmt}"
+        assert cli.main(["report", "--records", str(corpora[name]), "--which",
+                         which, "--format", fmt, "--out", str(out)]) == 0
+        assert _sha256(out) == digest, (name, which, fmt)
+    for command in ("grade", "check-rec-configs"):
+        argv, code, _errors, digest = _PINNED_OFFLINE[command]
+        out = tmp_path / f"{command}.jsonl"
+        assert cli.main([arg.format_map(offline_inputs) for arg in argv]
+                        + ["--out", str(out)]) == code
+        assert _sha256(out) == digest, command
+    capsys.readouterr()
 
 
 # -- all-or-nothing output ------------------------------------------------------
