@@ -376,8 +376,10 @@ def consistent(config: Configuration, rec: Recommendation, db: CipherDb,
 def apply_to_default(rec: Recommendation, default: Configuration,
                      db: CipherDb, library_profile: LibraryProfile) -> Configuration:
     """Missing directives keep the default's setting; present ones override.
-    Component and kex flags are recomputed from the resulting suite set. A
-    cipher string's expansion over a profile is built once per db."""
+    The preferred suite is the first of the resulting suites in
+    ``sort_offer`` order, and the DH fields are cleared when no DHE suite is
+    left. A cipher string's expansion over a profile is built once per
+    db."""
     suites = default.supported_suites
     if rec.cipher_expr is not None:
         suites = _expansion(rec.cipher_expr, db, library_profile.suites)

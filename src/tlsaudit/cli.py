@@ -20,13 +20,14 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import cipherstring, records, report as report_mod
 from .configuration import Configuration
 from .grading import grade
 from .registry import (
-    OBJECT, STR, Fields, SharedDecoder, SharedLayout, check_fields,
-    load_registry, parse_json,
+    OBJECT, STR, Fields, SharedLayout, check_fields, load_registry,
+    parse_json, text_decoder,
 )
 
 logger = logging.getLogger(__name__)
@@ -71,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_grade = sub.add_parser("grade", help="grade configurations offline")
     p_grade.add_argument("--in", dest="infile", required=True,
-                         help="JSONL of Configuration objects")
+                         help="JSONL of Configuration objects, each bare or "
+                              'as {"label": ..., "configuration": ...}')
     p_grade.add_argument("--out", help="output JSONL (default stdout)")
 
     p_rec = sub.add_parser("check-rec",
@@ -129,20 +131,42 @@ def cmd_scan(args) -> int:
 def cmd_grade(args) -> int:
     db = load_registry()
     errors = 0
+
+    def report_of(config) -> _ReportText:
+        return _ReportText(json.dumps(
+            grade(Configuration.from_json(config), db).to_json()))
+
+    def bare_report(config) -> _ReportText:
+        if type(config) is not dict or {"label", "configuration"} & config.keys():
+            raise ValueError("a labeled line")  # read in full, below
+        return report_of(config)
+
     # a corpus repeats a few configurations many times: find a repeat by its
-    # text, and decode and grade it once, straight to its report's JSON text
-    reports = SharedDecoder(lambda obj: _ReportText(json.dumps(
-        grade(Configuration.from_json(obj), db).to_json())))
+    # text, a bare line's or a labeled line's member, and decode and grade it
+    # once, straight to its report's JSON text
+    reports = text_decoder(bare_report)
     parse = SharedLayout((("configuration", reports),))
+
+    def bare(line: str) -> Optional[_ReportText]:
+        """A bare configuration's report, found by the line's text."""
+        if '"configuration"' not in line:
+            try:
+                return reports(line.strip(" \t\r\n"))
+            except (ValueError, KeyError, TypeError):
+                pass
+        return None
+
     with records.open_output(args.out, "grades") as out:
         for lineno, line in records.input_lines(args.infile,
                                                 "configurations"):
             try:
-                obj = check_fields(parse(line), _LABELED_FIELDS)
-                label = obj.get("label")
-                report = obj.get("configuration", obj)
-                if type(report) is not _ReportText:
-                    report = reports(report)
+                label, report = None, bare(line)
+                if report is None:
+                    obj = check_fields(parse(line), _LABELED_FIELDS)
+                    label = obj.get("label")
+                    report = obj.get("configuration", obj)
+                    if type(report) is not _ReportText:
+                        report = report_of(report)
             except (ValueError, KeyError, TypeError) as exc:
                 print(f"line {lineno}: invalid record: {exc}", file=sys.stderr)
                 errors += 1

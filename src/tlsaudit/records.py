@@ -25,8 +25,8 @@ from typing import Iterator, Optional
 from .configuration import Configuration
 from .grading import GradeReport
 from .registry import (
-    INT, NULL, OBJECT, STR, Fields, SharedDecoder, SharedLayout, check_fields,
-    enum_decoder, parse_json,
+    INT, NULL, OBJECT, STR, Fields, SharedLayout, check_fields, enum_decoder,
+    parse_json, text_decoder,
 )
 
 logger = logging.getLogger(__name__)
@@ -203,14 +203,14 @@ def is_ip_literal(host: str) -> bool:
 class ScanRecord:
     """One target's line of a scan's JSONL output.
 
-    Records that ``iter_records`` reads from one file share their
-    ``configuration`` when its JSON is equal, and their ``grade_report``
-    likewise, so a corpus holds one object per distinct value (unless its
-    values rarely repeat: see ``registry.SharedDecoder``), found by its text
-    or else by its value. Neither object may be mutated: a change would show
-    in every record sharing it. Like ``Configuration`` and ``GradeReport``,
-    a record is slotted: it has no ``__dict__`` for ``vars()`` to read, and
-    takes no attribute but its fields.
+    Records that ``iter_records`` reads from one file in the writer's layout
+    share their ``configuration`` when its JSON text is equal, and their
+    ``grade_report`` likewise, so a corpus holds one object per distinct
+    text (unless its texts rarely repeat: see ``registry.SharedDecoder``).
+    Neither object may be mutated: a change would show in every record
+    sharing it. Like ``Configuration`` and ``GradeReport``, a record is
+    slotted: it has no ``__dict__`` for ``vars()`` to read, and takes no
+    attribute but its fields.
     """
 
     domain: str
@@ -256,15 +256,10 @@ class ScanRecord:
         }
 
     @classmethod
-    def from_json(cls, obj: dict,
-                  configurations: Optional[SharedDecoder] = None,
-                  grade_reports: Optional[SharedDecoder] = None
-                  ) -> "ScanRecord":
+    def from_json(cls, obj: dict) -> "ScanRecord":
         """Read ``to_json`` output back, of either schema version; a record
-        without a ``schema_version`` is read as the current one.
-        ``configurations`` and ``grade_reports`` are a reader's shared
-        decoders: records read with the same decoders share equal-valued
-        objects. ``obj`` may hold them decoded already, as
+        without a ``schema_version`` is read as the current one. ``obj`` may
+        hold its configuration and grade report decoded already, as
         ``registry.SharedLayout`` gives them."""
         check_fields(obj, _RECORD_FIELDS)
         get = obj.get
@@ -277,10 +272,9 @@ class ScanRecord:
         return cls(obj["domain"], _eligibility_of(obj["eligibility"]),
                    get("rank"), get("address"), get("started_at"),
                    get("finished_at"), get("server_software"), get("os_hint"),
-                   asn, _decoded(configurations or Configuration.from_json,
-                                 get("configuration")),
-                   _decoded(grade_reports or GradeReport.from_json,
-                            get("grade_report")),
+                   asn,
+                   _decoded(Configuration.from_json, get("configuration")),
+                   _decoded(GradeReport.from_json, get("grade_report")),
                    get("trace_ref"), get("exclusion_reason"))
 
 
@@ -319,21 +313,20 @@ def recorded_domains(out: Path) -> set[str]:
 def iter_records(path) -> Iterator[ScanRecord]:
     """The records of a scan JSONL file, one at a time in file order. A
     corpus backs many thousand records with a few hundred distinct
-    configurations and grade reports, so each distinct one is decoded once
-    and shared (see ``ScanRecord``). In a line laid out as ``run_scan``
-    writes it, each is found by its text and only the rest of the line is
-    parsed (``registry.SharedLayout`` says when); any other line is parsed
-    whole, to the same record. A file that cannot be read, is not
-    UTF-8 or holds a malformed line raises ``PipelineError`` when the stream
-    reaches the fault, which may be after many records have passed."""
-    configurations = SharedDecoder(Configuration.from_json)
-    grade_reports = SharedDecoder(GradeReport.from_json)
-    parse = SharedLayout((("configuration", configurations),
-                          ("grade_report", grade_reports)), "trace_ref")
+    configurations and grade reports, so in a line laid out as ``run_scan``
+    writes it, each is found by its JSON text, decoded once per distinct
+    text and shared (see ``ScanRecord``), and only the rest of the line is
+    parsed (``registry.SharedLayout`` says when). Any other line is parsed
+    whole, to the same record, whose objects are its own. A file that
+    cannot be read, is not UTF-8 or holds a malformed line raises
+    ``PipelineError`` when the stream reaches the fault, which may be after
+    many records have passed."""
+    parse = SharedLayout(
+        (("configuration", text_decoder(Configuration.from_json)),
+         ("grade_report", text_decoder(GradeReport.from_json))), "trace_ref")
     for lineno, line in input_lines(path, "records"):
         try:
-            record = ScanRecord.from_json(
-                parse(line.strip()), configurations, grade_reports)
+            record = ScanRecord.from_json(parse(line.strip()))
         except (ValueError, KeyError, TypeError) as exc:
             raise PipelineError(f"{path}:{lineno}: bad record: {exc}")
         yield record

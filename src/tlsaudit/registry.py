@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import marshal
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -268,26 +267,20 @@ def parse_json(text):
 
 
 class SharedDecoder:
-    """``decode(obj)``, made once per distinct JSON value: a later call with
-    an equal ``obj`` returns the object the first call made. Each reader
-    call makes its own decoders. The key is ``marshal.dumps(obj, 2)``, which
-    is exact for a ``json.loads`` value: version 2 writes no back-references
-    and no interned-string tags (both came in later versions), so the bytes
-    depend only on the value and the exact type of each part. They tell
-    ``true`` from ``1``, ``1024`` from ``1024.0`` and ``-0.0`` from ``0.0``,
-    and keys in another order make other bytes, so values that
-    ``check_fields`` tells apart never share an object. A decode that
-    raises stores nothing, so each bad value raises again.
+    """``decode(key)``, made once per distinct key: a later call with an
+    equal key returns the object the first call made. Each reader call
+    makes its own decoders. A reader keys a configuration or a grade report
+    by its JSON text (``text_decoder``), so equal values in other text, such
+    as reordered members, are decoded one by one, and values that
+    ``check_fields`` tells apart (``true`` and ``1``, ``1024`` and
+    ``1024.0``) never share an object. A decode that raises stores
+    nothing, so each bad key raises again.
 
-    ``text`` keys the same memo by a value's JSON text as well, so a repeat
-    found by its text (``SharedLayout``) is not parsed. A new text is parsed
-    and looked up by value: equal values in other text share one object.
-
-    Only repeats repay a key: each holds about 0.7 kB for a configuration
-    (its text about 0.8 kB), and the memo keeps it until the reader returns.
-    So once a new value leaves the memo with more than ``PROBE`` keys, and
-    more keys than calls it has answered from them, it is dropped with both
-    kinds of key, and every later value is decoded on its own.
+    Only repeats repay a key: each holds about 0.8 kB for a configuration's
+    text, and the memo keeps it until the reader returns. So once a new key
+    leaves the memo with more than ``PROBE`` keys, and more keys than calls
+    it has answered from them, it is dropped, and every later key is
+    decoded on its own.
     """
 
     PROBE = 4096
@@ -299,50 +292,30 @@ class SharedDecoder:
         self.memo: Optional[dict] = {}
         self.hits = 0
 
-    def __call__(self, obj):
-        if self.memo is None:
-            return self.decode(obj)
-        return self.keyed(marshal.dumps(obj, 2), obj)
-
-    def keyed(self, key, obj):
-        """``decode(obj)``, kept under ``key`` while the memo lasts, by the
-        rule above; for values that are keys of their own, ``key`` may be
-        ``obj``."""
+    def __call__(self, key):
         memo = self.memo
         if memo is None:
-            return self.decode(obj)
+            return self.decode(key)
         found = memo.get(key)
         if found is not None:
             self.hits += 1
             return found
-        found = memo[key] = self.decode(obj)
+        found = memo[key] = self.decode(key)
         if len(memo) > max(self.hits, self.PROBE):
             self.memo = None
         return found
 
-    def text(self, text: str):
-        """``self(parse_json(text))``, looked up and kept by ``text`` too;
-        None when that raises an input error, and once the memo is dropped."""
-        memo = self.memo
-        if memo is None:
-            return None
-        found = memo.get(text)
-        if found is not None:
-            self.hits += 1
-            return found
-        try:
-            found = self(parse_json(text))
-        except (ValueError, KeyError, TypeError):
-            return None
-        if self.memo is not None:  # the call above may have dropped it
-            memo[text] = found
-        return found
+
+def text_decoder(decode: Callable) -> SharedDecoder:
+    """A ``SharedDecoder`` keyed by JSON text: ``decode(parse_json(text))``,
+    made once per distinct text."""
+    return SharedDecoder(lambda text: decode(parse_json(text)))
 
 
 class SharedLayout:
     """A reader's ``parse_json(line)`` that takes each member named in
-    ``members``, ``(name, SharedDecoder)`` pairs, from its decoder's memo by
-    its text, and parses only the rest of the line.
+    ``members``, ``(name, text_decoder)`` pairs, from its decoder by its
+    text, and parses only the rest of the line.
 
     The texts are found in the layout that ``json.dumps`` writes by default:
     the members one after another in the order given, then the key
@@ -358,7 +331,9 @@ class SharedLayout:
     members are exactly their placeholders: one complete value replaced by
     another leaves the rest of the parse as it was, and a duplicate key, or
     a match inside a string or a nested object, fails the last test. Any
-    other line is parsed whole, and raises as ``parse_json``.
+    other line is parsed whole, and raises as ``parse_json``; its members,
+    such as those of a line with compact separators, are left to the reader
+    to decode on their own.
     """
 
     __slots__ = ("key", "parts", "tokens", "names")
@@ -385,11 +360,10 @@ class SharedLayout:
         values = []
         for decoder, stop, skip in self.parts:
             end = line.find(stop, brace) + 1 if stop else len(line.rstrip()) - 1
-            value = (decoder.text(line[brace:end])
-                     if brace < end and line[brace] == "{" else None)
-            if value is None:
+            try:
+                values.append(decoder(line[brace:end]))
+            except (ValueError, KeyError, TypeError):
                 return parse_json(line)
-            values.append(value)
             brace = end + skip
         rest = line[:start] + self.tokens + line[end:]
         if rest.count("\\u000") != len(values):

@@ -9,8 +9,9 @@ memory grows with the number of distinct groups, not of records. The
 that replaces the file only once the report is whole. Outputs are
 deterministic (ties broken lexicographically) so emitted files are stable.
 A fold that groups by configuration computes ``config_key`` once per
-distinct configuration in a memo for that one fold, which is dropped, as a
-``registry.SharedDecoder``'s is, once configurations rarely repeat.
+distinct configuration, in a ``registry.SharedDecoder`` keyed by the
+configuration itself for that one fold, whose memo is dropped once
+configurations rarely repeat.
 
 ``config_key`` takes its SHA-256 from the interpreter's built-in module
 (``_sha2``, ``_sha256`` before Python 3.12), as ``random`` does for SHA-512:
@@ -76,7 +77,7 @@ def _config_keyer() -> Callable[[ScanRecord], str]:
     ``SharedDecoder`` keyed by the configuration: its memo is dropped once
     configurations rarely repeat."""
     keys = SharedDecoder(config_key)
-    return lambda r: keys.keyed(r.configuration, r.configuration)
+    return lambda r: keys(r.configuration)
 
 
 def _asn_of(r: ScanRecord) -> Optional[str]:

@@ -285,9 +285,10 @@ def test_a_corpus_decodes_each_text_once_and_parses_no_line_whole(
     """On the seeded corpus of ``test_report_stream.py``, ``iter_records``
     runs ``Configuration.from_json`` once per distinct configuration text
     and ``GradeReport.from_json`` once per distinct grade-report text, and
-    ``grade --in`` runs the first once per distinct text too. ``parse_json``
-    gets each text once and no whole line that holds a configuration, and
-    it never needs ``json.loads``."""
+    ``grade --in`` runs the first once per distinct text too, over labeled
+    lines and over bare ones. ``parse_json`` gets each text once and no
+    whole line that holds a configuration, and it never needs
+    ``json.loads``."""
     records = tmp_path / "records.jsonl"
     write_corpus(records, corpus_lines(db, 0x5EED, 240))
     lines = records.read_text(encoding="utf-8").splitlines()
@@ -301,6 +302,10 @@ def test_a_corpus_decodes_each_text_once_and_parses_no_line_whole(
     labeled.write_text("".join(
         json.dumps({"label": obj["domain"], "configuration": obj["configuration"]})
         + "\n" for obj in objs if obj["configuration"]), encoding="utf-8")
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text("".join(json.dumps(obj["configuration"]) + "\n"
+                            for obj in objs if obj["configuration"]),
+                    encoding="utf-8")
     assert len(shared) == 216 and 1 < len(configs) < len(shared)
 
     calls = {"config": 0, "report": 0, "loads": 0}
@@ -329,12 +334,15 @@ def test_a_corpus_decodes_each_text_once_and_parses_no_line_whole(
     assert sorted(text for text in parsed if text in configs | reports) == \
         sorted(configs | reports)
 
-    calls.update(config=0, report=0)
-    parsed.clear()
-    assert cli.main(["grade", "--in", str(labeled),
-                     "--out", str(tmp_path / "grades.jsonl")]) == 0
-    assert calls == {"config": len(configs), "report": 0, "loads": 0}
-    whole = set(labeled.read_text(encoding="utf-8").splitlines())
-    assert not set(parsed) & whole
-    assert sorted(text for text in parsed if text in configs) == sorted(configs)
+    for path in (labeled, bare):
+        calls.update(config=0, report=0)
+        parsed.clear()
+        assert cli.main(["grade", "--in", str(path),
+                         "--out", str(tmp_path / "grades.jsonl")]) == 0
+        assert calls == {"config": len(configs), "report": 0, "loads": 0}
+        # a bare line is a configuration's text, parsed once like the others
+        whole = set(path.read_text(encoding="utf-8").splitlines())
+        assert not set(parsed) & (whole - configs)
+        assert sorted(text for text in parsed
+                      if text in configs) == sorted(configs)
     assert capsys.readouterr().err == ""

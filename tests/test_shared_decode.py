@@ -1,21 +1,20 @@
-"""Each reader decodes a distinct configuration or grade report once.
+"""Each reader decodes a distinct configuration or grade report text once.
 
 ``pipeline.load_records`` and ``grade --in`` keep one object per distinct
-``configuration`` (and ``grade_report``) JSON value for the length of one
-call. The property tests compare both readers with a fresh decode of each
-line: equal output, records with equal JSON sharing one object, and a
-wrongly typed line failing with its own line number even after an
+``configuration`` (and ``grade_report``) JSON text for the length of one
+call, found by its text in a line in the writer's layout. The property
+tests compare both readers with a fresh decode of each line: equal output,
+records of lines in the writer's layout with equal JSON sharing one object,
+and a wrongly typed line failing with its own line number even after an
 equal-valued, well-typed one. They run again with a ``SharedDecoder`` that
 drops its memo almost at once, as it does on a file whose values rarely
 repeat. The memory tests bound the bytes a loaded record costs when few
 distinct configurations back many records, and when each record has its
-own. Another property checks the memo's ``marshal`` key against ``repr``
-over JSON values that ``==`` confuses.
+own.
 """
 
 import dataclasses
 import json
-import marshal
 import random
 import tracemalloc
 
@@ -168,7 +167,10 @@ def _fresh_records(lines: list[str]):
 
 
 def _assert_loads_as_fresh(tmp_path, lines: list[str],
-                           check_sharing: bool) -> None:
+                           writer: list[bool]) -> None:
+    """``load_records`` reads ``lines`` as a fresh decode of each does, and
+    the records of the lines flagged in ``writer`` share one object per
+    distinct configuration and grade report."""
     path = tmp_path / "records.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     want, bad = _fresh_records(lines)
@@ -179,15 +181,13 @@ def _assert_loads_as_fresh(tmp_path, lines: list[str],
         return
     got = pipeline.load_records(path)
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
-    if not check_sharing:
-        return
     objs = [json.loads(line) for line in lines]
     for field in ("configuration", "grade_report"):
         first = {}
-        for obj, record in zip(objs, got):
+        for obj, record, shares in zip(objs, got, writer):
             value = getattr(record, field)
-            shared = first.setdefault(repr(obj[field]), value)
-            assert shared is value, field
+            if shares:
+                assert first.setdefault(repr(obj[field]), value) is value, field
 
 
 # the default probe, which these short files never reach, and a memo that
@@ -202,9 +202,13 @@ _PROBES = pytest.mark.parametrize("probe", [SharedDecoder.PROBE, 1],
 def test_load_records_decodes_as_each_line_alone(db, pool, tmp_path,
                                                  monkeypatch, probe, data):
     monkeypatch.setattr(SharedDecoder, "PROBE", probe)
-    lines = [_record_line(n, *drawn)
-             for n, drawn in enumerate(data.draw(_lines(pool)))]
-    _assert_loads_as_fresh(tmp_path, lines, check_sharing=probe > 1)
+    drawn = data.draw(_lines(pool))
+    lines = [_record_line(n, *line) for n, line in enumerate(drawn)]
+    # records share objects only while the memo lasts, and only those of
+    # lines in the writer's layout, whose members are found by their text
+    writer = [probe > 1 and separators == (", ", ": ") and twist == "writer"
+              for _, _, separators, twist, _, _ in drawn]
+    _assert_loads_as_fresh(tmp_path, lines, writer)
 
 
 def _fresh_grades(db, lines: list[str]):
@@ -244,6 +248,30 @@ def test_grade_in_grades_as_each_line_alone(db, pool, tmp_path, capsys,
     assert outfile.read_text(encoding="utf-8").splitlines() == want_out
 
 
+def test_grade_in_reads_a_bare_line_as_a_fresh_decode_does(db, pool,
+                                                           tmp_path, capsys):
+    """A bare line is looked up by its text, but only one that a fresh
+    decode reads as a bare configuration gives that configuration's report:
+    one with a label keeps it, one whose escaped ``configuration`` key holds
+    another configuration grades that one, and one with a form feed before
+    it, which ``str.strip`` would take off, is still an error."""
+    (config, _), (other, _) = pool[0], pool[1]
+    text = json.dumps(config)
+    lines = [text, text, json.dumps(dict(config, label="x")), "  " + text,
+             '{"\\u0063onfiguration": ' + json.dumps(other) + ", " + text[1:],
+             "\x0c" + text, json.dumps(dict(config, server_preference=1)),
+             f"[{text}]", text]
+    infile, outfile = tmp_path / "configs.jsonl", tmp_path / "grades.jsonl"
+    infile.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    want_out, want_err = _fresh_grades(db, lines)
+    assert len(want_out) == 6 and len(want_err) == 3
+    capsys.readouterr()
+    assert cli.main(["grade", "--in", str(infile), "--out",
+                     str(outfile)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == want_err
+    assert outfile.read_text(encoding="utf-8").splitlines() == want_out
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("server_preference", 1, "server_preference must be a bool, not 1"),
     ("dh_prime_bits", 1024.0,
@@ -275,89 +303,17 @@ def test_a_wrongly_typed_repeat_fails_on_its_own_line(db, pool, tmp_path,
         f"line {n}: invalid record: {message}" for n in (2, 4)]
 
 
-# JSON texts of leaf values, in groups: some texts of a group parse to the
-# same value (``1e400`` and ``Infinity``, ``-0`` and ``0``), others to one
-# that ``==`` confuses with it but of another type or sign (``1``, ``true``,
-# ``1.0``; ``0.0`` and ``-0.0``), or to another value (``NaN``, ``null``)
-_LEAVES = (
-    ("0", "-0", "false", "0.0", "-0.0", "0e0"),
-    ("1", "true", "1.0", "1E0"),
-    ("1024", "1024.0", "1.024e3", "1024e0"),
-    ("0.1", "0.10000000000000001", "1e-1"),
-    ("1e400", "Infinity", "1E400", "-1e400", "-Infinity"),
-    ("NaN", "null"),
-    ('"a"', '"\\u0061"', '"\\ud800"', '"\\udc00"', '"\\ud800\\udc00"',
-     '"\\ud83d\\ude00"', '"\U0001f600"'),
-)
-_KEYS = ('"a"', '"\\u0061"', '"b"', '"\\ud800"', '"\\udfff"')
-
-
-def _tree(draw, depth):
-    """A JSON value as ("leaf", group, text), ("list", items) or ("dict",
-    [(key text, item)])."""
-    kind = draw(st.sampled_from(("leaf", "list", "dict")) if depth
-                else st.just("leaf"))
-    if kind == "leaf":
-        group = draw(st.integers(0, len(_LEAVES) - 1))
-        return ("leaf", group, draw(st.sampled_from(_LEAVES[group])))
-    items = [_tree(draw, depth - 1) for _ in range(draw(st.integers(0, 3)))]
-    if kind == "list":
-        return ("list", items)
-    keys = draw(st.lists(st.sampled_from(_KEYS), min_size=len(items),
-                         max_size=len(items), unique=True))
-    return ("dict", list(zip(keys, items)))
-
-
-def _variant(draw, tree):
-    """``tree`` with some leaves redrawn from their group and some dicts'
-    keys permuted."""
-    kind, *rest = tree
-    if kind == "leaf":
-        group, text = rest
-        if draw(st.booleans()):
-            text = draw(st.sampled_from(_LEAVES[group]))
-        return ("leaf", group, text)
-    if kind == "list":
-        return ("list", [_variant(draw, item) for item in rest[0]])
-    pairs = [(key, _variant(draw, item)) for key, item in rest[0]]
-    if draw(st.booleans()):
-        pairs = draw(st.permutations(pairs))
-    return ("dict", pairs)
-
-
-def _text(tree) -> str:
-    kind, *rest = tree
-    if kind == "leaf":
-        return rest[1]
-    if kind == "list":
-        return "[" + ", ".join(_text(item) for item in rest[0]) + "]"
-    return "{" + ", ".join(f"{key}: {_text(item)}"
-                           for key, item in rest[0]) + "}"
-
-
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_marshal_key_is_as_exact_as_repr(data):
-    """For values that ``json.loads`` returns, ``SharedDecoder``'s key
-    ``marshal.dumps(obj, 2)`` is equal exactly when ``repr`` is: equal
-    values of the same types and key order, and no others."""
-    tree = _tree(data.draw, data.draw(st.integers(0, 3)))
-    a = json.loads(_text(tree))
-    b = json.loads(_text(_variant(data.draw, tree)))
-    assert ((marshal.dumps(a, 2) == marshal.dumps(b, 2))
-            == (repr(a) == repr(b))), (a, b)
-
-
 def test_shared_decoder_tells_types_apart():
-    """``{"x": true}`` and ``{"x": 1}`` compare equal but are decoded one
-    by one; the same text parsed twice is decoded once."""
+    """``{"x": true}`` and ``{"x": 1}`` parse to equal values but are
+    decoded one by one; the same text, in another string object, is decoded
+    once."""
     decoded = []
-    shared = SharedDecoder(lambda obj: decoded.append(obj) or dict(obj))
-    true = shared(json.loads('{"x": true}'))
-    one = shared(json.loads('{"x": 1}'))
+    shared = SharedDecoder(lambda text: decoded.append(text) or json.loads(text))
+    true = shared('{"x": true}')
+    one = shared('{"x": 1}')
     assert true == one and true is not one
-    assert [type(obj["x"]) for obj in decoded] == [bool, int]
-    again = shared(json.loads('{"x": true}'))
+    assert [type(json.loads(text)["x"]) for text in decoded] == [bool, int]
+    again = shared(json.dumps({"x": True}))
     assert again is true and len(decoded) == 2
 
 
@@ -394,29 +350,30 @@ def test_load_records_memory_per_record(db, tmp_path):
 
 
 def test_shared_decoder_drops_its_memo_when_values_rarely_repeat():
-    """Past ``PROBE`` values, a memo holding more values than it has
-    answered calls is dropped; later values are decoded on their own."""
+    """Past ``PROBE`` keys, a memo holding more keys than it has answered
+    calls is dropped; later keys are decoded on their own."""
     probe = SharedDecoder.PROBE
     decoded = []
-    shared = SharedDecoder(lambda obj: decoded.append(obj) or dict(obj))
-    first = [shared({"n": n}) for n in range(probe)]
-    assert shared({"n": 0}) is first[0]
+    shared = SharedDecoder(lambda text: decoded.append(text) or json.loads(text))
+    first = [shared(json.dumps({"n": n})) for n in range(probe)]
+    assert shared(json.dumps({"n": 0})) is first[0]
     assert len(shared.memo) == probe and len(decoded) == probe
-    shared({"n": probe})
+    shared(json.dumps({"n": probe}))
     assert shared.memo is None
-    again = shared({"n": 0})
+    again = shared(json.dumps({"n": 0}))
     assert again == first[0] and again is not first[0]
     assert len(decoded) == probe + 2
 
 
 def test_shared_decoder_keeps_its_memo_while_values_repeat():
-    """Each value called three times: two of every three calls are answered
-    from the memo, so it keeps every value, well past ``PROBE``."""
-    shared = SharedDecoder(dict)
+    """Each key called three times: two of every three calls are answered
+    from the memo, so it keeps every key, well past ``PROBE``."""
+    shared = SharedDecoder(json.loads)
     count = 3 * SharedDecoder.PROBE
     for n in range(count):
-        first = shared({"n": n})
-        assert shared({"n": n}) is first and shared({"n": n}) is first
+        first = shared(json.dumps({"n": n}))
+        assert shared(json.dumps({"n": n})) is first
+        assert shared(json.dumps({"n": n})) is first
     assert len(shared.memo) == count
 
 
