@@ -26,8 +26,8 @@ from . import cipherstring, records, report as report_mod
 from .configuration import Configuration
 from .grading import grade
 from .registry import (
-    OBJECT, STR, Fields, SharedLayout, check_fields, load_registry,
-    parse_json, text_decoder,
+    JSON_SPACE, OBJECT, STR, Fields, SharedLayout, check_fields,
+    load_registry, parse_json, text_decoder,
 )
 
 logger = logging.getLogger(__name__)
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="probe a target list and grade it")
     p_scan.add_argument("--targets", required=True,
-                        help="CSV of rank,domain rows")
+                        help="UTF-8 CSV of rank,domain rows")
     p_scan.add_argument("--out", required=True, help="output JSONL path")
     p_scan.add_argument("--policy", help="probe policy JSON file")
     p_scan.add_argument("--asn-table",
@@ -151,7 +151,7 @@ def cmd_grade(args) -> int:
         """A bare configuration's report, found by the line's text."""
         if '"configuration"' not in line:
             try:
-                return reports(line.strip(" \t\r\n"))
+                return reports(line.strip(JSON_SPACE))
             except (ValueError, KeyError, TypeError):
                 pass
         return None

@@ -4,8 +4,9 @@ and the one opener of every input and output file.
 A scan writes one JSON line per target (``ScanRecord.to_json``);
 ``iter_records`` reads such a file back, one record at a time, and
 ``recorded_domains`` reads the domains a resumed scan skips. Every input
-file is opened through ``open_input`` and every output but the scan's own
-through ``open_output``, so a file that cannot be read or written is one
+file is opened through ``open_input``, whose lines ``input_lines`` reads
+when they are JSON, and every output but the scan's own through
+``open_output``, so a file that cannot be read or written is one
 ``PipelineError``. The offline commands, ``report`` among them, need only
 this module, not the prober.
 """
@@ -25,8 +26,8 @@ from typing import Iterator, Optional
 from .configuration import Configuration
 from .grading import GradeReport
 from .registry import (
-    INT, NULL, OBJECT, STR, Fields, SharedLayout, check_fields, enum_decoder,
-    parse_json, text_decoder,
+    INT, JSON_SPACE, NULL, OBJECT, STR, Fields, SharedLayout, check_fields,
+    enum_decoder, parse_json, text_decoder,
 )
 
 logger = logging.getLogger(__name__)
@@ -44,27 +45,30 @@ class PipelineError(ValueError):
 
 
 @contextmanager
-def open_input(path, what: str, mode: str = "r", newline: Optional[str] = None):
-    """Open an input file as UTF-8 text, or as bytes in a binary ``mode``.
-    An ``OSError`` or ``UnicodeDecodeError`` from opening or reading it is a
+def open_input(path, what: str, newline: Optional[str] = None):
+    """Open an input file as UTF-8 text, a BOM at its start skipped
+    (``utf-8-sig``), with ``newline`` as for ``open``; the one decoder of
+    every input file. A BOM anywhere else is the character U+FEFF. An
+    ``OSError`` or ``UnicodeDecodeError`` from opening or reading it is a
     ``PipelineError`` ``cannot read <what>: <reason>``. A per-line ``try``
     must not wrap the ``for`` over the file: a decode error is a ValueError."""
-    encoding = None if "b" in mode else "utf-8"
     try:
-        with open(path, mode, encoding=encoding, newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise PipelineError(f"cannot read {what}: {exc}") from exc
 
 
 def input_lines(path, what: str) -> Iterator[tuple[int, str]]:
-    """``(number, line)`` of each line of an input file that is not blank,
-    read through ``open_input``. The caller's loop body runs outside the
-    input's block, so its own errors, a write's among them, pass as they
-    are."""
-    with open_input(path, what) as fh:
+    """``(number, line)`` of each line of a JSON-lines input file, read
+    through ``open_input``; the one reader of such a file's text. A line
+    ends at ``\\n`` alone and keeps it. A line of ``JSON_SPACE`` alone is
+    skipped, so any other is read exactly when ``json.loads`` accepts it.
+    The caller's loop body runs outside the input's block, so its own
+    errors, a write's among them, pass as they are."""
+    with open_input(path, what, newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
+            if line.strip(JSON_SPACE):
                 yield lineno, line
 
 
@@ -284,29 +288,28 @@ def _decoded(decode, value):
 
 
 def recorded_domains(out: Path) -> set[str]:
-    """Domains already recorded in ``out``. A final line without its newline
-    is a record torn by a crash mid-write; it is cut off, so that target is
-    scanned again. A complete line that is not a JSON object with a string
-    ``"domain"`` is a ``PipelineError``, raised before ``out`` is changed."""
+    """Domains already recorded in ``out``, whose lines are read as
+    ``iter_records`` reads them (``input_lines``). A final line without its
+    newline is a record torn by a crash mid-write; once every complete line
+    has passed, it is cut off, so that target is scanned again. A complete
+    line that is not a JSON object with a string ``"domain"`` is a
+    ``PipelineError``, raised before ``out`` is changed."""
     done: set[str] = set()
     if not os.path.exists(out):  # also for a name too long to exist
         return done
-    with open_input(out, "scan output", "r+b") as fh:
-        end = 0
-        for lineno, line in enumerate(fh, start=1):
-            if not line.endswith(b"\n"):
-                logger.warning("%s: torn final record cut off", out)
-                fh.truncate(end)
-                break
-            end += len(line)
-            if not line.strip():
-                continue
+    for lineno, line in input_lines(out, "scan output"):
+        if not line.endswith("\n"):  # the last line: each before it is read
+            logger.warning("%s: torn final record cut off", out)
             try:
-                domain = check_fields(parse_json(line),
-                                      _DOMAIN_FIELDS)["domain"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise PipelineError(f"{out}:{lineno}: bad record: {exc}") from None
-            done.add(domain)
+                os.truncate(out, os.path.getsize(out) - len(line.encode()))
+            except OSError as exc:
+                raise cannot_write(exc, "scan output", out) from exc
+            break
+        try:
+            domain = check_fields(parse_json(line), _DOMAIN_FIELDS)["domain"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise PipelineError(f"{out}:{lineno}: bad record: {exc}") from None
+        done.add(domain)
     return done
 
 
@@ -317,7 +320,9 @@ def iter_records(path) -> Iterator[ScanRecord]:
     writes it, each is found by its JSON text, decoded once per distinct
     text and shared (see ``ScanRecord``), and only the rest of the line is
     parsed (``registry.SharedLayout`` says when). Any other line is parsed
-    whole, to the same record, whose objects are its own. A file that
+    whole, to the same record, whose objects are its own. Lines are read by
+    ``input_lines`` and stripped of ``JSON_SPACE`` alone, so a line is a
+    record exactly when ``json.loads`` reads it as one. A file that
     cannot be read, is not UTF-8 or holds a malformed line raises
     ``PipelineError`` when the stream reaches the fault, which may be after
     many records have passed."""
@@ -326,7 +331,7 @@ def iter_records(path) -> Iterator[ScanRecord]:
          ("grade_report", text_decoder(GradeReport.from_json))), "trace_ref")
     for lineno, line in input_lines(path, "records"):
         try:
-            record = ScanRecord.from_json(parse(line.strip()))
+            record = ScanRecord.from_json(parse(line.strip(JSON_SPACE)))
         except (ValueError, KeyError, TypeError) as exc:
             raise PipelineError(f"{path}:{lineno}: bad record: {exc}")
         yield record

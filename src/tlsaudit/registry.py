@@ -1,8 +1,13 @@
-"""Cipher suite registry: classification database and offer-list construction.
+"""Cipher suite registry: classification database and offer-list
+construction; and the JSON input layer.
 
 The registry ships as a checked-in CSV with precomputed classification
 columns (deriving components from suite names at runtime is fragile across
 registry naming conventions). All lookups after load are read-only.
+
+The input layer reads every JSON input line: ``JSON_SPACE``, ``parse_json``,
+``Fields`` and ``check_fields``, and the shared decode of repeated values,
+``SharedDecoder`` and ``SharedLayout``.
 """
 from __future__ import annotations
 
@@ -240,6 +245,11 @@ def check_fields(obj, fields: Fields, where: str = "") -> dict:
     return obj
 
 
+# JSON's own whitespace (RFC 8259 §2): the one set stripped from an input
+# line, so a line that is not blank under it is read exactly when
+# ``json.loads`` accepts it
+JSON_SPACE = " \t\r\n"
+
 # the C scanner that ``json.loads`` runs, and its whitespace skip
 _scan_json = json.JSONDecoder().scan_once
 _json_space = json.decoder.WHITESPACE.match
@@ -359,7 +369,8 @@ class SharedLayout:
         brace = start + len(self.key) - 1
         values = []
         for decoder, stop, skip in self.parts:
-            end = line.find(stop, brace) + 1 if stop else len(line.rstrip()) - 1
+            end = (line.find(stop, brace) + 1 if stop
+                   else len(line.rstrip(JSON_SPACE)) - 1)
             try:
                 values.append(decoder(line[brace:end]))
             except (ValueError, KeyError, TypeError):

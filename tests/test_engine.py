@@ -3,6 +3,7 @@ import os
 import socket
 import struct
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +14,7 @@ from tlsaudit import engine as engine_module
 from tlsaudit import fixtures, wire
 from tlsaudit.engine import (HandshakeEngine, HandshakeOffer, HandshakeOutcome,
                              HeartbleedResult, OfferError, ProbeStatus)
+from tlsaudit.orchestrator import ProbePolicy, SiteProber
 from tlsaudit.records import split_target
 from tlsaudit.registry import Version
 
@@ -538,3 +540,46 @@ def test_a_hostile_peer_ends_each_call_within_its_bounds(db, client_reads,
     assert elapsed < timeout + 0.25
     assert len(client_reads) == 1
     assert client_reads[0] <= engine_module.READ_BYTE_CAP
+
+
+# what a site's probe may hold at once: two connections' worth of reads
+_SITE_PEAK_BYTES = 2 * engine_module.READ_BYTE_CAP
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(script=_peer_scripts())
+def test_a_hostile_peer_ends_a_site_probe_within_its_bounds(db, client_reads,
+                                                             script):
+    """Whatever a peer sends, ``probe_site`` returns within its dials'
+    timeouts and a margin, reads at most ``READ_BYTE_CAP`` bytes on each
+    connection, holds less than ``_SITE_PEAK_BYTES`` at its ``tracemalloc``
+    peak, and excludes the site with a reason that its trace explains. The
+    peer serves one connection, so a baseline that negotiates leaves the
+    GET without an answer."""
+    timeout = 0.2
+    client_reads.clear()
+    prober = SiteProber(db, ProbePolicy(timeout_s=timeout, delay_max_s=0.0))
+    with LoopbackPeer(*script) as peer:
+        tracemalloc.start()
+        try:
+            started = time.monotonic()
+            config, trace = prober.probe_site(peer.address)
+            elapsed = time.monotonic() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(client_reads) == sum(1 + e.retried for e in trace.entries)
+    assert elapsed < len(client_reads) * timeout + 0.25
+    assert max(client_reads) <= engine_module.READ_BYTE_CAP
+    assert peak < _SITE_PEAK_BYTES
+    assert config is None
+    baseline = trace.entries[0].outcome
+    if baseline["status"] == ProbeStatus.NEGOTIATED.value:
+        assert [e.kind for e in trace.entries] == ["baseline", "baseline_get"]
+        assert trace.exclusion_reason == "NO_HTTP"
+    else:
+        assert len(trace.entries) == 1
+        assert trace.exclusion_reason == baseline["status"]
+        assert "error" in baseline or "alert" in baseline

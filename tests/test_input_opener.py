@@ -1,10 +1,14 @@
-"""``src/tlsaudit/cli.py`` reads no file itself, and no module but
-``records`` and ``pipeline`` writes one.
+"""``src/tlsaudit/cli.py`` reads no file itself, no module but ``records``
+and ``pipeline`` writes one, and only four readers call ``open_input``.
 
 Every input file is opened through ``records.open_input``, which turns an
 unreadable or non-UTF-8 file into the one input error that ``cli.main``
 reports with exit 1. A ``read_text``, ``read_bytes`` or reading ``open`` call
 in ``cli.py`` would bring back a per-command reader with its own errors.
+Every JSON-lines input is read through ``records.input_lines``, and the
+targets, policy and ASN table through their loaders; another caller of
+``open_input`` would bring back a reader with its own rule for a line's
+text, as the scan's resume had.
 Every output file is opened through ``records.open_output``, which replaces
 the file only once it is whole and turns a write error into one error line;
 another writer would bring back a file truncated on error. The scan's own
@@ -130,3 +134,43 @@ def test_no_module_but_records_and_pipeline_writes_a_file():
               for write in _file_writes(ast.parse(
                   path.read_text(encoding="utf-8"), filename=str(path)))]
     assert writes == []
+
+
+# the callers of ``open_input``: the one reader of JSON lines, and the
+# loaders of the three inputs that are not JSON lines
+OPENERS = ["pipeline.load_asn_table", "pipeline.load_policy",
+           "pipeline.load_targets", "records.input_lines"]
+
+
+def _open_input_callers(tree: ast.Module, module: str) -> list[str]:
+    """``<module>.<name>`` for each call of ``open_input``, the name being
+    the top-level function or class that holds it, or ``<module>``."""
+    callers = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name == "open_input":
+                callers.append(f"{module}.{getattr(top, 'name', '<module>')}")
+    return callers
+
+
+def test_the_check_sees_each_caller_of_open_input():
+    tree = ast.parse(
+        "def a():\n    open_input(p, 'x')\n"
+        "def b():\n    def inner():\n        records.open_input(p, 'x')\n"
+        "class C:\n    def m(self):\n        open_input(p, 'x')\n"
+        "with open_input(p, 'x') as fh:\n    pass\n"
+        "def d():\n    open(p)\n")
+    assert _open_input_callers(tree, "m") == ["m.a", "m.b", "m.C", "m.<module>"]
+
+
+def test_only_the_four_readers_call_open_input():
+    callers = [caller for path in sorted(SRC.glob("*.py"))
+               for caller in _open_input_callers(
+                   ast.parse(path.read_text(encoding="utf-8"),
+                             filename=str(path)), path.stem)]
+    assert sorted(callers) == OPENERS

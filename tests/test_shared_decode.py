@@ -156,11 +156,12 @@ def _grade_line(n: int, config, separators, twist, other, cut) -> str:
 
 def _fresh_records(lines: list[str]):
     """What a fresh decode of each line gives: the records, or the first bad
-    line's number and message. The reader strips each line."""
+    line's number and message. The reader strips each line of JSON's
+    whitespace."""
     records = []
     for lineno, line in enumerate(lines, start=1):
         try:
-            records.append(ScanRecord.from_json(json.loads(line.strip())))
+            records.append(ScanRecord.from_json(json.loads(line.strip(" \t\r\n"))))
         except (ValueError, KeyError, TypeError) as exc:
             return None, (lineno, str(exc))
     return records, None
