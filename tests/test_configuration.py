@@ -107,8 +107,10 @@ def test_from_json_integer_field_takes_only_an_int_or_null(db, field, value):
     ("component_flags", "AES"), ("component_flags", "EXPORT"), ("kex_flags", "RSA"),
 ])
 @pytest.mark.parametrize("value", [1, 0, 1.0, "true", None])
-def test_from_json_ignores_a_version_1_flag_of_any_value(db, field, flag,
-                                                       value):
+def test_from_json_flag_takes_only_a_bool(db, field, flag, value):
+    # The name is kept from when a flag had to be a bool. The flags of a
+    # version-1 configuration are now read by nothing: a flag of any value,
+    # a bool among them, decodes to the configuration its suites give.
     config = Configuration.from_json(_json_with_every_scalar_set(db))
     for wrote in (value, True, False):
         obj = version_1_json(db, config)
